@@ -3,7 +3,7 @@ solvers, domination oracles, the strategically-waiting online policies,
 and a benchmark harness."""
 
 from .core import Instance, Request, RunResult, prediction_error, simulate, run_adaptive
-from .engine import EngineConfig, StartDecision, find_start, la_swag_policy, swag_policy
+from .engine import EngineConfig, StartDecision, la_swag_policy, swag_policy
 from .offline import (
     CLOSED,
     FREE,
@@ -26,11 +26,9 @@ from .spaces import (
     Line,
     Ring,
     Tree,
-    reroot_tree,
     snip_flower,
     space_from_json,
     trim_tree,
-    validate,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -13,13 +13,14 @@ from .core import Instance
 from .engine import EngineConfig, la_swag, swag_policy
 from .harness import SweepSpec, generate, sweep, write_report
 from .offline import opt_bruteforce, BRUTE_FORCE_CAP
-from .spaces import space_from_json, validate
+from .spaces import space_from_json
+from .tolerance import TIE
 
 
 def _cmd_validate(args) -> int:
     with open(args.space) as fh:
         space = space_from_json(json.load(fh))
-    problems = validate(space)
+    problems = space.validate()
     for p in problems:
         print(f"violation: {p}")
     if not problems:
@@ -29,7 +30,12 @@ def _cmd_validate(args) -> int:
 
 def _cmd_run(args) -> int:
     with open(args.instance) as fh:
-        inst = Instance.from_json(json.load(fh))
+        obj = json.load(fh)
+    try:
+        inst = Instance.from_json(obj)
+    except ValueError as exc:  # SpaceError included
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     if args.variant:
         inst = Instance(inst.space, inst.requests, inst.predictions, args.variant)
     config = EngineConfig(oracle=args.oracle, breaking_rule=args.breaking_rule == "on")
@@ -43,7 +49,7 @@ def _cmd_run(args) -> int:
     print(f"completion_time: {result.completion_time:.9g}")
     if inst.n <= BRUTE_FORCE_CAP:
         opt = opt_bruteforce(inst).length
-        ratio = result.completion_time / opt if opt > 1e-12 else 1.0
+        ratio = result.completion_time / opt if opt > TIE else 1.0
         print(f"opt: {opt:.9g}")
         print(f"ratio: {ratio:.9g}")
     if args.trajectory:

@@ -9,13 +9,13 @@ are computed in closed form.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Any, Iterable
 
 from . import spaces
-from .spaces import Space, canon_point
-
-TOL = 1e-9
+from .spaces import Space, SpaceError, canon_point
+from .tolerance import FEAS, TIE
 
 DEPART = "depart"
 ARRIVE = "arrive"
@@ -46,6 +46,14 @@ class Instance:
             raise ValueError("one prediction per request is required")
         if self.variant not in ("open", "closed"):
             raise ValueError(f"bad variant {self.variant!r}")
+        contains = self.space.contains
+        for i, (r, p) in enumerate(zip(self.requests, self.predictions)):
+            if not contains(r.location):
+                raise SpaceError(f"request {i}: location {r.location!r} is outside the space")
+            if not contains(p):
+                raise SpaceError(f"request {i}: prediction {p!r} is outside the space")
+            if not (math.isfinite(r.release) and r.release >= 0):
+                raise ValueError(f"request {i}: release {r.release!r} must be finite and >= 0")
 
     @property
     def origin(self):
@@ -57,9 +65,6 @@ class Instance:
 
     def locations(self) -> list:
         return [r.location for r in self.requests]
-
-    def release_times(self) -> list[float]:
-        return [r.release for r in self.requests]
 
     def with_predictions(self, predictions) -> "Instance":
         return Instance(self.space, self.requests, list(predictions), self.variant)
@@ -81,6 +86,9 @@ class Instance:
     @staticmethod
     def from_json(obj: dict) -> "Instance":
         space = spaces.space_from_json(obj["space"])
+        problems = space.validate()
+        if problems:
+            raise SpaceError("invalid space: " + "; ".join(problems))
         reqs = [
             Request(i, spaces.point_from_json(space, r["x"]), float(r["t"]))
             for i, r in enumerate(obj["requests"])
@@ -93,73 +101,52 @@ class Instance:
 # Route statistics
 # ---------------------------------------------------------------------------
 
-def route_length(space: Space, origin, points: list, perm, variant: str) -> float:
-    if not perm:
-        return 0.0
-    total = space.distance(origin, points[perm[0]])
-    for a, b in zip(perm, perm[1:]):
-        total += space.distance(points[a], points[b])
-    if variant == "closed":
-        total += space.distance(points[perm[-1]], origin)
-    return total
+def distance_matrix(space: Space, points: list) -> list[list[float]]:
+    """``D[a][b] = space.distance(points[a], points[b])``.  Both triangles
+    are evaluated, in that argument order, because a distance need not be
+    bitwise symmetric (tree anchors add up in a different order)."""
+    return [[space.distance(a, b) for b in points] for a in points]
 
 
 class RouteStats:
     """Length and released-prefix fraction of one serving order.
 
-    The released prefix of a route at time t runs from the origin up to
+    ``D`` is a distance matrix whose row 0 is the origin and row i+1 is
+    request i.  The released prefix of a route runs from the origin up to
     and including the leg that reaches the first unreleased request; if
     every request is released (or the route has length zero) the
     fraction is 1.
     """
 
-    __slots__ = ("perm", "length", "reach", "release_times")
+    __slots__ = ("perm", "length", "reach")
 
-    def __init__(self, space: Space, origin, points: list, perm, variant: str,
-                 release_times=None):
-        self.perm = tuple(perm)
-        self.release_times = release_times
+    def __init__(self, perm: tuple, D, closed: bool):
+        self.perm = perm
         reach = []
         total = 0.0
-        prev = origin
-        for i in self.perm:
-            total += space.distance(prev, points[i])
+        prev = 0
+        for i in perm:
+            total += D[prev][i + 1]
             reach.append(total)
-            prev = points[i]
-        if variant == "closed" and self.perm:
-            total += space.distance(prev, origin)
+            prev = i + 1
+        if closed and perm:
+            total += D[prev][0]
         self.reach = reach  # distance travelled when arriving at each stop
         self.length = total
 
     def alpha_released(self, released) -> float:
-        if self.length <= TOL:
+        if self.length <= FEAS:
             return 1.0
         for k, i in enumerate(self.perm):
             if i not in released:
                 return self.reach[k] / self.length
         return 1.0
 
-    def alpha_at(self, t: float) -> float:
-        released = {i for i, ti in enumerate(self.release_times) if ti <= t + 1e-12}
-        return self.alpha_released(released)
 
-    def beta_at(self, t: float) -> float:
-        return min(self.alpha_at(t), 0.5)
-
-    def unreleased_remainder(self, released) -> float:
-        return (1.0 - self.alpha_released(released)) * self.length
-
-
-def route_stats(instance: Instance, perm, use_predictions: bool = False) -> RouteStats:
-    pts = instance.predictions if use_predictions else instance.locations()
-    return RouteStats(
-        instance.space, instance.origin, pts, perm, instance.variant,
-        release_times=instance.release_times(),
-    )
-
-
-def released_fraction(instance: Instance, perm, t: float) -> float:
-    return route_stats(instance, perm).alpha_at(t)
+def route_stats(instance: Instance, perm) -> RouteStats:
+    """Statistics of ``perm`` over the instance's true locations."""
+    D = distance_matrix(instance.space, [instance.origin] + instance.locations())
+    return RouteStats(tuple(perm), D, instance.variant == "closed")
 
 
 def prediction_error(instance: Instance) -> float:
@@ -170,10 +157,10 @@ def prediction_error(instance: Instance) -> float:
         instance.space.distance(r.location, p)
         for r, p in zip(instance.requests, instance.predictions)
     )
-    if delta <= TOL:
+    if delta <= FEAS:
         return 0.0
     F = shortest_serving_path_length(instance)
-    if F <= TOL:
+    if F <= FEAS:
         return 0.0
     return delta / F
 
@@ -250,7 +237,7 @@ class Simulation:
         req = self.released.get(rid)
         if req is None:
             raise ValueError(f"request {rid} not released")
-        if self.space.distance(self.pos, req.location) > TOL:
+        if self.space.distance(self.pos, req.location) > FEAS:
             raise ValueError(f"server not at request {rid}")
         if rid in self.served:
             return
@@ -267,9 +254,9 @@ class Simulation:
 
     def _fire_releases(self) -> bool:
         fired = False
-        while self._queue and self._queue[0][0] <= self.now + 1e-12:
+        while self._queue and self._queue[0][0] <= self.now + TIE:
             t, i, loc = heapq.heappop(self._queue)
-            if t < self.now - 1e-9:
+            if t < self.now - FEAS:
                 raise ValueError("release scheduled in the past")
             if i in self.released:
                 raise ValueError(f"request {i} released twice")
@@ -279,7 +266,7 @@ class Simulation:
         return fired
 
     def emit_release(self, rid: int, loc, t: float) -> None:
-        if t < self.now - 1e-9:
+        if t < self.now - FEAS:
             raise ValueError("adversary released in the past")
         heapq.heappush(self._queue, (t, rid, loc))
 
@@ -304,7 +291,7 @@ class Simulation:
             if kind == "move":
                 target = act[1]
                 if not self.space.contains(target):
-                    raise spaces.SpaceError(f"target {target!r} outside the space")
+                    raise SpaceError(f"target {target!r} outside the space")
                 target = canon_point(self.space, target)
                 d = self.space.distance(self.pos, target)
                 if waiting:
@@ -337,7 +324,7 @@ class Simulation:
                 frm, t0, target, t_arr = self._leg
                 self.pos = self.space.move_along(frm, target, min(t_next, t_arr) - t0)
             self.now = t_next
-            if self._leg is not None and t_next >= self._leg[3] - 1e-12:
+            if self._leg is not None and t_next >= self._leg[3] - TIE:
                 self.pos = self._leg[2]
                 self._log(ARRIVE)
                 self._leg = None
@@ -385,12 +372,12 @@ class FollowOrderPolicy:
         while self.i < len(self.order):
             rid = self.order[self.i]
             loc = canon_point(sim.space, self.locations[rid])
-            if sim.space.distance(sim.pos, loc) > TOL:
+            if sim.space.distance(sim.pos, loc) > FEAS:
                 return ("move", loc)
             if rid not in sim.released:
                 return ("wait", None)
             sim.serve(rid)
             self.i += 1
-        if self.variant == "closed" and sim.space.distance(sim.pos, self.origin) > TOL:
+        if self.variant == "closed" and sim.space.distance(sim.pos, self.origin) > FEAS:
             return ("move", self.origin)
         return ("finish",)

@@ -11,16 +11,15 @@ from .core import BREAK_RULE, Instance, RunResult, Simulation, simulate
 from .offline import FREE, PathQuery, solve_classical
 from .oracles import DominationOracle, make_oracle
 from .spaces import canon_point
+from .tolerance import FEAS, TIE
 
-TOL = 1e-9
+_HALF = 0.5 - TIE  # alpha threshold of the start conditions
 
 
 @dataclass
 class EngineConfig:
     oracle: str = "auto"
     breaking_rule: bool = True
-    tie_break: str = "lex-largest"  # or "lex-smallest"
-    tol: float = TOL
 
 
 @dataclass
@@ -35,7 +34,7 @@ def _candidate(oracle: DominationOracle, released: frozenset, window_start: floa
     start conditions, given the released set is frozen in this window."""
     best = None
     for e in oracle.entries.values():
-        if e.alpha_released(released) >= 0.5 - 1e-12:
+        if e.alpha_released(released) >= _HALF:
             if best is None or e.length < best:
                 best = e.length
     if best is None:
@@ -45,62 +44,44 @@ def _candidate(oracle: DominationOracle, released: frozenset, window_start: floa
 
 def _witness(oracle: DominationOracle, released: frozenset, T: float):
     best = None
+    limit = 2 * T + FEAS
     for e in oracle.entries.values():
-        if e.alpha_released(released) < 0.5 - 1e-12:
+        if e.alpha_released(released) < _HALF:
             continue
-        if e.length > 2 * T + 1e-9:
+        if e.length > limit:
             continue
         if best is None or (e.length, e.perm) < (best.length, best.perm):
             best = e
     return best
 
 
-def _minimizer(oracle: DominationOracle, released: frozenset, tie_break: str = "lex-largest"):
-    """argmin (1 - beta) * length.  Ties default to the lexicographically
+def _minimizer(oracle: DominationOracle, released: frozenset):
+    """argmin (1 - beta) * length.  Ties go to the lexicographically
     largest permutation: that is what makes the worst case of the
     prediction-at-the-wrong-end instances actually bite."""
-    prefer_larger = tie_break == "lex-largest"
     best_val = math.inf
     best_perm = None
     for e in oracle.entries.values():
         beta = min(e.alpha_released(released), 0.5)
         val = (1.0 - beta) * e.length
-        better_tie = best_perm is None or (e.perm > best_perm if prefer_larger else e.perm < best_perm)
-        if val < best_val - 1e-12 or (abs(val - best_val) <= 1e-12 and better_tie):
+        if val < best_val - TIE or (
+            abs(val - best_val) <= TIE and (best_perm is None or e.perm > best_perm)
+        ):
             best_val = val
             best_perm = e.perm
     return best_perm
-
-
-def find_start(instance: Instance, config: EngineConfig = EngineConfig()) -> StartDecision:
-    """Replay the release sequence of a static instance and return the
-    strategic start time with its witness and chosen route."""
-    oracle = make_oracle(instance.space, instance.predictions, instance.variant, config.oracle)
-    times = sorted({0.0} | {r.release for r in instance.requests})
-    for k, t in enumerate(times):
-        released = frozenset(i for i, r in enumerate(instance.requests) if r.release <= t + 1e-12)
-        oracle.step(t, released)
-        cand = _candidate(oracle, released, t)
-        nxt = times[k + 1] if k + 1 < len(times) else math.inf
-        if cand is not None and cand < nxt - 1e-12:
-            sigma0 = _witness(oracle, released, cand)
-            sigma1 = _minimizer(oracle, released, config.tie_break)
-            return StartDecision(cand, sigma0.perm, sigma1)
-    raise RuntimeError("start conditions never satisfied")
 
 
 class LaSwagPolicy:
     """Algorithm policy: strategic wait, predicted-spot visits, breaking rule."""
 
     def __init__(self, space, n, predictions, variant,
-                 oracle_kind: str = "auto", breaking_rule: bool = True,
-                 tie_break: str = "lex-largest"):
+                 oracle_kind: str = "auto", breaking_rule: bool = True):
         self.space = space
         self.n = n
         self.predictions = [canon_point(space, p) for p in predictions]
         self.variant = variant
         self.breaking_rule = breaking_rule
-        self.tie_break = tie_break
         self.oracle = make_oracle(space, self.predictions, variant, oracle_kind)
         self.phase = "plan"
         self.start: StartDecision | None = None
@@ -111,17 +92,16 @@ class LaSwagPolicy:
         self._seen_released = -1
 
     @classmethod
-    def factory(cls, oracle_kind: str = "auto", breaking_rule: bool = True,
-                tie_break: str = "lex-largest"):
+    def factory(cls, oracle_kind: str = "auto", breaking_rule: bool = True):
         def make(space, n, predictions, variant):
-            return cls(space, n, predictions, variant, oracle_kind, breaking_rule, tie_break)
+            return cls(space, n, predictions, variant, oracle_kind, breaking_rule)
 
         return make
 
     # -- helpers -------------------------------------------------------------
 
     def _at(self, sim: Simulation, point) -> bool:
-        return sim.space.distance(sim.pos, point) <= TOL
+        return sim.space.distance(sim.pos, point) <= FEAS
 
     def _enter_cleanup(self, sim: Simulation) -> None:
         sim.note(BREAK_RULE)
@@ -142,10 +122,10 @@ class LaSwagPolicy:
         cand = _candidate(self.oracle, released, sim.now)
         if cand is None:
             return ("wait", None)
-        if cand > sim.now + 1e-12:
+        if cand > sim.now + TIE:
             return ("wait", cand)
         sigma0 = _witness(self.oracle, released, sim.now)
-        self.sigma1 = _minimizer(self.oracle, released, self.tie_break)
+        self.sigma1 = _minimizer(self.oracle, released)
         self.start = StartDecision(sim.now, sigma0.perm if sigma0 else (), self.sigma1)
         self.phase = "follow"
         return None
@@ -203,7 +183,6 @@ def la_swag(instance: Instance, config: EngineConfig = EngineConfig()) -> tuple[
     policy = LaSwagPolicy(
         instance.space, instance.n, instance.predictions, instance.variant,
         oracle_kind=config.oracle, breaking_rule=config.breaking_rule,
-        tie_break=config.tie_break,
     )
     return simulate(instance, policy), policy
 
@@ -215,7 +194,7 @@ def la_swag_policy(instance: Instance, config: EngineConfig = EngineConfig()) ->
 def swag_policy(instance: Instance, config: EngineConfig = EngineConfig()) -> RunResult:
     """Perfect-prediction variant: no breaking rule, waits at request spots."""
     for r, p in zip(instance.requests, instance.predictions):
-        if instance.space.distance(r.location, p) > TOL:
+        if instance.space.distance(r.location, p) > FEAS:
             raise ValueError("perfect predictions are required here")
-    cfg = EngineConfig(oracle=config.oracle, breaking_rule=False, tie_break=config.tie_break)
+    cfg = EngineConfig(oracle=config.oracle, breaking_rule=False)
     return la_swag(instance, cfg)[0]

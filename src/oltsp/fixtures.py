@@ -9,8 +9,13 @@ from .core import Instance, Request, run_adaptive
 from .engine import LaSwagPolicy, la_swag_policy
 from .offline import eval_serving_order, opt_bruteforce, shortest_serving_path_length
 from .spaces import General, Line, Ring
+from .tolerance import FEAS, TIE
 
 OPEN_LINE_LB = (1.0 + math.sqrt(61.0)) / 6.0  # ~1.4684, fixed point of r = 5/(3r-1)
+
+# how far a realized ratio may sit from its expected value and still pass
+STATIC_MARGIN = 1e-6
+ADAPTIVE_MARGIN = 1e-4
 
 
 @dataclass
@@ -25,12 +30,12 @@ class FixtureReport:
     passed: bool
 
 
-def _mk_report(name, params, alg, opt, expected, comparison, tol) -> FixtureReport:
+def _mk_report(name, params, alg, opt, expected, comparison, margin) -> FixtureReport:
     ratio = alg / opt
     if comparison == "==":
-        passed = abs(ratio - expected) <= tol
+        passed = abs(ratio - expected) <= margin
     else:
-        passed = ratio >= expected - tol
+        passed = ratio >= expected - margin
     return FixtureReport(name, params, alg, opt, ratio, expected, comparison, passed)
 
 
@@ -38,7 +43,7 @@ def _mk_report(name, params, alg, opt, expected, comparison, tol) -> FixtureRepo
 # Static line fixtures
 # ---------------------------------------------------------------------------
 
-def remark_2_5_closed_line(tol: float = 1e-6) -> FixtureReport:
+def remark_2_5_closed_line() -> FixtureReport:
     """Two requests on the line with predictions at the wrong end: the
     server is lured to -1 and pays ratio exactly 2.5 (closed)."""
     inst = Instance(
@@ -49,27 +54,27 @@ def remark_2_5_closed_line(tol: float = 1e-6) -> FixtureReport:
     )
     alg = la_swag_policy(inst).completion_time
     opt = opt_bruteforce(inst).length
-    return _mk_report("remark_2_5_closed_line", {}, alg, opt, 2.5, "==", tol)
+    return _mk_report("remark_2_5_closed_line", {}, alg, opt, 2.5, "==", STATIC_MARGIN)
 
 
-def remark_8_3_open_line(tol: float = 1e-6) -> FixtureReport:
+def remark_8_3_open_line() -> FixtureReport:
     """One request predicted at -1 but appearing at 1.5: ratio 8/3 (open)."""
     inst = Instance(Line(), [Request(0, 1.5, 1.5)], [-1.0], "open")
     alg = la_swag_policy(inst).completion_time
     opt = opt_bruteforce(inst).length
-    return _mk_report("remark_8_3_open_line", {}, alg, opt, 8.0 / 3.0, "==", tol)
+    return _mk_report("remark_8_3_open_line", {}, alg, opt, 8.0 / 3.0, "==", STATIC_MARGIN)
 
 
-def ring_consistency_lb(tol: float = 1e-6) -> FixtureReport:
+def ring_consistency_lb() -> FixtureReport:
     """Perfect-prediction witness on the ring: a single request at the
     antipode released at 0.5 forces ratio exactly 3/2."""
     inst = Instance(Ring(1.0), [Request(0, 0.5, 0.5)], [0.5], "closed")
     alg = la_swag_policy(inst).completion_time
     opt = opt_bruteforce(inst).length
-    return _mk_report("ring_consistency_lb", {}, alg, opt, 1.5, "==", tol)
+    return _mk_report("ring_consistency_lb", {}, alg, opt, 1.5, "==", STATIC_MARGIN)
 
 
-def tradeoff_open_line(lam: float = 0.5, tol: float = 1e-6) -> FixtureReport:
+def tradeoff_open_line(lam: float = 0.5) -> FixtureReport:
     """Prediction at -1, real request at +1 released at t=1 (open).
 
     Any (2-lam)-consistent algorithm must pay at least 2+lam here; for
@@ -79,8 +84,8 @@ def tradeoff_open_line(lam: float = 0.5, tol: float = 1e-6) -> FixtureReport:
     inst = Instance(Line(), [Request(0, 1.0, 1.0)], [-1.0], "open")
     alg = la_swag_policy(inst).completion_time
     opt = opt_bruteforce(inst).length
-    rep = _mk_report("tradeoff_open_line", {"lambda": lam}, alg, opt, 2.0 + lam, ">=", tol)
-    return rep
+    return _mk_report("tradeoff_open_line", {"lambda": lam}, alg, opt, 2.0 + lam, ">=",
+                      STATIC_MARGIN)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +146,7 @@ class SmoothnessAdversary:
 
     def step(self, sim):
         if self.phase == 0:
-            if sim.now < 1.0 - 1e-12:
+            if sim.now < 1.0 - TIE:
                 return 1.0
             d = self.space.distance
             # release first the request predicted away from the server
@@ -151,7 +156,7 @@ class SmoothnessAdversary:
             self.phase = 1
             return 2.0 - self.eps
         if self.phase == 1:
-            if sim.now < 2.0 - self.eps - 1e-12:
+            if sim.now < 2.0 - self.eps - TIE:
                 return 2.0 - self.eps
             second = 1 if self.far == _A else 0
             if self.far == _A:
@@ -165,7 +170,7 @@ class SmoothnessAdversary:
         return None
 
 
-def smoothness_lb_graph(eta: float = 0.2, tol: float = 1e-4) -> FixtureReport:
+def smoothness_lb_graph(eta: float = 0.2) -> FixtureReport:
     """Adaptive lower-bound instance achieving ratio >= 3/2 + eta/2."""
     eps = 2.0 * eta / (1.0 + eta)
     adv = SmoothnessAdversary(eps)
@@ -174,7 +179,7 @@ def smoothness_lb_graph(eta: float = 0.2, tol: float = 1e-4) -> FixtureReport:
     expected = 1.5 + eta / 2.0
     return _mk_report(
         "smoothness_lb_graph", {"eta": eta, "eps": eps},
-        result.completion_time, opt, expected, ">=", tol,
+        result.completion_time, opt, expected, ">=", ADAPTIVE_MARGIN,
     )
 
 
@@ -205,7 +210,7 @@ class LineReleaseAdversary:
     # wave: request at x becomes available at 2 - |x|
     def _due(self, t):
         return [i for i, x in enumerate(self.grid)
-                if i not in self.released_ids and 2.0 - abs(x) <= t + 1e-12]
+                if i not in self.released_ids and 2.0 - abs(x) <= t + TIE]
 
     def _emit(self, sim, ids, t):
         for i in ids:
@@ -214,7 +219,7 @@ class LineReleaseAdversary:
 
     def _next_wave(self, t):
         times = [2.0 - abs(self.grid[i]) for i in range(self.n)
-                 if i not in self.released_ids and 2.0 - abs(self.grid[i]) > t + 1e-12]
+                 if i not in self.released_ids and 2.0 - abs(self.grid[i]) > t + TIE]
         return min(times) if times else None
 
     def _crossing(self, sim):
@@ -234,21 +239,21 @@ class LineReleaseAdversary:
             if abs(denom) < 1e-15:
                 continue
             tau = (2.0 - self.delta - sgn * c0 + (sgn * v) * sim.now) / denom
-            if tau < sim.now - 1e-12 or tau > horizon + 1e-12:
+            if tau < sim.now - TIE or tau > horizon + TIE:
                 continue
             c = c0 + v * (tau - sim.now)
-            if abs(abs(c) - ((2.0 - tau) - self.delta)) <= 1e-9:
+            if abs(abs(c) - ((2.0 - tau) - self.delta)) <= FEAS:
                 if best is None or tau < best:
                     best = tau
         return best
 
     def step(self, sim):
         if self.phase == 0:
-            if sim.now < 1.0 - 1e-12:
+            if sim.now < 1.0 - TIE:
                 return 1.0
             s = sim.pos
             self.sign = 1.0 if s >= 0 else -1.0
-            if abs(s) >= 1.0 - self.delta - 1e-12:
+            if abs(s) >= 1.0 - self.delta - TIE:
                 # single sweep from the far end
                 for i, x in enumerate(self.grid):
                     if i not in self.released_ids:
@@ -261,11 +266,11 @@ class LineReleaseAdversary:
         if self.phase == 1:
             self._emit(sim, self._due(sim.now), sim.now)
             front = (2.0 - sim.now) - self.delta
-            if abs(abs(sim.pos) - front) <= 1e-9 or abs(sim.pos) > front:
+            if abs(abs(sim.pos) - front) <= FEAS or abs(sim.pos) > front:
                 self.t0 = sim.now
                 s2 = 1.0 if self.sign * sim.pos >= 0 else -1.0
                 self.mu = self.sign * s2
-                if self.t0 >= 3.0 * self.lam - 3.0 - 1e-9:
+                if self.t0 >= 3.0 * self.lam - 3.0 - FEAS:
                     # release the middle as one continuing wave
                     for i, x in enumerate(self.grid):
                         if i not in self.released_ids:
@@ -281,7 +286,7 @@ class LineReleaseAdversary:
             wakes = [w for w in (self._next_wave(sim.now), self._crossing(sim)) if w is not None]
             return min(wakes) if wakes else None
         if self.phase == 2:
-            if sim.now < self.t0 + 1.0 - 1e-12:
+            if sim.now < self.t0 + 1.0 - TIE:
                 return self.t0 + 1.0
             s2 = self.mu * sim.pos
             if s2 < 0:
@@ -309,18 +314,18 @@ def _line_opt(inst: Instance) -> float:
         shortest_serving_path_length(inst),
         max(r.release for r in inst.requests),
     )
-    if best > lower + 1e-9:
+    if best > lower + FEAS:
         raise RuntimeError("line optimum certificate failed")
     return best
 
 
-def open_lb_line_adversary(grid: int = 21, tol: float = 1e-4) -> FixtureReport:
+def open_lb_line_adversary(grid: int = 21) -> FixtureReport:
     adv = LineReleaseAdversary(grid)
     result, inst = run_adaptive(adv.space, adv, LaSwagPolicy.factory("tree"))
     opt = _line_opt(inst)
     return _mk_report(
         "open_lb_line_adversary", {"grid": grid},
-        result.completion_time, opt, OPEN_LINE_LB, ">=", tol,
+        result.completion_time, opt, OPEN_LINE_LB, ">=", ADAPTIVE_MARGIN,
     )
 
 

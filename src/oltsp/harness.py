@@ -13,6 +13,7 @@ from .core import Instance, Request, prediction_error
 from .engine import EngineConfig, la_swag, swag_policy
 from .offline import SizeCapExceeded, opt_bruteforce, shortest_serving_path_length
 from .spaces import Euclid2D, Flower, General, Line, Ring, Space, Tree
+from .tolerance import TIE
 
 SPACE_FAMILIES = ("line", "euclid2d", "tree", "ring", "flower", "general")
 
@@ -194,7 +195,7 @@ def perturb_predictions(instance: Instance, target_eta: float, rng=None,
         return instance.perfect()
     rng = np.random.default_rng(0) if rng is None else rng
     F = shortest_serving_path_length(instance)
-    if F <= 1e-12:
+    if F <= TIE:
         raise ValueError("target error unreachable: all requests at the origin")
     space = instance.space
     delta = target_eta * F
@@ -210,9 +211,9 @@ def perturb_predictions(instance: Instance, target_eta: float, rng=None,
     dist = [min(w, c) for w, c in zip(want, caps)]
     for _ in range(4):
         residual = delta - sum(dist)
-        if residual <= 1e-12:
+        if residual <= TIE:
             break
-        slack = [i for i in range(instance.n) if caps[i] - dist[i] > 1e-12]
+        slack = [i for i in range(instance.n) if caps[i] - dist[i] > TIE]
         if not slack:
             break
         share = residual / len(slack)
@@ -288,7 +289,7 @@ def run_one(instance: Instance, spec: SweepSpec, instance_id: str, eta: float,
     wall = time.perf_counter() - t0
     if opt is None:
         opt = opt_bruteforce(instance).length
-    ratio = result.completion_time / opt if opt > 1e-12 else 1.0
+    ratio = result.completion_time / opt if opt > TIE else 1.0
     return SweepRow(
         instance_id, spec.space, instance.variant, instance.n, eta,
         result.completion_time, opt, ratio, batches, wall,

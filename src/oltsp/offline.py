@@ -17,14 +17,13 @@ from typing import Any
 import numpy as np
 
 from .spaces import Flower, Line, Ring, Space, Tree, trim_tree
+from .tolerance import FEAS, TIE
 
 FREE = "free"
 CLOSED = "closed"
 
 HELD_KARP_CAP = 24
 BRUTE_FORCE_CAP = 9
-
-_TOL = 1e-12
 
 
 class SizeCapExceeded(ValueError):
@@ -94,7 +93,7 @@ def exact_path(D, start: int, targets: tuple[int, ...], end) -> tuple[float, lis
             if mask & (1 << j):
                 continue
             cand = D[last][targets[j]] + best(mask | (1 << j), targets[j])
-            if cand <= want + _TOL:
+            if cand <= want + TIE:
                 order.append(j)
                 mask |= 1 << j
                 last = targets[j]
@@ -175,7 +174,7 @@ def ring_cover(C: float, s: float, req: list[tuple[float, Any]], end) -> tuple[f
     for i in range(len(relevant)):
         nxt = relevant[(i + 1) % len(relevant)]
         gap = (nxt - relevant[i]) % C
-        if len(relevant) > 1 and gap <= _TOL:
+        if len(relevant) > 1 and gap <= TIE:
             continue
         cut = (relevant[i] + gap / 2.0) % C if len(relevant) > 1 else (relevant[0] + C / 2) % C
 
@@ -233,7 +232,7 @@ class TreeIndex:
             self.items_at[v].sort(key=str)
 
     def on_path(self, x: int, a: int, b: int) -> bool:
-        return abs(self.dist[a][b] - (self.dist[a][x] + self.dist[x][b])) <= 1e-9
+        return abs(self.dist[a][b] - (self.dist[a][x] + self.dist[x][b])) <= FEAS
 
     def maximal_nodes(self, nodes, root: int = 0) -> list[int]:
         """Members with no other member strictly farther along their root path."""
@@ -450,7 +449,7 @@ def flower_cover(flower: Flower, s, req: list[tuple[Any, Any]], end) -> tuple[fl
 
     def consider(cost, order):
         nonlocal best
-        if best is None or cost < best[0] - _TOL:
+        if best is None or cost < best[0] - TIE:
             best = (cost, order)
 
     def evaluate(final_comp, final_mode):
@@ -586,11 +585,11 @@ def _perms(n: int) -> np.ndarray:
     return _PERM_CACHE[n]
 
 
-def opt_bruteforce(instance, cap: int = BRUTE_FORCE_CAP) -> OptResult:
+def opt_bruteforce(instance) -> OptResult:
     """Exact optimum over all serving orders (with release times)."""
     n = len(instance.requests)
-    if n > cap:
-        raise SizeCapExceeded(f"{n} requests exceeds factorial cap {cap}")
+    if n > BRUTE_FORCE_CAP:
+        raise SizeCapExceeded(f"{n} requests exceeds factorial cap {BRUTE_FORCE_CAP}")
     if n == 0:
         return OptResult(0.0, [])
     space = instance.space

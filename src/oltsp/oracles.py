@@ -14,10 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .core import RouteStats, distance_matrix
 from .offline import (
     CLOSED,
     FREE,
     TreeIndex,
+    _emit,
     exact_path,
     flower_cover,
     ring_cover,
@@ -25,37 +27,7 @@ from .offline import (
     tree_index_for,
 )
 from .spaces import Flower, General, Line, Ring, Space, Tree, Euclid2D
-
-TOL = 1e-9
-
-
-class OracleEntry:
-    """A permutation with its route length and arrival prefix distances,
-    evaluated over the predicted locations."""
-
-    __slots__ = ("perm", "length", "reach")
-
-    def __init__(self, perm: tuple, D, closed: bool):
-        self.perm = perm
-        reach = []
-        total = 0.0
-        prev = 0  # matrix row 0 is the origin
-        for i in perm:
-            total += D[prev][i + 1]
-            reach.append(total)
-            prev = i + 1
-        if closed and perm:
-            total += D[prev][0]
-        self.reach = reach
-        self.length = total
-
-    def alpha_released(self, released) -> float:
-        if self.length <= TOL:
-            return 1.0
-        for k, i in enumerate(self.perm):
-            if i not in released:
-                return self.reach[k] / self.length
-        return 1.0
+from .tolerance import FEAS, TIE
 
 
 @dataclass
@@ -78,20 +50,18 @@ class DominationOracle:
         self.variant = variant
         self.n = len(predictions)
         self.origin = space.origin()
-        pts = [self.origin] + self.predictions
-        self.D = [[space.distance(a, b) for b in pts] for a in pts]
-        self.entries: dict[tuple, OracleEntry] = {}
+        self.D = distance_matrix(space, [self.origin] + self.predictions)
+        self.entries: dict[tuple, RouteStats] = {}
         self.batches: list[BatchRecord] = []
         self.batch_log: list[tuple[float, tuple]] = []
         self._last_time: float | None = None
         self._last_released: frozenset = frozenset()
-        self._cleanup_cache: dict = {}
 
     # -- protocol ----------------------------------------------------------
 
     def step(self, t: float, released: Iterable[int]) -> list[tuple]:
         released = frozenset(released)
-        if self._last_time is not None and t < self._last_time - 1e-9:
+        if self._last_time is not None and t < self._last_time - FEAS:
             raise OutOfOrderEvent(f"event at {t} precedes {self._last_time}")
         if not released >= self._last_released:
             raise OutOfOrderEvent("released set shrank")
@@ -104,7 +74,7 @@ class DominationOracle:
         closed = self.variant == "closed"
         for perm in batch:
             if perm not in self.entries:
-                self.entries[perm] = OracleEntry(perm, self.D, closed)
+                self.entries[perm] = RouteStats(perm, self.D, closed)
                 new.append(perm)
         self.batches.append(BatchRecord(t, len(batch), len(new)))
         self.batch_log.append((t, tuple(batch)))
@@ -130,22 +100,8 @@ class DominationOracle:
                 out.append(p)
         return out
 
-    # -- shared pieces -------------------------------------------------------
-
     def _all_ids(self):
         return range(self.n)
-
-    def _cleanup_general(self, start_idx: int, rest: frozenset) -> list[int]:
-        """Canonical optimal path start -> rest -> origin/free, as ids."""
-        key = (start_idx, rest)
-        hit = self._cleanup_cache.get(key)
-        if hit is None:
-            end = 0 if self.variant == "closed" else FREE
-            targets = tuple(i + 1 for i in sorted(rest))
-            _, order = exact_path(self.D, start_idx, targets, end)
-            hit = [sorted(rest)[j] for j in order]
-            self._cleanup_cache[key] = hit
-        return hit
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +114,7 @@ class GeneralOracle(DominationOracle):
     def __init__(self, space, predictions, variant):
         super().__init__(space, predictions, variant)
         self._head_cache: dict = {}
+        self._cleanup_cache: dict = {}
 
     def _head(self, sub: frozenset, u: int) -> list[int]:
         key = (sub, u)
@@ -167,6 +124,18 @@ class GeneralOracle(DominationOracle):
             _, order = exact_path(self.D, 0, targets, u + 1)
             hit = [sorted(sub)[j] for j in order]
             self._head_cache[key] = hit
+        return hit
+
+    def _cleanup_general(self, start_idx: int, rest: frozenset) -> list[int]:
+        """Canonical optimal path start -> rest -> origin/free, as ids."""
+        key = (start_idx, rest)
+        hit = self._cleanup_cache.get(key)
+        if hit is None:
+            end = 0 if self.variant == "closed" else FREE
+            targets = tuple(i + 1 for i in sorted(rest))
+            _, order = exact_path(self.D, start_idx, targets, end)
+            hit = [sorted(rest)[j] for j in order]
+            self._cleanup_cache[key] = hit
         return hit
 
     def _batch(self, released: frozenset) -> list[tuple]:
@@ -186,40 +155,9 @@ class GeneralOracle(DominationOracle):
         return out
 
 
-def tree_scan(tree: Tree, q, leaves) -> tuple[float, list]:
-    """Optimal root-start walk visiting the chosen leaves and ending at q.
-
-    Requires q to sit on some root-to-leaf path of the chosen set; the
-    returned visit order lists the points of the walk in serving order.
-    """
-    leaves = list(leaves)
-    d = tree.distance
-    root = tree.origin()
-    on_some_path = any(
-        abs(d(root, leaf) - (d(root, q) + d(q, leaf))) <= 1e-9 for leaf in leaves
-    ) or any(d(q, leaf) <= 1e-9 for leaf in leaves)
-    if not on_some_path:
-        raise ValueError("scan endpoint is not on a path to any chosen leaf")
-    from .offline import PathQuery, tree_tsp
-
-    res = tree_tsp(PathQuery(tree, root, leaves, q))
-    return res.length, [leaves[j] for j in res.order]
-
-
 # ---------------------------------------------------------------------------
 # Tree-style batches over a TreeIndex (shared by tree, ring and flower)
 # ---------------------------------------------------------------------------
-
-def _emit(idx: TreeIndex, node_order, pool) -> list[int]:
-    pool = set(pool)
-    out = []
-    for v in node_order:
-        for item in idx.items_at.get(v, []):
-            if item in pool:
-                out.append(item)
-                pool.discard(item)
-    return out
-
 
 def _subsets(items: list) -> Iterable[tuple]:
     for mask in range(1 << len(items)):
@@ -239,7 +177,8 @@ def closed_tree_batch(idx: TreeIndex, released: frozenset, ids: set,
                       cleanup) -> list[tuple]:
     """Scan-to-pivot dominators on a tree, cleaning up back to the origin.
 
-    ``cleanup(q_id, rest_ids)`` must return the remainder serving order.
+    ``cleanup(q_id, rest_ids, end)`` must return the serving order of the
+    remainder from q to ``end``: CLOSED (the origin) or a request id.
     """
     rel = released & ids
     unrel = ids - released
@@ -253,16 +192,16 @@ def closed_tree_batch(idx: TreeIndex, released: frozenset, ids: set,
             _, order = idx.path_cover(0, set(chosen) | {qnode}, qnode)
             prefix = _emit(idx, order, rel)
             rest = ids - set(prefix) - {qid}
-            out.append(tuple(prefix + [qid] + cleanup(qid, frozenset(rest))))
+            out.append(tuple(prefix + [qid] + cleanup(qid, frozenset(rest), CLOSED)))
     return out
 
 
 def open_tree_batch(idx: TreeIndex, released: frozenset, ids: set,
-                    cleanup_to) -> list[tuple]:
+                    cleanup) -> list[tuple]:
     """Rerooted scan dominators for the open variant.
 
-    ``cleanup_to(q_id, rest_ids, qf_id)`` serves the remainder ending at
-    the designated final request, which is pinned last.
+    ``cleanup`` is as for :func:`closed_tree_batch`; here it ends at the
+    designated final request, which is pinned last.
     """
     rel = released & ids
     unrel = ids - released
@@ -279,7 +218,7 @@ def open_tree_batch(idx: TreeIndex, released: frozenset, ids: set,
                 _, order = idx.path_cover(0, set(chosen) | {qnode}, qnode)
                 prefix = _emit(idx, order, rel - {qf})
                 rest = ids - set(prefix) - {qid} - {qf}
-                tail = cleanup_to(qid, frozenset(rest), qf)
+                tail = cleanup(qid, frozenset(rest), qf)
                 out.append(tuple(prefix + [qid] + tail + [qf]))
         if unrel == {qf}:
             # the final request is the only unreleased one
@@ -287,7 +226,7 @@ def open_tree_batch(idx: TreeIndex, released: frozenset, ids: set,
                 _, order = idx.path_cover(0, set(chosen) | {fnode}, fnode)
                 prefix = _emit(idx, order, rel)
                 rest = ids - set(prefix) - {qf}
-                tail = cleanup_to(qf, frozenset(rest), qf)
+                tail = cleanup(qf, frozenset(rest), qf)
                 out.append(tuple(prefix + tail + [qf]))
     return out
 
@@ -298,32 +237,16 @@ class TreeOracle(DominationOracle):
         self.idx = tree_index_for(space, {i: p for i, p in enumerate(self.predictions)})
         self._tail_cache: dict = {}
 
-    def _cleanup(self, qid: int, rest: frozenset) -> list[int]:
-        key = (qid, rest)
+    def _cleanup(self, qid: int, rest: frozenset, end) -> list[int]:
+        key = (qid, rest, end)
         hit = self._tail_cache.get(key)
         if hit is None:
+            hit = []
             if rest:
-                _, order = self.idx.path_cover(
-                    self.idx.node_of[qid], {self.idx.node_of[i] for i in rest}, 0
-                )
+                node_of = self.idx.node_of
+                end_node = 0 if end == CLOSED else node_of[end]
+                _, order = self.idx.path_cover(node_of[qid], {node_of[i] for i in rest}, end_node)
                 hit = _emit(self.idx, order, rest)
-            else:
-                hit = []
-            self._tail_cache[key] = hit
-        return hit
-
-    def _cleanup_to(self, qid: int, rest: frozenset, qf: int) -> list[int]:
-        key = (qid, rest, qf)
-        hit = self._tail_cache.get(key)
-        if hit is None:
-            nodes = {self.idx.node_of[i] for i in rest}
-            if rest:
-                _, order = self.idx.path_cover(
-                    self.idx.node_of[qid], nodes | {self.idx.node_of[qf]}, self.idx.node_of[qf]
-                )
-                hit = _emit(self.idx, order, rest)
-            else:
-                hit = []
             self._tail_cache[key] = hit
         return hit
 
@@ -331,7 +254,7 @@ class TreeOracle(DominationOracle):
         ids = set(self._all_ids())
         if self.variant == "closed":
             return closed_tree_batch(self.idx, released, ids, self._cleanup)
-        return open_tree_batch(self.idx, released, ids, self._cleanup_to)
+        return open_tree_batch(self.idx, released, ids, self._cleanup)
 
 
 # ---------------------------------------------------------------------------
@@ -346,26 +269,15 @@ class RingOracle(DominationOracle):
         self.idx = split_ring_index(self.C, {i: p for i, p in enumerate(self.pos)})
         self._tail_cache: dict = {}
 
-    # remainder solvers in the true ring metric
-    def _ring_cleanup(self, qid: int, rest: frozenset, end) -> list[int]:
+    def _cleanup(self, qid: int, rest: frozenset, end) -> list[int]:
+        """Remainder order in the true ring metric from q to ``end``:
+        CLOSED (the origin), FREE, or a request id."""
         key = (qid, rest, end)
         hit = self._tail_cache.get(key)
         if hit is None:
             items = [(self.pos[i], i) for i in sorted(rest)]
-            _, order = ring_cover(self.C, self.pos[qid], items, end)
-            hit = list(order)
-            self._tail_cache[key] = hit
-        return hit
-
-    def _closed_cleanup(self, qid, rest):
-        return self._ring_cleanup(qid, rest, 0.0)
-
-    def _pinned(self, qid, rest, qf):
-        key = ("pin", qid, rest, qf)
-        hit = self._tail_cache.get(key)
-        if hit is None:
-            items = [(self.pos[i], i) for i in sorted(rest)]
-            _, order = ring_cover(self.C, self.pos[qid], items, self.pos[qf])
+            end_pos = 0.0 if end == CLOSED else (FREE if end == FREE else self.pos[end])
+            _, order = ring_cover(self.C, self.pos[qid], items, end_pos)
             hit = list(order)
             self._tail_cache[key] = hit
         return hit
@@ -376,18 +288,15 @@ class RingOracle(DominationOracle):
         out = []
         for q in unrel:
             pq = self.pos[q]
-            left = [i for i in rel if self.pos[i] <= pq + 1e-12]
-            right = [i for i in rel if self.pos[i] >= pq - 1e-12]
+            left = [i for i in rel if self.pos[i] <= pq + TIE]
+            right = [i for i in rel if self.pos[i] >= pq - TIE]
             lc = sorted(left, key=lambda i: (self.pos[i], i))
             rc = sorted(right, key=lambda i: (-self.pos[i], i))
-            fm_dir = 1 if pq <= self.C / 2 + 1e-12 else -1
+            fm_dir = 1 if pq <= self.C / 2 + TIE else -1
             fm = sorted(rel, key=lambda i: (fm_dir * self.pos[i], i))
             for prefix, pool in ((lc, left), (rc, right), (fm, rel)):
                 rest = frozenset(ids - set(prefix) - {q})
-                if self.variant == "closed":
-                    tail = self._closed_cleanup(q, rest)
-                else:
-                    tail = self._ring_cleanup(q, rest, FREE)
+                tail = self._cleanup(q, rest, CLOSED if self.variant == "closed" else FREE)
                 out.append(tuple(prefix + [q] + tail))
         return out
 
@@ -399,7 +308,7 @@ class RingOracle(DominationOracle):
             for d in (1, -1):
                 prefix = sorted(rel, key=lambda i: (d * self.pos[i], i))
                 rest = frozenset(ids - set(prefix) - {q})
-                tail = self._ring_cleanup(q, rest, FREE)
+                tail = self._cleanup(q, rest, FREE)
                 out.append(tuple(prefix + [q] + tail))
         return out
 
@@ -417,21 +326,21 @@ class RingOracle(DominationOracle):
             return self.pos[i] if side == 1 else self.C - self.pos[i]
 
         def on_side(i, side):
-            return (self.pos[i] <= half + 1e-12) if side == 1 else (self.pos[i] > half + 1e-12)
+            return (self.pos[i] <= half + TIE) if side == 1 else (self.pos[i] > half + TIE)
 
         for q in unrel:
-            qside = 1 if self.pos[q] <= half + 1e-12 else -1
+            qside = 1 if self.pos[q] <= half + TIE else -1
             qd = depth(q, qside)
             same = sorted((i for i in rel if on_side(i, qside)), key=lambda i: (depth(i, qside), i))
             other = sorted((i for i in rel if not on_side(i, qside)), key=lambda i: (depth(i, -qside), i))
-            same_extents = [qd] + [depth(i, qside) for i in same if depth(i, qside) > qd + 1e-12]
+            same_extents = [qd] + [depth(i, qside) for i in same if depth(i, qside) > qd + TIE]
             other_extents = [None] + [depth(i, -qside) for i in other]
             for es in same_extents:
-                s_part = [i for i in same if depth(i, qside) <= es + 1e-12]
+                s_part = [i for i in same if depth(i, qside) <= es + TIE]
                 for eo in other_extents:
-                    o_part = [] if eo is None else [i for i in other if depth(i, -qside) <= eo + 1e-12]
+                    o_part = [] if eo is None else [i for i in other if depth(i, -qside) <= eo + TIE]
                     rest = frozenset(ids - set(s_part) - set(o_part) - {q})
-                    tail = self._ring_cleanup(q, rest, FREE)
+                    tail = self._cleanup(q, rest, FREE)
                     out.append(tuple(o_part + s_part + [q] + tail))
                     if o_part:
                         out.append(tuple(s_part + o_part + [q] + tail))
@@ -450,7 +359,7 @@ class RingOracle(DominationOracle):
                 return self.pos[i] if side == 1 else self.C - self.pos[i]
 
             def on_other(i):
-                return (self.pos[i] <= half + 1e-12) if side == 1 else (self.pos[i] > half + 1e-12)
+                return (self.pos[i] <= half + TIE) if side == 1 else (self.pos[i] > half + TIE)
 
             other_rel = sorted((i for i in rel if on_other(i)), key=depth)
             outbound = sorted(
@@ -463,14 +372,14 @@ class RingOracle(DominationOracle):
                 for q1 in q1_opts:
                     d1 = depth(q1) if q1 is not None else 0.0
                     for q2 in q2_opts:
-                        if depth(q2) <= d1 + 1e-12:
+                        if depth(q2) <= d1 + TIE:
                             continue
                         a_part = sorted(
-                            (i for i in other_rel if depth(i) <= d1 + 1e-12),
+                            (i for i in other_rel if depth(i) <= d1 + TIE),
                             key=lambda i: (-depth(i), i),
                         )
                         c_part = sorted(
-                            (i for i in other_rel if depth(i) >= depth(q2) - 1e-12),
+                            (i for i in other_rel if depth(i) >= depth(q2) - TIE),
                             key=lambda i: (-depth(i), i),
                         )
                         prefix = a_part + outbound + c_part
@@ -478,7 +387,7 @@ class RingOracle(DominationOracle):
                             continue
                         prefix = prefix + [q]
                         rest = frozenset(ids - set(prefix))
-                        tail = self._ring_cleanup(q, rest, FREE)
+                        tail = self._cleanup(q, rest, FREE)
                         out.append(tuple(prefix + tail))
         return out
 
@@ -491,10 +400,10 @@ class RingOracle(DominationOracle):
             _, order = ring_cover(self.C, 0.0, items, end)
             return [tuple(order)]
         if self.variant == "closed":
-            out = closed_tree_batch(self.idx, released, ids, self._closed_cleanup)
+            out = closed_tree_batch(self.idx, released, ids, self._cleanup)
             out += self._crescents(released, ids)
             return out
-        out = open_tree_batch(self.idx, released, ids, self._pinned)
+        out = open_tree_batch(self.idx, released, ids, self._cleanup)
         # orders that never cross the antipode need not be sensible for
         # their own final request, so cover all extent choices directly
         out += self._line_extents(released, ids)
@@ -536,13 +445,15 @@ class FlowerOracle(DominationOracle):
             self._snip_cache[kept] = idx
         return idx
 
-    def _cleanup(self, qid: int, rest: frozenset, end_key) -> list[int]:
-        key = (qid, rest, end_key)
+    def _cleanup(self, qid: int, rest: frozenset, end) -> list[int]:
+        """Remainder order from q to ``end``: CLOSED (the origin), FREE,
+        or a request id."""
+        key = (qid, rest, end)
         hit = self._tail_cache.get(key)
         if hit is None:
             items = [(self.loc[i], i) for i in sorted(rest)]
-            end = self.flower.origin() if end_key == "O" else (FREE if end_key == "F" else self.loc[end_key])
-            _, order = flower_cover(self.flower, self.loc[qid], items, end)
+            end_pt = self.flower.origin() if end == CLOSED else (FREE if end == FREE else self.loc[end])
+            _, order = flower_cover(self.flower, self.loc[qid], items, end_pt)
             hit = list(order)
             self._tail_cache[key] = hit
         return hit
@@ -556,7 +467,7 @@ class FlowerOracle(DominationOracle):
     def _petal_dir_for(self, petal: int, qid: int) -> int:
         # loop direction matching the full-moon convention when q sits on it
         if self.comp[qid] == petal:
-            return 1 if self.off[qid] <= self.flower.petals[petal] / 2 + 1e-12 else -1
+            return 1 if self.off[qid] <= self.flower.petals[petal] / 2 + TIE else -1
         return 1
 
     def _batch(self, released: frozenset) -> list[tuple]:
@@ -568,9 +479,9 @@ class FlowerOracle(DominationOracle):
             _, order = flower_cover(self.flower, self.flower.origin(), items, end)
             return [tuple(order)]
         if self.variant == "closed":
-            return self._structured(released, ids, finals=[None], none_end="O")
+            return self._structured(released, ids, finals=[None], none_end=CLOSED)
         finals: list[int | None] = [None] + sorted(ids)
-        return self._structured(released, ids, finals=finals, none_end="F")
+        return self._structured(released, ids, finals=finals, none_end=FREE)
 
     def _structured(self, released: frozenset, ids: set, finals, none_end: str) -> list[tuple]:
         rel = released & ids
@@ -652,8 +563,8 @@ class FlowerOracle(DominationOracle):
                         for i in self.petal_ids.get(qc, [])
                         if i in rel and i != qf
                         and (
-                            (direction == 1 and self.off[i] <= qo + 1e-12)
-                            or (direction == -1 and self.off[i] >= qo - 1e-12)
+                            (direction == 1 and self.off[i] <= qo + TIE)
+                            or (direction == -1 and self.off[i] >= qo - TIE)
                         )
                     ]
                     prefix += sorted(arc_pool, key=lambda i: (direction * self.off[i], i))

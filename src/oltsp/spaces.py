@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-EPS = 1e-9
-_SNAP = 1e-12
+from .tolerance import FEAS, SNAP, TIE
 
 TREE_ROOT = (-1, 0.0)
 
@@ -30,8 +29,8 @@ class SpaceError(ValueError):
     """Point outside the space, malformed descriptor, or kind mismatch."""
 
 
-def _close(a: float, b: float, tol: float = EPS) -> bool:
-    return abs(a - b) <= tol
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= FEAS
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +203,9 @@ class Tree:
         if ei == -1:
             return TREE_ROOT
         u, v, ln = self.edges[ei]
-        if off <= _SNAP:
+        if off <= SNAP:
             return self.node_point(u)
-        if math.isfinite(ln) and off >= ln - _SNAP:
+        if math.isfinite(ln) and off >= ln - SNAP:
             return (ei, ln)
         return (ei, off)
 
@@ -218,7 +217,7 @@ class Tree:
             return off == 0.0
         if not (0 <= ei < len(self.edges)):
             return False
-        return -_SNAP <= off <= self.edges[ei][2] + _SNAP
+        return -SNAP <= off <= self.edges[ei][2] + SNAP
 
     def _anchors(self, p):
         """(node, cost) pairs through which geodesics from p must pass."""
@@ -289,7 +288,7 @@ class Tree:
         for na, ca in self._anchors(a):
             for nb, cb in self._anchors(b):
                 d = ca + self.node_dist(na, nb) + cb
-                if best is None or d < best[0] - _SNAP:
+                if best is None or d < best[0] - TIE:
                     best = (d, na, ca, nb, cb)
         _, na, ca, nb, cb = best
         if t <= ca:
@@ -307,7 +306,7 @@ class Tree:
             else:
                 ei, ln = self._parent[x][1], self._parent[x][2]
                 downward = False
-            if t <= ln + _SNAP:
+            if t <= ln + SNAP:
                 off = t if downward else ln - t
                 return self.canon((ei, min(max(off, 0.0), ln)))
             t -= ln
@@ -371,10 +370,10 @@ class Flower:
     def canon(self, p):
         comp, off = p
         if comp == "stem":
-            return ("stem", 0.0) if off <= _SNAP else p
+            return ("stem", 0.0) if off <= SNAP else p
         ln = self.petals[comp]
         off = off % ln
-        if off <= _SNAP or off >= ln - _SNAP:
+        if off <= SNAP or off >= ln - SNAP:
             return ("stem", 0.0)
         return (comp, off)
 
@@ -383,8 +382,8 @@ class Flower:
             return False
         comp, off = p
         if comp == "stem":
-            return -_SNAP <= off <= self.stem + _SNAP
-        return isinstance(comp, int) and 0 <= comp < len(self.petals)
+            return -SNAP <= off <= self.stem + SNAP
+        return isinstance(comp, int) and 0 <= comp < len(self.petals) and math.isfinite(off)
 
     def to_origin(self, p) -> float:
         comp, off = self.canon(p)
@@ -435,7 +434,7 @@ class Flower:
 
     def validate(self) -> list[str]:
         errs = [f"petal {k} must have positive length" for k, ln in enumerate(self.petals) if not ln > 0]
-        if self.stem < 0:
+        if not self.stem >= 0:
             errs.append("stem length must be nonnegative")
         return errs
 
@@ -476,9 +475,9 @@ class General:
             return p
         a, b, t = p
         d = self.matrix[a][b]
-        if t <= _SNAP:
+        if t <= SNAP:
             return a
-        if t >= d - _SNAP:
+        if t >= d - SNAP:
             return b
         if a > b:
             a, b, t = b, a, d - t
@@ -492,7 +491,7 @@ class General:
             return (
                 0 <= a < self.n
                 and 0 <= b < self.n
-                and -_SNAP <= t <= self.matrix[a][b] + _SNAP
+                and -SNAP <= t <= self.matrix[a][b] + SNAP
             )
         return False
 
@@ -543,7 +542,7 @@ class General:
             return self.canon((aa, bb, ta + step))
         t -= xa
         mid = self.matrix[na][nb]
-        if t <= mid + _SNAP or isinstance(cb, int):
+        if t <= mid + SNAP or isinstance(cb, int):
             return self.canon((na, nb, min(t, mid)))
         t -= mid
         aa, bb, tb = cb
@@ -561,12 +560,12 @@ class General:
             for j in range(i + 1, n):
                 if not _close(m[i][j], m[j][i]):
                     errs.append(f"asymmetry at ({i},{j})")
-                if m[i][j] < -EPS:
+                if m[i][j] < -FEAS:
                     errs.append(f"negative distance at ({i},{j})")
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    if m[i][j] > m[i][k] + m[k][j] + EPS:
+                    if m[i][j] > m[i][k] + m[k][j] + FEAS:
                         errs.append(
                             f"triangle violation: d({i},{j}) > d({i},{k}) + d({k},{j})"
                         )
@@ -598,13 +597,9 @@ Space = Line | Euclid2D | Ring | Tree | Flower | General
 
 def _check_traveled(space, a, b, t: float) -> float:
     d = space.distance(a, b)
-    if t < -EPS or t > d + EPS:
+    if t < -FEAS or t > d + FEAS:
         raise SpaceError(f"traveled {t} outside [0, {d}]")
     return d
-
-
-def validate(space: Space) -> list[str]:
-    return space.validate()
 
 
 def space_from_json(obj: dict) -> Space:
@@ -643,20 +638,23 @@ def point_to_json(space: Space, p) -> Any:
 
 
 def point_from_json(space: Space, obj) -> Any:
+    """Decode a point.  One outside the space comes back as decoded, not
+    snapped onto the space, so that a containment check still rejects it."""
     if isinstance(space, (Line, Ring)):
         return float(obj)
     if isinstance(space, Euclid2D):
         return (float(obj[0]), float(obj[1]))
     if isinstance(space, Tree):
-        return space.canon((int(obj[0]), float(obj[1])))
-    if isinstance(space, Flower):
-        comp = obj[0]
-        return space.canon((comp if comp == "stem" else int(comp), float(obj[1])))
-    if isinstance(space, General):
+        p = (int(obj[0]), float(obj[1]))
+    elif isinstance(space, Flower):
+        p = (obj[0] if obj[0] == "stem" else int(obj[0]), float(obj[1]))
+    elif isinstance(space, General):
         if isinstance(obj, int):
             return obj
-        return space.canon((int(obj[0]), int(obj[1]), float(obj[2])))
-    raise SpaceError("unknown space")
+        p = (int(obj[0]), int(obj[1]), float(obj[2]))
+    else:
+        raise SpaceError("unknown space")
+    return space.canon(p) if space.contains(p) else p
 
 
 def canon_point(space: Space, p):
@@ -668,7 +666,7 @@ def canon_point(space: Space, p):
 
 
 # ---------------------------------------------------------------------------
-# Structural transforms: trim, reroot, snip
+# Structural transforms: trim, snip
 # ---------------------------------------------------------------------------
 
 def trim_tree(tree: Tree, points) -> tuple[Tree, list]:
@@ -761,89 +759,6 @@ def trim_tree(tree: Tree, points) -> tuple[Tree, list]:
     out = Tree(final_edges)
     mapped = [out.node_point(ids[loc_of[p]]) for p in points]
     return out, mapped
-
-
-def reroot_tree(tree: Tree, new_root, points=()) -> tuple[Tree, list]:
-    """Move the root to ``new_root`` (splitting an edge if interior).
-
-    The metric is unchanged; leaf count grows by at most one.  Returns
-    the rerooted tree and the images of ``points``.
-    """
-    new_root = tree.canon(new_root)
-    points = [tree.canon(p) for p in points]
-
-    # adjacency over original nodes, with the new root inserted if interior
-    adj: dict[Any, list[tuple[Any, float, int]]] = {}
-
-    def link(a, b, ln, ei):
-        adj.setdefault(a, []).append((b, ln, ei))
-        adj.setdefault(b, []).append((a, ln, ei))
-
-    split_edge = None
-    if new_root[0] != -1 and 0.0 < new_root[1] < tree.edges[new_root[0]][2]:
-        split_edge = new_root[0]
-    for i, (u, v, ln) in enumerate(tree.edges):
-        if i == split_edge:
-            link(u, "R", new_root[1], i)
-            link("R", v, ln - new_root[1], i)
-        else:
-            link(u, v, ln, i)
-    if split_edge is not None:
-        root_key = "R"
-    elif new_root == TREE_ROOT:
-        root_key = 0
-    else:
-        ei, off = new_root
-        u, v, ln = tree.edges[ei]
-        root_key = v if off >= ln else u
-    if root_key not in adj:
-        adj[root_key] = []
-
-    ids = {root_key: 0}
-    new_edges = []
-    order = [root_key]
-    seen = {root_key}
-    while order:
-        x = order.pop(0)
-        for y, ln, _ in sorted(adj[x], key=lambda e: str(e[0])):
-            if y in seen:
-                continue
-            seen.add(y)
-            ids[y] = len(ids)
-            new_edges.append((ids[x], ids[y], ln))
-            order.append(y)
-    out = Tree(new_edges)
-
-    def map_point(p):
-        if p[0] == -1:
-            return out.node_point(ids[0])
-        ei, off = p
-        u, v, ln = tree.edges[ei]
-        if off == ln:
-            return out.node_point(ids[v])
-        if off == 0.0:
-            return out.node_point(ids[u])
-        if ei == split_edge:
-            if off == new_root[1]:
-                return out.origin()
-            # interior point on one of the two halves
-            if off < new_root[1]:
-                a, b, base = u, "R", 0.0
-            else:
-                a, b, base = "R", v, new_root[1]
-            return _interior_between(out, ids[a], ids[b], off - base)
-        return _interior_between(out, ids[u], ids[v], off)
-
-    return out, [map_point(p) for p in points]
-
-
-def _interior_between(tree: Tree, a: int, b: int, off_from_a: float):
-    """Point at distance off_from_a from node a on the a-b edge (either orientation)."""
-    if b in tree._parent and tree._parent[b][0] == a:
-        ei, ln = tree._parent[b][1], tree._parent[b][2]
-        return tree.canon((ei, off_from_a))
-    ei, ln = tree._parent[a][1], tree._parent[a][2]
-    return tree.canon((ei, ln - off_from_a))
 
 
 def snip_flower(flower: Flower, keep_petals, points=()) -> tuple[Tree, dict, list]:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 
-from .spaces import Flower, Ring, Space
+from oltsp.spaces import Flower, Ring, Space
 
 
 def _precedence(space, locations, root_loc=None):

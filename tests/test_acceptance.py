@@ -10,7 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from oltsp.core import Instance, Request, RouteStats, prediction_error, route_stats, simulate
+from oltsp.core import Instance, Request, prediction_error, route_stats, simulate
 from oltsp.engine import EngineConfig, LaSwagPolicy, la_swag, la_swag_policy
 from oltsp.fixtures import (
     OPEN_LINE_LB,
@@ -34,7 +34,7 @@ from oltsp.offline import (
     tree_tsp,
 )
 from oltsp.oracles import make_oracle
-from oltsp.sensible import (
+from sensible import (
     sensible_flower_perms,
     sensible_ring_perms,
     sensible_tree_open_perms,
@@ -144,9 +144,9 @@ def test_criterion_3_robustness_ceilings():
 
 
 def test_criterion_4_tightness_fixtures():
-    r1 = remark_2_5_closed_line(tol=1e-6)
+    r1 = remark_2_5_closed_line()
     assert r1.passed, r1
-    r2 = remark_8_3_open_line(tol=1e-6)
+    r2 = remark_8_3_open_line()
     assert r2.passed, r2
     print(f"\ncriterion 4 (tightness fixtures): PASS  closed {r1.ratio:.9f}==2.5, open {r2.ratio:.9f}==8/3")
 
@@ -154,10 +154,10 @@ def test_criterion_4_tightness_fixtures():
 def test_criterion_5_adaptive_lower_bounds():
     parts = []
     for eta in (0.0, 0.1, 0.2, 1.0 / 3.0):
-        rep = smoothness_lb_graph(eta=eta, tol=1e-4)
+        rep = smoothness_lb_graph(eta=eta)
         assert rep.passed, rep
         parts.append(f"eta={eta:.3g}:{rep.ratio:.4f}>={rep.expected:.4f}")
-    rep = open_lb_line_adversary(grid=21, tol=1e-4)
+    rep = open_lb_line_adversary(grid=21)
     assert rep.passed, rep
     parts.append(f"line:{rep.ratio:.4f}>={OPEN_LINE_LB:.4f}")
     print(f"\ncriterion 5 (adaptive lower bounds): PASS  {'; '.join(parts)}")
@@ -192,10 +192,7 @@ def test_criterion_6_domination_soundness():
             safe = _safe_set(kind, space, locs, variant)
             opt_perm = tuple(opt_bruteforce(inst).order)
             oracle = make_oracle(space, locs, variant)
-            stats = {
-                perm: RouteStats(space, inst.origin, locs, perm, variant)
-                for perm in set(safe) | {opt_perm}
-            }
+            stats = {perm: route_stats(inst, perm) for perm in set(safe) | {opt_perm}}
             events = sorted({0.0} | set(rels))
             extra = [rng.uniform(0, max(rels) + 1.0) for _ in range(20)]
             for t in sorted(set(events) | set(extra)):
@@ -361,7 +358,8 @@ def test_criterion_10_property_suite():
         rng.shuffle(perm)
         st = route_stats(inst, perm)
         t1, t2 = sorted((rng.uniform(0, 4), rng.uniform(0, 4)))
-        a1, a2 = st.alpha_at(t1), st.alpha_at(t2)
+        a1, a2 = (st.alpha_released({i for i, r in enumerate(reqs) if r.release <= t + 1e-12})
+                  for t in (t1, t2))
         assert a2 >= a1 - 1e-12
         assert min(a1, 0.5) <= 0.5
         trials["alpha_monotone"] += 1

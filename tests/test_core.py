@@ -1,18 +1,18 @@
+import json
 import math
 import random
 
 import pytest
 
+from oltsp.cli import main as cli_main
+
 from oltsp.core import (
     FollowOrderPolicy,
     Instance,
     Request,
-    RouteStats,
     SimulationStalled,
     Simulation,
     prediction_error,
-    released_fraction,
-    route_length,
     route_stats,
     run_adaptive,
     simulate,
@@ -20,7 +20,7 @@ from oltsp.core import (
 from oltsp.engine import LaSwagPolicy
 from oltsp.fixtures import smoothness_lb_space
 from oltsp.offline import eval_serving_order, opt_bruteforce
-from oltsp.spaces import Euclid2D, Line, Ring
+from oltsp.spaces import Euclid2D, Line, Ring, SpaceError
 
 from conftest import random_point, random_space
 
@@ -38,11 +38,21 @@ def _naive_route(space, origin, pts, perm, variant):
     return sum(legs)
 
 
+def _static(space, locs, variant, rels=None):
+    rels = rels or [0.0] * len(locs)
+    return Instance(space, [Request(i, x, t) for i, (x, t) in enumerate(zip(locs, rels))],
+                    list(locs), variant)
+
+
+def _released_at(inst, t):
+    return {i for i, r in enumerate(inst.requests) if r.release <= t + 1e-12}
+
+
 def test_route_length_examples():
     sp = Line()
-    assert route_length(sp, 0.0, [1.0], [0], "closed") == pytest.approx(2.0)
-    assert route_length(sp, 0.0, [1.0], [0], "open") == pytest.approx(1.0)
-    assert route_length(sp, 0.0, [0.0, 0.0], [0, 1], "closed") == 0.0
+    assert route_stats(_static(sp, [1.0], "closed"), [0]).length == pytest.approx(2.0)
+    assert route_stats(_static(sp, [1.0], "open"), [0]).length == pytest.approx(1.0)
+    assert route_stats(_static(sp, [0.0, 0.0], "closed"), [0, 1]).length == 0.0
 
 
 def test_route_length_matches_naive():
@@ -55,7 +65,7 @@ def test_route_length_matches_naive():
             perm = list(range(n))
             rng.shuffle(perm)
             v = rng.choice(["open", "closed"])
-            assert route_length(sp, sp.origin(), pts, perm, v) == pytest.approx(
+            assert route_stats(_static(sp, pts, v), perm).length == pytest.approx(
                 _naive_route(sp, sp.origin(), pts, perm, v), abs=TOL
             )
 
@@ -79,10 +89,10 @@ def _alpha_scan(space, origin, pts, rel_times, perm, variant, t):
 def test_released_fraction_empty_prefix_counts_first_leg():
     # an unreleased first stop still contributes the leg from the origin
     inst = Instance(Line(), [Request(0, 1.0, 5.0), Request(1, -1.0, 0.0)], [1.0, -1.0], "closed")
-    assert released_fraction(inst, [0, 1], 0.0) == pytest.approx(1.0 / 4.0)
+    assert route_stats(inst, [0, 1]).alpha_released(_released_at(inst, 0.0)) == pytest.approx(1.0 / 4.0)
     # the released request 1 plus the leg into the unreleased request 0
-    assert released_fraction(inst, [1, 0], 0.0) == pytest.approx(3.0 / 4.0)
-    assert released_fraction(inst, [1, 0], 10.0) == 1.0
+    assert route_stats(inst, [1, 0]).alpha_released(_released_at(inst, 0.0)) == pytest.approx(3.0 / 4.0)
+    assert route_stats(inst, [1, 0]).alpha_released(_released_at(inst, 10.0)) == 1.0
 
 
 def test_released_fraction_matches_scan():
@@ -97,8 +107,8 @@ def test_released_fraction_matches_scan():
             perm = list(range(n))
             rng.shuffle(perm)
             t = rng.uniform(0, 5)
-            assert released_fraction(inst, perm, t) == pytest.approx(
-                _alpha_scan(sp, inst.origin, inst.locations(), inst.release_times(), perm, variant, t),
+            assert route_stats(inst, perm).alpha_released(_released_at(inst, t)) == pytest.approx(
+                _alpha_scan(sp, inst.origin, inst.locations(), [r.release for r in reqs], perm, variant, t),
                 abs=TOL,
             )
 
@@ -115,9 +125,9 @@ def test_alpha_monotone_and_beta_capped():
         st = route_stats(inst, perm)
         prev = -1.0
         for t in sorted(rng.uniform(0, 5) for _ in range(10)):
-            a = st.alpha_at(t)
+            a = st.alpha_released(_released_at(inst, t))
             assert a >= prev - TOL
-            assert st.beta_at(t) <= 0.5 + TOL
+            assert 0.0 <= a <= 1.0
             prev = a
 
 
@@ -267,3 +277,42 @@ def test_adaptive_past_release_rejected():
 
     with pytest.raises(ValueError):
         run_adaptive(Line(), Bad(), LaSwagPolicy.factory())
+
+
+# -- input validation at the boundary ---------------------------------------
+
+_TREE = {"kind": "tree", "edges": [[0, 1, 1.0]]}
+_GEN2 = {"kind": "general", "matrix": [[0, 1], [1, 0]]}
+
+
+def _probe(space, x, t=1.0, pred=None):
+    return {"space": space, "variant": "closed",
+            "requests": [{"x": x, "t": t}], "predictions": [x if pred is None else pred]}
+
+
+@pytest.mark.parametrize("obj, error, match", [
+    pytest.param(_probe(_TREE, [0, 5.0], pred=[0, 0.5]), SpaceError, "request 0: location",
+                 id="tree-offset-past-edge"),
+    pytest.param(_probe(_GEN2, 7, pred=1), SpaceError, "request 0: location",
+                 id="general-unknown-site"),
+    pytest.param(_probe(_GEN2, 1, pred=[0, 1, 2.0]), SpaceError, "request 0: prediction",
+                 id="general-prediction-past-edge"),
+    pytest.param(_probe({"kind": "line"}, 1.0, t=math.nan), ValueError, "request 0: release",
+                 id="nan-release"),
+    pytest.param(_probe({"kind": "line"}, 1.0, t=-1.0), ValueError, "request 0: release",
+                 id="negative-release"),
+    pytest.param(_probe({"kind": "tree", "edges": [[0, 1, -1.0]]}, [0, 0.5]), SpaceError,
+                 "edge 0", id="tree-negative-edge"),
+    pytest.param(_probe({"kind": "ring", "circumference": -1.0}, 0.5), SpaceError,
+                 "circumference", id="ring-negative-circumference"),
+    pytest.param(_probe({"kind": "general", "matrix": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}, 1),
+                 SpaceError, "triangle", id="general-triangle-violation"),
+    pytest.param(_probe({"kind": "flower", "petals": [1.0]}, [0, math.nan], pred=[0, 0.5]),
+                 SpaceError, "request 0: location", id="flower-nan-offset"),
+])
+def test_invalid_input_rejected_at_the_boundary(obj, error, match, tmp_path):
+    with pytest.raises(error, match=match):
+        Instance.from_json(obj)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(obj))
+    assert cli_main(["run", str(path)]) != 0

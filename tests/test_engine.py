@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from oltsp.core import Instance, Request, RouteStats
-from oltsp.engine import EngineConfig, LaSwagPolicy, find_start, la_swag, la_swag_policy, swag_policy
+from oltsp.core import Instance, Request, route_stats
+from oltsp.engine import EngineConfig, LaSwagPolicy, la_swag, la_swag_policy, swag_policy
 from oltsp.offline import opt_bruteforce
 from oltsp.oracles import make_oracle
 from oltsp.spaces import Euclid2D, Flower, Line, Ring, Tree
@@ -17,6 +17,12 @@ TOL = 1e-9
 def _instance(space, locs, rels, variant, preds=None):
     reqs = [Request(i, x, t) for i, (x, t) in enumerate(zip(locs, rels))]
     return Instance(space, reqs, list(preds or locs), variant)
+
+
+def _start(inst):
+    """The policy's strategic start decision; with the breaking rule off it
+    always plans, even when every request is released before the start."""
+    return la_swag(inst, EngineConfig(breaking_rule=False))[1].start
 
 
 def _grid_scan_start(inst, step=1e-4):
@@ -46,13 +52,13 @@ def _grid_scan_start(inst, step=1e-4):
 
 def test_find_start_all_at_origin():
     inst = _instance(Line(), [0.0, 0.0], [0.7, 1.9], "closed")
-    sd = find_start(inst)
+    sd = _start(inst)
     assert sd.T == 0.0
 
 
 def test_find_start_remark_fixture():
     inst = _instance(Line(), [1.0, 0.0], [1.0, 2.0], "closed", preds=[0.0, -1.0])
-    sd = find_start(inst)
+    sd = _start(inst)
     assert sd.T == pytest.approx(1.0)
     assert sd.sigma1 == (1, 0)
 
@@ -65,11 +71,11 @@ def test_find_start_witness_conditions():
         locs = [random_point(sp, rng) for _ in range(n)]
         rels = [rng.uniform(0, 3) for _ in range(n)]
         inst = _instance(sp, locs, rels, rng.choice(["open", "closed"]))
-        sd = find_start(inst)
-        st = RouteStats(sp, inst.origin, inst.predictions, sd.sigma0, inst.variant,
-                        inst.release_times())
+        sd = _start(inst)
+        st = route_stats(inst, sd.sigma0)
+        released = {i for i, r in enumerate(inst.requests) if r.release <= sd.T + 1e-12}
         assert sd.T >= st.length / 2 - 1e-9
-        assert st.alpha_at(sd.T) >= 0.5 - 1e-9
+        assert st.alpha_released(released) >= 0.5 - 1e-9
 
 
 def test_find_start_matches_grid_scan():
@@ -80,7 +86,7 @@ def test_find_start_matches_grid_scan():
         locs = [random_point(sp, rng) for _ in range(n)]
         rels = [round(rng.uniform(0, 2), 3) for _ in range(n)]
         inst = _instance(sp, locs, rels, rng.choice(["open", "closed"]))
-        sd = find_start(inst)
+        sd = _start(inst)
         ref = _grid_scan_start(inst)
         assert abs(sd.T - ref) <= 1e-4 + 1e-9
 
@@ -174,16 +180,6 @@ def test_oracle_selection_override():
     inst = _instance(Line(), [1.0, 0.0], [1.0, 2.0], "closed", preds=[0.0, -1.0])
     res = la_swag_policy(inst, EngineConfig(oracle="general"))
     assert res.completion_time == pytest.approx(5.0)
-
-
-def test_tie_break_rule_changes_the_worst_case():
-    # both candidate routes tie at the start; only the lex-largest rule
-    # walks into the bad prediction and realizes the 2.5 worst case
-    inst = _instance(Line(), [1.0, 0.0], [1.0, 2.0], "closed", preds=[0.0, -1.0])
-    hard = la_swag_policy(inst, EngineConfig(tie_break="lex-largest"))
-    easy = la_swag_policy(inst, EngineConfig(tie_break="lex-smallest"))
-    assert hard.completion_time == pytest.approx(5.0)
-    assert easy.completion_time == pytest.approx(3.0)
 
 
 def test_empty_instance():

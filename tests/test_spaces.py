@@ -15,11 +15,9 @@ from oltsp.spaces import (
     Tree,
     point_from_json,
     point_to_json,
-    reroot_tree,
     snip_flower,
     space_from_json,
     trim_tree,
-    validate,
 )
 
 from conftest import random_flower, random_general, random_point, random_space, random_tree
@@ -144,16 +142,16 @@ def test_scale_covariance():
 
 def test_validate_general():
     ok = General([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    assert validate(ok) == []
+    assert ok.validate() == []
     bad = General([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
-    assert any("triangle" in v for v in validate(bad))
+    assert any("triangle" in v for v in bad.validate())
 
 
 def test_validate_random_planar_metrics():
     rng = random.Random(31)
     for _ in range(200):
         g = random_general(rng, rng.randint(3, 7))
-        assert validate(g) == []
+        assert g.validate() == []
 
 
 def test_json_round_trip():
@@ -175,7 +173,7 @@ def test_infinite_leaf_edges():
     assert tree.distance(tree.origin(), b) == pytest.approx(4.5)
 
 
-# -- trim / reroot / snip ----------------------------------------------------
+# -- trim / snip ----------------------------------------------------
 
 def test_trim_star_two_rays():
     star = Tree([(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (0, 4, 1.0), (0, 5, 1.0)])
@@ -215,46 +213,6 @@ def test_trim_preserves_distances_and_leaves():
             if not trimmed._children.get(v):
                 assert trimmed.node_point(v) in hosted
         assert trimmed.n_nodes <= 2 * len(pts) + 2
-
-
-def test_reroot_path_endpoint_and_midpoint():
-    path = Tree([(0, 1, 1.0), (1, 2, 1.0)])
-
-    def leaf_count(t):
-        return len([v for v in range(1, t.n_nodes) if not t._children.get(v)]) or 1
-
-    r1, _ = reroot_tree(path, path.node_point(2))
-    assert leaf_count(r1) == 1
-    r2, _ = reroot_tree(path, (1, 0.5))
-    assert leaf_count(r2) == 2
-
-
-def test_reroot_preserves_distances():
-    rng = random.Random(8)
-    for _ in range(30):
-        tree = random_tree(rng)
-        pts = [random_point(tree, rng) for _ in range(4)]
-        new_root = random_point(tree, rng)
-        rerooted, mapped = reroot_tree(tree, new_root, pts)
-        for i in range(4):
-            for j in range(4):
-                assert rerooted.distance(mapped[i], mapped[j]) == pytest.approx(
-                    tree.distance(pts[i], pts[j]), abs=1e-9
-                )
-
-
-def test_reroot_leaf_growth_bounded():
-    rng = random.Random(13)
-    for _ in range(25):
-        tree = random_tree(rng)
-
-        def leaves(t):
-            return len([v for v in range(1, t.n_nodes) if not t._children.get(v)])
-
-        before = leaves(tree)
-        new_root = random_point(tree, rng)
-        rerooted, _ = reroot_tree(tree, new_root)
-        assert leaves(rerooted) <= before + 1
 
 
 def test_snip_single_petal():
