@@ -13,6 +13,7 @@ from .core import Instance
 from .engine import EngineConfig, la_swag, swag_policy
 from .harness import SweepSpec, generate, sweep, write_report
 from .offline import opt_bruteforce, BRUTE_FORCE_CAP
+from .oracles import ORACLES
 from .spaces import space_from_json
 from .tolerance import TIE
 
@@ -115,7 +116,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("run", help="run one instance")
     p.add_argument("instance")
     p.add_argument("--algo", choices=["la-swag", "swag"], default="la-swag")
-    p.add_argument("--oracle", choices=["auto", "general", "tree", "ring", "flower"], default="auto")
+    p.add_argument("--oracle", choices=["auto", *ORACLES], default="auto")
     p.add_argument("--variant", choices=["open", "closed"], default=None)
     p.add_argument("--breaking-rule", choices=["on", "off"], default="on")
     p.add_argument("--trajectory", help="write the event log as CSV")

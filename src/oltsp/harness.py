@@ -2,7 +2,6 @@
 sweeps with guarantee checking, and CSV reports."""
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field

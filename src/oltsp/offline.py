@@ -10,7 +10,7 @@ reproduces the optimal length.
 from __future__ import annotations
 
 import itertools
-import math
+from array import array
 from dataclasses import dataclass
 from typing import Any
 
@@ -22,7 +22,7 @@ from .tolerance import FEAS, TIE
 FREE = "free"
 CLOSED = "closed"
 
-HELD_KARP_CAP = 24
+HELD_KARP_CAP = 16  # a cost-to-go table holds m * 2^m doubles: 8 MB at the cap
 BRUTE_FORCE_CAP = 9
 
 
@@ -58,47 +58,66 @@ def _build_matrix(space: Space, points: list) -> list[list[float]]:
 # Bitmask DP on an arbitrary matrix
 # ---------------------------------------------------------------------------
 
-def exact_path(D, start: int, targets: tuple[int, ...], end) -> tuple[float, list[int]]:
-    """Optimal walk start -> targets -> end on matrix ``D``.
+@dataclass
+class PathTable:
+    """Held & Karp's cost-to-go over matrix ``D``: walks that visit a set of
+    ``targets`` (matrix rows) and then stop at ``end`` (a row, or FREE).
 
-    ``end`` is a matrix index or FREE.  Returns the cost and the
-    lexicographically smallest optimal visiting order of ``targets``.
+    ``T[S * m + j]`` is the cheapest cost from row ``targets[j]`` that visits
+    every target in the bitmask ``S`` (over positions in ``targets``) and
+    then stops; entries with ``j`` in ``S`` are unused.
     """
+
+    D: list[list[float]]
+    targets: tuple[int, ...]
+    end: Any  # a matrix row, or FREE
+    T: array
+
+    def walk(self, start: int, remaining: int) -> tuple[float, list[int]]:
+        """Cost from row ``start`` over the targets in ``remaining`` and the
+        lexicographically smallest optimal visiting order, as positions in
+        ``targets``."""
+        D, targets, T = self.D, self.targets, self.T
+        m = len(targets)
+        if not remaining:
+            return (0.0 if self.end == FREE else D[start][self.end]), []
+        cost = None
+        order = []
+        row = D[start]
+        while remaining:
+            cands = [
+                (j, row[targets[j]] + T[(remaining ^ (1 << j)) * m + j])
+                for j in range(m) if remaining >> j & 1
+            ]
+            want = min(c for _, c in cands)
+            if cost is None:
+                cost = want
+            j = next(j for j, c in cands if c <= want + TIE)
+            order.append(j)
+            remaining ^= 1 << j
+            row = D[targets[j]]
+        return cost, order
+
+
+def exact_path(D, targets: tuple[int, ...], end) -> PathTable:
+    """Fill the cost-to-go table of walks over ``targets`` ending at ``end``
+    (a matrix row, or FREE), bottom-up over the remaining-target mask."""
     m = len(targets)
-    if m == 0:
-        return (0.0 if end == FREE else D[start][end]), []
     if m > HELD_KARP_CAP:
         raise SizeCapExceeded(f"{m} targets exceeds bitmask cap {HELD_KARP_CAP}")
-    full = (1 << m) - 1
-    memo: dict[tuple[int, int], float] = {}
-
-    def best(mask: int, last: int) -> float:
-        if mask == full:
-            return 0.0 if end == FREE else D[last][end]
-        key = (mask, last)
-        val = memo.get(key)
-        if val is None:
-            val = math.inf
-            for j in range(m):
-                if not mask & (1 << j):
-                    val = min(val, D[last][targets[j]] + best(mask | (1 << j), targets[j]))
-            memo[key] = val
-        return val
-
-    order = []
-    mask, last = 0, start
-    while mask != full:
-        want = best(mask, last)
+    T = array("d", [0.0]) * (m << m)
+    rows = [D[t] for t in targets]
+    if end != FREE:
         for j in range(m):
-            if mask & (1 << j):
-                continue
-            cand = D[last][targets[j]] + best(mask | (1 << j), targets[j])
-            if cand <= want + TIE:
-                order.append(j)
-                mask |= 1 << j
-                last = targets[j]
-                break
-    return best(0, start), order
+            T[j] = rows[j][end]
+    for S in range(1, 1 << m):
+        subs = [(targets[k], (S ^ (1 << k)) * m + k) for k in range(m) if S >> k & 1]
+        base = S * m
+        for j in range(m):
+            if not S >> j & 1:
+                row = rows[j]
+                T[base + j] = min([row[t] + T[i] for t, i in subs])
+    return PathTable(D, targets, end, T)
 
 
 def held_karp(query: PathQuery) -> OptResult:
@@ -112,7 +131,8 @@ def held_karp(query: PathQuery) -> OptResult:
         pts.append(end)
         end_idx = len(pts) - 1
     D = _build_matrix(query.space, pts)
-    cost, order = exact_path(D, 0, tuple(range(1, len(query.required) + 1)), end_idx)
+    m = len(query.required)
+    cost, order = exact_path(D, tuple(range(1, m + 1)), end_idx).walk(0, (1 << m) - 1)
     return OptResult(cost, order)
 
 
@@ -126,9 +146,7 @@ def segment_cover(s: float, req: list[tuple[float, Any]], end) -> tuple[float, l
     ``end`` is a coordinate, FREE, or CLOSED (return to ``s``).  Returns
     (length, keys in serving order).
     """
-    if not req and end == FREE:
-        return 0.0, []
-    if not req and end == CLOSED:
+    if not req and end in (FREE, CLOSED):
         return 0.0, []
     ext = [p for p, _ in req] + [s]
     if end not in (FREE, CLOSED):
@@ -291,24 +309,24 @@ class TreeIndex:
             adj[v].append(self.par[v])
             adj[self.par[v]].append(v)
 
+        # depth-first, children in node order, except that the child
+        # towards the walk's end is entered last
         order: list[int] = []
-
-        def walk(x: int, prev: int, target) -> None:
+        stack = [(s, -1, None if end == CLOSED else e)]
+        while stack:
+            x, prev, target = stack.pop()
             order.append(x)
-            nbrs = [y for y in adj[x] if y != prev]
             last = None
             if target is not None and target != x:
-                for y in nbrs:
-                    if self.on_path(y, x, target):
+                for y in adj[x]:
+                    if y != prev and self.on_path(y, x, target):
                         last = y
                         break
-            for y in sorted(nbrs):
-                if y != last:
-                    walk(y, x, None)
             if last is not None:
-                walk(last, x, target)
-
-        walk(s, -1, None if end == CLOSED else e)
+                stack.append((last, x, target))
+            for y in sorted(adj[x], reverse=True):
+                if y != prev and y != last:
+                    stack.append((y, x, None))
         return cost, order
 
 
@@ -350,7 +368,7 @@ def _line_tree(coords: list[float]) -> tuple[Tree, list]:
             node_at[c] = node
             prev, prev_node = c, node
     tree = Tree(edges)
-    mapped = [tree.node_point(node_at.get(c, node_at[0.0] if c == 0 else node_at[c])) for c in coords]
+    mapped = [tree.node_point(node_at[c]) for c in coords]
     return tree, mapped
 
 
@@ -511,11 +529,8 @@ def tree_tsp(query: PathQuery) -> OptResult:
     idx = tree_index_for(space, items)
     s = idx.node_of[("s",)]
     req_nodes = {idx.node_of[i] for i in range(len(query.required))}
-    end = idx.node_of[("e",)] if fixed else (s if query.end == CLOSED else FREE)
-    if query.end == CLOSED:
-        cost, order = idx.path_cover(s, req_nodes, CLOSED)
-    else:
-        cost, order = idx.path_cover(s, req_nodes, end if fixed else FREE)
+    end = idx.node_of[("e",)] if fixed else query.end
+    cost, order = idx.path_cover(s, req_nodes, end)
     serve = _emit(idx, order, range(len(query.required)))
     return OptResult(cost, serve)
 

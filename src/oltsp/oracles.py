@@ -26,7 +26,7 @@ from .offline import (
     split_ring_index,
     tree_index_for,
 )
-from .spaces import Flower, General, Line, Ring, Space, Tree, Euclid2D
+from .spaces import Flower, Line, Ring, Space, Tree, snip_flower
 from .tolerance import FEAS, TIE
 
 
@@ -56,6 +56,7 @@ class DominationOracle:
         self.batch_log: list[tuple[float, tuple]] = []
         self._last_time: float | None = None
         self._last_released: frozenset = frozenset()
+        self._cleanup_memo: dict[tuple, list[int]] = {}
 
     # -- protocol ----------------------------------------------------------
 
@@ -90,6 +91,19 @@ class DominationOracle:
     def _batch(self, released: frozenset) -> list[tuple]:
         raise NotImplementedError
 
+    def _cleanup(self, qid: int, rest: frozenset, end) -> list[int]:
+        """Serving order of ``rest`` on an optimal walk from request ``qid``
+        to ``end``: CLOSED (the origin), FREE, or a request id."""
+        key = (qid, rest, end)
+        hit = self._cleanup_memo.get(key)
+        if hit is None:
+            hit = self._cleanup_memo[key] = self._cover(qid, rest, end)
+        return hit
+
+    def _cover(self, qid: int, rest: frozenset, end) -> list[int]:
+        """The uncached computation behind :meth:`_cleanup`."""
+        raise NotImplementedError
+
     @staticmethod
     def _dedup(perms: Iterable[tuple]) -> list[tuple]:
         seen = set()
@@ -100,57 +114,40 @@ class DominationOracle:
                 out.append(p)
         return out
 
-    def _all_ids(self):
-        return range(self.n)
-
 
 # ---------------------------------------------------------------------------
 # General metric oracle
 # ---------------------------------------------------------------------------
 
 class GeneralOracle(DominationOracle):
-    """One dominator per (released subset R', unreleased pivot u)."""
+    """One dominator per (released subset R', unreleased pivot u).
+
+    Heads and tails are optimal paths read from Held-Karp tables built once
+    over the prediction matrix: one tail table over every request, ending
+    at the origin (closed) or anywhere (open), and one head table per pivot
+    u over the other requests, ending at u.
+    """
 
     def __init__(self, space, predictions, variant):
         super().__init__(space, predictions, variant)
-        self._head_cache: dict = {}
-        self._cleanup_cache: dict = {}
-
-    def _head(self, sub: frozenset, u: int) -> list[int]:
-        key = (sub, u)
-        hit = self._head_cache.get(key)
-        if hit is None:
-            targets = tuple(i + 1 for i in sorted(sub))
-            _, order = exact_path(self.D, 0, targets, u + 1)
-            hit = [sorted(sub)[j] for j in order]
-            self._head_cache[key] = hit
-        return hit
-
-    def _cleanup_general(self, start_idx: int, rest: frozenset) -> list[int]:
-        """Canonical optimal path start -> rest -> origin/free, as ids."""
-        key = (start_idx, rest)
-        hit = self._cleanup_cache.get(key)
-        if hit is None:
-            end = 0 if self.variant == "closed" else FREE
-            targets = tuple(i + 1 for i in sorted(rest))
-            _, order = exact_path(self.D, start_idx, targets, end)
-            hit = [sorted(rest)[j] for j in order]
-            self._cleanup_cache[key] = hit
-        return hit
+        rows = tuple(range(1, self.n + 1))
+        self._tail = exact_path(self.D, rows, 0 if variant == "closed" else FREE)
+        self._heads = [exact_path(self.D, rows[:u] + rows[u + 1:], u + 1) for u in range(self.n)]
 
     def _batch(self, released: frozenset) -> list[tuple]:
-        ids = set(self._all_ids())
-        unrel = sorted(ids - released)
+        full = (1 << self.n) - 1
+        unrel = [u for u in range(self.n) if u not in released]
         if not unrel:
-            return [tuple(self._cleanup_general(0, frozenset(ids)))]
+            return [tuple(self._tail.walk(0, full)[1])]
         rel = sorted(released)
         out = []
         for u in unrel:
-            for mask in range(1 << len(rel)):
-                sub = frozenset(rel[j] for j in range(len(rel)) if mask >> j & 1)
-                head = self._head(sub, u)
-                rest = frozenset(ids - sub - {u})
-                tail = self._cleanup_general(u + 1, rest)
+            others = [i for i in range(self.n) if i != u]
+            for sub in _subsets(rel):
+                head_mask = sum(1 << (i - (i > u)) for i in sub)  # u's own bit is left out
+                head = [others[j] for j in self._heads[u].walk(0, head_mask)[1]]
+                rest = full ^ (1 << u) ^ sum(1 << i for i in sub)
+                tail = self._tail.walk(u + 1, rest)[1]
                 out.append(tuple(head + [u] + tail))
         return out
 
@@ -235,23 +232,17 @@ class TreeOracle(DominationOracle):
     def __init__(self, space, predictions, variant):
         super().__init__(space, predictions, variant)
         self.idx = tree_index_for(space, {i: p for i, p in enumerate(self.predictions)})
-        self._tail_cache: dict = {}
 
-    def _cleanup(self, qid: int, rest: frozenset, end) -> list[int]:
-        key = (qid, rest, end)
-        hit = self._tail_cache.get(key)
-        if hit is None:
-            hit = []
-            if rest:
-                node_of = self.idx.node_of
-                end_node = 0 if end == CLOSED else node_of[end]
-                _, order = self.idx.path_cover(node_of[qid], {node_of[i] for i in rest}, end_node)
-                hit = _emit(self.idx, order, rest)
-            self._tail_cache[key] = hit
-        return hit
+    def _cover(self, qid: int, rest: frozenset, end) -> list[int]:
+        if not rest:
+            return []
+        node_of = self.idx.node_of
+        end_node = 0 if end == CLOSED else node_of[end]
+        _, order = self.idx.path_cover(node_of[qid], {node_of[i] for i in rest}, end_node)
+        return _emit(self.idx, order, rest)
 
     def _batch(self, released: frozenset) -> list[tuple]:
-        ids = set(self._all_ids())
+        ids = set(range(self.n))
         if self.variant == "closed":
             return closed_tree_batch(self.idx, released, ids, self._cleanup)
         return open_tree_batch(self.idx, released, ids, self._cleanup)
@@ -267,20 +258,12 @@ class RingOracle(DominationOracle):
         self.C = space.circumference
         self.pos = [space.norm(p) for p in self.predictions]
         self.idx = split_ring_index(self.C, {i: p for i, p in enumerate(self.pos)})
-        self._tail_cache: dict = {}
 
-    def _cleanup(self, qid: int, rest: frozenset, end) -> list[int]:
-        """Remainder order in the true ring metric from q to ``end``:
-        CLOSED (the origin), FREE, or a request id."""
-        key = (qid, rest, end)
-        hit = self._tail_cache.get(key)
-        if hit is None:
-            items = [(self.pos[i], i) for i in sorted(rest)]
-            end_pos = 0.0 if end == CLOSED else (FREE if end == FREE else self.pos[end])
-            _, order = ring_cover(self.C, self.pos[qid], items, end_pos)
-            hit = list(order)
-            self._tail_cache[key] = hit
-        return hit
+    def _cover(self, qid: int, rest: frozenset, end) -> list[int]:
+        # in the true ring metric, not on the split index
+        items = [(self.pos[i], i) for i in sorted(rest)]
+        end_pos = 0.0 if end == CLOSED else (FREE if end == FREE else self.pos[end])
+        return ring_cover(self.C, self.pos[qid], items, end_pos)[1]
 
     def _crescents(self, released: frozenset, ids: set) -> list[tuple]:
         rel = sorted(released & ids)
@@ -294,7 +277,7 @@ class RingOracle(DominationOracle):
             rc = sorted(right, key=lambda i: (-self.pos[i], i))
             fm_dir = 1 if pq <= self.C / 2 + TIE else -1
             fm = sorted(rel, key=lambda i: (fm_dir * self.pos[i], i))
-            for prefix, pool in ((lc, left), (rc, right), (fm, rel)):
+            for prefix in (lc, rc, fm):
                 rest = frozenset(ids - set(prefix) - {q})
                 tail = self._cleanup(q, rest, CLOSED if self.variant == "closed" else FREE)
                 out.append(tuple(prefix + [q] + tail))
@@ -392,7 +375,7 @@ class RingOracle(DominationOracle):
         return out
 
     def _batch(self, released: frozenset) -> list[tuple]:
-        ids = set(self._all_ids())
+        ids = set(range(self.n))
         unrel = ids - released
         if not unrel:
             items = [(self.pos[i], i) for i in sorted(ids)]
@@ -431,32 +414,22 @@ class FlowerOracle(DominationOracle):
                 self.tree_ids.append(i)
             else:
                 self.petal_ids.setdefault(c, []).append(i)
-        self._snip_cache: dict[frozenset, TreeIndex] = {}
-        self._tail_cache: dict = {}
+        # the tree left by snipping every petal outside ``kept``, for each
+        # set of kept petals that host a prediction
+        self._snipped = {
+            frozenset(kept): self._snip_index(frozenset(kept))
+            for kept in _subsets(sorted(self.petal_ids))
+        }
 
     def _snip_index(self, kept: frozenset) -> TreeIndex:
-        idx = self._snip_cache.get(kept)
-        if idx is None:
-            from .spaces import snip_flower
+        ids = [i for i in range(self.n) if self.comp[i] == "stem" or self.comp[i] not in kept]
+        tree, _, mapped = snip_flower(self.flower, kept, [self.loc[i] for i in ids])
+        return tree_index_for(tree, dict(zip(ids, mapped)))
 
-            ids = [i for i in range(self.n) if self.comp[i] == "stem" or self.comp[i] not in kept]
-            tree, _, mapped = snip_flower(self.flower, kept, [self.loc[i] for i in ids])
-            idx = tree_index_for(tree, dict(zip(ids, mapped)))
-            self._snip_cache[kept] = idx
-        return idx
-
-    def _cleanup(self, qid: int, rest: frozenset, end) -> list[int]:
-        """Remainder order from q to ``end``: CLOSED (the origin), FREE,
-        or a request id."""
-        key = (qid, rest, end)
-        hit = self._tail_cache.get(key)
-        if hit is None:
-            items = [(self.loc[i], i) for i in sorted(rest)]
-            end_pt = self.flower.origin() if end == CLOSED else (FREE if end == FREE else self.loc[end])
-            _, order = flower_cover(self.flower, self.loc[qid], items, end_pt)
-            hit = list(order)
-            self._tail_cache[key] = hit
-        return hit
+    def _cover(self, qid: int, rest: frozenset, end) -> list[int]:
+        items = [(self.loc[i], i) for i in sorted(rest)]
+        end_pt = self.flower.origin() if end == CLOSED else (FREE if end == FREE else self.loc[end])
+        return flower_cover(self.flower, self.loc[qid], items, end_pt)[1]
 
     def _loop_order(self, petal: int, pool, direction: int) -> list[int]:
         return sorted(
@@ -471,7 +444,7 @@ class FlowerOracle(DominationOracle):
         return 1
 
     def _batch(self, released: frozenset) -> list[tuple]:
-        ids = set(self._all_ids())
+        ids = set(range(self.n))
         unrel = sorted(ids - released)
         if not unrel:
             items = [(self.loc[i], i) for i in sorted(ids)]
@@ -491,7 +464,6 @@ class FlowerOracle(DominationOracle):
         for qf in finals:
             pin = [] if qf is None else [qf]
             end_key = none_end if qf is None else qf
-            root_of = None if qf is None else qf
             for q in sorted(ids - released):
                 if qf is not None and q == qf and len(ids - released) > 1:
                     continue
@@ -523,10 +495,8 @@ class FlowerOracle(DominationOracle):
     def _variants(self, out, seen, ids, rel, q, qf, approach, kept, direction,
                   pin, end_key) -> None:
         qc = self.comp[q]
-        done = sorted(k for k in kept if k != qc or approach in ("after_loop",))
-        if approach in ("arc", "late_loop"):
-            done = sorted(k for k in kept if k != qc)
-        idx = self._snip_index(kept)
+        done = sorted(k for k in kept if k != qc or approach == "after_loop")
+        idx = self._snipped[kept]
         tree_rel_nodes = {idx.node_of[i] for i in rel if i in idx.node_of}
         root_node = 0
         if qf is not None and qf in idx.node_of:
@@ -593,39 +563,27 @@ class FlowerOracle(DominationOracle):
 # Selection
 # ---------------------------------------------------------------------------
 
-ORACLE_KINDS = {
-    "general": GeneralOracle,
-    "tree": TreeOracle,
-    "ring": RingOracle,
-    "flower": FlowerOracle,
+# kind -> (oracle class, spaces it accepts), in the order that picks the
+# default: a space's default kind is the first that accepts it
+ORACLES = {
+    "tree": (TreeOracle, (Line, Tree)),
+    "ring": (RingOracle, (Ring,)),
+    "flower": (FlowerOracle, (Flower,)),
+    "general": (GeneralOracle, (Space,)),
 }
 
 
 def default_oracle_kind(space: Space) -> str:
-    if isinstance(space, (Line, Tree)):
-        return "tree"
-    if isinstance(space, Ring):
-        return "ring"
-    if isinstance(space, Flower):
-        return "flower"
-    return "general"
-
-
-_ORACLE_SPACES = {
-    "tree": (Line, Tree),
-    "ring": (Ring,),
-    "flower": (Flower,),
-    "general": (Line, Tree, Ring, Flower, Euclid2D, General),
-}
+    return next(kind for kind, (_, spaces) in ORACLES.items() if isinstance(space, spaces))
 
 
 def make_oracle(space: Space, predictions, variant: str, kind: str = "auto") -> DominationOracle:
     if kind == "auto":
         kind = default_oracle_kind(space)
     try:
-        cls = ORACLE_KINDS[kind]
+        cls, spaces = ORACLES[kind]
     except KeyError:
         raise ValueError(f"unknown oracle kind {kind!r}") from None
-    if not isinstance(space, _ORACLE_SPACES[kind]):
+    if not isinstance(space, spaces):
         raise ValueError(f"oracle {kind!r} is not compatible with {type(space).__name__}")
     return cls(space, predictions, variant)

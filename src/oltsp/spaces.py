@@ -139,8 +139,8 @@ class Ring:
         return self.norm(a - t)
 
     def validate(self) -> list[str]:
-        if not (self.circumference > 0):
-            return ["circumference must be positive"]
+        if not (0 < self.circumference < math.inf):
+            return ["circumference must be positive and finite"]
         return []
 
     def scaled(self, c: float):
@@ -213,6 +213,8 @@ class Tree:
         if not (isinstance(p, tuple) and len(p) == 2):
             return False
         ei, off = p
+        if not isinstance(ei, int):
+            return False
         if ei == -1:
             return off == 0.0
         if not (0 <= ei < len(self.edges)):
@@ -323,6 +325,8 @@ class Tree:
         for i, (u, v, ln) in enumerate(self.edges):
             if not ln > 0:
                 errs.append(f"edge {i} has non-positive length")
+            elif ln == math.inf and self._children[v]:
+                errs.append(f"edge {i} is unbounded but node {v} has children")
             if v in seen_children or v == 0:
                 errs.append(f"node {v} has multiple parents or is the root")
             seen_children.add(v)
@@ -433,7 +437,8 @@ class Flower:
         return self.canon((b[0], ln - t))
 
     def validate(self) -> list[str]:
-        errs = [f"petal {k} must have positive length" for k, ln in enumerate(self.petals) if not ln > 0]
+        errs = [f"petal {k} must have positive finite length"
+                for k, ln in enumerate(self.petals) if not 0 < ln < math.inf]
         if not self.stem >= 0:
             errs.append("stem length must be nonnegative")
         return errs

@@ -20,7 +20,7 @@ from oltsp.core import (
 from oltsp.engine import LaSwagPolicy
 from oltsp.fixtures import smoothness_lb_space
 from oltsp.offline import eval_serving_order, opt_bruteforce
-from oltsp.spaces import Euclid2D, Line, Ring, SpaceError
+from oltsp.spaces import Euclid2D, Line, Ring, SpaceError, Tree
 
 from conftest import random_point, random_space
 
@@ -309,6 +309,12 @@ def _probe(space, x, t=1.0, pred=None):
                  SpaceError, "triangle", id="general-triangle-violation"),
     pytest.param(_probe({"kind": "flower", "petals": [1.0]}, [0, math.nan], pred=[0, 0.5]),
                  SpaceError, "request 0: location", id="flower-nan-offset"),
+    pytest.param(_probe({"kind": "tree", "edges": [[0, 1, None], [1, 2, 1.0]]}, [1, 0.5]),
+                 SpaceError, "edge 0 is unbounded", id="tree-unbounded-inner-edge"),
+    pytest.param(_probe({"kind": "ring", "circumference": math.inf}, 0.5), SpaceError,
+                 "circumference", id="ring-infinite-circumference"),
+    pytest.param(_probe({"kind": "flower", "petals": [math.inf]}, [0, 0.5]), SpaceError,
+                 "petal 0", id="flower-infinite-petal"),
 ])
 def test_invalid_input_rejected_at_the_boundary(obj, error, match, tmp_path):
     with pytest.raises(error, match=match):
@@ -316,3 +322,10 @@ def test_invalid_input_rejected_at_the_boundary(obj, error, match, tmp_path):
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(obj))
     assert cli_main(["run", str(path)]) != 0
+
+
+def test_float_tree_edge_index_rejected():
+    # JSON input casts the index to int; a library caller gets no such cast
+    tree = Tree([(0, 1, 1.0)])
+    with pytest.raises(SpaceError, match="request 0: location"):
+        Instance(tree, [Request(0, (0.0, 0.5), 1.0)], [(0, 0.5)], "closed")

@@ -1,0 +1,37 @@
+"""No module of the package imports a name it never uses."""
+import ast
+import pathlib
+
+import oltsp
+
+PACKAGE = pathlib.Path(oltsp.__file__).parent
+
+
+def unused_imports(source: str) -> list[str]:
+    """``line: name`` for each module-level import that nothing reads."""
+    tree = ast.parse(source)
+    bound: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{line}: {name}" for name, line in bound.items() if name not in used]
+
+
+def test_unused_import_is_reported():
+    source = "from __future__ import annotations\nimport json\nimport os.path\nx = os.path.sep\n"
+    assert unused_imports(source) == ["2: json"]
+
+
+def test_no_unused_module_level_import():
+    # __init__.py imports names to re-export them
+    offenders = [
+        f"{path.name}:{entry}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for entry in unused_imports(path.read_text())
+    ]
+    assert not offenders, offenders

@@ -11,6 +11,7 @@ from oltsp.offline import (
     PathQuery,
     SizeCapExceeded,
     eval_serving_order,
+    exact_path,
     flower_tsp,
     held_karp,
     opt_bruteforce,
@@ -99,6 +100,32 @@ def test_held_karp_lex_smallest_among_optima():
         if _route_cost(q.space, q.start, pts, o, CLOSED) <= best + TOL
     ]
     assert res.order == list(min(orders))
+
+
+def test_path_table_reads_any_start_and_remaining_set():
+    # the general oracle reads one table from many start rows and subsets
+    rng = random.Random(7)
+    pts = [(0.0, 0.0)] + [(rng.randint(0, 2) / 2, rng.randint(0, 2) / 2) for _ in range(6)]
+    D = [[math.dist(a, b) for b in pts] for a in pts]
+    targets = (1, 2, 3, 4, 5)
+    for end in (0, FREE, 6):
+        table = exact_path(D, targets, end)
+        for start in range(6):
+            for S in range(1 << len(targets)):
+                if start in targets and S >> targets.index(start) & 1:
+                    continue
+
+                def cost(order):
+                    rows = [start] + [targets[j] for j in order]
+                    legs = sum(D[a][b] for a, b in zip(rows, rows[1:]))
+                    return legs + (0.0 if end == FREE else D[rows[-1]][end])
+
+                length, order = table.walk(start, S)
+                members = [j for j in range(len(targets)) if S >> j & 1]
+                best = min(cost(o) for o in itertools.permutations(members))
+                assert length == pytest.approx(best, abs=TOL)
+                optimal = [o for o in itertools.permutations(members) if cost(o) <= best + TOL]
+                assert order == list(min(optimal))
 
 
 def test_held_karp_cap():

@@ -285,6 +285,59 @@ def test_flower_batch_cardinality():
             assert o.batches[-1].batch_size <= c_const * (6 ** p) * max(n, 1)
 
 
+# -- structured oracles against the general oracle --------------------------
+
+def _cross_check(inst):
+    """At every release event, each entry of the general oracle is dominated
+    by some entry of the space's own oracle, in length and remainder."""
+    own = make_oracle(inst.space, inst.predictions, inst.variant)
+    general = make_oracle(inst.space, inst.predictions, inst.variant, "general")
+    for t in sorted({0.0} | {r.release for r in inst.requests}):
+        released = _released(inst, t)
+        own.step(t, released)
+        general.step(t, released)
+        for perm, e in general.entries.items():
+            remainder = (1 - e.alpha_released(released)) * e.length
+            assert _is_dominated(own, released, e.length, remainder), (inst.to_json(), t, perm)
+
+
+@pytest.mark.parametrize("variant", ["closed", "open"])
+@pytest.mark.parametrize("kind", ["line", "tree", "ring", "flower"])
+def test_structured_oracle_dominates_general_oracle(kind, variant):
+    rng = random.Random(f"cross-{kind}-{variant}")
+    for trial in range(30):
+        sp = random_space(kind, rng)
+        n = rng.randint(1, 6)
+        locs = [random_point(sp, rng) for _ in range(n)]
+        rels = [round(rng.uniform(0, 3), 3) for _ in range(n)]
+        _cross_check(_instance(sp, locs, rels, variant))
+
+
+# An open flower whose oracle misses a few orders: at t=2.171, 4 of the 5040
+# orders are dominated by no entry, (0,1,6,4,5,3,2) by a gap of 0.067.  The
+# optimum's order stays dominated, and LA-SWAG's ratio is 1.056.
+_OPEN_FLOWER_GAP = {
+    "space": {"kind": "flower", "petals": [0.522511], "stem": 0.150027},
+    "variant": "open",
+    "requests": [
+        {"x": [0, 0.489106], "t": 1.979}, {"x": ["stem", 0.134791], "t": 2.171},
+        {"x": [0, 0.277861], "t": 0.696}, {"x": [0, 0.256098], "t": 2.806},
+        {"x": [0, 0.055207], "t": 1.11}, {"x": [0, 0.158696], "t": 2.213},
+        {"x": ["stem", 0.027626], "t": 2.824},
+    ],
+    "predictions": [
+        [0, 0.489106], ["stem", 0.134791], [0, 0.277861], [0, 0.256098],
+        [0, 0.055207], [0, 0.158696], ["stem", 0.027626],
+    ],
+}
+
+
+@pytest.mark.xfail(strict=True, reason="open FlowerOracle leaves some orders undominated")
+def test_open_flower_domination_gap():
+    inst = Instance.from_json(_OPEN_FLOWER_GAP)
+    _check_domination(inst, list(itertools.permutations(range(inst.n))))
+
+
 # -- protocol ----------------------------------------------------------------
 
 def test_oracle_step_idempotent_and_monotone():
