@@ -29,14 +29,23 @@ def _cmd_validate(args) -> int:
     return 1 if problems else 0
 
 
+def _input_error(exc: ValueError) -> int:
+    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 2
+
+
+def _load_spec(path: str) -> SweepSpec:
+    with open(path) as fh:
+        return SweepSpec.from_json(json.load(fh))
+
+
 def _cmd_run(args) -> int:
     with open(args.instance) as fh:
         obj = json.load(fh)
     try:
         inst = Instance.from_json(obj)
     except ValueError as exc:  # SpaceError included
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return _input_error(exc)
     if args.variant:
         inst = Instance(inst.space, inst.requests, inst.predictions, args.variant)
     config = EngineConfig(oracle=args.oracle, breaking_rule=args.breaking_rule == "on")
@@ -80,8 +89,10 @@ def _cmd_fixture(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.spec) as fh:
-        spec = SweepSpec.from_json(json.load(fh))
+    try:
+        spec = _load_spec(args.spec)
+    except ValueError as exc:
+        return _input_error(exc)
     rows, violations, skipped = sweep(spec, jobs=args.jobs)
     out = args.output or "sweep.csv"
     write_report(rows, violations, out, skipped)
@@ -94,8 +105,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    with open(args.spec) as fh:
-        spec = SweepSpec.from_json(json.load(fh))
+    try:
+        spec = _load_spec(args.spec)
+    except ValueError as exc:
+        return _input_error(exc)
     os.makedirs(args.output, exist_ok=True)
     for idx, inst in enumerate(generate(spec)):
         path = os.path.join(args.output, f"{spec.space}-{idx:04d}.json")

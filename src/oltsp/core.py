@@ -198,6 +198,18 @@ class SimulationStalled(RuntimeError):
     """The policy waits forever with no event left to wake it."""
 
 
+class IncompleteRun(RuntimeError):
+    """The policy finished with a request unserved, or (closed variant)
+    away from the origin."""
+
+    def __init__(self, time: float, position, unserved: list[int]):
+        self.time = time
+        self.position = position
+        self.unserved = unserved
+        what = f"unserved {unserved}" if unserved else "away from the origin"
+        super().__init__(f"finish with {what} at t={time!r}, position {position!r}")
+
+
 class Simulation:
     """Single-server world: releases arrive, the policy moves the server."""
 
@@ -282,6 +294,10 @@ class Simulation:
             act = policy.decide(self)
             kind = act[0]
             if kind == "finish":
+                unserved = [i for i in range(self.n) if i not in self.served]
+                if unserved or (self.variant == "closed" and
+                                self.space.distance(self.pos, self.space.origin()) > FEAS):
+                    raise IncompleteRun(self.now, self.pos, unserved)
                 if waiting:
                     self._log(WAIT_END)
                 self._finished = True

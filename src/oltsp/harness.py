@@ -11,10 +11,14 @@ import numpy as np
 from .core import Instance, Request, prediction_error
 from .engine import EngineConfig, la_swag, swag_policy
 from .offline import SizeCapExceeded, opt_bruteforce, shortest_serving_path_length
+from .oracles import ORACLES
 from .spaces import Euclid2D, Flower, General, Line, Ring, Space, Tree
 from .tolerance import TIE
 
-SPACE_FAMILIES = ("line", "euclid2d", "tree", "ring", "flower", "general")
+# family name -> space class
+SPACE_FAMILIES = {
+    "line": Line, "euclid2d": Euclid2D, "tree": Tree, "ring": Ring, "flower": Flower, "general": General,
+}
 
 # robustness ceilings per space family and variant
 def ceiling(family: str, variant: str) -> float:
@@ -22,6 +26,17 @@ def ceiling(family: str, variant: str) -> float:
     if variant == "closed":
         return 2.5 if tree_like or family == "euclid2d" else 2.75
     return 3.0 - (1.0 / 3.0 if tree_like else 1.0 / 6.0)
+
+
+# sweep fields checked by ``SweepSpec.from_json``: integers with their
+# minimum, and fields with a fixed set of values
+_SPEC_MINIMUM = {"count": 0, "n": 0, "seed": 0, "leaves": 1, "petals": 1}
+_SPEC_CHOICES = {
+    "space": tuple(SPACE_FAMILIES),
+    "variant": ("closed", "open"),
+    "algo": ("la-swag", "swag"),
+    "oracle": ("auto", *ORACLES),
+}
 
 
 @dataclass
@@ -40,15 +55,35 @@ class SweepSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "SweepSpec":
+        """Build a spec from decoded JSON.  A field that is unknown, of the
+        wrong type or out of range raises ``ValueError`` naming it."""
+        if not isinstance(obj, dict):
+            raise ValueError("a sweep spec is a JSON object")
         spec = SweepSpec()
         for k, v in obj.items():
-            if not hasattr(spec, k):
+            if k in _SPEC_MINIMUM:
+                if type(v) is not int or v < _SPEC_MINIMUM[k]:
+                    raise ValueError(
+                        f"sweep field {k!r} must be an integer >= {_SPEC_MINIMUM[k]}, got {v!r}")
+            elif k in _SPEC_CHOICES:
+                if v not in _SPEC_CHOICES[k]:
+                    raise ValueError(
+                        f"sweep field {k!r} must be one of {list(_SPEC_CHOICES[k])}, got {v!r}")
+            elif k == "eta":
+                v = v if isinstance(v, list) else [v]
+                if not all(type(e) in (int, float) and math.isfinite(e) and e >= 0 for e in v):
+                    raise ValueError(
+                        f"sweep field 'eta' must be a finite number >= 0 or a list of them, got {obj[k]!r}")
+                v = [float(e) for e in v]
+            elif k == "breaking_rule":
+                if not isinstance(v, bool):
+                    raise ValueError(
+                        f"sweep field 'breaking_rule' must be true or false, got {v!r}")
+            else:
                 raise ValueError(f"unknown sweep field {k!r}")
             setattr(spec, k, v)
-        if spec.space not in SPACE_FAMILIES:
-            raise ValueError(f"unknown space family {spec.space!r}")
-        if isinstance(spec.eta, (int, float)):
-            spec.eta = [float(spec.eta)]
+        if spec.oracle != "auto" and not issubclass(SPACE_FAMILIES[spec.space], ORACLES[spec.oracle][1]):
+            raise ValueError(f"sweep field 'oracle': {spec.oracle!r} does not run on {spec.space!r} spaces")
         return spec
 
 

@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from .spaces import Flower, Line, Ring, Space, Tree, trim_tree
-from .tolerance import FEAS, TIE
+from .tolerance import TIE
 
 FREE = "free"
 CLOSED = "closed"
@@ -222,9 +222,12 @@ def ring_cover(C: float, s: float, req: list[tuple[float, Any]], end) -> tuple[f
 class TreeIndex:
     """Nodes of a (small, finite) tree hosting identified items.
 
-    Provides metric ancestry tests, maximal-item computations and exact
-    covering walks; the workhorse behind the tree/ring/flower solvers
-    and the structured domination oracles.
+    Provides ancestry, maximal-item and Steiner-span computations and exact
+    covering walks; the workhorse behind the tree/ring/flower solvers and
+    the structured domination oracles.  Ancestry is read from the parent
+    array alone, with no tolerance; distances come from ``tree``.  Nodes
+    are numbered parents first (``par[v] < v``), as :func:`trim_tree` and
+    :func:`_line_tree` build them.
     """
 
     def __init__(self, tree: Tree, node_of_item: dict[Any, int]):
@@ -237,47 +240,47 @@ class TreeIndex:
         for u, v, ln in tree.edges:
             self.par[v] = u
             self.plen[v] = ln
-        self.dist = [[0.0] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(a + 1, n):
-                d = tree.node_dist(a, b)
-                self.dist[a][b] = d
-                self.dist[b][a] = d
         self.items_at: dict[int, list] = {}
         for item, v in self.node_of.items():
             self.items_at.setdefault(v, []).append(item)
         for v in self.items_at:
             self.items_at[v].sort(key=str)
 
-    def on_path(self, x: int, a: int, b: int) -> bool:
-        return abs(self.dist[a][b] - (self.dist[a][x] + self.dist[x][b])) <= FEAS
+    def _parents_from(self, root: int) -> list[int]:
+        """Parent array of the tree rerooted at ``root``."""
+        par = list(self.par)
+        child, v = -1, root
+        while v != -1:
+            par[v], child, v = child, v, self.par[v]
+        return par
 
     def maximal_nodes(self, nodes, root: int = 0) -> list[int]:
-        """Members with no other member strictly farther along their root path."""
-        nodes = sorted(set(nodes))
-        out = []
-        for v in nodes:
-            if any(w != v and self.on_path(v, w, root) for w in nodes):
-                continue
-            out.append(v)
-        return out
-
-    def span(self, nodes) -> tuple[float, set[int]]:
-        """Weight and edge set (as child nodes) of the Steiner span of ``nodes``."""
+        """Members that are no other member's proper ancestor when the tree
+        is rooted at ``root``, in ascending order."""
+        par = self._parents_from(root)
         nodes = set(nodes)
-        edges = set()
-        W = 0.0
-        for v in range(1, self.n):
-            inside = any(self._below(k, v) for k in nodes)
-            outside = any(not self._below(k, v) for k in nodes)
-            if inside and outside:
-                edges.add(v)
-                W += self.plen[v]
-        return W, edges
+        marked = set()
+        for v in nodes:
+            u = par[v]
+            while u != -1 and u not in marked:
+                marked.add(u)
+                u = par[u]
+        return sorted(nodes - marked)
 
-    def _below(self, k: int, v: int) -> bool:
-        # v lies on the root path of k (v ancestor-or-equal of k)
-        return self.on_path(v, k, 0)
+    def span(self, nodes) -> tuple[float, list[int]]:
+        """Weight and edges (as child nodes, ascending) of the Steiner span
+        of ``nodes``."""
+        nodes = set(nodes)
+        below = [0] * self.n
+        for v in nodes:
+            below[v] = 1
+        for v in range(self.n - 1, 0, -1):
+            below[self.par[v]] += below[v]
+        edges = [v for v in range(1, self.n) if 0 < below[v] < len(nodes)]
+        W = 0.0
+        for v in edges:
+            W += self.plen[v]
+        return W, edges
 
     def path_cover(self, s: int, req_nodes, end) -> tuple[float, list[int]]:
         """Optimal covering walk from node ``s`` over ``req_nodes``.
@@ -285,24 +288,21 @@ class TreeIndex:
         ``end`` is a node, FREE, or CLOSED.  Returns (length, node visit
         order including every span node, first-visit order).
         """
-        req_nodes = set(req_nodes)
-        K = req_nodes | {s}
+        K = set(req_nodes) | {s}
         if end not in (FREE, CLOSED):
             K.add(end)
         W, edges = self.span(K)
-        span_nodes = {s} | K
+        span_nodes = set(K)
         for v in edges:
             span_nodes.add(v)
             span_nodes.add(self.par[v])
+        dist = self.tree.node_dist
         if end == CLOSED:
             cost = 2 * W
             e = s
-        elif end == FREE:
-            e = max(span_nodes, key=lambda v: (self.dist[s][v], -v))
-            cost = 2 * W - self.dist[s][e]
         else:
-            e = end
-            cost = 2 * W - self.dist[s][e]
+            e = end if end != FREE else max(span_nodes, key=lambda v: (dist(s, v), -v))
+            cost = 2 * W - dist(s, e)
 
         adj: dict[int, list[int]] = {v: [] for v in span_nodes}
         for v in edges:
@@ -311,22 +311,18 @@ class TreeIndex:
 
         # depth-first, children in node order, except that the child
         # towards the walk's end is entered last
+        toward = self._parents_from(e)
         order: list[int] = []
-        stack = [(s, -1, None if end == CLOSED else e)]
+        stack = [(s, -1, end != CLOSED)]
         while stack:
-            x, prev, target = stack.pop()
+            x, prev, to_end = stack.pop()
             order.append(x)
-            last = None
-            if target is not None and target != x:
-                for y in adj[x]:
-                    if y != prev and self.on_path(y, x, target):
-                        last = y
-                        break
+            last = toward[x] if to_end and x != e else None
             if last is not None:
-                stack.append((last, x, target))
+                stack.append((last, x, True))
             for y in sorted(adj[x], reverse=True):
                 if y != prev and y != last:
-                    stack.append((y, x, None))
+                    stack.append((y, x, False))
         return cost, order
 
 
@@ -370,22 +366,6 @@ def _line_tree(coords: list[float]) -> tuple[Tree, list]:
     tree = Tree(edges)
     mapped = [tree.node_point(node_at[c]) for c in coords]
     return tree, mapped
-
-
-def split_ring_index(C: float, items: dict[Any, float]) -> TreeIndex:
-    """Index ring positions on the tree obtained by splitting at the antipode."""
-    half = C / 2.0
-
-    def coord(p):
-        p = p % C
-        return p if p <= half else p - C  # cw side positive, ccw side negative
-
-    coords = {k: coord(p) for k, p in items.items()}
-    tree, mapped = _line_tree(list(coords.values()))
-    node_of = {}
-    for (k, c), p in zip(coords.items(), mapped):
-        node_of[k] = _node_index(tree, p)
-    return TreeIndex(tree, node_of)
 
 
 # ---------------------------------------------------------------------------

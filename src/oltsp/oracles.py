@@ -23,7 +23,6 @@ from .offline import (
     exact_path,
     flower_cover,
     ring_cover,
-    split_ring_index,
     tree_index_for,
 )
 from .spaces import Flower, Line, Ring, Space, Tree, snip_flower
@@ -33,8 +32,12 @@ from .tolerance import FEAS, TIE
 @dataclass
 class BatchRecord:
     time: float
-    batch_size: int
-    new_perms: int
+    perms: tuple[tuple, ...]  # the batch, in emission order
+    new_perms: int  # how many of them were not in the set before
+
+    @property
+    def batch_size(self) -> int:
+        return len(self.perms)
 
 
 class OutOfOrderEvent(ValueError):
@@ -53,7 +56,6 @@ class DominationOracle:
         self.D = distance_matrix(space, [self.origin] + self.predictions)
         self.entries: dict[tuple, RouteStats] = {}
         self.batches: list[BatchRecord] = []
-        self.batch_log: list[tuple[float, tuple]] = []
         self._last_time: float | None = None
         self._last_released: frozenset = frozenset()
         self._cleanup_memo: dict[tuple, list[int]] = {}
@@ -77,15 +79,14 @@ class DominationOracle:
             if perm not in self.entries:
                 self.entries[perm] = RouteStats(perm, self.D, closed)
                 new.append(perm)
-        self.batches.append(BatchRecord(t, len(batch), len(new)))
-        self.batch_log.append((t, tuple(batch)))
+        self.batches.append(BatchRecord(t, tuple(batch), len(new)))
         return new
 
     def dump_batches(self) -> str:
         lines = []
-        for t, perms in self.batch_log:
-            body = " ".join("(" + ",".join(map(str, p)) + ")" for p in perms)
-            lines.append(f"batch t={t:.9g}: {body}")
+        for rec in self.batches:
+            body = " ".join("(" + ",".join(map(str, p)) + ")" for p in rec.perms)
+            lines.append(f"batch t={rec.time:.9g}: {body}")
         return "\n".join(lines)
 
     def _batch(self, released: frozenset) -> list[tuple]:
@@ -257,7 +258,11 @@ class RingOracle(DominationOracle):
         super().__init__(space, predictions, variant)
         self.C = space.circumference
         self.pos = [space.norm(p) for p in self.predictions]
-        self.idx = split_ring_index(self.C, {i: p for i, p in enumerate(self.pos)})
+        # the ring split at the antipode, as a line: the clockwise half
+        # positive, the counter-clockwise half negative
+        half = self.C / 2.0
+        self.idx = tree_index_for(
+            Line(), {i: p if p <= half else p - self.C for i, p in enumerate(self.pos)})
 
     def _cover(self, qid: int, rest: frozenset, end) -> list[int]:
         # in the true ring metric, not on the split index

@@ -8,6 +8,7 @@ from oltsp.cli import main as cli_main
 
 from oltsp.core import (
     FollowOrderPolicy,
+    IncompleteRun,
     Instance,
     Request,
     SimulationStalled,
@@ -198,6 +199,29 @@ def test_stay_forever_raises():
     inst = Instance(Line(), [Request(0, 1.0, 5.0)], [1.0], "open")
     with pytest.raises(SimulationStalled):
         simulate(inst, Lazy())
+
+
+def test_incomplete_finish_raises():
+    class Quit:
+        def decide(self, sim):
+            return ("finish",)
+
+    inst = Instance(Line(), [Request(0, 1.0, 0.0), Request(1, -1.0, 5.0)], [1.0, -1.0], "open")
+    with pytest.raises(IncompleteRun, match=r"unserved \[0, 1\]") as err:
+        simulate(inst, Quit())
+    assert (err.value.time, err.value.position, err.value.unserved) == (0.0, 0.0, [0, 1])
+
+    class StayOut:
+        def decide(self, sim):
+            if sim.pos != 1.0:
+                return ("move", 1.0)
+            sim.serve(0)
+            return ("finish",)
+
+    inst = Instance(Line(), [Request(0, 1.0, 0.0)], [1.0], "closed")
+    with pytest.raises(IncompleteRun, match="away from the origin") as err:
+        simulate(inst, StayOut())
+    assert (err.value.time, err.value.position, err.value.unserved) == (1.0, 1.0, [])
 
 
 def _check_run_invariants(inst, res):

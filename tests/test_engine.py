@@ -196,6 +196,15 @@ def test_duplicate_locations():
     assert len(res.served_at) == 3
 
 
+def test_requests_closer_than_the_tolerance_are_all_served():
+    # two requests 3e-10 apart used to hide each other from the tree
+    # oracle, and the run finished with both unserved
+    inst = _instance(Line(), [1.0, 1.0 + 3e-10, -0.5], [2.0, 2.0, 0.2], "open")
+    res = la_swag_policy(inst)
+    assert sorted(res.served_at) == [0, 1, 2]
+    assert res.completion_time <= 1.5 * opt_bruteforce(inst).length + 1e-9
+
+
 def test_unbounded_leaf_edges():
     tree = Tree([(0, 1, math.inf), (0, 2, 1.0)])
     inst = _instance(tree, [(0, 2.5), (1, 0.7)], [1.0, 0.2], "open")

@@ -215,6 +215,31 @@ def test_cli_run_and_trajectory(tmp_path):
     assert traj.read_text().startswith("time,location,event")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("algo", "swgg"),
+    ("n", "5"),
+    ("count", -1),
+    ("eta", [-0.5]),
+    ("eta", [float("nan")]),
+    ("seed", 1.5),
+    ("leaves", 0),
+    ("space", "torus"),
+    ("space", ["line"]),
+    ("breaking_rule", "yes"),
+    ("oracle", "ring"),
+    ("nn", 5),
+])
+def test_sweep_spec_rejected_at_the_boundary(field, value, tmp_path):
+    obj = {"space": "line", "count": 2, "n": 3, field: value}
+    with pytest.raises(ValueError, match=repr(field)):
+        SweepSpec.from_json(obj)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(obj))
+    assert cli_main(["sweep", str(spec), "-o", str(tmp_path / "sweep.csv")]) == 2
+    assert cli_main(["gen", str(spec), "-o", str(tmp_path / "insts")]) == 2
+    assert not os.path.exists(tmp_path / "sweep.csv")
+
+
 def test_cli_fixture_and_sweep(tmp_path):
     assert cli_main(["fixture", "remark_2_5_closed_line"]) == 0
     spec = tmp_path / "spec.json"

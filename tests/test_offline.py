@@ -18,9 +18,10 @@ from oltsp.offline import (
     ring_tsp,
     shortest_serving_path_length,
     solve_classical,
+    tree_index_for,
     tree_tsp,
 )
-from oltsp.spaces import Euclid2D, Flower, Line, Ring, Tree
+from oltsp.spaces import Euclid2D, Flower, Line, Ring, Tree, snip_flower
 
 from conftest import random_flower, random_point, random_tree
 
@@ -142,6 +143,54 @@ def test_tree_tsp_examples():
     # fixed end beyond the span: 2*2.5 - 1.5
     q = PathQuery(Line(), 0.0, [-1.0, 1.5], 1.5)
     assert tree_tsp(q).length == pytest.approx(3.5)
+
+
+def _nudged(space, p, rng):
+    """A point 1e-10 to 5e-10 away from ``p``: closer than ``FEAS``."""
+    gap = rng.uniform(1e-10, 5e-10)
+    if isinstance(space, Line):
+        return p + rng.choice([-gap, gap])
+    ei, off = p if p[0] != -1 else (0, 0.0)  # edge 0 of a random tree leaves the root
+    ln = space.edges[ei][2]
+    return (ei, off - gap) if off + gap > ln else (ei, off + gap)
+
+
+def test_tree_tsp_serves_points_closer_than_the_tolerance():
+    # ancestry is decided on the parent array, so a point 1e-10 past
+    # another is still a separate stop, not swallowed by a float test
+    rng = random.Random(29)
+    for trial in range(80):
+        sp = Line() if trial % 2 else random_tree(rng)
+        pts = []
+        for _ in range(rng.randint(1, 3)):
+            p = random_point(sp, rng)
+            pts += [p, _nudged(sp, p, rng)]
+        start = _nudged(sp, sp.origin(), rng) if rng.random() < 0.5 else random_point(sp, rng)
+        end = rng.choice([CLOSED, FREE, _nudged(sp, rng.choice(pts), rng)])
+        q = PathQuery(sp, start, pts, end)
+        res = tree_tsp(q)
+        assert sorted(res.order) == list(range(len(pts))), (trial, q)
+        assert res.length == pytest.approx(held_karp(q).length, abs=1e-9), (trial, q)
+    idx = tree_index_for(Line(), {"a": 1.0, "b": 1.0 + 3e-10})
+    a, b = idx.node_of["a"], idx.node_of["b"]
+    assert idx.maximal_nodes({a, b}, 0) == [b]
+
+
+def test_tree_index_numbers_parents_first():
+    # TreeIndex.span counts members per subtree in one pass over v = n-1..1
+    rng = random.Random(31)
+    for _ in range(60):
+        flower = random_flower(rng, 3)
+        kept = {k for k in range(len(flower.petals)) if rng.random() < 0.5}
+        on_tree = [p for p in (random_point(flower, rng) for _ in range(6))
+                   if p[0] == "stem" or p[0] not in kept]
+        snipped, _, mapped = snip_flower(flower, kept, on_tree)
+        tree = random_tree(rng)
+        for space, pts in ((Line(), [random_point(Line(), rng) for _ in range(6)]),
+                           (tree, [random_point(tree, rng) for _ in range(6)]),
+                           (snipped, mapped)):
+            idx = tree_index_for(space, dict(enumerate(pts)))
+            assert all(idx.par[v] < v for v in range(1, idx.n)), (space, pts)
 
 
 @pytest.mark.parametrize("kind,solver", [("tree", tree_tsp), ("ring", ring_tsp), ("flower", flower_tsp)])
