@@ -12,7 +12,7 @@ from . import fixtures as fx
 from .core import Instance
 from .engine import EngineConfig, la_swag, swag_policy
 from .harness import SweepSpec, generate, sweep, write_report
-from .offline import opt_bruteforce, BRUTE_FORCE_CAP
+from .offline import OPT_CAP, opt_bruteforce
 from .oracles import ORACLES
 from .spaces import space_from_json
 from .tolerance import TIE
@@ -57,7 +57,7 @@ def _cmd_run(args) -> int:
     if args.dump_batches and policy is not None:
         print(policy.oracle.dump_batches())
     print(f"completion_time: {result.completion_time:.9g}")
-    if inst.n <= BRUTE_FORCE_CAP:
+    if inst.n <= OPT_CAP:
         opt = opt_bruteforce(inst).length
         ratio = result.completion_time / opt if opt > TIE else 1.0
         print(f"opt: {opt:.9g}")

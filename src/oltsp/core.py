@@ -195,7 +195,20 @@ class RunResult:
 
 
 class SimulationStalled(RuntimeError):
-    """The policy waits forever with no event left to wake it."""
+    """The policy makes no progress: it waits forever with nothing left to
+    wake it, or it keeps deciding without serving or moving on."""
+
+    def __init__(self, reason: str, time: float, position, unserved: list[int], action):
+        super().__init__(reason, time, position, unserved, action)
+        self.reason = reason
+        self.time = time
+        self.position = position
+        self.unserved = unserved
+        self.action = action
+
+    def __str__(self) -> str:
+        return (f"{self.reason} at t={self.time!r}, position {self.position!r}, "
+                f"unserved {self.unserved}, last action {self.action!r}")
 
 
 class IncompleteRun(RuntimeError):
@@ -203,11 +216,14 @@ class IncompleteRun(RuntimeError):
     away from the origin."""
 
     def __init__(self, time: float, position, unserved: list[int]):
+        super().__init__(time, position, unserved)
         self.time = time
         self.position = position
         self.unserved = unserved
-        what = f"unserved {unserved}" if unserved else "away from the origin"
-        super().__init__(f"finish with {what} at t={time!r}, position {position!r}")
+
+    def __str__(self) -> str:
+        what = f"unserved {self.unserved}" if self.unserved else "away from the origin"
+        return f"finish with {what} at t={self.time!r}, position {self.position!r}"
 
 
 class Simulation:
@@ -230,7 +246,6 @@ class Simulation:
             heapq.heappush(self._queue, (t, i, loc))
         self._adversary = adversary
         self._leg = None  # (from_pos, depart_t, target, arrive_t)
-        self._finished = False
 
     # -- policy-facing API -------------------------------------------------
 
@@ -261,6 +276,9 @@ class Simulation:
 
     # -- internals ---------------------------------------------------------
 
+    def _unserved(self) -> list[int]:
+        return [i for i in range(self.n) if i not in self.served]
+
     def _log(self, kind: str, detail=None) -> None:
         self.trajectory.append(TrajEvent(self.now, self.pos, kind, detail))
 
@@ -287,20 +305,21 @@ class Simulation:
         adv_wake = self._adversary.step(self) if self._adversary else None
         waiting = False
         guard = 0
+        act = None
         while True:
             guard += 1
             if guard > 100000:
-                raise SimulationStalled("no progress")
+                raise SimulationStalled("no progress after 100000 decisions",
+                                        self.now, self.pos, self._unserved(), act)
             act = policy.decide(self)
             kind = act[0]
             if kind == "finish":
-                unserved = [i for i in range(self.n) if i not in self.served]
+                unserved = self._unserved()
                 if unserved or (self.variant == "closed" and
                                 self.space.distance(self.pos, self.space.origin()) > FEAS):
                     raise IncompleteRun(self.now, self.pos, unserved)
                 if waiting:
                     self._log(WAIT_END)
-                self._finished = True
                 self._log(FINISH)
                 return RunResult(self.now, self.trajectory, dict(self.served))
             candidates = []
@@ -332,7 +351,8 @@ class Simulation:
                 candidates.append(adv_wake)
             candidates = [c for c in candidates if c is not None]
             if not candidates:
-                raise SimulationStalled("policy waits forever and nothing is pending")
+                raise SimulationStalled("policy waits forever and nothing is pending",
+                                        self.now, self.pos, self._unserved(), act)
             t_next = min(candidates)
             t_next = max(t_next, self.now)
             # advance the server

@@ -3,11 +3,16 @@
 These are verification aids: enumerate the structured orders that are
 guaranteed to contain an optimum for every release-time assignment, so
 tests can check that the oracles dominate exactly the right families.
+``opt_by_enumeration`` is the exact optimum by evaluating every order,
+the reference for ``offline.opt_bruteforce``.
 """
 from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
+from oltsp.offline import OptResult, _build_matrix
 from oltsp.spaces import Flower, Ring, Space
 
 
@@ -174,3 +179,26 @@ def _ring_ok(ring: Ring, loc, perm) -> bool:
             if good:
                 return True
     return False
+
+
+def opt_by_enumeration(instance):
+    """Exact optimum by evaluating every serving order in numpy: the
+    reference that ``offline.opt_bruteforce`` must match bit for bit."""
+    n = len(instance.requests)
+    if n == 0:
+        return OptResult(0.0, [])
+    space = instance.space
+    pts = [instance.origin] + [r.location for r in instance.requests]
+    D = np.array(_build_matrix(space, pts))
+    rel = np.array([r.release for r in instance.requests])
+    P = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
+    t = np.zeros(len(P))
+    prev = np.zeros(len(P), dtype=np.int64)
+    for k in range(n):
+        cur = P[:, k].astype(np.int64) + 1
+        t = np.maximum(t + D[prev, cur], rel[cur - 1])
+        prev = cur
+    if instance.variant == "closed":
+        t = t + D[prev, 0]
+    best = int(np.argmin(t))  # permutations enumerate in lex order: first min is lex-smallest
+    return OptResult(float(t[best]), [int(x) for x in P[best]])

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import random
 
 import pytest
@@ -197,8 +198,20 @@ def test_stay_forever_raises():
             return ("wait", None)
 
     inst = Instance(Line(), [Request(0, 1.0, 5.0)], [1.0], "open")
-    with pytest.raises(SimulationStalled):
+    with pytest.raises(SimulationStalled, match=r"waits forever .* unserved \[0\]") as err:
         simulate(inst, Lazy())
+    stall = err.value
+    assert (stall.time, stall.position, stall.unserved, stall.action) == (5.0, 0.0, [0], ("wait", None))
+
+    class Spin:
+        def decide(self, sim):
+            return ("wait", sim.now)
+
+    with pytest.raises(SimulationStalled, match="no progress") as err:
+        simulate(inst, Spin())
+    stall = err.value
+    assert (stall.time, stall.position, stall.unserved, stall.action) == (0.0, 0.0, [0], ("wait", 0.0))
+    assert str(pickle.loads(pickle.dumps(stall))) == str(stall)
 
 
 def test_incomplete_finish_raises():
@@ -210,6 +223,7 @@ def test_incomplete_finish_raises():
     with pytest.raises(IncompleteRun, match=r"unserved \[0, 1\]") as err:
         simulate(inst, Quit())
     assert (err.value.time, err.value.position, err.value.unserved) == (0.0, 0.0, [0, 1])
+    assert str(pickle.loads(pickle.dumps(err.value))) == str(err.value)
 
     class StayOut:
         def decide(self, sim):

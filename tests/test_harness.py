@@ -215,6 +215,23 @@ def test_cli_run_and_trajectory(tmp_path):
     assert traj.read_text().startswith("time,location,event")
 
 
+def test_opt_reported_above_the_old_factorial_cap(tmp_path, capsys):
+    inst = {
+        "space": {"kind": "line"},
+        "variant": "closed",
+        "requests": [{"x": (-1) ** i * 0.1 * (i + 1), "t": 0.2 * i} for i in range(10)],
+        "predictions": [(-1) ** i * 0.1 * (i + 1) for i in range(10)],
+    }
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst))
+    assert cli_main(["run", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "opt: " in out and "ratio: " in out
+
+    rows, violations, skipped = sweep(SweepSpec(space="line", count=1, n=10, seed=3, eta=[0.0]))
+    assert (len(rows), rows[0].n, violations, skipped) == (1, 10, [], [])
+
+
 @pytest.mark.parametrize("field, value", [
     ("algo", "swgg"),
     ("n", "5"),

@@ -8,8 +8,10 @@ from oltsp.core import Instance, Request
 from oltsp.offline import (
     CLOSED,
     FREE,
+    OPT_CAP,
     PathQuery,
     SizeCapExceeded,
+    _latest,
     eval_serving_order,
     exact_path,
     flower_tsp,
@@ -23,7 +25,10 @@ from oltsp.offline import (
 )
 from oltsp.spaces import Euclid2D, Flower, Line, Ring, Tree, snip_flower
 
-from conftest import random_flower, random_point, random_tree
+from oltsp.tolerance import FEAS
+
+from conftest import random_flower, random_point, random_space, random_tree
+from sensible import opt_by_enumeration
 
 TOL = 1e-9
 
@@ -311,9 +316,68 @@ def test_opt_bruteforce_lower_bounds():
 
 def test_opt_bruteforce_cap():
     sp = Line()
-    reqs = [Request(i, float(i), 0.0) for i in range(10)]
-    with pytest.raises(SizeCapExceeded):
+    reqs = [Request(i, float(i), 0.0) for i in range(OPT_CAP + 1)]
+    with pytest.raises(SizeCapExceeded, match="subset-DP cap"):
         opt_bruteforce(Instance(sp, reqs, [r.location for r in reqs], "open"))
+
+
+def test_latest_is_the_largest_float_that_still_arrives_in_time():
+    rng = random.Random(13)
+    cases = [(1.0, 1.0 - 2.0 ** -53), (1.0, 1.0), (0.0, 0.0), (2.5, 2.0), (3.0, 0.1), (1e-300, 1.0)]
+    for _ in range(2000):
+        c = rng.choice([rng.uniform(0, 4), round(rng.uniform(0, 4), 1)])
+        cases.append((c, rng.choice([rng.uniform(0, 4), c * rng.uniform(0.999, 1.0), c])))
+    for c, d in cases:
+        t = _latest(c, d)
+        assert t + d <= c < math.nextafter(t, math.inf) + d
+
+
+GRID_POSITIONS = [-0.3, -0.1, 0.1, 0.2, 0.3, 0.7, 1.0]
+GRID_RELEASES = [0.0, 0.1, 0.3, 0.6, 1.0, 1.3]
+
+
+def test_opt_matches_enumeration_bit_for_bit():
+    """Same length and same (lexicographically smallest optimal) order as
+    evaluating every order, on random instances of every family and on
+    tie-heavy grids where many orders share the optimum."""
+    rng = random.Random(2024)
+    cases = []
+    for kind in ("line", "euclid2d", "ring", "tree", "flower", "general"):
+        for variant in ("open", "closed"):
+            for _ in range(8):
+                n = rng.randint(1, 8)
+                sp = random_space(kind, rng, n)
+                reqs = [Request(i, random_point(sp, rng), round(rng.uniform(0, 3), rng.choice([1, 6])))
+                        for i in range(n)]
+                cases.append(Instance(sp, reqs, [r.location for r in reqs], variant))
+    for sp in (Line(), Ring(1.0)):
+        for variant in ("open", "closed"):
+            for _ in range(40):
+                n = rng.randint(2, 8)
+                reqs = [Request(i, rng.choice(GRID_POSITIONS), rng.choice(GRID_RELEASES))
+                        for i in range(n)]
+                cases.append(Instance(sp, reqs, [r.location for r in reqs], variant))
+    for inst in cases:
+        got, want = opt_bruteforce(inst), opt_by_enumeration(inst)
+        assert (got.length, got.order) == (want.length, want.order)
+
+
+def test_opt_above_the_old_factorial_cap():
+    rng = random.Random(7)
+    for kind in ("line", "tree", "ring", "flower", "general"):
+        sp = random_space(kind, rng, 11)
+        reqs = [Request(i, random_point(sp, rng), rng.uniform(0, 3)) for i in range(11)]
+        variant = rng.choice(["open", "closed"])
+        inst = Instance(sp, reqs, [r.location for r in reqs], variant)
+        res = opt_bruteforce(inst)
+        if variant == "closed":
+            lb = max(r.release + sp.distance(r.location, inst.origin) for r in reqs)
+        else:
+            lb = max(r.release for r in reqs)
+        assert res.length >= lb - FEAS
+        assert res.length >= shortest_serving_path_length(inst) - FEAS
+        assert sorted(res.order) == list(range(11))
+        assert eval_serving_order(inst, res.order) == pytest.approx(res.length, abs=FEAS)
 
 
 def test_shortest_serving_path_examples():
