@@ -19,8 +19,11 @@ from .tolerance import TIE
 
 
 def _cmd_validate(args) -> int:
-    with open(args.space) as fh:
-        space = space_from_json(json.load(fh))
+    try:
+        with open(args.space) as fh:
+            space = space_from_json(json.load(fh))
+    except ValueError as exc:  # SpaceError and malformed JSON included
+        return _input_error(exc)
     problems = space.validate()
     for p in problems:
         print(f"violation: {p}")
@@ -40,11 +43,10 @@ def _load_spec(path: str) -> SweepSpec:
 
 
 def _cmd_run(args) -> int:
-    with open(args.instance) as fh:
-        obj = json.load(fh)
     try:
-        inst = Instance.from_json(obj)
-    except ValueError as exc:  # SpaceError included
+        with open(args.instance) as fh:
+            inst = Instance.from_json(json.load(fh))
+    except ValueError as exc:  # SpaceError and malformed JSON included
         return _input_error(exc)
     if args.variant:
         inst = Instance(inst.space, inst.requests, inst.predictions, args.variant)

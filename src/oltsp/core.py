@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from . import spaces
-from .spaces import Space, SpaceError, canon_point
+from .spaces import Space, SpaceError, canon_point, json_field
 from .tolerance import FEAS, TIE
 
 DEPART = "depart"
@@ -85,15 +85,20 @@ class Instance:
 
     @staticmethod
     def from_json(obj: dict) -> "Instance":
-        space = spaces.space_from_json(obj["space"])
+        """Decode an instance.  A field that is missing or malformed raises
+        SpaceError naming it."""
+        space = spaces.space_from_json(json_field(obj, "space", "instance"))
         problems = space.validate()
         if problems:
             raise SpaceError("invalid space: " + "; ".join(problems))
         reqs = [
-            Request(i, spaces.point_from_json(space, r["x"]), float(r["t"]))
-            for i, r in enumerate(obj["requests"])
+            Request(i, spaces.point_from_json(space, json_field(r, "x", f"request {i}"),
+                                              f"request {i}: location"),
+                    json_field(r, "t", f"request {i}", float))
+            for i, r in enumerate(json_field(obj, "requests", "instance", list))
         ]
-        preds = [spaces.point_from_json(space, p) for p in obj["predictions"]]
+        preds = [spaces.point_from_json(space, p, f"request {i}: prediction")
+                 for i, p in enumerate(json_field(obj, "predictions", "instance", list))]
         return Instance(space, reqs, preds, obj.get("variant", "closed"))
 
 
@@ -182,9 +187,6 @@ class RunResult:
     completion_time: float
     trajectory: list[TrajEvent]
     served_at: dict[int, float]
-
-    def events(self, kind: str) -> list[TrajEvent]:
-        return [e for e in self.trajectory if e.kind == kind]
 
     def to_csv(self) -> str:
         lines = ["time,location,event"]

@@ -1,13 +1,16 @@
 """Domination oracles: monotonically growing permutation sets queried at
 release events.
 
-Every batch construction follows the same template: pick the first
-unreleased request q of a hypothetical order, serve a structured set of
-released requests on an optimal route to q, then clean up the remainder
-with an exact classical solver.  The general oracle enumerates released
-subsets directly (single-exponential); the tree, ring and flower oracles
-enumerate leaves, crescents/loops, and petal states instead (FPT or
-polynomial).
+Every batch follows one template.  For each guessed final request qf
+(``None`` in the closed variant, where the walk ends at the origin) and
+each pivot q, the first unreleased request of a hypothetical order, a
+scan picks a structured prefix of released requests on an optimal route
+to q; :meth:`DominationOracle._dominator` then appends q, cleans up the
+rest with an exact classical solver, and pins qf last.  Once every
+request is released the batch is a single optimal tour from the origin.
+The general oracle enumerates released subsets directly
+(single-exponential); the tree, ring and flower oracles enumerate leaves,
+crescents/loops, and petal states instead (FPT or polynomial).
 """
 from __future__ import annotations
 
@@ -52,6 +55,8 @@ class DominationOracle:
         self.predictions = list(predictions)
         self.variant = variant
         self.n = len(predictions)
+        self.ids = frozenset(range(self.n))
+        self.end = CLOSED if variant == "closed" else FREE  # where a tour ends
         self.origin = space.origin()
         self.D = distance_matrix(space, [self.origin] + self.predictions)
         self.entries: dict[tuple, RouteStats] = {}
@@ -72,7 +77,10 @@ class DominationOracle:
             return []  # idempotent repeat query
         self._last_time = t
         self._last_released = released
-        batch = self._dedup(self._batch(released))
+        if released >= self.ids:
+            batch = [tuple(self._cover(None, self.ids, self.end))]
+        else:
+            batch = list(dict.fromkeys(self._batch(released)))
         new = []
         closed = self.variant == "closed"
         for perm in batch:
@@ -90,7 +98,17 @@ class DominationOracle:
         return "\n".join(lines)
 
     def _batch(self, released: frozenset) -> list[tuple]:
+        """Dominators for a released set that leaves some request out."""
         raise NotImplementedError
+
+    def _dominator(self, prefix: list[int], q: int, final: int | None = None) -> tuple:
+        """``prefix``, then ``q`` (unless q is the pinned ``final``), then the
+        clean-up of every other request from q to ``final``, pinned last, or
+        with no final to this variant's end."""
+        head = prefix if q == final else prefix + [q]
+        pin = [] if final is None else [final]
+        end = self.end if final is None else final
+        return tuple(head + self._cleanup(q, self.ids.difference(head, pin), end) + pin)
 
     def _cleanup(self, qid: int, rest: frozenset, end) -> list[int]:
         """Serving order of ``rest`` on an optimal walk from request ``qid``
@@ -101,18 +119,28 @@ class DominationOracle:
             hit = self._cleanup_memo[key] = self._cover(qid, rest, end)
         return hit
 
-    def _cover(self, qid: int, rest: frozenset, end) -> list[int]:
-        """The uncached computation behind :meth:`_cleanup`."""
+    def _cover(self, qid: int | None, rest: frozenset, end) -> list[int]:
+        """The uncached computation behind :meth:`_cleanup`; a ``qid`` of
+        None starts at the origin."""
         raise NotImplementedError
 
-    @staticmethod
-    def _dedup(perms: Iterable[tuple]) -> list[tuple]:
-        seen = set()
+    def _tree_batch(self, idx: TreeIndex, released: frozenset) -> list[tuple]:
+        """Scan-to-pivot dominators over the tree ``idx``, one set per final
+        request: rooted at the origin with no final (closed), or at each
+        request's node with that request pinned last (open)."""
+        unrel = self.ids - released
+        rel_nodes = {idx.node_of[i] for i in released}
         out = []
-        for p in perms:
-            if p not in seen:
-                seen.add(p)
-                out.append(p)
+        for qf in [None] if self.variant == "closed" else sorted(self.ids):
+            root = 0 if qf is None else idx.node_of[qf]
+            pivots = _pivots(idx, unrel - {qf}, root)
+            if unrel == {qf}:
+                pivots.append((root, qf))  # the final request is the only unreleased one
+            leaves = idx.maximal_nodes(rel_nodes, root)
+            for qnode, q in pivots:
+                for chosen in _subsets(leaves):
+                    _, order = idx.path_cover(0, set(chosen) | {qnode}, qnode)
+                    out.append(self._dominator(_emit(idx, order, released - {qf}), q, qf))
         return out
 
 
@@ -135,14 +163,15 @@ class GeneralOracle(DominationOracle):
         self._tail = exact_path(self.D, rows, 0 if variant == "closed" else FREE)
         self._heads = [exact_path(self.D, rows[:u] + rows[u + 1:], u + 1) for u in range(self.n)]
 
+    def _cover(self, qid, rest, end) -> list[int]:
+        # the tail table's walks end at this variant's end
+        return self._tail.walk(0 if qid is None else qid + 1, sum(1 << i for i in rest))[1]
+
     def _batch(self, released: frozenset) -> list[tuple]:
         full = (1 << self.n) - 1
-        unrel = [u for u in range(self.n) if u not in released]
-        if not unrel:
-            return [tuple(self._tail.walk(0, full)[1])]
         rel = sorted(released)
         out = []
-        for u in unrel:
+        for u in sorted(self.ids - released):
             others = [i for i in range(self.n) if i != u]
             for sub in _subsets(rel):
                 head_mask = sum(1 << (i - (i > u)) for i in sub)  # u's own bit is left out
@@ -171,82 +200,22 @@ def _pivots(idx: TreeIndex, ids: Iterable[int], root: int) -> list[tuple[int, in
     return [(v, by_node[v]) for v in idx.maximal_nodes(by_node, root)]
 
 
-def closed_tree_batch(idx: TreeIndex, released: frozenset, ids: set,
-                      cleanup) -> list[tuple]:
-    """Scan-to-pivot dominators on a tree, cleaning up back to the origin.
-
-    ``cleanup(q_id, rest_ids, end)`` must return the serving order of the
-    remainder from q to ``end``: CLOSED (the origin) or a request id.
-    """
-    rel = released & ids
-    unrel = ids - released
-    if not unrel:
-        _, order = idx.path_cover(0, {idx.node_of[i] for i in ids}, CLOSED)
-        return [tuple(_emit(idx, order, ids))]
-    rel_leaves = idx.maximal_nodes({idx.node_of[i] for i in rel}, 0)
-    out = []
-    for qnode, qid in _pivots(idx, unrel, 0):
-        for chosen in _subsets(rel_leaves):
-            _, order = idx.path_cover(0, set(chosen) | {qnode}, qnode)
-            prefix = _emit(idx, order, rel)
-            rest = ids - set(prefix) - {qid}
-            out.append(tuple(prefix + [qid] + cleanup(qid, frozenset(rest), CLOSED)))
-    return out
-
-
-def open_tree_batch(idx: TreeIndex, released: frozenset, ids: set,
-                    cleanup) -> list[tuple]:
-    """Rerooted scan dominators for the open variant.
-
-    ``cleanup`` is as for :func:`closed_tree_batch`; here it ends at the
-    designated final request, which is pinned last.
-    """
-    rel = released & ids
-    unrel = ids - released
-    if not unrel:
-        _, order = idx.path_cover(0, {idx.node_of[i] for i in ids}, FREE)
-        return [tuple(_emit(idx, order, ids))]
-    out = []
-    rel_nodes = {idx.node_of[i] for i in rel}
-    for qf in sorted(ids):
-        fnode = idx.node_of[qf]
-        rel_leaves = idx.maximal_nodes(rel_nodes, fnode)
-        for qnode, qid in _pivots(idx, unrel - {qf}, fnode):
-            for chosen in _subsets(rel_leaves):
-                _, order = idx.path_cover(0, set(chosen) | {qnode}, qnode)
-                prefix = _emit(idx, order, rel - {qf})
-                rest = ids - set(prefix) - {qid} - {qf}
-                tail = cleanup(qid, frozenset(rest), qf)
-                out.append(tuple(prefix + [qid] + tail + [qf]))
-        if unrel == {qf}:
-            # the final request is the only unreleased one
-            for chosen in _subsets(rel_leaves):
-                _, order = idx.path_cover(0, set(chosen) | {fnode}, fnode)
-                prefix = _emit(idx, order, rel)
-                rest = ids - set(prefix) - {qf}
-                tail = cleanup(qf, frozenset(rest), qf)
-                out.append(tuple(prefix + tail + [qf]))
-    return out
-
-
 class TreeOracle(DominationOracle):
     def __init__(self, space, predictions, variant):
         super().__init__(space, predictions, variant)
         self.idx = tree_index_for(space, {i: p for i, p in enumerate(self.predictions)})
 
-    def _cover(self, qid: int, rest: frozenset, end) -> list[int]:
+    def _cover(self, qid, rest, end) -> list[int]:
         if not rest:
             return []
         node_of = self.idx.node_of
-        end_node = 0 if end == CLOSED else node_of[end]
-        _, order = self.idx.path_cover(node_of[qid], {node_of[i] for i in rest}, end_node)
+        end_node = 0 if end == CLOSED else (FREE if end == FREE else node_of[end])
+        start = 0 if qid is None else node_of[qid]
+        _, order = self.idx.path_cover(start, {node_of[i] for i in rest}, end_node)
         return _emit(self.idx, order, rest)
 
     def _batch(self, released: frozenset) -> list[tuple]:
-        ids = set(range(self.n))
-        if self.variant == "closed":
-            return closed_tree_batch(self.idx, released, ids, self._cleanup)
-        return open_tree_batch(self.idx, released, ids, self._cleanup)
+        return self._tree_batch(self.idx, released)
 
 
 # ---------------------------------------------------------------------------
@@ -256,148 +225,95 @@ class TreeOracle(DominationOracle):
 class RingOracle(DominationOracle):
     def __init__(self, space: Ring, predictions, variant):
         super().__init__(space, predictions, variant)
-        self.C = space.circumference
-        self.pos = [space.norm(p) for p in self.predictions]
+        C = self.C = space.circumference
+        pos = self.pos = [space.norm(p) for p in self.predictions]
         # the ring split at the antipode, as a line: the clockwise half
         # positive, the counter-clockwise half negative
-        half = self.C / 2.0
-        self.idx = tree_index_for(
-            Line(), {i: p if p <= half else p - self.C for i, p in enumerate(self.pos)})
+        self.idx = tree_index_for(Line(), {i: p if p <= C / 2.0 else p - C for i, p in enumerate(pos)})
+        # each request's arm (+1 clockwise, -1 counter-clockwise) and its
+        # distance from the origin along that arm
+        self.arm = [1 if p <= C / 2 + TIE else -1 for p in pos]
+        self.depth = [p if a == 1 else C - p for p, a in zip(pos, self.arm)]
+        # request ids in four scan orders, ties to the smaller id
+        ids = range(self.n)
+        self.cw = sorted(ids, key=lambda i: (pos[i], i))
+        self.ccw = sorted(ids, key=lambda i: (-pos[i], i))
+        self.near = sorted(ids, key=lambda i: (self.depth[i], i))
+        self.far = sorted(ids, key=lambda i: (-self.depth[i], i))
 
-    def _cover(self, qid: int, rest: frozenset, end) -> list[int]:
+    def _cover(self, qid, rest, end) -> list[int]:
         # in the true ring metric, not on the split index
         items = [(self.pos[i], i) for i in sorted(rest)]
+        start = 0.0 if qid is None else self.pos[qid]
         end_pos = 0.0 if end == CLOSED else (FREE if end == FREE else self.pos[end])
-        return ring_cover(self.C, self.pos[qid], items, end_pos)[1]
+        return ring_cover(self.C, start, items, end_pos)[1]
 
-    def _crescents(self, released: frozenset, ids: set) -> list[tuple]:
-        rel = sorted(released & ids)
-        unrel = sorted(ids - released)
+    def _crescents(self, released: frozenset, cw: list[int], ccw: list[int]) -> list[tuple]:
         out = []
-        for q in unrel:
+        for q in sorted(self.ids - released):
             pq = self.pos[q]
-            left = [i for i in rel if self.pos[i] <= pq + TIE]
-            right = [i for i in rel if self.pos[i] >= pq - TIE]
-            lc = sorted(left, key=lambda i: (self.pos[i], i))
-            rc = sorted(right, key=lambda i: (-self.pos[i], i))
-            fm_dir = 1 if pq <= self.C / 2 + TIE else -1
-            fm = sorted(rel, key=lambda i: (fm_dir * self.pos[i], i))
-            for prefix in (lc, rc, fm):
-                rest = frozenset(ids - set(prefix) - {q})
-                tail = self._cleanup(q, rest, CLOSED if self.variant == "closed" else FREE)
-                out.append(tuple(prefix + [q] + tail))
+            left = [i for i in cw if self.pos[i] <= pq + TIE]
+            right = [i for i in ccw if self.pos[i] >= pq - TIE]
+            full_moon = cw if self.arm[q] == 1 else ccw
+            out += [self._dominator(prefix, q) for prefix in (left, right, full_moon)]
         return out
 
-    def _loops(self, released: frozenset, ids: set) -> list[tuple]:
-        rel = sorted(released & ids)
-        unrel = sorted(ids - released)
-        out = []
-        for q in unrel:
-            for d in (1, -1):
-                prefix = sorted(rel, key=lambda i: (d * self.pos[i], i))
-                rest = frozenset(ids - set(prefix) - {q})
-                tail = self._cleanup(q, rest, FREE)
-                out.append(tuple(prefix + [q] + tail))
-        return out
-
-    def _line_extents(self, released: frozenset, ids: set) -> list[tuple]:
+    def _line_extents(self, released: frozenset, near: list[int]) -> list[tuple]:
         """Open-variant dominators for orders that never cross the antipode:
         guess the farthest visited request on each arm, sweep both arms,
         finish at q, then clean up freely.  One dominator per
         (q, left extent, right extent) choice."""
-        rel = set(released & ids)
-        unrel = sorted(ids - released)
-        half = self.C / 2
+        depth = self.depth
         out = []
-
-        def depth(i, side):
-            return self.pos[i] if side == 1 else self.C - self.pos[i]
-
-        def on_side(i, side):
-            return (self.pos[i] <= half + TIE) if side == 1 else (self.pos[i] > half + TIE)
-
-        for q in unrel:
-            qside = 1 if self.pos[q] <= half + TIE else -1
-            qd = depth(q, qside)
-            same = sorted((i for i in rel if on_side(i, qside)), key=lambda i: (depth(i, qside), i))
-            other = sorted((i for i in rel if not on_side(i, qside)), key=lambda i: (depth(i, -qside), i))
-            same_extents = [qd] + [depth(i, qside) for i in same if depth(i, qside) > qd + TIE]
-            other_extents = [None] + [depth(i, -qside) for i in other]
+        for q in sorted(self.ids - released):
+            same = [i for i in near if self.arm[i] == self.arm[q]]
+            other = [i for i in near if self.arm[i] != self.arm[q]]
+            same_extents = [depth[q]] + [depth[i] for i in same if depth[i] > depth[q] + TIE]
+            other_extents = [None] + [depth[i] for i in other]
             for es in same_extents:
-                s_part = [i for i in same if depth(i, qside) <= es + TIE]
+                s_part = [i for i in same if depth[i] <= es + TIE]
                 for eo in other_extents:
-                    o_part = [] if eo is None else [i for i in other if depth(i, -qside) <= eo + TIE]
-                    rest = frozenset(ids - set(s_part) - set(o_part) - {q})
-                    tail = self._cleanup(q, rest, FREE)
-                    out.append(tuple(o_part + s_part + [q] + tail))
+                    o_part = [] if eo is None else [i for i in other if depth[i] <= eo + TIE]
+                    out.append(self._dominator(o_part + s_part, q))
                     if o_part:
-                        out.append(tuple(s_part + o_part + [q] + tail))
+                        out.append(self._dominator(s_part + o_part, q))
         return out
 
-    def _out_and_back(self, released: frozenset, ids: set) -> list[tuple]:
+    def _out_and_back(self, released: frozenset, near: list[int], far: list[int]) -> list[tuple]:
         """Open-variant dominators that turn around at q1, loop out the other
         arc through the antipode, descend to q2, and finish at q."""
-        rel = set(released & ids)
-        unrel = sorted(ids - released)
-        half = self.C / 2
+        depth = self.depth
         out = []
         for side in (1, -1):
-            # "other" arc where q1/q2 live; depth = distance from origin
-            def depth(i):
-                return self.pos[i] if side == 1 else self.C - self.pos[i]
-
-            def on_other(i):
-                return (self.pos[i] <= half + TIE) if side == 1 else (self.pos[i] > half + TIE)
-
-            other_rel = sorted((i for i in rel if on_other(i)), key=depth)
-            outbound = sorted(
-                (i for i in rel if not on_other(i)),
-                key=lambda i: (self.C - self.pos[i]) if side == 1 else self.pos[i],
-            )
-            for q in unrel:
-                q1_opts = [None] + other_rel
-                q2_opts = [i for i in other_rel] + ([q] if on_other(q) else [])
-                for q1 in q1_opts:
-                    d1 = depth(q1) if q1 is not None else 0.0
+            # "other" arc where q1/q2 live, nearest and farthest first
+            other_near = [i for i in near if self.arm[i] == side]
+            other_far = [i for i in far if self.arm[i] == side]
+            outbound = [i for i in near if self.arm[i] != side]
+            for q in sorted(self.ids - released):
+                q2_opts = other_near + ([q] if self.arm[q] == side else [])
+                for q1 in [None] + other_near:
+                    d1 = depth[q1] if q1 is not None else 0.0
                     for q2 in q2_opts:
-                        if depth(q2) <= d1 + TIE:
+                        if depth[q2] <= d1 + TIE:
                             continue
-                        a_part = sorted(
-                            (i for i in other_rel if depth(i) <= d1 + TIE),
-                            key=lambda i: (-depth(i), i),
-                        )
-                        c_part = sorted(
-                            (i for i in other_rel if depth(i) >= depth(q2) - TIE),
-                            key=lambda i: (-depth(i), i),
-                        )
-                        prefix = a_part + outbound + c_part
-                        if q in prefix:
-                            continue
-                        prefix = prefix + [q]
-                        rest = frozenset(ids - set(prefix))
-                        tail = self._cleanup(q, rest, FREE)
-                        out.append(tuple(prefix + tail))
+                        a_part = [i for i in other_far if depth[i] <= d1 + TIE]
+                        c_part = [i for i in other_far if depth[i] >= depth[q2] - TIE]
+                        out.append(self._dominator(a_part + outbound + c_part, q))
         return out
 
     def _batch(self, released: frozenset) -> list[tuple]:
-        ids = set(range(self.n))
-        unrel = ids - released
-        if not unrel:
-            items = [(self.pos[i], i) for i in sorted(ids)]
-            end = 0.0 if self.variant == "closed" else FREE
-            _, order = ring_cover(self.C, 0.0, items, end)
-            return [tuple(order)]
+        cw, ccw, near, far = ([i for i in order if i in released]
+                              for order in (self.cw, self.ccw, self.near, self.far))
+        out = self._tree_batch(self.idx, released)
         if self.variant == "closed":
-            out = closed_tree_batch(self.idx, released, ids, self._cleanup)
-            out += self._crescents(released, ids)
-            return out
-        out = open_tree_batch(self.idx, released, ids, self._cleanup)
+            return out + self._crescents(released, cw, ccw)
         # orders that never cross the antipode need not be sensible for
         # their own final request, so cover all extent choices directly
-        out += self._line_extents(released, ids)
-        out += self._loops(released, ids)
-        out += self._crescents(released, ids)
-        out += self._out_and_back(released, ids)
+        out += self._line_extents(released, near)
+        for q in sorted(self.ids - released):  # full loops either way
+            out += [self._dominator(cw, q), self._dominator(ccw, q)]
+        out += self._crescents(released, cw, ccw)
+        out += self._out_and_back(released, near, far)
         return out
 
 
@@ -412,18 +328,21 @@ class FlowerOracle(DominationOracle):
         self.loc = [space.canon(p) for p in self.predictions]
         self.comp = [p[0] for p in self.loc]
         self.off = [p[1] for p in self.loc]
-        self.petal_ids: dict[int, list[int]] = {}
-        self.tree_ids: list[int] = []
+        petal_ids: dict[int, list[int]] = {}
         for i, c in enumerate(self.comp):
-            if c == "stem":
-                self.tree_ids.append(i)
-            else:
-                self.petal_ids.setdefault(c, []).append(i)
+            if c != "stem":
+                petal_ids.setdefault(c, []).append(i)
+        # each petal's ids in loop order, by direction (+1 forward, -1
+        # backward), ties to the smaller id
+        self._petal_order = {
+            k: {d: sorted(ids, key=lambda i: (d * self.off[i], i)) for d in (1, -1)}
+            for k, ids in petal_ids.items()
+        }
         # the tree left by snipping every petal outside ``kept``, for each
         # set of kept petals that host a prediction
         self._snipped = {
             frozenset(kept): self._snip_index(frozenset(kept))
-            for kept in _subsets(sorted(self.petal_ids))
+            for kept in _subsets(sorted(petal_ids))
         }
 
     def _snip_index(self, kept: frozenset) -> TreeIndex:
@@ -431,16 +350,14 @@ class FlowerOracle(DominationOracle):
         tree, _, mapped = snip_flower(self.flower, kept, [self.loc[i] for i in ids])
         return tree_index_for(tree, dict(zip(ids, mapped)))
 
-    def _cover(self, qid: int, rest: frozenset, end) -> list[int]:
+    def _cover(self, qid, rest, end) -> list[int]:
         items = [(self.loc[i], i) for i in sorted(rest)]
-        end_pt = self.flower.origin() if end == CLOSED else (FREE if end == FREE else self.loc[end])
-        return flower_cover(self.flower, self.loc[qid], items, end_pt)[1]
+        start = self.origin if qid is None else self.loc[qid]
+        end_pt = self.origin if end == CLOSED else (FREE if end == FREE else self.loc[end])
+        return flower_cover(self.flower, start, items, end_pt)[1]
 
     def _loop_order(self, petal: int, pool, direction: int) -> list[int]:
-        return sorted(
-            (i for i in self.petal_ids.get(petal, []) if i in pool),
-            key=lambda i: (direction * self.off[i], i),
-        )
+        return [i for i in self._petal_order[petal][direction] if i in pool]
 
     def _petal_dir_for(self, petal: int, qid: int) -> int:
         # loop direction matching the full-moon convention when q sits on it
@@ -449,33 +366,16 @@ class FlowerOracle(DominationOracle):
         return 1
 
     def _batch(self, released: frozenset) -> list[tuple]:
-        ids = set(range(self.n))
-        unrel = sorted(ids - released)
-        if not unrel:
-            items = [(self.loc[i], i) for i in sorted(ids)]
-            end = self.flower.origin() if self.variant == "closed" else FREE
-            _, order = flower_cover(self.flower, self.flower.origin(), items, end)
-            return [tuple(order)]
-        if self.variant == "closed":
-            return self._structured(released, ids, finals=[None], none_end=CLOSED)
-        finals: list[int | None] = [None] + sorted(ids)
-        return self._structured(released, ids, finals=finals, none_end=FREE)
-
-    def _structured(self, released: frozenset, ids: set, finals, none_end: str) -> list[tuple]:
-        rel = released & ids
+        unrel = sorted(self.ids - released)
+        petals_with_rel = sorted(k for k, order in self._petal_order.items()
+                                 if any(i in released for i in order[1]))
         out = []
-        seen: set[tuple] = set()
-        petals_with_rel = sorted(k for k, members in self.petal_ids.items() if any(i in rel for i in members))
-        for qf in finals:
-            pin = [] if qf is None else [qf]
-            end_key = none_end if qf is None else qf
-            for q in sorted(ids - released):
-                if qf is not None and q == qf and len(ids - released) > 1:
+        for qf in [None] if self.variant == "closed" else [None] + sorted(self.ids):
+            for q in unrel:
+                if qf is not None and q == qf and len(unrel) > 1:
                     continue
                 qc = self.comp[q]
-                same_final_petal = (
-                    qf is not None and qc != "stem" and self.comp[qf] == qc
-                )
+                same_final_petal = qf is not None and qc != "stem" and self.comp[qf] == qc
                 for done in _subsets(petals_with_rel):
                     done = set(done)
                     # (approach kind, kept petal set, direction)
@@ -491,14 +391,10 @@ class FlowerOracle(DominationOracle):
                         if same_final_petal:
                             options += [("late_loop", kept_q, 1), ("late_loop", kept_q, -1)]
                     for approach, kept, direction in options:
-                        self._variants(
-                            out, seen, ids, rel, q, qf, approach, kept, direction,
-                            pin, end_key,
-                        )
+                        out += self._variants(released, q, qf, approach, kept, direction)
         return out
 
-    def _variants(self, out, seen, ids, rel, q, qf, approach, kept, direction,
-                  pin, end_key) -> None:
+    def _variants(self, rel, q, qf, approach, kept, direction) -> list[tuple]:
         qc = self.comp[q]
         done = sorted(k for k in kept if k != qc or approach == "after_loop")
         idx = self._snipped[kept]
@@ -510,58 +406,38 @@ class FlowerOracle(DominationOracle):
             # only the deepest unreleased request per branch can be the
             # first unreleased of a sensible order within the tree part
             unrel_nodes = {
-                idx.node_of[i]
-                for i in idx.node_of
-                if isinstance(i, int) and i not in rel and (i != qf or i == q)
+                idx.node_of[i] for i in idx.node_of if i not in rel and (i != qf or i == q)
             }
             if idx.node_of[q] not in idx.maximal_nodes(unrel_nodes, root_node):
-                return
+                return []
         leaves = idx.maximal_nodes(tree_rel_nodes, root_node)
-        loop_pool = rel if qf is None else rel - {qf}
+        loop_pool = rel - {qf}
         loop_prefix: list[int] = []
         for k in done:
             loop_prefix += self._loop_order(k, loop_pool, self._petal_dir_for(k, q))
+        petal_part = []  # the walk along q's own petal, after the tree part
+        if approach == "arc":
+            qo = self.off[q]
+            petal_part = [
+                i for i in self._loop_order(qc, loop_pool, direction)
+                if (direction == 1 and self.off[i] <= qo + TIE)
+                or (direction == -1 and self.off[i] >= qo - TIE)
+            ]
+        elif approach == "late_loop":
+            petal_part = self._loop_order(qc, loop_pool, direction)
+        out = []
         for chosen in _subsets(leaves):
-            prefix = list(loop_prefix)
+            tree_part: list[int] = []
             if approach == "tree":
                 qnode = idx.node_of[q]
                 _, order = idx.path_cover(0, set(chosen) | {qnode}, qnode)
-                prefix += [i for i in _emit(idx, order, rel) if i != qf]
-            else:
-                if chosen:
-                    _, order = idx.path_cover(0, set(chosen), CLOSED)
-                    prefix += [i for i in _emit(idx, order, rel) if i != qf]
-                if approach == "arc":
-                    qo = self.off[q]
-                    arc_pool = [
-                        i
-                        for i in self.petal_ids.get(qc, [])
-                        if i in rel and i != qf
-                        and (
-                            (direction == 1 and self.off[i] <= qo + TIE)
-                            or (direction == -1 and self.off[i] >= qo - TIE)
-                        )
-                    ]
-                    prefix += sorted(arc_pool, key=lambda i: (direction * self.off[i], i))
-                elif approach == "late_loop":
-                    pool = [i for i in self.petal_ids.get(qc, []) if i in rel and i != qf]
-                    prefix += sorted(pool, key=lambda i: (direction * self.off[i], i))
-            dedup_prefix = []
-            used = set()
-            for i in prefix:
-                if i not in used:
-                    used.add(i)
-                    dedup_prefix.append(i)
-            key = (tuple(dedup_prefix), q, qf)
-            if key in seen:
-                continue
-            seen.add(key)
-            rest = frozenset(ids - used - {q} - set(pin))
-            tail = self._cleanup(q, rest, end_key)
-            if pin and pin[0] == q:
-                out.append(tuple(dedup_prefix + tail + pin))
-            else:
-                out.append(tuple(dedup_prefix + [q] + tail + pin))
+                tree_part = _emit(idx, order, loop_pool)
+            elif chosen:
+                _, order = idx.path_cover(0, set(chosen), CLOSED)
+                tree_part = _emit(idx, order, loop_pool)
+            prefix = list(dict.fromkeys(loop_prefix + tree_part + petal_part))
+            out.append(self._dominator(prefix, q, qf))
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -165,9 +165,10 @@ class Tree:
     """
 
     edges: list[tuple[int, int, float]]
-    _parent: dict = field(default_factory=dict, repr=False)
-    _children: dict = field(default_factory=dict, repr=False)
-    _depth: dict = field(default_factory=dict, repr=False)
+    # caches filled from ``edges``; equality and repr ignore them
+    _parent: dict = field(init=False, repr=False, compare=False)
+    _children: dict = field(init=False, repr=False, compare=False)
+    _depth: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._parent = {}  # child -> (parent, edge_idx, length)
@@ -557,8 +558,10 @@ class General:
         return self.canon((aa, bb, self.matrix[aa][bb] - t))
 
     def validate(self) -> list[str]:
-        errs = []
         m, n = self.matrix, self.n
+        if any(len(row) != n for row in m):
+            return [f"matrix must be square: {n} rows of lengths {[len(row) for row in m]}"]
+        errs = []
         for i in range(n):
             if not _close(m[i][i], 0.0):
                 errs.append(f"diagonal entry {i} is nonzero")
@@ -607,24 +610,37 @@ def _check_traveled(space, a, b, t: float) -> float:
     return d
 
 
+def json_field(obj, key: str, what: str, decode=lambda v: v):
+    """``decode(obj[key])`` for a decoded JSON object ``obj``.  A missing
+    field, or one that ``decode`` rejects, raises SpaceError naming it."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise SpaceError(f"{what}: missing field {key!r}")
+    try:
+        return decode(obj[key])
+    except (TypeError, ValueError) as exc:
+        raise SpaceError(f"{what}: malformed field {key!r}: {exc}") from None
+
+
 def space_from_json(obj: dict) -> Space:
-    kind = obj.get("kind")
+    """Decode a space.  An unknown kind, or a field that is missing or
+    malformed, raises SpaceError naming it."""
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    what = f"{kind} space"
     if kind == "line":
         return Line()
     if kind == "euclid2d":
         return Euclid2D()
     if kind == "ring":
-        return Ring(float(obj["circumference"]))
+        return Ring(json_field(obj, "circumference", what, float))
     if kind == "tree":
-        edges = [
-            (int(u), int(v), math.inf if ln is None else float(ln))
-            for u, v, ln in obj["edges"]
-        ]
-        return Tree(edges)
+        return Tree(json_field(obj, "edges", what, lambda edges: [
+            (int(u), int(v), math.inf if ln is None else float(ln)) for u, v, ln in edges]))
     if kind == "flower":
-        return Flower(tuple(float(p) for p in obj["petals"]), float(obj.get("stem", 0.0)))
+        return Flower(json_field(obj, "petals", what, lambda petals: tuple(float(p) for p in petals)),
+                      json_field(obj, "stem", what, float) if "stem" in obj else 0.0)
     if kind == "general":
-        return General([[float(v) for v in row] for row in obj["matrix"]], obj.get("sites"))
+        return General(json_field(obj, "matrix", what, lambda m: [[float(v) for v in row] for row in m]),
+                       obj.get("sites"))
     raise SpaceError(f"unknown space kind {kind!r}")
 
 
@@ -642,23 +658,27 @@ def point_to_json(space: Space, p) -> Any:
     raise SpaceError("unknown space")
 
 
-def point_from_json(space: Space, obj) -> Any:
-    """Decode a point.  One outside the space comes back as decoded, not
-    snapped onto the space, so that a containment check still rejects it."""
-    if isinstance(space, (Line, Ring)):
-        return float(obj)
-    if isinstance(space, Euclid2D):
-        return (float(obj[0]), float(obj[1]))
-    if isinstance(space, Tree):
-        p = (int(obj[0]), float(obj[1]))
-    elif isinstance(space, Flower):
-        p = (obj[0] if obj[0] == "stem" else int(obj[0]), float(obj[1]))
-    elif isinstance(space, General):
-        if isinstance(obj, int):
-            return obj
-        p = (int(obj[0]), int(obj[1]), float(obj[2]))
-    else:
-        raise SpaceError("unknown space")
+def point_from_json(space: Space, obj, what: str = "point") -> Any:
+    """Decode a point.  A malformed one raises SpaceError naming ``what``.
+    One outside the space comes back as decoded, not snapped onto the
+    space, so that a containment check still rejects it."""
+    try:
+        if isinstance(space, (Line, Ring)):
+            return float(obj)
+        if isinstance(space, Euclid2D):
+            return (float(obj[0]), float(obj[1]))
+        if isinstance(space, Tree):
+            p = (int(obj[0]), float(obj[1]))
+        elif isinstance(space, Flower):
+            p = (obj[0] if obj[0] == "stem" else int(obj[0]), float(obj[1]))
+        elif isinstance(space, General):
+            if isinstance(obj, int):
+                return obj
+            p = (int(obj[0]), int(obj[1]), float(obj[2]))
+        else:
+            raise SpaceError("unknown space")
+    except (TypeError, ValueError, IndexError):
+        raise SpaceError(f"{what}: {obj!r} is not a {type(space).__name__} point") from None
     return space.canon(p) if space.contains(p) else p
 
 

@@ -353,13 +353,31 @@ def _probe(space, x, t=1.0, pred=None):
                  "circumference", id="ring-infinite-circumference"),
     pytest.param(_probe({"kind": "flower", "petals": [math.inf]}, [0, 0.5]), SpaceError,
                  "petal 0", id="flower-infinite-petal"),
+    pytest.param(_probe({"kind": "ring"}, 0.5), SpaceError,
+                 "ring space: missing field 'circumference'", id="ring-missing-circumference"),
+    pytest.param(_probe(_TREE, 0.5), SpaceError,
+                 "request 0: location: 0.5 is not a Tree point", id="tree-point-not-a-pair"),
+    pytest.param({"space": {"kind": "line"}, "predictions": []}, SpaceError,
+                 "instance: missing field 'requests'", id="missing-requests"),
+    pytest.param(_probe({"kind": "general", "matrix": [[0, 1], [1]]}, 1), SpaceError,
+                 "matrix must be square", id="general-ragged-matrix"),
+    pytest.param(_probe(_GEN2, 1.0, pred=1), SpaceError,
+                 "request 0: location: 1.0 is not a General point", id="general-float-site"),
 ])
-def test_invalid_input_rejected_at_the_boundary(obj, error, match, tmp_path):
+def test_invalid_input_rejected_at_the_boundary(obj, error, match, tmp_path, capsys):
     with pytest.raises(error, match=match):
         Instance.from_json(obj)
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(obj))
-    assert cli_main(["run", str(path)]) != 0
+    assert cli_main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_validate_unknown_kind_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"kind": "blob"}))
+    assert cli_main(["validate", str(path)]) == 2
+    assert "unknown space kind 'blob'" in capsys.readouterr().err
 
 
 def test_float_tree_edge_index_rejected():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -336,6 +337,100 @@ _OPEN_FLOWER_GAP = {
 def test_open_flower_domination_gap():
     inst = Instance.from_json(_OPEN_FLOWER_GAP)
     _check_domination(inst, list(itertools.permutations(range(inst.n))))
+
+
+# -- pinned batches ----------------------------------------------------------
+
+_GRID_TREE = Tree([(0, 1, 1.0), (1, 2, 1.0), (1, 3, 1.0), (0, 4, 1.0)])
+_GRID_FLOWER = Flower((2.0, 2.0), 1.0)
+
+
+def _pin_space(family, rng):
+    if family == "line":
+        return Line()
+    if family == "ring":
+        return Ring(rng.choice([1.0, 2.0, 3.0]))
+    if family == "tree":
+        return Tree([(rng.randrange(child), child, rng.choice([0.5, 1.0, 1.5]))
+                     for child in range(1, rng.randint(2, 5))])
+    return Flower(tuple(rng.choice([1.0, 2.0]) for _ in range(rng.randint(1, 2))),
+                  rng.choice([0.0, 1.0]))
+
+
+def _pin_point(space, rng):
+    if isinstance(space, Line):
+        return round(rng.uniform(-2, 2), 3)
+    if isinstance(space, Ring):
+        return round(rng.uniform(0, space.circumference), 3)
+    if isinstance(space, Tree):
+        ei = rng.randrange(len(space.edges))
+        return space.canon((ei, round(rng.uniform(0, space.edges[ei][2]), 3)))
+    c = rng.choice(list(range(len(space.petals))) + (["stem"] if space.stem > 0 else []))
+    ln = space.stem if c == "stem" else space.petals[c]
+    return space.canon((c, round(rng.uniform(0, ln), 3)))
+
+
+def _grid_point(space, rng):
+    # on the grid spaces: ties in position, depth, antipode and petal middle
+    if isinstance(space, Line):
+        return rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0])
+    if isinstance(space, Ring):
+        return rng.choice([0.0, 0.5, 1.0, 1.5])
+    if isinstance(space, Tree):
+        return space.canon((rng.randrange(len(space.edges)), rng.choice([0.5, 1.0])))
+    c = rng.choice([0, 1, "stem"])
+    return space.canon((c, rng.choice([0.5, 1.0]) if c == "stem" else rng.choice([0.5, 1.0, 1.5])))
+
+
+def _pin_pool(family, variant, count=40, n_max=6):
+    """``count`` seeded random instances (30% of them with a duplicated
+    prediction), then ``count`` tie-heavy ones on a fixed grid space, as
+    (space, predictions, release times)."""
+    rng = random.Random(f"{family}/{variant}")
+    for _ in range(count):
+        space = _pin_space(family, rng)
+        n = rng.randint(1, n_max)
+        locs = [_pin_point(space, rng) for _ in range(n)]
+        if rng.random() < 0.3:
+            locs[rng.randrange(n)] = rng.choice(locs)
+        yield space, locs, [round(rng.uniform(0, 2), 3) for _ in range(n)]
+    space = {"line": Line(), "ring": Ring(2.0), "tree": _GRID_TREE, "flower": _GRID_FLOWER}[family]
+    for _ in range(count):
+        n = rng.randint(1, n_max)
+        yield (space, [_grid_point(space, rng) for _ in range(n)],
+               [rng.choice([0.0, 0.5, 1.0, 1.5]) for _ in range(n)])
+
+
+def _batches_digest(family, variant):
+    texts = []
+    for space, locs, rels in _pin_pool(family, variant):
+        oracle = make_oracle(space, locs, variant)
+        for t in sorted({0.0, *rels}):
+            oracle.step(t, [i for i, r in enumerate(rels) if r <= t])
+        texts.append(oracle.dump_batches())
+    return hashlib.sha256("\n\n".join(texts).encode()).hexdigest()
+
+
+_BATCH_DIGESTS = {
+    ("line", "closed"): "e50e7984779dbb774180ff089edcda01d3ed011f864d044f7ccdc0ea41bfed92",
+    ("line", "open"): "0b27d965e40dbbeed4eb35509a478d1705d795d53cddc5264c1f441f289a0a37",
+    ("tree", "closed"): "f874946446b2aa49c5bad81caa04a94877b6fe0a03e2b04fca4c9a6333be4e83",
+    ("tree", "open"): "6f75eeadd123def2a7c5981d469a52d14ea5230031e598adad7db71c7da5fc8e",
+    ("ring", "closed"): "b491c2a5915d186d79dab095cd40cdc751441f242e1d0f00ab6f4abcc6df79fb",
+    ("ring", "open"): "d433a8a57fc174dc716439f426ce23e99325bd71278145a2a564f24282d22f59",
+    ("flower", "closed"): "9fc34e3f27ecea212d66809df2b9800196048feb713b723ea25c62262b3b2382",
+    ("flower", "open"): "01a5610f10da0e5f94ce6c03222a0b00a6c99fa418646ddbc1a04f52259e4c5f",
+}
+
+
+@pytest.mark.parametrize("family, variant", list(_BATCH_DIGESTS))
+def test_batches_unchanged(family, variant):
+    """Every batch of the structured oracles, stepped at each release time
+    of a seeded random pool and a tie-heavy grid pool, is pinned by one
+    sha256 per family and variant.  Only a change meant to alter batches
+    (a new dominator, such as a fix for the open-flower gap above) may
+    update a digest, and it must say so in CHANGES.md."""
+    assert _batches_digest(family, variant) == _BATCH_DIGESTS[family, variant]
 
 
 # -- protocol ----------------------------------------------------------------

@@ -27,6 +27,14 @@ TOL = 1e-9
 KINDS = ["line", "euclid2d", "ring", "tree", "flower", "general"]
 
 
+def test_tree_equality_ignores_caches():
+    edges = [(0, 1, 1.0), (1, 2, 2.0)]
+    a, b = Tree(edges), Tree(edges)
+    assert a.distance((1, 2.0), (0, 0.5)) == pytest.approx(2.5)  # fills a's depth cache
+    assert a == b and repr(a) == repr(b)
+    assert a != Tree([(0, 1, 1.0), (1, 2, 3.0)])
+
+
 def test_ring_shorter_arc():
     r = Ring(1.0)
     assert abs(r.distance(0.2, 0.9) - 0.3) < TOL
