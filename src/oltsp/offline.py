@@ -13,7 +13,10 @@ import math
 import struct
 from array import array
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Any
+
+import numpy as np
 
 from .spaces import Flower, Line, Ring, Space, Tree, trim_tree
 from .tolerance import TIE
@@ -22,7 +25,7 @@ FREE = "free"
 CLOSED = "closed"
 
 HELD_KARP_CAP = 16  # a cost-to-go table holds m * 2^m doubles: 8 MB at the cap
-OPT_CAP = 14  # two tables of n * 2^n doubles: 3.7 MB at the cap
+OPT_CAP = 14  # a table of n * 2^n doubles is 1.8 MB at the cap
 
 
 class SizeCapExceeded(ValueError):
@@ -139,6 +142,21 @@ def held_karp(query: PathQuery) -> OptResult:
 # Segment (line interval) cover
 # ---------------------------------------------------------------------------
 
+def _segment_cost(s: float, m: float, M: float, end) -> tuple[float, bool]:
+    """Length of the optimal covering walk on a line from ``s`` over the
+    interval [m, M] (which holds ``s`` and a fixed ``end``), and whether it
+    sweeps left first.  ``end`` is a coordinate, FREE, or CLOSED."""
+    if end == CLOSED:
+        return 2 * (M - m), True
+    if end == FREE:
+        a = (s - m) + (M - m)   # sweep left, end right
+        b = (M - s) + (M - m)   # sweep right, end left
+    else:
+        a = (s - m) + (M - m) + (M - end)
+        b = (M - s) + (M - m) + (end - m)
+    return (a, True) if a <= b else (b, False)
+
+
 def segment_cover(s: float, req: list[tuple[float, Any]], end) -> tuple[float, list]:
     """Optimal covering walk on a line from ``s`` over ``req`` positions.
 
@@ -150,27 +168,14 @@ def segment_cover(s: float, req: list[tuple[float, Any]], end) -> tuple[float, l
     ext = [p for p, _ in req] + [s]
     if end not in (FREE, CLOSED):
         ext.append(end)
-    m, M = min(ext), max(ext)
-
-    def left_first():
+    cost, left = _segment_cost(s, min(ext), max(ext), end)
+    if left:
         lo = sorted((p, k) for p, k in req if p <= s)[::-1]
         hi = sorted((p, k) for p, k in req if p > s)
-        return [k for _, k in lo] + [k for _, k in hi]
-
-    def right_first():
-        hi = sorted((p, k) for p, k in req if p >= s)
-        lo = sorted((p, k) for p, k in req if p < s)[::-1]
-        return [k for _, k in hi] + [k for _, k in lo]
-
-    if end == CLOSED:
-        return 2 * (M - m), left_first()
-    if end == FREE:
-        a = (s - m) + (M - m)   # sweep left, end right
-        b = (M - s) + (M - m)   # sweep right, end left
-        return (a, left_first()) if a <= b else (b, right_first())
-    a = (s - m) + (M - m) + (M - end)
-    b = (M - s) + (M - m) + (end - m)
-    return (a, left_first()) if a <= b else (b, right_first())
+        return cost, [k for _, k in lo] + [k for _, k in hi]
+    hi = sorted((p, k) for p, k in req if p >= s)
+    lo = sorted((p, k) for p, k in req if p < s)[::-1]
+    return cost, [k for _, k in hi] + [k for _, k in lo]
 
 
 # ---------------------------------------------------------------------------
@@ -178,40 +183,39 @@ def segment_cover(s: float, req: list[tuple[float, Any]], end) -> tuple[float, l
 # ---------------------------------------------------------------------------
 
 def ring_cover(C: float, s: float, req: list[tuple[float, Any]], end) -> tuple[float, list]:
-    """Optimal covering walk on a circle of circumference ``C``."""
+    """Optimal covering walk on a circle of circumference ``C``: the circle
+    cut inside one gap between consecutive relevant positions and walked as
+    a segment, or a full loop.  Each cut is priced without building its
+    order; the first cheapest wins, and the loop only when strictly
+    cheaper."""
     s = s % C
     req = [(p % C, k) for p, k in req]
     fixed = end not in (FREE, CLOSED)
     e = end % C if fixed else None
 
     relevant = sorted({p for p, _ in req} | {s} | ({e} if fixed else set()))
-    candidates: list[tuple[float, list]] = []
-
-    # cut the circle inside each gap between consecutive relevant positions
+    best_cost, best_cut = math.inf, None
     for i in range(len(relevant)):
         nxt = relevant[(i + 1) % len(relevant)]
         gap = (nxt - relevant[i]) % C
         if len(relevant) > 1 and gap <= TIE:
             continue
         cut = (relevant[i] + gap / 2.0) % C if len(relevant) > 1 else (relevant[0] + C / 2) % C
+        pos = [(p - cut) % C for p in relevant]
+        seg_end = (e - cut) % C if fixed else end
+        cost, _ = _segment_cost((s - cut) % C, min(pos), max(pos), seg_end)
+        if cost < best_cost:
+            best_cost, best_cut = cost, cut
 
-        def unroll(p):
-            return (p - cut) % C
-
-        seg_end = CLOSED if end == CLOSED else (FREE if end == FREE else unroll(e))
-        cost, order = segment_cover(unroll(s), [(unroll(p), k) for p, k in req], seg_end)
-        candidates.append((cost, order))
-
-    # wrap: a full loop (plus the hop to a fixed end)
-    loop_order = [k for _, k in sorted(req, key=lambda r: ((r[0] - s) % C, str(r[1])))]
-    if end == CLOSED or end == FREE:
-        candidates.append((C, loop_order))
-    else:
+    loop = C
+    if fixed:
         arc = abs(s - e)
-        candidates.append((C + min(arc, C - arc), loop_order))
-
-    candidates.sort(key=lambda c: c[0])
-    return candidates[0]
+        loop += min(arc, C - arc)
+    if best_cut is not None and best_cost <= loop:
+        cut = best_cut
+        seg_end = (e - cut) % C if fixed else end
+        return segment_cover((s - cut) % C, [((p - cut) % C, k) for p, k in req], seg_end)
+    return loop, [k for _, k in sorted(req, key=lambda r: ((r[0] - s) % C, str(r[1])))]
 
 
 # ---------------------------------------------------------------------------
@@ -608,22 +612,56 @@ def _latest(c: float, d: float) -> float:
     return _key_float(lo_k)
 
 
+@lru_cache(maxsize=None)
+def _layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Index tables of the forward DP over ``n`` requests, one per popcount
+    k = 2..n: the sets ``S`` with k members, ascending; ``js[s]``, the k
+    members of ``S[s]``, ascending; and ``prev[s, c] = S[s] ^ (1 << js[s, c])``.
+    Read-only, as every call shares them; at most ``OPT_CAP`` sizes are
+    cached, about 4 MB in all."""
+    sets = np.arange(1 << n)
+    member = ((sets[:, None] >> np.arange(n)) & 1) == 1
+    size = member.sum(axis=1)
+    out = []
+    for k in range(2, n + 1):
+        S = sets[size == k]
+        js = np.nonzero(member[S])[1].reshape(len(S), k)
+        tables = (S, js, S[:, None] ^ (1 << js))
+        for t in tables:
+            t.flags.writeable = False
+        out.append(tables)
+    return tuple(out)
+
+
+class _LazyOptResult(OptResult):
+    """An optimum whose serving order is found the first time it is read."""
+
+    def __init__(self, length: float, D: list[list[float]], rel: list[float], closed: bool):
+        self.length = length
+        self._problem = (D, rel, closed)
+
+    @cached_property
+    def order(self) -> list[int]:
+        return _serving_order(*self._problem, self.length)
+
+
 def opt_bruteforce(instance) -> OptResult:
     """Exact optimum over all serving orders (with release times).
 
     A subset DP over release dates (Held & Karp 1962; Psaraftis et al.
-    1990) in O(2^n n^2) time and 2 n 2^n doubles, up to ``OPT_CAP``
-    requests.  It keeps the name of the n! enumeration it replaced, which
-    callers and the benchmark's tracer use.
+    1990) in O(2^n n^2) time and n 2^n doubles per table, up to
+    ``OPT_CAP`` requests.  It keeps the name of the n! enumeration it
+    replaced, which callers and the benchmark's tracer use.
 
     The result is, bit for bit, the enumeration's: the value of the best
     order evaluated leg by leg as :func:`eval_serving_order` does, and the
     lexicographically smallest order that attains it.  ``max(t + d, r)`` is
     monotone in ``t`` in float arithmetic, so the earliest time at the
-    last request of each served set is the minimum over those orders; a
-    backward table of the latest time from which the rest still finishes
-    by the optimum lets a greedy pass take the smallest feasible next
-    request.  No tolerance decides anything.
+    last request of each served set is the minimum over those orders.  The
+    forward table of those times gives the value, one popcount layer per
+    numpy step with the same float ``+``, ``min`` and ``max`` as a loop;
+    the order is found by :func:`_serving_order` when ``.order`` is first
+    read.  No tolerance decides anything.
     """
     n = len(instance.requests)
     if n > OPT_CAP:
@@ -633,32 +671,37 @@ def opt_bruteforce(instance) -> OptResult:
     D = _build_matrix(instance.space, [instance.origin] + [r.location for r in instance.requests])
     rel = [r.release for r in instance.requests]
     closed = instance.variant == "closed"
+    Dn = np.array(D)
+    legs = Dn[1:, 1:]  # legs[j, i]: request j to request i
+    relv = np.array(rel)
+
+    # f[S, j]: earliest time at request j having served the set S; inf
+    # where j is not in S.  np.maximum(a, r) returns r when a == r, as
+    # ``a if a > r else r`` does, so the sign of a zero ``a`` never counts.
+    f = np.full((1 << n, n), np.inf)
+    ids = np.arange(n)
+    f[1 << ids, ids] = np.maximum(Dn[0, 1:], relv)
+    for S, js, prev in _layers(n):
+        a = (f[prev] + legs[js]).min(axis=2)
+        f[S[:, None], js] = np.maximum(a, relv[js])
+    # Python's min keeps the first of equal values, 0.0 or -0.0, as a loop does
+    last = f[-1] + Dn[1:, 0] if closed else f[-1]
+    return _LazyOptResult(min(last.tolist()), D, rel, closed)
+
+
+def _serving_order(D: list[list[float]], rel: list[float], closed: bool, opt: float) -> list[int]:
+    """The lexicographically smallest order that finishes by ``opt``, the
+    optimum over matrix ``D`` (row 0 the origin) and releases ``rel``.
+
+    A backward table of the latest time from which the rest still finishes
+    by ``opt`` lets a greedy pass take the smallest feasible next request.
+    """
+    n = len(rel)
     full = (1 << n) - 1
     # legs[i][j]: request i to request j; _build_matrix fills both
     # triangles from one distance call, so legs[i][j] == legs[j][i]
     legs = [row[1:] for row in D[1:]]
     members = [[k for k in range(n) if S >> k & 1] for S in range(full + 1)]
-
-    # f[S * n + j]: earliest time at request j having served the set S
-    f = array("d", [0.0]) * (n << n)
-    for j in range(n):
-        a = D[0][j + 1]
-        f[(n << j) + j] = a if a > rel[j] else rel[j]
-    for S in range(3, full + 1):
-        ks = members[S]
-        if len(ks) < 2:
-            continue
-        base = S * n
-        for j in ks:
-            prev = (S ^ (1 << j)) * n
-            col = legs[j]
-            a = min([f[prev + i] + col[i] for i in ks if i != j])
-            f[base + j] = a if a > rel[j] else rel[j]
-    last = full * n
-    if closed:
-        opt = min([f[last + j] + D[j + 1][0] for j in range(n)])
-    else:
-        opt = min(f[last:last + n])
 
     # tau[R * n + j]: latest time at request j, with the set R still to
     # serve, from which the server still finishes by ``opt``
@@ -701,7 +744,7 @@ def opt_bruteforce(instance) -> OptResult:
         t = a
         R ^= 1 << k
         row = legs[k]
-    return OptResult(opt, order)
+    return order
 
 
 def shortest_serving_path_length(instance) -> float:

@@ -4,16 +4,22 @@ These are verification aids: enumerate the structured orders that are
 guaranteed to contain an optimum for every release-time assignment, so
 tests can check that the oracles dominate exactly the right families.
 ``opt_by_enumeration`` is the exact optimum by evaluating every order,
-the reference for ``offline.opt_bruteforce``.
+the reference for ``offline.opt_bruteforce``; ``opt_value_by_loop`` is its
+value by the forward subset DP in pure Python, the reference above the
+enumeration's reach; ``ring_cover_all_cuts`` builds the walk of every cut,
+the reference for ``offline.ring_cover``.
 """
 from __future__ import annotations
 
 import itertools
+from array import array
+from typing import Any
 
 import numpy as np
 
-from oltsp.offline import OptResult, _build_matrix
+from oltsp.offline import CLOSED, FREE, OptResult, _build_matrix, segment_cover
 from oltsp.spaces import Flower, Ring, Space
+from oltsp.tolerance import TIE
 
 
 def _precedence(space, locations, root_loc=None):
@@ -202,3 +208,79 @@ def opt_by_enumeration(instance):
         t = t + D[prev, 0]
     best = int(np.argmin(t))  # permutations enumerate in lex order: first min is lex-smallest
     return OptResult(float(t[best]), [int(x) for x in P[best]])
+
+
+def opt_value_by_loop(instance) -> float:
+    """Value of ``offline.opt_bruteforce`` by the forward subset DP, one
+    set and one last request at a time in pure Python."""
+    n = len(instance.requests)
+    if n == 0:
+        return 0.0
+    D = _build_matrix(instance.space, [instance.origin] + [r.location for r in instance.requests])
+    rel = [r.release for r in instance.requests]
+    closed = instance.variant == "closed"
+    full = (1 << n) - 1
+    # legs[i][j]: request i to request j; _build_matrix fills both
+    # triangles from one distance call, so legs[i][j] == legs[j][i]
+    legs = [row[1:] for row in D[1:]]
+    members = [[k for k in range(n) if S >> k & 1] for S in range(full + 1)]
+
+    # f[S * n + j]: earliest time at request j having served the set S
+    f = array("d", [0.0]) * (n << n)
+    for j in range(n):
+        a = D[0][j + 1]
+        f[(n << j) + j] = a if a > rel[j] else rel[j]
+    for S in range(3, full + 1):
+        ks = members[S]
+        if len(ks) < 2:
+            continue
+        base = S * n
+        for j in ks:
+            prev = (S ^ (1 << j)) * n
+            col = legs[j]
+            a = min([f[prev + i] + col[i] for i in ks if i != j])
+            f[base + j] = a if a > rel[j] else rel[j]
+    last = full * n
+    if closed:
+        opt = min([f[last + j] + D[j + 1][0] for j in range(n)])
+    else:
+        opt = min(f[last:last + n])
+    return opt
+
+
+def ring_cover_all_cuts(C: float, s: float, req: list[tuple[float, Any]], end) -> tuple[float, list]:
+    """``offline.ring_cover`` by building the walk of every cut and the full
+    loop, then taking the first cheapest."""
+    s = s % C
+    req = [(p % C, k) for p, k in req]
+    fixed = end not in (FREE, CLOSED)
+    e = end % C if fixed else None
+
+    relevant = sorted({p for p, _ in req} | {s} | ({e} if fixed else set()))
+    candidates: list[tuple[float, list]] = []
+
+    # cut the circle inside each gap between consecutive relevant positions
+    for i in range(len(relevant)):
+        nxt = relevant[(i + 1) % len(relevant)]
+        gap = (nxt - relevant[i]) % C
+        if len(relevant) > 1 and gap <= TIE:
+            continue
+        cut = (relevant[i] + gap / 2.0) % C if len(relevant) > 1 else (relevant[0] + C / 2) % C
+
+        def unroll(p):
+            return (p - cut) % C
+
+        seg_end = CLOSED if end == CLOSED else (FREE if end == FREE else unroll(e))
+        cost, order = segment_cover(unroll(s), [(unroll(p), k) for p, k in req], seg_end)
+        candidates.append((cost, order))
+
+    # wrap: a full loop (plus the hop to a fixed end)
+    loop_order = [k for _, k in sorted(req, key=lambda r: ((r[0] - s) % C, str(r[1])))]
+    if end == CLOSED or end == FREE:
+        candidates.append((C, loop_order))
+    else:
+        arc = abs(s - e)
+        candidates.append((C + min(arc, C - arc), loop_order))
+
+    candidates.sort(key=lambda c: c[0])
+    return candidates[0]

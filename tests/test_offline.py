@@ -1,10 +1,15 @@
 import itertools
+import json
 import math
 import random
 
 import pytest
 
+from oltsp import offline
+from oltsp.cli import main as cli_main
 from oltsp.core import Instance, Request
+from oltsp.fixtures import run_fixture
+from oltsp.harness import SweepSpec, sweep
 from oltsp.offline import (
     CLOSED,
     FREE,
@@ -17,6 +22,7 @@ from oltsp.offline import (
     flower_tsp,
     held_karp,
     opt_bruteforce,
+    ring_cover,
     ring_tsp,
     shortest_serving_path_length,
     solve_classical,
@@ -28,7 +34,7 @@ from oltsp.spaces import Euclid2D, Flower, Line, Ring, Tree, snip_flower
 from oltsp.tolerance import FEAS
 
 from conftest import random_flower, random_point, random_space, random_tree
-from sensible import opt_by_enumeration
+from sensible import opt_by_enumeration, opt_value_by_loop, ring_cover_all_cuts
 
 TOL = 1e-9
 
@@ -360,6 +366,84 @@ def test_opt_matches_enumeration_bit_for_bit():
     for inst in cases:
         got, want = opt_bruteforce(inst), opt_by_enumeration(inst)
         assert (got.length, got.order) == (want.length, want.order)
+
+
+def test_opt_matches_loop_dp_bit_for_bit():
+    """Above the enumeration's reach, the numpy layers give the pure-Python
+    forward loop's value to the last bit, on random instances of five
+    families and on tie-heavy line and ring grids."""
+    rng = random.Random(31)
+    for n in range(10, OPT_CAP + 1):
+        cases = []
+        for k, kind in enumerate(("line", "tree", "ring", "flower", "general")):
+            sp = random_space(kind, rng, n)
+            reqs = [Request(i, random_point(sp, rng), round(rng.uniform(0, 3), rng.choice([1, 6])))
+                    for i in range(n)]
+            cases.append(Instance(sp, reqs, [r.location for r in reqs], ("open", "closed")[(n + k) % 2]))
+        for sp in (Line(), Ring(1.0)):
+            for variant in ("open", "closed"):
+                reqs = [Request(i, rng.choice(GRID_POSITIONS), rng.choice(GRID_RELEASES))
+                        for i in range(n)]
+                cases.append(Instance(sp, reqs, [r.location for r in reqs], variant))
+        for inst in cases:
+            assert float.hex(opt_bruteforce(inst).length) == float.hex(opt_value_by_loop(inst))
+
+
+def test_opt_order_is_built_only_when_read(monkeypatch, tmp_path, capsys):
+    """Callers that read only ``.length`` never run the backward pass, and
+    reading ``.order`` runs it once."""
+    real = offline._serving_order
+
+    def refuse(*args):
+        raise AssertionError("the serving order was built")
+
+    monkeypatch.setattr(offline, "_serving_order", refuse)
+    rows, violations, skipped = sweep(SweepSpec(space="line", count=1, n=9, seed=4, eta=[0.0]))
+    assert len(rows) == 1 and violations == [] and skipped == []
+    rng = random.Random(5)
+    reqs = [Request(i, random_point(Line(), rng), round(rng.uniform(0, 3), 3)) for i in range(9)]
+    inst = Instance(Line(), reqs, [r.location for r in reqs], "closed")
+    path = tmp_path / "n9.json"
+    path.write_text(json.dumps(inst.to_json()))
+    assert cli_main(["run", str(path)]) == 0
+    assert "opt: " in capsys.readouterr().out
+    assert run_fixture("remark_2_5_closed_line").passed
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(offline, "_serving_order", counted)
+    res = opt_bruteforce(inst)
+    assert calls == []
+    first, second = res.order, res.order
+    assert len(calls) == 1 and first is second
+    assert first == opt_by_enumeration(inst).order
+
+
+RING_GRID = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75]
+
+
+def test_ring_cover_matches_all_cuts():
+    """Pricing the cuts without building their walks picks the same walk as
+    building every cut: equal cost and order, random and grid-tie inputs,
+    closed, free and fixed ends."""
+    rng = random.Random(17)
+    cases = [(1.0, 0.3, [], 0.8), (2.0, 0.0, [], 1.0), (1.0, 0.5, [], CLOSED), (1.0, 0.5, [], FREE)]
+    for _ in range(1500):
+        if rng.random() < 0.5:
+            C = round(rng.uniform(0.5, 2.0), 6)
+            pick = lambda: round(rng.uniform(-0.5, C + 0.5), rng.choice([2, 6]))  # noqa: E731
+        else:
+            C = rng.choice([1.0, 2.0])
+            pick = lambda: rng.choice(RING_GRID)  # noqa: E731
+        req = [(pick(), i) for i in range(rng.randint(0, 12))]
+        end = rng.choice([CLOSED, FREE, pick()])
+        cases.append((C, pick(), req, end))
+    for C, s, req, end in cases:
+        assert ring_cover(C, s, req, end) == ring_cover_all_cuts(C, s, req, end), (C, s, req, end)
 
 
 def test_opt_above_the_old_factorial_cap():
