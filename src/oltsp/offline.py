@@ -24,7 +24,10 @@ from .tolerance import TIE
 FREE = "free"
 CLOSED = "closed"
 
-HELD_KARP_CAP = 16  # a cost-to-go table holds m * 2^m doubles: 8 MB at the cap
+# At the cap a cost-to-go table keeps m 2^m doubles and as many next-hop
+# bytes (9 MB); filling it peaks at 37 MB above the shared index tables,
+# 13 MB of that the middle layer's candidates (C(16, 8) 8 m doubles).
+HELD_KARP_CAP = 16
 OPT_CAP = 14  # a table of n * 2^n doubles is 1.8 MB at the cap
 
 
@@ -65,61 +68,88 @@ class PathTable:
     """Held & Karp's cost-to-go over matrix ``D``: walks that visit a set of
     ``targets`` (matrix rows) and then stop at ``end`` (a row, or FREE).
 
-    ``T[S * m + j]`` is the cheapest cost from row ``targets[j]`` that visits
-    every target in the bitmask ``S`` (over positions in ``targets``) and
-    then stops; entries with ``j`` in ``S`` are unused.
+    ``T[(j << m) | S]`` is the cheapest cost from row ``targets[j]`` that
+    visits every target in the bitmask ``S`` (over positions in
+    ``targets``) and then stops, and ``nxt[(j << m) | S]`` is the first
+    target of the lexicographically smallest such walk; entries with ``j``
+    in ``S`` are unused.
     """
 
     D: list[list[float]]
     targets: tuple[int, ...]
     end: Any  # a matrix row, or FREE
-    T: array
+    T: array  # 'd'
+    nxt: array  # 'B'
 
     def walk(self, start: int, remaining: int) -> tuple[float, list[int]]:
         """Cost from row ``start`` over the targets in ``remaining`` and the
         lexicographically smallest optimal visiting order, as positions in
-        ``targets``."""
-        D, targets, T = self.D, self.targets, self.T
+        ``targets``.
+
+        Each step takes the first target whose candidate cost is within
+        ``TIE`` of the best.  From a target outside ``remaining`` the table
+        holds the cost and every step; from any other row the first step is
+        priced here, over the same candidates in the same order."""
+        targets, T, nxt = self.targets, self.T, self.nxt
         m = len(targets)
-        if not remaining:
-            return (0.0 if self.end == FREE else D[start][self.end]), []
-        cost = None
-        order = []
-        row = D[start]
-        while remaining:
+        j = targets.index(start) if start in targets else -1
+        if j < 0 or remaining >> j & 1:
+            if not remaining:
+                return (0.0 if self.end == FREE else self.D[start][self.end]), []
+            row = self.D[start]
             cands = [
-                (j, row[targets[j]] + T[(remaining ^ (1 << j)) * m + j])
-                for j in range(m) if remaining >> j & 1
+                (c, row[targets[c]] + T[(c << m) | (remaining ^ (1 << c))])
+                for c in range(m) if remaining >> c & 1
             ]
-            want = min(c for _, c in cands)
-            if cost is None:
-                cost = want
-            j = next(j for j, c in cands if c <= want + TIE)
+            cost = min(v for _, v in cands)
+            j = next(c for c, v in cands if v <= cost + TIE)
+            order = [j]
+            remaining ^= 1 << j
+        else:
+            cost = T[(j << m) | remaining]
+            order = []
+        while remaining:
+            j = nxt[(j << m) | remaining]
             order.append(j)
             remaining ^= 1 << j
-            row = D[targets[j]]
         return cost, order
 
 
 def exact_path(D, targets: tuple[int, ...], end) -> PathTable:
-    """Fill the cost-to-go table of walks over ``targets`` ending at ``end``
-    (a matrix row, or FREE), bottom-up over the remaining-target mask."""
+    """Fill the cost-to-go and next-hop tables of walks over ``targets``
+    ending at ``end`` (a matrix row, or FREE), one popcount layer of the
+    remaining-target mask per numpy step.
+
+    The values are, bit for bit, those of a loop that takes, for each set
+    and each target outside it, the float ``min`` over its members in
+    ascending order of ``D[from][to] + T[rest]``: the same sums, and a
+    ``min`` whose choice among equal values cannot show while ``D`` holds
+    no -0.0, which no space's distance returns.  The next hop is the first
+    member whose sum is within ``TIE`` of that minimum.
+    """
     m = len(targets)
     if m > HELD_KARP_CAP:
         raise SizeCapExceeded(f"{m} targets exceeds bitmask cap {HELD_KARP_CAP}")
     T = array("d", [0.0]) * (m << m)
-    rows = [D[t] for t in targets]
+    nxt = array("B", [0]) * (m << m)
     if end != FREE:
-        for j in range(m):
-            T[j] = rows[j][end]
-    for S in range(1, 1 << m):
-        subs = [(targets[k], (S ^ (1 << k)) * m + k) for k in range(m) if S >> k & 1]
-        base = S * m
-        for j in range(m):
-            if not S >> j & 1:
-                row = rows[j]
-                T[base + j] = min([row[t] + T[i] for t, i in subs])
-    return PathTable(D, targets, end, T)
+        for j, t in enumerate(targets):
+            T[j << m] = D[t][end]
+    if m > 1:  # the layer of the full set fills only unused entries
+        A = np.array([[D[a][b] for b in targets] for a in targets])  # A[j, c]: j to c
+        Tv = np.frombuffer(T).reshape(m, 1 << m)
+        Nv = np.frombuffer(nxt, np.uint8).reshape(m, 1 << m)
+        ids = np.arange(m)
+        Tv[:, 1 << ids] = A + Tv[:, 0]  # a single target c is the only candidate
+        Nv[:, 1 << ids] = ids
+        for S, js, prev in _layers(m)[:-1]:
+            cand = A[:, js]  # cand[j, s, c]: j to js[s, c], then on
+            cand += Tv[js, prev]
+            best = cand.min(axis=2)
+            Tv[:, S] = best
+            first = (cand <= (best + TIE)[:, :, None]).argmax(axis=2)
+            Nv[:, S] = js[np.arange(len(S)), first]
+    return PathTable(D, targets, end, T, nxt)
 
 
 def held_karp(query: PathQuery) -> OptResult:
@@ -614,18 +644,24 @@ def _latest(c: float, d: float) -> float:
 
 @lru_cache(maxsize=None)
 def _layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Index tables of the forward DP over ``n`` requests, one per popcount
-    k = 2..n: the sets ``S`` with k members, ascending; ``js[s]``, the k
-    members of ``S[s]``, ascending; and ``prev[s, c] = S[s] ^ (1 << js[s, c])``.
-    Read-only, as every call shares them; at most ``OPT_CAP`` sizes are
-    cached, about 4 MB in all."""
+    """Index tables of the subset DPs over ``n`` items (the OPT forward
+    table and Held-Karp), one per popcount k = 2..n: the sets ``S`` with k
+    members, ascending; ``js[s]``, the k members of ``S[s]``, ascending; and
+    ``prev[s, c] = S[s] ^ (1 << js[s, c])``.
+
+    Read-only, as every call shares them.  One ``n`` takes 8 (n + 1) 2^n
+    bytes: 1.9 MB at ``OPT_CAP``, 8.5 MB at ``HELD_KARP_CAP`` and 16 MB for
+    every size up to it.  int32 tables would halve that, but numpy converts
+    them to intp on every gather: the m = 9 Held-Karp table took 0.68 ms
+    with them against 0.46 ms."""
     sets = np.arange(1 << n)
     member = ((sets[:, None] >> np.arange(n)) & 1) == 1
     size = member.sum(axis=1)
     out = []
     for k in range(2, n + 1):
         S = sets[size == k]
-        js = np.nonzero(member[S])[1].reshape(len(S), k)
+        # not np.nonzero's column: a view that keeps both of its index arrays
+        js = (np.flatnonzero(member[S]) % n).reshape(len(S), k)
         tables = (S, js, S[:, None] ^ (1 << js))
         for t in tables:
             t.flags.writeable = False

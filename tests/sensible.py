@@ -7,17 +7,28 @@ tests can check that the oracles dominate exactly the right families.
 the reference for ``offline.opt_bruteforce``; ``opt_value_by_loop`` is its
 value by the forward subset DP in pure Python, the reference above the
 enumeration's reach; ``ring_cover_all_cuts`` builds the walk of every cut,
-the reference for ``offline.ring_cover``.
+the reference for ``offline.ring_cover``; ``exact_path_by_loop`` is the
+Held-Karp table in pure Python with a greedy walk that rescans every
+candidate per step, the reference for ``offline.exact_path``.
 """
 from __future__ import annotations
 
 import itertools
 from array import array
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from oltsp.offline import CLOSED, FREE, OptResult, _build_matrix, segment_cover
+from oltsp.offline import (
+    CLOSED,
+    FREE,
+    HELD_KARP_CAP,
+    OptResult,
+    SizeCapExceeded,
+    _build_matrix,
+    segment_cover,
+)
 from oltsp.spaces import Flower, Ring, Space
 from oltsp.tolerance import TIE
 
@@ -284,3 +295,60 @@ def ring_cover_all_cuts(C: float, s: float, req: list[tuple[float, Any]], end) -
 
     candidates.sort(key=lambda c: c[0])
     return candidates[0]
+
+
+@dataclass
+class PathTableByLoop:
+    """``offline.PathTable`` with a walk that picks each step from all of
+    its candidates."""
+
+    D: list[list[float]]
+    targets: tuple[int, ...]
+    end: Any  # a matrix row, or FREE
+    T: array
+
+    def walk(self, start: int, remaining: int) -> tuple[float, list[int]]:
+        """Cost from row ``start`` over the targets in ``remaining`` and the
+        lexicographically smallest optimal visiting order, as positions in
+        ``targets``."""
+        D, targets, T = self.D, self.targets, self.T
+        m = len(targets)
+        if not remaining:
+            return (0.0 if self.end == FREE else D[start][self.end]), []
+        cost = None
+        order = []
+        row = D[start]
+        while remaining:
+            cands = [
+                (j, row[targets[j]] + T[(remaining ^ (1 << j)) * m + j])
+                for j in range(m) if remaining >> j & 1
+            ]
+            want = min(c for _, c in cands)
+            if cost is None:
+                cost = want
+            j = next(j for j, c in cands if c <= want + TIE)
+            order.append(j)
+            remaining ^= 1 << j
+            row = D[targets[j]]
+        return cost, order
+
+
+def exact_path_by_loop(D, targets: tuple[int, ...], end) -> PathTableByLoop:
+    """Fill the cost-to-go table of walks over ``targets`` ending at ``end``
+    (a matrix row, or FREE), bottom-up over the remaining-target mask."""
+    m = len(targets)
+    if m > HELD_KARP_CAP:
+        raise SizeCapExceeded(f"{m} targets exceeds bitmask cap {HELD_KARP_CAP}")
+    T = array("d", [0.0]) * (m << m)
+    rows = [D[t] for t in targets]
+    if end != FREE:
+        for j in range(m):
+            T[j] = rows[j][end]
+    for S in range(1, 1 << m):
+        subs = [(targets[k], (S ^ (1 << k)) * m + k) for k in range(m) if S >> k & 1]
+        base = S * m
+        for j in range(m):
+            if not S >> j & 1:
+                row = rows[j]
+                T[base + j] = min([row[t] + T[i] for t, i in subs])
+    return PathTableByLoop(D, targets, end, T)

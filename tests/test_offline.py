@@ -13,6 +13,7 @@ from oltsp.harness import SweepSpec, sweep
 from oltsp.offline import (
     CLOSED,
     FREE,
+    HELD_KARP_CAP,
     OPT_CAP,
     PathQuery,
     SizeCapExceeded,
@@ -34,7 +35,7 @@ from oltsp.spaces import Euclid2D, Flower, Line, Ring, Tree, snip_flower
 from oltsp.tolerance import FEAS
 
 from conftest import random_flower, random_point, random_space, random_tree
-from sensible import opt_by_enumeration, opt_value_by_loop, ring_cover_all_cuts
+from sensible import exact_path_by_loop, opt_by_enumeration, opt_value_by_loop, ring_cover_all_cuts
 
 TOL = 1e-9
 
@@ -141,9 +142,50 @@ def test_path_table_reads_any_start_and_remaining_set():
 
 
 def test_held_karp_cap():
-    pts = [(float(i), 0.0) for i in range(30)]
+    pts = [(float(i), 0.0) for i in range(HELD_KARP_CAP + 1)]
     with pytest.raises(SizeCapExceeded):
         held_karp(PathQuery(Euclid2D(), (0.0, 0.0), pts, CLOSED))
+
+
+def _assert_walks_match(D, targets, end, pairs):
+    table, ref = exact_path(D, targets, end), exact_path_by_loop(D, targets, end)
+    for start, S in pairs:
+        cost, order = table.walk(start, S)
+        want_cost, want_order = ref.walk(start, S)
+        assert type(cost) is float, (start, S)
+        assert (float.hex(cost), order) == (float.hex(want_cost), want_order), (end, start, S)
+
+
+def test_exact_path_matches_loop_bit_for_bit():
+    """The numpy table and its next-hop walk give the pure-Python loop's cost
+    to the last bit and its order, from every row (a target outside or
+    inside the set, or not a target) and, at m <= 8, every remaining set;
+    on random points and on a half-integer grid whose equal-looking sums
+    differ in the last bits, so the ``TIE`` rule decides steps."""
+    rng = random.Random(41)
+    for m in range(13):
+        rows = m + 2  # row 0 a start, rows 1..m the targets, row m + 1 an end
+        for grid in (False, True):
+            pts = [(rng.randint(0, 4) / 2, rng.randint(0, 2) / 2) if grid else (rng.random(), rng.random())
+                   for _ in range(rows)]
+            D = [[math.dist(a, b) for b in pts] for a in pts]
+            targets = tuple(range(1, m + 1))
+            for end in (m + 1, FREE) if m > 8 else (0, m + 1, FREE):
+                if m <= 8:
+                    pairs = [(start, S) for start in range(rows) for S in range(1 << m)]
+                else:
+                    pairs = [(rng.randrange(rows), rng.randrange(1 << m)) for _ in range(300)]
+                _assert_walks_match(D, targets, end, pairs)
+
+    # from target 0, going on to target 1 costs 1e-13 more than going on to
+    # target 2: both are within TIE, so the walk takes target 1
+    D = [[0.0, 0.1, 10.0, 10.0],
+         [0.1, 0.0, 1.0, 1.0 - 1e-13],
+         [10.0, 1.0, 0.0, 1.0],
+         [10.0, 1.0 - 1e-13, 1.0, 0.0]]
+    _assert_walks_match(D, (1, 2, 3), FREE, [(start, S) for start in range(4) for S in range(8)])
+    cost, order = exact_path(D, (1, 2, 3), FREE).walk(0, 0b111)
+    assert order == [0, 1, 2] and cost == 0.1 + ((1.0 - 1e-13) + 1.0)
 
 
 def test_tree_tsp_examples():

@@ -343,11 +343,22 @@ def test_open_flower_domination_gap():
 
 _GRID_TREE = Tree([(0, 1, 1.0), (1, 2, 1.0), (1, 3, 1.0), (0, 4, 1.0)])
 _GRID_FLOWER = Flower((2.0, 2.0), 1.0)
+# the L1 metric of a 3 x 3 grid, origin at its centre: integer lengths, many
+# equal routes
+_GRID_SITES = [(1, 1)] + [(x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)]
+_GRID_GENERAL = General([[float(abs(a[0] - b[0]) + abs(a[1] - b[1])) for b in _GRID_SITES]
+                         for a in _GRID_SITES])
 
 
 def _pin_space(family, rng):
     if family == "line":
         return Line()
+    if family == "euclid2d":
+        return Euclid2D()
+    if family == "general":
+        pts = [(0.0, 0.0)] + [(round(rng.uniform(-1, 1), 3), round(rng.uniform(-1, 1), 3))
+                              for _ in range(rng.randint(2, 8))]
+        return General([[math.hypot(a[0] - b[0], a[1] - b[1]) for b in pts] for a in pts])
     if family == "ring":
         return Ring(rng.choice([1.0, 2.0, 3.0]))
     if family == "tree":
@@ -360,6 +371,10 @@ def _pin_space(family, rng):
 def _pin_point(space, rng):
     if isinstance(space, Line):
         return round(rng.uniform(-2, 2), 3)
+    if isinstance(space, Euclid2D):
+        return (round(rng.uniform(-1, 1), 3), round(rng.uniform(-1, 1), 3))
+    if isinstance(space, General):
+        return rng.randrange(space.n)
     if isinstance(space, Ring):
         return round(rng.uniform(0, space.circumference), 3)
     if isinstance(space, Tree):
@@ -371,9 +386,14 @@ def _pin_point(space, rng):
 
 
 def _grid_point(space, rng):
-    # on the grid spaces: ties in position, depth, antipode and petal middle
+    # on the grid spaces: ties in position, depth, antipode and petal middle;
+    # in the plane, sums of the same lengths in another order, an ulp apart
     if isinstance(space, Line):
         return rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0])
+    if isinstance(space, Euclid2D):
+        return (rng.choice([-0.5, 0.0, 0.5, 1.0]), rng.choice([-0.5, 0.0, 0.5]))
+    if isinstance(space, General):
+        return rng.randrange(space.n)
     if isinstance(space, Ring):
         return rng.choice([0.0, 0.5, 1.0, 1.5])
     if isinstance(space, Tree):
@@ -394,7 +414,8 @@ def _pin_pool(family, variant, count=40, n_max=6):
         if rng.random() < 0.3:
             locs[rng.randrange(n)] = rng.choice(locs)
         yield space, locs, [round(rng.uniform(0, 2), 3) for _ in range(n)]
-    space = {"line": Line(), "ring": Ring(2.0), "tree": _GRID_TREE, "flower": _GRID_FLOWER}[family]
+    space = {"line": Line(), "ring": Ring(2.0), "tree": _GRID_TREE, "flower": _GRID_FLOWER,
+             "general": _GRID_GENERAL, "euclid2d": Euclid2D()}[family]
     for _ in range(count):
         n = rng.randint(1, n_max)
         yield (space, [_grid_point(space, rng) for _ in range(n)],
@@ -403,7 +424,8 @@ def _pin_pool(family, variant, count=40, n_max=6):
 
 def _batches_digest(family, variant):
     texts = []
-    for space, locs, rels in _pin_pool(family, variant):
+    n_max = 8 if family in ("general", "euclid2d") else 6
+    for space, locs, rels in _pin_pool(family, variant, n_max=n_max):
         oracle = make_oracle(space, locs, variant)
         for t in sorted({0.0, *rels}):
             oracle.step(t, [i for i, r in enumerate(rels) if r <= t])
@@ -420,16 +442,21 @@ _BATCH_DIGESTS = {
     ("ring", "open"): "d433a8a57fc174dc716439f426ce23e99325bd71278145a2a564f24282d22f59",
     ("flower", "closed"): "9fc34e3f27ecea212d66809df2b9800196048feb713b723ea25c62262b3b2382",
     ("flower", "open"): "01a5610f10da0e5f94ce6c03222a0b00a6c99fa418646ddbc1a04f52259e4c5f",
+    ("general", "closed"): "9f8502b070a0b6e07482c9a4318d1d33f535627d742a29230a1edfc5c32fe88e",
+    ("general", "open"): "7cbb72f8596fe69ad02e16f6979e02af1901aa926812e9ddc82d94b479feef57",
+    ("euclid2d", "closed"): "fb57c6f915f75a4e09b49ca97ad64ced0a13739f01df462bb7a5ecc09693e0b8",
+    ("euclid2d", "open"): "d9efc3a7c5ff79e643817ba1421231104a6457837f136528a7f3346184fed610",
 }
 
 
 @pytest.mark.parametrize("family, variant", list(_BATCH_DIGESTS))
 def test_batches_unchanged(family, variant):
-    """Every batch of the structured oracles, stepped at each release time
-    of a seeded random pool and a tie-heavy grid pool, is pinned by one
-    sha256 per family and variant.  Only a change meant to alter batches
-    (a new dominator, such as a fix for the open-flower gap above) may
-    update a digest, and it must say so in CHANGES.md."""
+    """Every batch of each oracle, stepped at each release time of a seeded
+    random pool and a tie-heavy grid pool, is pinned by one sha256 per
+    family and variant.  On the general oracle's pools (n <= 8) the
+    ``TIE`` rule of Held-Karp decides some steps.  Only a change meant to
+    alter batches (a new dominator, such as a fix for the open-flower gap
+    above) may update a digest, and it must say so in CHANGES.md."""
     assert _batches_digest(family, variant) == _BATCH_DIGESTS[family, variant]
 
 
