@@ -306,13 +306,15 @@ class Simulation:
         self._fire_releases()
         adv_wake = self._adversary.step(self) if self._adversary else None
         waiting = False
-        guard = 0
-        act = None
+        # Decisions in a row that may pass with no progress, that is with
+        # no advance of time and no trajectory event (a release, a serve, a
+        # departure, ...), before the run counts as stalled.  On the
+        # acceptance pools and the fixtures no decision passes without
+        # progress, so the margin is wide.
+        limit = 4 * self.n + 16
+        streak = 0
         while True:
-            guard += 1
-            if guard > 100000:
-                raise SimulationStalled("no progress after 100000 decisions",
-                                        self.now, self.pos, self._unserved(), act)
+            before = (self.now, len(self.trajectory))
             act = policy.decide(self)
             kind = act[0]
             if kind == "finish":
@@ -369,6 +371,10 @@ class Simulation:
             self._fire_releases()
             if self._adversary is not None:
                 adv_wake = self._adversary.step(self)
+            streak = streak + 1 if (self.now, len(self.trajectory)) == before else 0
+            if streak > limit:
+                raise SimulationStalled(f"no progress in {streak} decisions",
+                                        self.now, self.pos, self._unserved(), act)
 
 
 def simulate(instance: Instance, policy) -> RunResult:

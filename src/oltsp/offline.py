@@ -35,6 +35,12 @@ class SizeCapExceeded(ValueError):
     pass
 
 
+def _id_key(k) -> tuple:
+    """Order of co-located items: int ids ascending, then other keys by
+    their ``str``."""
+    return (0, k) if isinstance(k, int) else (1, str(k))
+
+
 @dataclass
 class PathQuery:
     space: Space
@@ -187,18 +193,22 @@ def _segment_cost(s: float, m: float, M: float, end) -> tuple[float, bool]:
     return (a, True) if a <= b else (b, False)
 
 
+def _segment_price(s: float, positions: list[float], end) -> tuple[float, bool]:
+    """Length of :func:`segment_cover`'s walk, and whether it sweeps left
+    first, from the request positions alone."""
+    ext = positions + [s]
+    if end not in (FREE, CLOSED):
+        ext.append(end)
+    return _segment_cost(s, min(ext), max(ext), end)
+
+
 def segment_cover(s: float, req: list[tuple[float, Any]], end) -> tuple[float, list]:
     """Optimal covering walk on a line from ``s`` over ``req`` positions.
 
     ``end`` is a coordinate, FREE, or CLOSED (return to ``s``).  Returns
     (length, keys in serving order).
     """
-    if not req and end in (FREE, CLOSED):
-        return 0.0, []
-    ext = [p for p, _ in req] + [s]
-    if end not in (FREE, CLOSED):
-        ext.append(end)
-    cost, left = _segment_cost(s, min(ext), max(ext), end)
+    cost, left = _segment_price(s, [p for p, _ in req], end)
     if left:
         lo = sorted((p, k) for p, k in req if p <= s)[::-1]
         hi = sorted((p, k) for p, k in req if p > s)
@@ -212,18 +222,14 @@ def segment_cover(s: float, req: list[tuple[float, Any]], end) -> tuple[float, l
 # Ring cover
 # ---------------------------------------------------------------------------
 
-def ring_cover(C: float, s: float, req: list[tuple[float, Any]], end) -> tuple[float, list]:
-    """Optimal covering walk on a circle of circumference ``C``: the circle
-    cut inside one gap between consecutive relevant positions and walked as
-    a segment, or a full loop.  Each cut is priced without building its
-    order; the first cheapest wins, and the loop only when strictly
-    cheaper."""
+def _ring_price(C: float, s: float, positions: list[float], end) -> tuple[float, float | None]:
+    """Length of :func:`ring_cover`'s walk from the request positions alone,
+    and the cut it walks as a segment (None for the full loop)."""
     s = s % C
-    req = [(p % C, k) for p, k in req]
     fixed = end not in (FREE, CLOSED)
     e = end % C if fixed else None
 
-    relevant = sorted({p for p, _ in req} | {s} | ({e} if fixed else set()))
+    relevant = sorted({p % C for p in positions} | {s} | ({e} if fixed else set()))
     best_cost, best_cut = math.inf, None
     for i in range(len(relevant)):
         nxt = relevant[(i + 1) % len(relevant)]
@@ -242,10 +248,23 @@ def ring_cover(C: float, s: float, req: list[tuple[float, Any]], end) -> tuple[f
         arc = abs(s - e)
         loop += min(arc, C - arc)
     if best_cut is not None and best_cost <= loop:
-        cut = best_cut
-        seg_end = (e - cut) % C if fixed else end
-        return segment_cover((s - cut) % C, [((p - cut) % C, k) for p, k in req], seg_end)
-    return loop, [k for _, k in sorted(req, key=lambda r: ((r[0] - s) % C, str(r[1])))]
+        return best_cost, best_cut
+    return loop, None
+
+
+def ring_cover(C: float, s: float, req: list[tuple[float, Any]], end) -> tuple[float, list]:
+    """Optimal covering walk on a circle of circumference ``C``: the circle
+    cut inside one gap between consecutive relevant positions and walked as
+    a segment, or a full loop.  Each cut is priced without building its
+    order; the first cheapest wins, and the loop only when strictly
+    cheaper."""
+    cost, cut = _ring_price(C, s, [p for p, _ in req], end)
+    s = s % C
+    req = [(p % C, k) for p, k in req]
+    if cut is None:
+        return cost, [k for _, k in sorted(req, key=lambda r: ((r[0] - s) % C, _id_key(r[1])))]
+    seg_end = (end % C - cut) % C if end not in (FREE, CLOSED) else end
+    return segment_cover((s - cut) % C, [((p - cut) % C, k) for p, k in req], seg_end)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +279,12 @@ class TreeIndex:
     the structured domination oracles.  Ancestry is read from the parent
     array alone, with no tolerance; distances come from ``tree``.  Nodes
     are numbered parents first (``par[v] < v``), as :func:`trim_tree` and
-    :func:`_line_tree` build them.
+    :func:`_line_tree` build them, so an edge's child is its larger end.
+
+    The tables every query reads are built once: each node's items and its
+    neighbours, ascending, at construction; and per root, on its first
+    use, the tree rerooted there (parents, and the depth-first preorder
+    with children ascending, with each subtree's slice of it).
     """
 
     def __init__(self, tree: Tree, node_of_item: dict[Any, int]):
@@ -270,27 +294,54 @@ class TreeIndex:
         self.n = n
         self.par = [-1] * n
         self.plen = [0.0] * n
+        self.nbrs: list[list[int]] = [[] for _ in range(n)]
         for u, v, ln in tree.edges:
             self.par[v] = u
             self.plen[v] = ln
-        self.items_at: dict[int, list] = {}
+        for v in range(1, n):
+            self.nbrs[v].append(self.par[v])
+            self.nbrs[self.par[v]].append(v)
+        for adj in self.nbrs:
+            adj.sort()
+        # items at each node, ties to the smaller id (other keys after the ids)
+        self.items_at: list[list] = [[] for _ in range(n)]
         for item, v in self.node_of.items():
-            self.items_at.setdefault(v, []).append(item)
-        for v in self.items_at:
-            self.items_at[v].sort(key=str)
+            self.items_at[v].append(item)
+        for items in self.items_at:
+            items.sort(key=_id_key)
+        self._roots: dict[int, tuple[list[int], list[int], list[int], list[int]]] = {}
 
-    def _parents_from(self, root: int) -> list[int]:
-        """Parent array of the tree rerooted at ``root``."""
+    def _rooted(self, root: int) -> tuple[list[int], list[int], list[int], list[int]]:
+        """The tree rerooted at ``root``: parents, the preorder with children
+        in node order, and each node's first and past-last preorder
+        position (``pre[first[v]:stop[v]]`` is ``v``'s subtree)."""
+        hit = self._roots.get(root)
+        if hit is not None:
+            return hit
         par = list(self.par)
         child, v = -1, root
         while v != -1:
             par[v], child, v = child, v, self.par[v]
-        return par
+        pre: list[int] = []
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            pre.append(x)
+            stack += [y for y in reversed(self.nbrs[x]) if y != par[x]]
+        first = [0] * self.n
+        size = [1] * self.n
+        for k, x in enumerate(pre):
+            first[x] = k
+        for x in reversed(pre[1:]):
+            size[par[x]] += size[x]
+        stop = [first[v] + size[v] for v in range(self.n)]
+        hit = self._roots[root] = (par, pre, first, stop)
+        return hit
 
     def maximal_nodes(self, nodes, root: int = 0) -> list[int]:
         """Members that are no other member's proper ancestor when the tree
         is rooted at ``root``, in ascending order."""
-        par = self._parents_from(root)
+        par = self._rooted(root)[0]
         nodes = set(nodes)
         marked = set()
         for v in nodes:
@@ -300,20 +351,32 @@ class TreeIndex:
                 u = par[u]
         return sorted(nodes - marked)
 
+    def _steiner(self, root: int, nodes) -> tuple[float, list[int], set[int]]:
+        """Weight, edges (as child nodes, ascending) and nodes of the Steiner
+        span of ``nodes``, which hold ``root``: every member's path up to
+        ``root`` in the tree rerooted there."""
+        par = self._rooted(root)[0]
+        inside = {root}
+        for v in nodes:
+            while v not in inside:
+                inside.add(v)
+                v = par[v]
+        # the span's smallest node is its top, an ancestor of the others:
+        # every other node is the child end of one of its edges
+        edges = sorted(inside)[1:]
+        W = 0.0
+        plen = self.plen
+        for v in edges:
+            W += plen[v]
+        return W, edges, inside
+
     def span(self, nodes) -> tuple[float, list[int]]:
         """Weight and edges (as child nodes, ascending) of the Steiner span
         of ``nodes``."""
         nodes = set(nodes)
-        below = [0] * self.n
-        for v in nodes:
-            below[v] = 1
-        for v in range(self.n - 1, 0, -1):
-            below[self.par[v]] += below[v]
-        edges = [v for v in range(1, self.n) if 0 < below[v] < len(nodes)]
-        W = 0.0
-        for v in edges:
-            W += self.plen[v]
-        return W, edges
+        if not nodes:
+            return 0.0, []
+        return self._steiner(min(nodes), nodes)[:2]
 
     def path_cover(self, s: int, req_nodes, end) -> tuple[float, list[int]]:
         """Optimal covering walk from node ``s`` over ``req_nodes``.
@@ -321,42 +384,38 @@ class TreeIndex:
         ``end`` is a node, FREE, or CLOSED.  Returns (length, node visit
         order including every span node, first-visit order).
         """
-        K = set(req_nodes) | {s}
+        K = set(req_nodes)
+        K.add(s)
         if end not in (FREE, CLOSED):
             K.add(end)
-        W, edges = self.span(K)
-        span_nodes = set(K)
-        for v in edges:
-            span_nodes.add(v)
-            span_nodes.add(self.par[v])
+        W, _, inside = self._steiner(s, K)
         dist = self.tree.node_dist
         if end == CLOSED:
             cost = 2 * W
             e = s
         else:
-            e = end if end != FREE else max(span_nodes, key=lambda v: (dist(s, v), -v))
+            e = end if end != FREE else max(inside, key=lambda v: (dist(s, v), -v))
             cost = 2 * W - dist(s, e)
+        return cost, [v for v in self.walk_order(s, e) if v in inside]
 
-        adj: dict[int, list[int]] = {v: [] for v in span_nodes}
-        for v in edges:
-            adj[v].append(self.par[v])
-            adj[self.par[v]].append(v)
-
-        # depth-first, children in node order, except that the child
-        # towards the walk's end is entered last
-        toward = self._parents_from(e)
-        order: list[int] = []
-        stack = [(s, -1, end != CLOSED)]
-        while stack:
-            x, prev, to_end = stack.pop()
-            order.append(x)
-            last = toward[x] if to_end and x != e else None
-            if last is not None:
-                stack.append((last, x, True))
-            for y in sorted(adj[x], reverse=True):
-                if y != prev and y != last:
-                    stack.append((y, x, False))
-        return cost, order
+    def walk_order(self, s: int, e: int) -> list[int]:
+        """Every node, in the order of a depth-first walk from ``s`` with
+        children in node order, except that the child toward ``e`` is
+        entered last.  An optimal covering walk from ``s`` to ``e`` (or
+        back to ``s``, for ``e == s``) visits its span in this order."""
+        # along the path from s to e, each node's subtree is its preorder
+        # with the branch toward e moved to its end
+        par, pre, first, stop = self._rooted(s)
+        path = [e]
+        while path[-1] != s:
+            path.append(par[path[-1]])
+        walk: list[int] = []
+        for k in range(len(path) - 1, 0, -1):
+            x, toward = path[k], path[k - 1]
+            walk += pre[first[x]:first[toward]]
+            walk += pre[stop[toward]:stop[x]]
+        walk += pre[first[e]:stop[e]]
+        return walk
 
 
 def tree_index_for(space: Space, items: dict[Any, Any]) -> TreeIndex:
@@ -411,7 +470,9 @@ def flower_cover(flower: Flower, s, req: list[tuple[Any, Any]], end) -> tuple[fl
     Components (petals, stem) only communicate through the receptacle, so
     the walk decomposes into per-component covers stitched at the origin;
     when start and end share a component its requests are split between
-    the first and last excursions by exhaustive bipartition.
+    the first and last excursions by exhaustive bipartition.  Every
+    candidate walk is priced from positions alone; only the first
+    cheapest is built.
     """
     s = flower.canon(s)
     origin = flower.origin()
@@ -450,6 +511,12 @@ def flower_cover(flower: Flower, s, req: list[tuple[Any, Any]], end) -> tuple[fl
             return segment_cover(a_off, items, b)
         return ring_cover(flower.petals[c], a_off, items, b)
 
+    def comp_cost(c, a_off, items, b) -> float:
+        positions = [p for p, _ in items]
+        if c == "stem":
+            return _segment_price(a_off, positions, b)[0]
+        return _ring_price(flower.petals[c], a_off, positions, b)[0]
+
     if not comps:
         return (0.0 if not fixed else flower.distance(s, e)), []
     if len(comps) == 1:
@@ -466,47 +533,48 @@ def flower_cover(flower: Flower, s, req: list[tuple[Any, Any]], end) -> tuple[fl
                 extra += flower.to_origin(e)
             return cost + extra, order
 
+    # each candidate walk is priced as a list of legs, (component, start
+    # offset, items, end) each; only the winner's legs are walked
     def middles(exclude):
-        cost, order = 0.0, []
+        cost, legs = 0.0, []
         for c in comps:
             if c in exclude or c not in groups:
                 continue
-            cc, oo = comp_cover(c, 0.0, groups[c], CLOSED)
-            cost += cc
-            order += oo
-        return cost, order
+            leg = (c, 0.0, groups[c], CLOSED)
+            cost += comp_cost(*leg)
+            legs.append(leg)
+        return cost, legs
 
     best: tuple[float, list] | None = None
 
-    def consider(cost, order):
+    def consider(cost, legs):
         nonlocal best
         if best is None or cost < best[0] - TIE:
-            best = (cost, order)
+            best = (cost, legs)
 
     def evaluate(final_comp, final_mode):
         """Walk = start-comp cover to O, middle comps closed, final comp."""
         if final_comp is None or final_comp == sc:
             if sc is None:
-                mc, mo = middles(set())
-                consider(mc, mo)
+                consider(*middles(set()))
                 return
             items = groups.get(sc, [])
-            mc, mo = middles({sc})
+            mc, ml = middles({sc})
             if final_comp is None:
-                hc, ho = comp_cover(sc, off(s), items, 0.0)
-                consider(hc + mc, ho + mo)
+                head = (sc, off(s), items, 0.0)
+                consider(comp_cost(*head) + mc, [head] + ml)
                 return
             for mask in range(1 << len(items)):
                 A = [items[i] for i in range(len(items)) if mask & (1 << i)]
                 B = [items[i] for i in range(len(items)) if not mask & (1 << i)]
-                ac, ao = comp_cover(sc, off(s), A, 0.0)
-                bc, bo = comp_cover(sc, 0.0, B, final_mode)
-                consider(ac + mc + bc, ao + mo + bo)
+                head, tail = (sc, off(s), A, 0.0), (sc, 0.0, B, final_mode)
+                consider(comp_cost(*head) + mc + comp_cost(*tail), [head] + ml + [tail])
         else:
-            hc, ho = (0.0, []) if sc is None else comp_cover(sc, off(s), groups.get(sc, []), 0.0)
-            mc, mo = middles({sc, final_comp})
-            tc, to = comp_cover(final_comp, 0.0, groups.get(final_comp, []), final_mode)
-            consider(hc + mc + tc, ho + mo + to)
+            head = [] if sc is None else [(sc, off(s), groups.get(sc, []), 0.0)]
+            hc = comp_cost(*head[0]) if head else 0.0
+            mc, ml = middles({sc, final_comp})
+            tail = (final_comp, 0.0, groups.get(final_comp, []), final_mode)
+            consider(hc + mc + comp_cost(*tail), head + ml + [tail])
 
     if end == FREE:
         evaluate(None, None)  # end at the origin
@@ -524,7 +592,11 @@ def flower_cover(flower: Flower, s, req: list[tuple[Any, Any]], end) -> tuple[fl
             evaluate(ec, off(e))
 
     assert best is not None
-    return best
+    cost, legs = best
+    order = []
+    for leg in legs:
+        order += comp_cover(*leg)[1]
+    return cost, order
 
 
 # ---------------------------------------------------------------------------
@@ -576,14 +648,10 @@ def solve_classical(query: PathQuery) -> OptResult:
 
 
 def _emit(idx: TreeIndex, node_order: list[int], wanted) -> list:
-    wanted = set(wanted)
-    out = []
-    for v in node_order:
-        for item in idx.items_at.get(v, []):
-            if item in wanted:
-                out.append(item)
-                wanted.discard(item)
-    return out
+    """Items of ``wanted`` (any container) in the order of their nodes in
+    ``node_order``, which holds each node once."""
+    items_at = idx.items_at
+    return [item for v in node_order for item in items_at[v] if item in wanted]
 
 
 # ---------------------------------------------------------------------------

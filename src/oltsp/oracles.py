@@ -64,6 +64,7 @@ class DominationOracle:
         self._last_time: float | None = None
         self._last_released: frozenset = frozenset()
         self._cleanup_memo: dict[tuple, list[int]] = {}
+        self._walks: dict[tuple, list[int]] = {}
 
     # -- protocol ----------------------------------------------------------
 
@@ -81,6 +82,7 @@ class DominationOracle:
             batch = [tuple(self._cover(None, self.ids, self.end))]
         else:
             batch = list(dict.fromkeys(self._batch(released)))
+            self._walks = {}
         new = []
         closed = self.variant == "closed"
         for perm in batch:
@@ -124,6 +126,17 @@ class DominationOracle:
         None starts at the origin."""
         raise NotImplementedError
 
+    def _head_walk(self, idx: TreeIndex, nodes: frozenset, end) -> list[int]:
+        """Node order of an optimal walk over the tree ``idx`` from the
+        origin over ``nodes`` to ``end`` (a node or CLOSED).  Every guessed
+        final request of a step asks for the same walks, so each is found
+        once per step and kept until the step's batch is built."""
+        key = (idx, nodes, end)
+        order = self._walks.get(key)
+        if order is None:
+            order = self._walks[key] = idx.path_cover(0, nodes, end)[1]
+        return order
+
     def _tree_batch(self, idx: TreeIndex, released: frozenset) -> list[tuple]:
         """Scan-to-pivot dominators over the tree ``idx``, one set per final
         request: rooted at the origin with no final (closed), or at each
@@ -137,10 +150,11 @@ class DominationOracle:
             if unrel == {qf}:
                 pivots.append((root, qf))  # the final request is the only unreleased one
             leaves = idx.maximal_nodes(rel_nodes, root)
+            wanted = released - {qf}
             for qnode, q in pivots:
                 for chosen in _subsets(leaves):
-                    _, order = idx.path_cover(0, set(chosen) | {qnode}, qnode)
-                    out.append(self._dominator(_emit(idx, order, released - {qf}), q, qf))
+                    order = self._head_walk(idx, frozenset(chosen + (qnode,)), qnode)
+                    out.append(self._dominator(_emit(idx, order, wanted), q, qf))
         return out
 
 
@@ -209,9 +223,13 @@ class TreeOracle(DominationOracle):
         if not rest:
             return []
         node_of = self.idx.node_of
-        end_node = 0 if end == CLOSED else (FREE if end == FREE else node_of[end])
         start = 0 if qid is None else node_of[qid]
-        _, order = self.idx.path_cover(start, {node_of[i] for i in rest}, end_node)
+        if end == FREE:  # the walk ends at its span's farthest node
+            _, order = self.idx.path_cover(start, {node_of[i] for i in rest}, FREE)
+        else:
+            # rest's nodes lie on the walk's span, which the whole tree's
+            # walk order visits in the walk's own order: no span needed
+            order = self.idx.walk_order(start, 0 if end == CLOSED else node_of[end])
         return _emit(self.idx, order, rest)
 
     def _batch(self, released: frozenset) -> list[tuple]:
@@ -371,6 +389,7 @@ class FlowerOracle(DominationOracle):
                                  if any(i in released for i in order[1]))
         out = []
         for qf in [None] if self.variant == "closed" else [None] + sorted(self.ids):
+            loop_pool = released - {qf}
             for q in unrel:
                 if qf is not None and q == qf and len(unrel) > 1:
                     continue
@@ -391,10 +410,12 @@ class FlowerOracle(DominationOracle):
                         if same_final_petal:
                             options += [("late_loop", kept_q, 1), ("late_loop", kept_q, -1)]
                     for approach, kept, direction in options:
-                        out += self._variants(released, q, qf, approach, kept, direction)
+                        out += self._variants(released, loop_pool, q, qf, approach, kept, direction)
         return out
 
-    def _variants(self, rel, q, qf, approach, kept, direction) -> list[tuple]:
+    def _variants(self, rel, loop_pool, q, qf, approach, kept, direction) -> list[tuple]:
+        """Dominators for pivot ``q`` and final ``qf`` with the petals in
+        ``kept`` walked as loops; ``loop_pool`` is ``rel`` without ``qf``."""
         qc = self.comp[q]
         done = sorted(k for k in kept if k != qc or approach == "after_loop")
         idx = self._snipped[kept]
@@ -411,7 +432,6 @@ class FlowerOracle(DominationOracle):
             if idx.node_of[q] not in idx.maximal_nodes(unrel_nodes, root_node):
                 return []
         leaves = idx.maximal_nodes(tree_rel_nodes, root_node)
-        loop_pool = rel - {qf}
         loop_prefix: list[int] = []
         for k in done:
             loop_prefix += self._loop_order(k, loop_pool, self._petal_dir_for(k, q))
@@ -430,10 +450,10 @@ class FlowerOracle(DominationOracle):
             tree_part: list[int] = []
             if approach == "tree":
                 qnode = idx.node_of[q]
-                _, order = idx.path_cover(0, set(chosen) | {qnode}, qnode)
+                order = self._head_walk(idx, frozenset(chosen + (qnode,)), qnode)
                 tree_part = _emit(idx, order, loop_pool)
             elif chosen:
-                _, order = idx.path_cover(0, set(chosen), CLOSED)
+                order = self._head_walk(idx, frozenset(chosen), CLOSED)
                 tree_part = _emit(idx, order, loop_pool)
             prefix = list(dict.fromkeys(loop_prefix + tree_part + petal_part))
             out.append(self._dominator(prefix, q, qf))

@@ -9,7 +9,10 @@ value by the forward subset DP in pure Python, the reference above the
 enumeration's reach; ``ring_cover_all_cuts`` builds the walk of every cut,
 the reference for ``offline.ring_cover``; ``exact_path_by_loop`` is the
 Held-Karp table in pure Python with a greedy walk that rescans every
-candidate per step, the reference for ``offline.exact_path``.
+candidate per step, the reference for ``offline.exact_path``;
+``path_cover_by_dfs``, ``span_by_counts`` and ``maximal_nodes_by_walk``
+recompute a ``TreeIndex``'s adjacency, counts and rerooted parents on
+every call, the reference for its per-index tables.
 """
 from __future__ import annotations
 
@@ -286,7 +289,7 @@ def ring_cover_all_cuts(C: float, s: float, req: list[tuple[float, Any]], end) -
         candidates.append((cost, order))
 
     # wrap: a full loop (plus the hop to a fixed end)
-    loop_order = [k for _, k in sorted(req, key=lambda r: ((r[0] - s) % C, str(r[1])))]
+    loop_order = [k for _, k in sorted(req, key=lambda r: ((r[0] - s) % C, r[1]))]  # int ids
     if end == CLOSED or end == FREE:
         candidates.append((C, loop_order))
     else:
@@ -352,3 +355,81 @@ def exact_path_by_loop(D, targets: tuple[int, ...], end) -> PathTableByLoop:
                 row = rows[j]
                 T[base + j] = min([row[t] + T[i] for t, i in subs])
     return PathTableByLoop(D, targets, end, T)
+
+
+def _parents_from(idx, root: int) -> list[int]:
+    """Parent array of the tree rerooted at ``root``."""
+    par = list(idx.par)
+    child, v = -1, root
+    while v != -1:
+        par[v], child, v = child, v, idx.par[v]
+    return par
+
+
+def maximal_nodes_by_walk(idx, nodes, root: int = 0) -> list[int]:
+    """``TreeIndex.maximal_nodes`` over a parent array rerooted per call."""
+    par = _parents_from(idx, root)
+    nodes = set(nodes)
+    marked = set()
+    for v in nodes:
+        u = par[v]
+        while u != -1 and u not in marked:
+            marked.add(u)
+            u = par[u]
+    return sorted(nodes - marked)
+
+
+def span_by_counts(idx, nodes) -> tuple[float, list[int]]:
+    """``TreeIndex.span`` by counting the members below every edge."""
+    nodes = set(nodes)
+    below = [0] * idx.n
+    for v in nodes:
+        below[v] = 1
+    for v in range(idx.n - 1, 0, -1):
+        below[idx.par[v]] += below[v]
+    edges = [v for v in range(1, idx.n) if 0 < below[v] < len(nodes)]
+    W = 0.0
+    for v in edges:
+        W += idx.plen[v]
+    return W, edges
+
+
+def path_cover_by_dfs(idx, s: int, req_nodes, end) -> tuple[float, list[int]]:
+    """``TreeIndex.path_cover`` by a depth-first walk over an adjacency
+    built per call."""
+    K = set(req_nodes) | {s}
+    if end not in (FREE, CLOSED):
+        K.add(end)
+    W, edges = span_by_counts(idx, K)
+    span_nodes = set(K)
+    for v in edges:
+        span_nodes.add(v)
+        span_nodes.add(idx.par[v])
+    dist = idx.tree.node_dist
+    if end == CLOSED:
+        cost = 2 * W
+        e = s
+    else:
+        e = end if end != FREE else max(span_nodes, key=lambda v: (dist(s, v), -v))
+        cost = 2 * W - dist(s, e)
+
+    adj: dict[int, list[int]] = {v: [] for v in span_nodes}
+    for v in edges:
+        adj[v].append(idx.par[v])
+        adj[idx.par[v]].append(v)
+
+    # depth-first, children in node order, except that the child
+    # towards the walk's end is entered last
+    toward = _parents_from(idx, e)
+    order: list[int] = []
+    stack = [(s, -1, end != CLOSED)]
+    while stack:
+        x, prev, to_end = stack.pop()
+        order.append(x)
+        last = toward[x] if to_end and x != e else None
+        if last is not None:
+            stack.append((last, x, True))
+        for y in sorted(adj[x], reverse=True):
+            if y != prev and y != last:
+                stack.append((y, x, False))
+    return cost, order

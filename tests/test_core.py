@@ -204,14 +204,20 @@ def test_stay_forever_raises():
     assert (stall.time, stall.position, stall.unserved, stall.action) == (5.0, 0.0, [0], ("wait", None))
 
     class Spin:
+        calls = 0
+
         def decide(self, sim):
+            self.calls += 1
             return ("wait", sim.now)
 
+    spin = Spin()
     with pytest.raises(SimulationStalled, match="no progress") as err:
-        simulate(inst, Spin())
+        simulate(inst, spin)
     stall = err.value
     assert (stall.time, stall.position, stall.unserved, stall.action) == (0.0, 0.0, [0], ("wait", 0.0))
     assert str(pickle.loads(pickle.dumps(stall))) == str(stall)
+    # one decision starts the wait; the (4 n + 17)th in a row with no progress stalls
+    assert spin.calls == 1 + 4 * inst.n + 17
 
 
 def test_incomplete_finish_raises():

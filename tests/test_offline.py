@@ -35,7 +35,15 @@ from oltsp.spaces import Euclid2D, Flower, Line, Ring, Tree, snip_flower
 from oltsp.tolerance import FEAS
 
 from conftest import random_flower, random_point, random_space, random_tree
-from sensible import exact_path_by_loop, opt_by_enumeration, opt_value_by_loop, ring_cover_all_cuts
+from sensible import (
+    exact_path_by_loop,
+    maximal_nodes_by_walk,
+    opt_by_enumeration,
+    opt_value_by_loop,
+    path_cover_by_dfs,
+    ring_cover_all_cuts,
+    span_by_counts,
+)
 
 TOL = 1e-9
 
@@ -244,6 +252,63 @@ def test_tree_index_numbers_parents_first():
                            (snipped, mapped)):
             idx = tree_index_for(space, dict(enumerate(pts)))
             assert all(idx.par[v] < v for v in range(1, idx.n)), (space, pts)
+
+
+def _cross_check_indexes(rng, count):
+    """Tree indexes over random trees, over lines with pairs of points
+    1e-10 apart, and over snipped flowers."""
+    for _ in range(count):
+        tree = random_tree(rng)
+        yield tree_index_for(tree, dict(enumerate(random_point(tree, rng)
+                                                  for _ in range(rng.randint(1, 8)))))
+        pts = []
+        for _ in range(rng.randint(1, 4)):
+            p = random_point(Line(), rng)
+            pts += [p, _nudged(Line(), p, rng)]
+        yield tree_index_for(Line(), dict(enumerate(pts)))
+        flower = random_flower(rng, 3)
+        kept = {k for k in range(len(flower.petals)) if rng.random() < 0.5}
+        on_tree = [p for p in (random_point(flower, rng) for _ in range(6))
+                   if p[0] == "stem" or p[0] not in kept]
+        snipped, _, mapped = snip_flower(flower, kept, on_tree)
+        yield tree_index_for(snipped, dict(enumerate(mapped)))
+
+
+def test_tree_index_tables_match_reference():
+    """Walks, spans and maximal nodes read from the per-index tables equal
+    the per-call recomputation bit for bit: every start, with closed,
+    free and every node as the end.  The whole tree's walk order toward
+    a closed or node end visits each walk's span in the walk's order."""
+    rng = random.Random(43)
+    for idx in _cross_check_indexes(rng, 40):
+        nodes = list(range(idx.n))
+        for s in nodes:
+            for _ in range(3):
+                req = rng.sample(nodes, rng.randint(0, idx.n))
+                for end in [CLOSED, FREE] + nodes:
+                    cost, order = idx.path_cover(s, req, end)
+                    ref_cost, ref_order = path_cover_by_dfs(idx, s, req, end)
+                    assert (cost.hex(), order) == (ref_cost.hex(), ref_order), (idx.tree, s, req, end)
+                    if end != FREE:
+                        span = set(ref_order)
+                        walk = idx.walk_order(s, s if end == CLOSED else end)
+                        assert [v for v in walk if v in span] == ref_order, (idx.tree, s, req, end)
+                assert idx.maximal_nodes(req, s) == maximal_nodes_by_walk(idx, req, s)
+                W, edges = idx.span(req)
+                ref_W, ref_edges = span_by_counts(idx, req)
+                assert (W.hex(), edges) == (ref_W.hex(), ref_edges), (idx.tree, req)
+
+
+def test_co_located_items_served_by_id():
+    # id 10 sorts before 2 as a string; the index orders co-located ids as ints
+    idx = tree_index_for(Line(), {i: 0.5 if i in (2, 10) else -1.0 - i for i in range(11)})
+    assert idx.items_at[idx.node_of[2]] == [2, 10]
+    q = PathQuery(Line(), 0.0, [0.5 if i in (2, 10) else -1.0 - i for i in range(11)], CLOSED)
+    order = tree_tsp(q).order
+    assert order.index(2) + 1 == order.index(10)
+    # the full loop (every gap under half the circle) serves them the same way
+    loop = ring_cover(1.0, 0.0, [(0.5, 10), (0.5, 2), (0.25, 11), (0.75, 12)], CLOSED)
+    assert loop == (1.0, [11, 2, 10, 12])
 
 
 @pytest.mark.parametrize("kind,solver", [("tree", tree_tsp), ("ring", ring_tsp), ("flower", flower_tsp)])

@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from oltsp.core import Instance, Request, route_stats
+from oltsp.core import Instance, Request, route_stats, run_adaptive
+from oltsp.engine import LaSwagPolicy
+from oltsp.fixtures import LineReleaseAdversary
 from oltsp.offline import PathQuery, held_karp, opt_bruteforce, tree_index_for, tree_tsp, FREE, CLOSED
 from oltsp.oracles import (
     GeneralOracle,
@@ -458,6 +460,31 @@ def test_batches_unchanged(family, variant):
     alter batches (a new dominator, such as a fix for the open-flower gap
     above) may update a digest, and it must say so in CHANGES.md."""
     assert _batches_digest(family, variant) == _BATCH_DIGESTS[family, variant]
+
+
+_LINE_ADVERSARY_DIGESTS = {
+    21: "a93f043b1cbd9dd02dee464399213b238144a7aa611cc1f5026c2eac3af2e210",
+    41: "3fa9fe9411d112e161de741eb9cb9c5808d8bbeba7d2e12e36e1f9df9ab40176",
+}
+
+
+@pytest.mark.parametrize("grid", sorted(_LINE_ADVERSARY_DIGESTS))
+def test_line_adversary_batches_unchanged(grid):
+    """The tree oracle's batches against the open line adversary, pinned by
+    sha256 of ``dump_batches()``.  Its open variant guesses each of up to
+    41 requests as the final one per step, loops that the n <= 6 pools
+    above never reach."""
+    policies = []
+    make = LaSwagPolicy.factory("tree")
+
+    def factory(*args):
+        policies.append(make(*args))
+        return policies[-1]
+
+    adversary = LineReleaseAdversary(grid)
+    run_adaptive(adversary.space, adversary, factory)
+    text = policies[0].oracle.dump_batches()
+    assert hashlib.sha256(text.encode()).hexdigest() == _LINE_ADVERSARY_DIGESTS[grid]
 
 
 # -- protocol ----------------------------------------------------------------
