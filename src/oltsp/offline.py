@@ -202,6 +202,18 @@ def _segment_price(s: float, positions: list[float], end) -> tuple[float, bool]:
     return _segment_cost(s, min(ext), max(ext), end)
 
 
+def _segment_walk(s: float, req: list[tuple[float, Any]], left: bool) -> list:
+    """Keys of ``req`` in the serving order of a line walk from ``s`` that
+    sweeps left first (``left``) or right first."""
+    if left:
+        lo = sorted((p, k) for p, k in req if p <= s)[::-1]
+        hi = sorted((p, k) for p, k in req if p > s)
+        return [k for _, k in lo] + [k for _, k in hi]
+    hi = sorted((p, k) for p, k in req if p >= s)
+    lo = sorted((p, k) for p, k in req if p < s)[::-1]
+    return [k for _, k in hi] + [k for _, k in lo]
+
+
 def segment_cover(s: float, req: list[tuple[float, Any]], end) -> tuple[float, list]:
     """Optimal covering walk on a line from ``s`` over ``req`` positions.
 
@@ -209,47 +221,58 @@ def segment_cover(s: float, req: list[tuple[float, Any]], end) -> tuple[float, l
     (length, keys in serving order).
     """
     cost, left = _segment_price(s, [p for p, _ in req], end)
-    if left:
-        lo = sorted((p, k) for p, k in req if p <= s)[::-1]
-        hi = sorted((p, k) for p, k in req if p > s)
-        return cost, [k for _, k in lo] + [k for _, k in hi]
-    hi = sorted((p, k) for p, k in req if p >= s)
-    lo = sorted((p, k) for p, k in req if p < s)[::-1]
-    return cost, [k for _, k in hi] + [k for _, k in lo]
+    return cost, _segment_walk(s, req, left)
 
 
 # ---------------------------------------------------------------------------
 # Ring cover
 # ---------------------------------------------------------------------------
 
-def _ring_price(C: float, s: float, positions: list[float], end) -> tuple[float, float | None]:
+def _ring_price(C: float, s: float, positions: list[float], end) -> tuple[float, float | None, bool]:
     """Length of :func:`ring_cover`'s walk from the request positions alone,
-    and the cut it walks as a segment (None for the full loop)."""
+    the cut it walks as a segment (None for the full loop), and whether
+    that segment is swept left first.
+
+    One sweep over the gaps of the sorted relevant positions: a cut inside
+    the gap after ``relevant[i]`` unrolls ``relevant[i + 1]`` to the
+    segment's minimum and ``relevant[i]`` to its maximum, since float
+    subtraction and ``%`` keep the circular order."""
     s = s % C
     fixed = end not in (FREE, CLOSED)
     e = end % C if fixed else None
 
     relevant = sorted({p % C for p in positions} | {s} | ({e} if fixed else set()))
-    best_cost, best_cut = math.inf, None
-    for i in range(len(relevant)):
-        nxt = relevant[(i + 1) % len(relevant)]
-        gap = (nxt - relevant[i]) % C
-        if len(relevant) > 1 and gap <= TIE:
+    m = len(relevant)
+    best_cost, best_cut, best_left = math.inf, None, True
+    for i in range(m):
+        lo, hi = relevant[i], relevant[(i + 1) % m]
+        gap = (hi - lo) % C
+        if m > 1 and gap <= TIE:
             continue
-        cut = (relevant[i] + gap / 2.0) % C if len(relevant) > 1 else (relevant[0] + C / 2) % C
-        pos = [(p - cut) % C for p in relevant]
+        cut = (lo + gap / 2.0) % C if m > 1 else (lo + C / 2) % C
         seg_end = (e - cut) % C if fixed else end
-        cost, _ = _segment_cost((s - cut) % C, min(pos), max(pos), seg_end)
+        cost, left = _segment_cost((s - cut) % C, (hi - cut) % C, (lo - cut) % C, seg_end)
         if cost < best_cost:
-            best_cost, best_cut = cost, cut
+            best_cost, best_cut, best_left = cost, cut, left
 
     loop = C
     if fixed:
         arc = abs(s - e)
         loop += min(arc, C - arc)
     if best_cut is not None and best_cost <= loop:
-        return best_cost, best_cut
-    return loop, None
+        return best_cost, best_cut, best_left
+    return loop, None, True
+
+
+def _ring_walk(C: float, s: float, req: list[tuple[float, Any]], cut: float | None, left: bool) -> list:
+    """Keys of ``req`` in the serving order of the ring walk that
+    :func:`_ring_price` priced: the full loop from ``s`` when ``cut`` is
+    None, else the segment unrolled at ``cut`` and swept as ``left`` says."""
+    s = s % C
+    if cut is None:
+        req = [(p % C, k) for p, k in req]
+        return [k for _, k in sorted(req, key=lambda r: ((r[0] - s) % C, _id_key(r[1])))]
+    return _segment_walk((s - cut) % C, [((p % C - cut) % C, k) for p, k in req], left)
 
 
 def ring_cover(C: float, s: float, req: list[tuple[float, Any]], end) -> tuple[float, list]:
@@ -258,13 +281,8 @@ def ring_cover(C: float, s: float, req: list[tuple[float, Any]], end) -> tuple[f
     a segment, or a full loop.  Each cut is priced without building its
     order; the first cheapest wins, and the loop only when strictly
     cheaper."""
-    cost, cut = _ring_price(C, s, [p for p, _ in req], end)
-    s = s % C
-    req = [(p % C, k) for p, k in req]
-    if cut is None:
-        return cost, [k for _, k in sorted(req, key=lambda r: ((r[0] - s) % C, _id_key(r[1])))]
-    seg_end = (end % C - cut) % C if end not in (FREE, CLOSED) else end
-    return segment_cover((s - cut) % C, [((p - cut) % C, k) for p, k in req], seg_end)
+    cost, cut, left = _ring_price(C, s, [p for p, _ in req], end)
+    return cost, _ring_walk(C, s, req, cut, left)
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +489,8 @@ def flower_cover(flower: Flower, s, req: list[tuple[Any, Any]], end) -> tuple[fl
     the walk decomposes into per-component covers stitched at the origin;
     when start and end share a component its requests are split between
     the first and last excursions by exhaustive bipartition.  Every
-    candidate walk is priced from positions alone; only the first
-    cheapest is built.
+    candidate walk is priced from positions alone, each leg once per call;
+    only the first cheapest is built.  Components go in id order.
     """
     s = flower.canon(s)
     origin = flower.origin()
@@ -502,20 +520,25 @@ def flower_cover(flower: Flower, s, req: list[tuple[Any, Any]], end) -> tuple[fl
 
     comps = sorted(
         set(groups) | ({sc} if sc is not None else set()) | ({ec} if ec is not None else set()),
-        key=str,
+        key=_id_key,
     )
 
-    def comp_cover(c, a_off, items, b) -> tuple[float, list]:
+    # a priced leg: (cost, component, start offset, items, ring cut, sweeps
+    # left first); walking it follows the cut and side its pricing found
+    def price(c, a_off, items, b) -> tuple:
         # b: an offset within c, FREE, or CLOSED
-        if c == "stem":
-            return segment_cover(a_off, items, b)
-        return ring_cover(flower.petals[c], a_off, items, b)
-
-    def comp_cost(c, a_off, items, b) -> float:
         positions = [p for p, _ in items]
         if c == "stem":
-            return _segment_price(a_off, positions, b)[0]
-        return _ring_price(flower.petals[c], a_off, positions, b)[0]
+            cost, left = _segment_price(a_off, positions, b)
+            return cost, c, a_off, items, None, left
+        cost, cut, left = _ring_price(flower.petals[c], a_off, positions, b)
+        return cost, c, a_off, items, cut, left
+
+    def walk(leg) -> list:
+        _, c, a_off, items, cut, left = leg
+        if c == "stem":
+            return _segment_walk(a_off, items, left)
+        return _ring_walk(flower.petals[c], a_off, items, cut, left)
 
     if not comps:
         return (0.0 if not fixed else flower.distance(s, e)), []
@@ -525,24 +548,29 @@ def flower_cover(flower: Flower, s, req: list[tuple[Any, Any]], end) -> tuple[fl
             b = CLOSED if end == CLOSED and sc == c else (FREE if end == FREE else (off(e) if ec == c else 0.0))
             if end == CLOSED and sc is None:
                 b = 0.0
-            cost, order = comp_cover(c, off(s) if sc == c else 0.0, groups.get(c, []), b)
+            leg = price(c, off(s) if sc == c else 0.0, groups.get(c, []), b)
             extra = 0.0
             if sc is not None and sc != c:  # start elsewhere: walk to the origin first
                 extra += flower.to_origin(s)
             if fixed and ec is not None and ec != c:
                 extra += flower.to_origin(e)
-            return cost + extra, order
+            return leg[0] + extra, walk(leg)
 
-    # each candidate walk is priced as a list of legs, (component, start
-    # offset, items, end) each; only the winner's legs are walked
+    # A candidate walk is a list of priced legs: the start component's
+    # cover to the origin, the others closed from the origin in id order,
+    # and the final component's cover.  The closed leg of each component
+    # but the start's and the end's, and the start's whole cover to the
+    # origin (used unless the end lies in the start component), are the
+    # same in every candidate that has them, so each is priced once.
+    mid = {c: price(c, 0.0, groups[c], CLOSED) for c in comps if c in groups and c not in (sc, ec)}
+    head = price(sc, off(s), groups.get(sc, []), 0.0) if sc is not None and ec != sc else None
+
     def middles(exclude):
         cost, legs = 0.0, []
-        for c in comps:
-            if c in exclude or c not in groups:
-                continue
-            leg = (c, 0.0, groups[c], CLOSED)
-            cost += comp_cost(*leg)
-            legs.append(leg)
+        for c, leg in mid.items():
+            if c not in exclude:
+                cost += leg[0]
+                legs.append(leg)
         return cost, legs
 
     best: tuple[float, list] | None = None
@@ -556,25 +584,23 @@ def flower_cover(flower: Flower, s, req: list[tuple[Any, Any]], end) -> tuple[fl
         """Walk = start-comp cover to O, middle comps closed, final comp."""
         if final_comp is None or final_comp == sc:
             if sc is None:
-                consider(*middles(set()))
+                consider(*middles(()))
+                return
+            mc, ml = middles((sc,))
+            if final_comp is None:
+                consider(head[0] + mc, [head] + ml)
                 return
             items = groups.get(sc, [])
-            mc, ml = middles({sc})
-            if final_comp is None:
-                head = (sc, off(s), items, 0.0)
-                consider(comp_cost(*head) + mc, [head] + ml)
-                return
             for mask in range(1 << len(items)):
                 A = [items[i] for i in range(len(items)) if mask & (1 << i)]
                 B = [items[i] for i in range(len(items)) if not mask & (1 << i)]
-                head, tail = (sc, off(s), A, 0.0), (sc, 0.0, B, final_mode)
-                consider(comp_cost(*head) + mc + comp_cost(*tail), [head] + ml + [tail])
+                h, t = price(sc, off(s), A, 0.0), price(sc, 0.0, B, final_mode)
+                consider(h[0] + mc + t[0], [h] + ml + [t])
         else:
-            head = [] if sc is None else [(sc, off(s), groups.get(sc, []), 0.0)]
-            hc = comp_cost(*head[0]) if head else 0.0
-            mc, ml = middles({sc, final_comp})
-            tail = (final_comp, 0.0, groups.get(final_comp, []), final_mode)
-            consider(hc + mc + comp_cost(*tail), head + ml + [tail])
+            hc, hl = (0.0, []) if head is None else (head[0], [head])
+            mc, ml = middles((sc, final_comp))
+            tail = price(final_comp, 0.0, groups.get(final_comp, []), final_mode)
+            consider(hc + mc + tail[0], hl + ml + [tail])
 
     if end == FREE:
         evaluate(None, None)  # end at the origin
@@ -593,10 +619,7 @@ def flower_cover(flower: Flower, s, req: list[tuple[Any, Any]], end) -> tuple[fl
 
     assert best is not None
     cost, legs = best
-    order = []
-    for leg in legs:
-        order += comp_cover(*leg)[1]
-    return cost, order
+    return cost, [k for leg in legs for k in walk(leg)]
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,8 @@ class DominationOracle:
         self._last_time: float | None = None
         self._last_released: frozenset = frozenset()
         self._cleanup_memo: dict[tuple, list[int]] = {}
+        # per-step table, dropped once the step's batch is built: head walks
+        # keyed by (index, nodes, end), flower leaf sets by (index, root)
         self._walks: dict[tuple, list[int]] = {}
 
     # -- protocol ----------------------------------------------------------
@@ -260,11 +262,12 @@ class RingOracle(DominationOracle):
         self.far = sorted(ids, key=lambda i: (-self.depth[i], i))
 
     def _cover(self, qid, rest, end) -> list[int]:
-        # in the true ring metric, not on the split index
-        items = [(self.pos[i], i) for i in sorted(rest)]
-        start = 0.0 if qid is None else self.pos[qid]
-        end_pos = 0.0 if end == CLOSED else (FREE if end == FREE else self.pos[end])
-        return ring_cover(self.C, start, items, end_pos)[1]
+        # in the true ring metric, not on the split index; the walk does
+        # not depend on the order of its items
+        pos = self.pos
+        start = 0.0 if qid is None else pos[qid]
+        end_pos = 0.0 if end == CLOSED else (FREE if end == FREE else pos[end])
+        return ring_cover(self.C, start, [(pos[i], i) for i in rest], end_pos)[1]
 
     def _crescents(self, released: frozenset, cw: list[int], ccw: list[int]) -> list[tuple]:
         out = []
@@ -346,6 +349,7 @@ class FlowerOracle(DominationOracle):
         self.loc = [space.canon(p) for p in self.predictions]
         self.comp = [p[0] for p in self.loc]
         self.off = [p[1] for p in self.loc]
+        self._items = [(p, i) for i, p in enumerate(self.loc)]  # cover items, in id order
         petal_ids: dict[int, list[int]] = {}
         for i, c in enumerate(self.comp):
             if c != "stem":
@@ -369,7 +373,8 @@ class FlowerOracle(DominationOracle):
         return tree_index_for(tree, dict(zip(ids, mapped)))
 
     def _cover(self, qid, rest, end) -> list[int]:
-        items = [(self.loc[i], i) for i in sorted(rest)]
+        # in id order: the cover's split ties go to the first one it tries
+        items = [item for item in self._items if item[1] in rest]
         start = self.origin if qid is None else self.loc[qid]
         end_pt = self.origin if end == CLOSED else (FREE if end == FREE else self.loc[end])
         return flower_cover(self.flower, start, items, end_pt)[1]
@@ -419,7 +424,6 @@ class FlowerOracle(DominationOracle):
         qc = self.comp[q]
         done = sorted(k for k in kept if k != qc or approach == "after_loop")
         idx = self._snipped[kept]
-        tree_rel_nodes = {idx.node_of[i] for i in rel if i in idx.node_of}
         root_node = 0
         if qf is not None and qf in idx.node_of:
             root_node = idx.node_of[qf]
@@ -431,7 +435,10 @@ class FlowerOracle(DominationOracle):
             }
             if idx.node_of[q] not in idx.maximal_nodes(unrel_nodes, root_node):
                 return []
-        leaves = idx.maximal_nodes(tree_rel_nodes, root_node)
+        leaves = self._walks.get((idx, root_node))
+        if leaves is None:  # the same for every pivot, approach and direction
+            rel_nodes = {idx.node_of[i] for i in rel if i in idx.node_of}
+            leaves = self._walks[idx, root_node] = idx.maximal_nodes(rel_nodes, root_node)
         loop_prefix: list[int] = []
         for k in done:
             loop_prefix += self._loop_order(k, loop_pool, self._petal_dir_for(k, q))

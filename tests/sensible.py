@@ -7,7 +7,9 @@ tests can check that the oracles dominate exactly the right families.
 the reference for ``offline.opt_bruteforce``; ``opt_value_by_loop`` is its
 value by the forward subset DP in pure Python, the reference above the
 enumeration's reach; ``ring_cover_all_cuts`` builds the walk of every cut,
-the reference for ``offline.ring_cover``; ``exact_path_by_loop`` is the
+the reference for ``offline.ring_cover``; ``flower_cover_by_masks`` prices
+each candidate walk's legs afresh, the reference for
+``offline.flower_cover``; ``exact_path_by_loop`` is the
 Held-Karp table in pure Python with a greedy walk that rescans every
 candidate per step, the reference for ``offline.exact_path``;
 ``path_cover_by_dfs``, ``span_by_counts`` and ``maximal_nodes_by_walk``
@@ -17,6 +19,7 @@ every call, the reference for its per-index tables.
 from __future__ import annotations
 
 import itertools
+import math
 from array import array
 from dataclasses import dataclass
 from typing import Any
@@ -30,6 +33,10 @@ from oltsp.offline import (
     OptResult,
     SizeCapExceeded,
     _build_matrix,
+    _id_key,
+    _segment_cost,
+    _segment_price,
+    ring_cover,
     segment_cover,
 )
 from oltsp.spaces import Flower, Ring, Space
@@ -298,6 +305,159 @@ def ring_cover_all_cuts(C: float, s: float, req: list[tuple[float, Any]], end) -
 
     candidates.sort(key=lambda c: c[0])
     return candidates[0]
+
+
+def _ring_price_by_cuts(C: float, s: float, positions: list[float], end) -> tuple[float, float | None]:
+    """``offline._ring_price`` with each cut's segment extremes taken over a
+    list of every relevant position unrolled at that cut."""
+    s = s % C
+    fixed = end not in (FREE, CLOSED)
+    e = end % C if fixed else None
+
+    relevant = sorted({p % C for p in positions} | {s} | ({e} if fixed else set()))
+    best_cost, best_cut = math.inf, None
+    for i in range(len(relevant)):
+        nxt = relevant[(i + 1) % len(relevant)]
+        gap = (nxt - relevant[i]) % C
+        if len(relevant) > 1 and gap <= TIE:
+            continue
+        cut = (relevant[i] + gap / 2.0) % C if len(relevant) > 1 else (relevant[0] + C / 2) % C
+        pos = [(p - cut) % C for p in relevant]
+        seg_end = (e - cut) % C if fixed else end
+        cost, _ = _segment_cost((s - cut) % C, min(pos), max(pos), seg_end)
+        if cost < best_cost:
+            best_cost, best_cut = cost, cut
+
+    loop = C
+    if fixed:
+        arc = abs(s - e)
+        loop += min(arc, C - arc)
+    if best_cut is not None and best_cost <= loop:
+        return best_cost, best_cut
+    return loop, None
+
+
+def flower_cover_by_masks(flower: Flower, s, req: list[tuple[Any, Any]], end) -> tuple[float, list]:
+    """``offline.flower_cover`` with every leg priced afresh for each
+    candidate walk and the winner's legs re-priced by ``ring_cover`` and
+    ``segment_cover`` as they are walked."""
+    s = flower.canon(s)
+    origin = flower.origin()
+    fixed = end not in (FREE, CLOSED)
+    e = flower.canon(end) if fixed else (s if end == CLOSED else None)
+
+    def comp(p):
+        return None if p == origin else p[0]
+
+    def off(p):
+        return 0.0 if p == origin else p[1]
+
+    sc = comp(s)
+    ec = comp(e) if e is not None else None
+
+    groups: dict[Any, list[tuple[float, Any]]] = {}
+    for p, k in req:
+        p = flower.canon(p)
+        c = comp(p)
+        if c is None:
+            c = sc if sc is not None else ec
+        if c is None:
+            c = "stem"
+        groups.setdefault(c, []).append((off(p) if comp(p) == c else 0.0, k))
+
+    comps = sorted(
+        set(groups) | ({sc} if sc is not None else set()) | ({ec} if ec is not None else set()),
+        key=_id_key,
+    )
+
+    def comp_cover(c, a_off, items, b) -> tuple[float, list]:
+        if c == "stem":
+            return segment_cover(a_off, items, b)
+        return ring_cover(flower.petals[c], a_off, items, b)
+
+    def comp_cost(c, a_off, items, b) -> float:
+        positions = [p for p, _ in items]
+        if c == "stem":
+            return _segment_price(a_off, positions, b)[0]
+        return _ring_price_by_cuts(flower.petals[c], a_off, positions, b)[0]
+
+    if not comps:
+        return (0.0 if not fixed else flower.distance(s, e)), []
+    if len(comps) == 1:
+        c = comps[0]
+        if (sc is None or sc == c) and (not fixed or ec is None or ec == c):
+            b = CLOSED if end == CLOSED and sc == c else (FREE if end == FREE else (off(e) if ec == c else 0.0))
+            if end == CLOSED and sc is None:
+                b = 0.0
+            cost, order = comp_cover(c, off(s) if sc == c else 0.0, groups.get(c, []), b)
+            extra = 0.0
+            if sc is not None and sc != c:
+                extra += flower.to_origin(s)
+            if fixed and ec is not None and ec != c:
+                extra += flower.to_origin(e)
+            return cost + extra, order
+
+    def middles(exclude):
+        cost, legs = 0.0, []
+        for c in comps:
+            if c in exclude or c not in groups:
+                continue
+            leg = (c, 0.0, groups[c], CLOSED)
+            cost += comp_cost(*leg)
+            legs.append(leg)
+        return cost, legs
+
+    best: tuple[float, list] | None = None
+
+    def consider(cost, legs):
+        nonlocal best
+        if best is None or cost < best[0] - TIE:
+            best = (cost, legs)
+
+    def evaluate(final_comp, final_mode):
+        if final_comp is None or final_comp == sc:
+            if sc is None:
+                consider(*middles(set()))
+                return
+            items = groups.get(sc, [])
+            mc, ml = middles({sc})
+            if final_comp is None:
+                head = (sc, off(s), items, 0.0)
+                consider(comp_cost(*head) + mc, [head] + ml)
+                return
+            for mask in range(1 << len(items)):
+                A = [items[i] for i in range(len(items)) if mask & (1 << i)]
+                B = [items[i] for i in range(len(items)) if not mask & (1 << i)]
+                head, tail = (sc, off(s), A, 0.0), (sc, 0.0, B, final_mode)
+                consider(comp_cost(*head) + mc + comp_cost(*tail), [head] + ml + [tail])
+        else:
+            head = [] if sc is None else [(sc, off(s), groups.get(sc, []), 0.0)]
+            hc = comp_cost(*head[0]) if head else 0.0
+            mc, ml = middles({sc, final_comp})
+            tail = (final_comp, 0.0, groups.get(final_comp, []), final_mode)
+            consider(hc + mc + comp_cost(*tail), head + ml + [tail])
+
+    if end == FREE:
+        evaluate(None, None)
+        for c in comps:
+            evaluate(c, FREE)
+    elif end == CLOSED:
+        if sc is None:
+            evaluate(None, None)
+        else:
+            evaluate(sc, off(s))
+    else:
+        if ec is None:
+            evaluate(None, None)
+        else:
+            evaluate(ec, off(e))
+
+    assert best is not None
+    cost, legs = best
+    order = []
+    for leg in legs:
+        order += comp_cover(*leg)[1]
+    return cost, order
 
 
 @dataclass

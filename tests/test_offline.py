@@ -20,6 +20,7 @@ from oltsp.offline import (
     _latest,
     eval_serving_order,
     exact_path,
+    flower_cover,
     flower_tsp,
     held_karp,
     opt_bruteforce,
@@ -37,6 +38,7 @@ from oltsp.tolerance import FEAS
 from conftest import random_flower, random_point, random_space, random_tree
 from sensible import (
     exact_path_by_loop,
+    flower_cover_by_masks,
     maximal_nodes_by_walk,
     opt_by_enumeration,
     opt_value_by_loop,
@@ -551,6 +553,63 @@ def test_ring_cover_matches_all_cuts():
         cases.append((C, pick(), req, end))
     for C, s, req, end in cases:
         assert ring_cover(C, s, req, end) == ring_cover_all_cuts(C, s, req, end), (C, s, req, end)
+
+
+def test_ring_cover_matches_all_cuts_on_edge_floats():
+    """The cut sweep reads each segment's extremes off the two positions
+    beside its gap; that holds for positions that ``%`` wraps onto C, that
+    sit an ulp inside C, or that lie closer together than TIE."""
+    rng = random.Random(23)
+    for _ in range(3000):
+        C = rng.choice([1.0, 2.0, 0.1 + 0.2, round(rng.uniform(0.5, 2.0), 6)])
+        edges = [-1e-17, -5e-13, 0.0, 1e-16, 5e-13, C / 2, C - 1e-16, C - 5e-13, C]
+        base = [rng.choice(edges) if rng.random() < 0.5 else round(rng.uniform(0.0, C), 6)
+                for _ in range(rng.randint(1, 4))]
+
+        def pick():
+            return rng.choice(base) + rng.choice([0.0, 0.0, 1e-16, -1e-16, 1e-13, 2e-12])
+
+        req = [(pick(), i) for i in range(rng.randint(0, 8))]
+        end = rng.choice([CLOSED, FREE, pick()])
+        s = pick()
+        got, want = ring_cover(C, s, req, end), ring_cover_all_cuts(C, s, req, end)
+        assert got[0].hex() == want[0].hex() and got[1] == want[1], (C, s, req, end)
+
+
+def _flower_point(flower, rng, grid):
+    c = rng.choice(list(range(len(flower.petals))) + (["stem"] if flower.stem > 0 else []))
+    ln = flower.stem if c == "stem" else flower.petals[c]
+    if grid:
+        return (c, rng.choice([0.0, 0.25, 0.5, 0.75, 1.0]) * ln)
+    return (c, round(rng.uniform(0.0, ln), rng.choice([2, 6])))
+
+
+def test_flower_cover_matches_masks_reference():
+    """Legs priced once per call, and the winner walked from their cuts,
+    give the reference's cost (bit for bit) and order: 1-3 petals with
+    and without a stem, random and grid-tie offsets, starts at the origin,
+    on a petal and on the stem, and every kind of end."""
+    rng = random.Random(29)
+    for _ in range(1500):
+        grid = rng.random() < 0.5
+        petals = tuple(rng.choice([1.0, 2.0]) if grid else round(rng.uniform(0.5, 2.0), 6)
+                       for _ in range(rng.randint(1, 3)))
+        flower = Flower(petals, rng.choice([0.0, 1.0]))
+        req = [(_flower_point(flower, rng, grid), i) for i in range(rng.randint(0, 7))]
+        starts = [flower.origin(), _flower_point(flower, rng, grid)]
+        if flower.stem > 0:
+            starts.append(("stem", rng.choice([0.5, 1.0]) if grid else rng.uniform(0.0, 1.0)))
+        for s in starts:
+            for end in (CLOSED, FREE, flower.origin(), _flower_point(flower, rng, grid)):
+                got, want = flower_cover(flower, s, req, end), flower_cover_by_masks(flower, s, req, end)
+                assert got[0].hex() == want[0].hex() and got[1] == want[1], (flower, s, req, end)
+
+
+def test_flower_cover_serves_petals_in_id_order():
+    # petal 10 sorts before 2 as a string; equal closed loops go by id
+    flower = Flower((1.0,) * 12)
+    req = [((2, 0.5), 2), ((10, 0.5), 10), ((1, 0.5), 1)]
+    assert flower_cover(flower, flower.origin(), req, CLOSED) == (3.0, [1, 2, 10])
 
 
 def test_opt_above_the_old_factorial_cap():

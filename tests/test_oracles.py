@@ -8,7 +8,17 @@ import pytest
 from oltsp.core import Instance, Request, route_stats, run_adaptive
 from oltsp.engine import LaSwagPolicy
 from oltsp.fixtures import LineReleaseAdversary
-from oltsp.offline import PathQuery, held_karp, opt_bruteforce, tree_index_for, tree_tsp, FREE, CLOSED
+from oltsp.offline import (
+    CLOSED,
+    FREE,
+    PathQuery,
+    flower_cover,
+    held_karp,
+    opt_bruteforce,
+    ring_cover,
+    tree_index_for,
+    tree_tsp,
+)
 from oltsp.oracles import (
     GeneralOracle,
     OutOfOrderEvent,
@@ -485,6 +495,28 @@ def test_line_adversary_batches_unchanged(grid):
     run_adaptive(adversary.space, adversary, factory)
     text = policies[0].oracle.dump_batches()
     assert hashlib.sha256(text.encode()).hexdigest() == _LINE_ADVERSARY_DIGESTS[grid]
+
+
+@pytest.mark.parametrize("kind", ["ring", "flower"])
+def test_oracle_covers_match_public_covers(kind):
+    """An oracle's clean-up, read from its per-instance positions, is the
+    public cover of the same points: every start, rest set and end."""
+    for sp, locs, _ in _pin_pool(kind, "closed", count=5):
+        n = len(locs)
+        oracle = make_oracle(sp, locs, "closed")
+        origin = sp.origin()
+        for qid in [None] + list(range(n)):
+            start = origin if qid is None else locs[qid]
+            for mask in range(1 << n):
+                rest = frozenset(i for i in range(n) if mask >> i & 1 and i != qid)
+                items = [(locs[i], i) for i in sorted(rest)]
+                for end in [CLOSED, FREE] + list(range(n)):
+                    end_pt = origin if end == CLOSED else (FREE if end == FREE else locs[end])
+                    if kind == "ring":
+                        want = ring_cover(sp.circumference, start, items, end_pt)[1]
+                    else:
+                        want = flower_cover(sp, start, items, end_pt)[1]
+                    assert oracle._cover(qid, rest, end) == want, (sp, locs, qid, rest, end)
 
 
 # -- protocol ----------------------------------------------------------------
