@@ -26,7 +26,6 @@ from .spaces import (
     Line,
     Ring,
     Tree,
-    snip_flower,
     space_from_json,
     trim_tree,
 )

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .core import BREAK_RULE, Instance, RunResult, Simulation, simulate
 from .offline import FREE, PathQuery, solve_classical
-from .oracles import DominationOracle, make_oracle
+from .oracles import make_oracle
 from .spaces import canon_point
 from .tolerance import FEAS, TIE
 
@@ -29,12 +29,13 @@ class StartDecision:
     sigma1: tuple
 
 
-def _candidate(oracle: DominationOracle, released: frozenset, window_start: float):
+def _candidate(scored, window_start: float):
     """Earliest time >= window_start at which some route satisfies both
-    start conditions, given the released set is frozen in this window."""
+    start conditions, given the released set is frozen in this window.
+    ``scored`` pairs each oracle entry's released fraction with it."""
     best = None
-    for e in oracle.entries.values():
-        if e.alpha_released(released) >= _HALF:
+    for alpha, e in scored:
+        if alpha >= _HALF:
             if best is None or e.length < best:
                 best = e.length
     if best is None:
@@ -42,11 +43,11 @@ def _candidate(oracle: DominationOracle, released: frozenset, window_start: floa
     return max(window_start, best / 2.0)
 
 
-def _witness(oracle: DominationOracle, released: frozenset, T: float):
+def _witness(scored, T: float):
     best = None
     limit = 2 * T + FEAS
-    for e in oracle.entries.values():
-        if e.alpha_released(released) < _HALF:
+    for alpha, e in scored:
+        if alpha < _HALF:
             continue
         if e.length > limit:
             continue
@@ -55,14 +56,14 @@ def _witness(oracle: DominationOracle, released: frozenset, T: float):
     return best
 
 
-def _minimizer(oracle: DominationOracle, released: frozenset):
+def _minimizer(scored):
     """argmin (1 - beta) * length.  Ties go to the lexicographically
     largest permutation: that is what makes the worst case of the
     prediction-at-the-wrong-end instances actually bite."""
     best_val = math.inf
     best_perm = None
-    for e in oracle.entries.values():
-        beta = min(e.alpha_released(released), 0.5)
+    for alpha, e in scored:
+        beta = min(alpha, 0.5)
         val = (1.0 - beta) * e.length
         if val < best_val - TIE or (
             abs(val - best_val) <= TIE and (best_perm is None or e.perm > best_perm)
@@ -119,13 +120,15 @@ class LaSwagPolicy:
             self._seen_released = len(sim.released)
             self.oracle.step(sim.now, frozenset(sim.released))
         released = frozenset(sim.released)
-        cand = _candidate(self.oracle, released, sim.now)
+        # each entry's released fraction, once per plan
+        scored = [(e.alpha_released(released), e) for e in self.oracle.entries.values()]
+        cand = _candidate(scored, sim.now)
         if cand is None:
             return ("wait", None)
         if cand > sim.now + TIE:
             return ("wait", cand)
-        sigma0 = _witness(self.oracle, released, sim.now)
-        self.sigma1 = _minimizer(self.oracle, released)
+        sigma0 = _witness(scored, sim.now)
+        self.sigma1 = _minimizer(scored)
         self.start = StartDecision(sim.now, sigma0.perm if sigma0 else (), self.sigma1)
         self.phase = "follow"
         return None

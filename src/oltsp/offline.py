@@ -297,7 +297,7 @@ class TreeIndex:
     the structured domination oracles.  Ancestry is read from the parent
     array alone, with no tolerance; distances come from ``tree``.  Nodes
     are numbered parents first (``par[v] < v``), as :func:`trim_tree` and
-    :func:`_line_tree` build them, so an edge's child is its larger end.
+    :func:`star_index` build them, so an edge's child is its larger end.
 
     The tables every query reads are built once: each node's items and its
     neighbours, ascending, at construction; and per root, on its first
@@ -436,46 +436,32 @@ class TreeIndex:
         return walk
 
 
-def tree_index_for(space: Space, items: dict[Any, Any]) -> TreeIndex:
-    """Index item -> location over a tree-shaped space (Line or Tree)."""
-    keys = list(items)
-    if isinstance(space, Line):
-        tree, mapped = _line_tree([items[k] for k in keys])
-    elif isinstance(space, Tree):
-        tree, mapped = trim_tree(space, [items[k] for k in keys])
-    else:
-        raise TypeError(f"not a tree-shaped space: {space}")
+def star_index(arms) -> TreeIndex:
+    """Index items on a star: arms glued at the root, each a list of
+    ``(offset, item)`` pairs, an offset of 0.0 being the root.  Each arm
+    has a node at each distinct offset, ascending, numbered arm by arm."""
+    edges: list[tuple[int, int, float]] = []
     node_of = {}
-    for k, p in zip(keys, mapped):
-        node_of[k] = _node_index(tree, p)
-    return TreeIndex(tree, node_of)
+    for arm in arms:
+        at, prev = {0.0: 0}, 0.0
+        for off in sorted({off for off, _ in arm} - {0.0}):
+            at[off] = len(edges) + 1
+            edges.append((at[prev], at[off], off - prev))
+            prev = off
+        node_of.update((item, at[off]) for off, item in arm)
+    return TreeIndex(Tree(edges), node_of)
 
 
-def _node_index(tree: Tree, p) -> int:
-    p = tree.canon(p)
-    if p[0] == -1:
-        return 0
-    ei, off = p
-    u, v, ln = tree.edges[ei]
-    if off >= ln:
-        return v
-    raise ValueError(f"point {p} is not a node of the tree")
-
-
-def _line_tree(coords: list[float]) -> tuple[Tree, list]:
-    edges = []
-    node_at = {0.0: 0}
-    for side in (-1, 1):
-        vals = sorted({c for c in coords if (c < 0 if side < 0 else c > 0)}, key=abs)
-        prev, prev_node = 0.0, 0
-        for c in vals:
-            node = len(node_at)
-            edges.append((prev_node, node, abs(c) - abs(prev)))
-            node_at[c] = node
-            prev, prev_node = c, node
-    tree = Tree(edges)
-    mapped = [tree.node_point(node_at[c]) for c in coords]
-    return tree, mapped
+def tree_index_for(space: Space, items: dict[Any, Any]) -> TreeIndex:
+    """Index item -> location over a tree-shaped space: a tree trimmed to
+    the items, or a line as a star of two arms, its negative side first."""
+    if isinstance(space, Line):
+        return star_index([[(-x, k) for k, x in items.items() if x < 0],
+                           [(x, k) for k, x in items.items() if x >= 0]])
+    if isinstance(space, Tree):
+        tree, nodes = trim_tree(space, list(items.values()))
+        return TreeIndex(tree, dict(zip(items, nodes)))
+    raise TypeError(f"not a tree-shaped space: {space}")
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,11 @@ from .offline import (
     exact_path,
     flower_cover,
     ring_cover,
+    star_index,
     tree_index_for,
 )
-from .spaces import Flower, Line, Ring, Space, Tree, snip_flower
-from .tolerance import FEAS, TIE
+from .spaces import Flower, Line, Ring, Space, Tree
+from .tolerance import FEAS, SNAP, TIE
 
 
 @dataclass
@@ -247,9 +248,10 @@ class RingOracle(DominationOracle):
         super().__init__(space, predictions, variant)
         C = self.C = space.circumference
         pos = self.pos = [space.norm(p) for p in self.predictions]
-        # the ring split at the antipode, as a line: the clockwise half
-        # positive, the counter-clockwise half negative
-        self.idx = tree_index_for(Line(), {i: p if p <= C / 2.0 else p - C for i, p in enumerate(pos)})
+        # the ring split at the antipode: a star of two arms, the
+        # counter-clockwise half first
+        self.idx = star_index([[(C - p, i) for i, p in enumerate(pos) if p > C / 2],
+                               [(p, i) for i, p in enumerate(pos) if p <= C / 2]])
         # each request's arm (+1 clockwise, -1 counter-clockwise) and its
         # distance from the origin along that arm
         self.arm = [1 if p <= C / 2 + TIE else -1 for p in pos]
@@ -360,7 +362,10 @@ class FlowerOracle(DominationOracle):
             k: {d: sorted(ids, key=lambda i: (d * self.off[i], i)) for d in (1, -1)}
             for k, ids in petal_ids.items()
         }
-        # the tree left by snipping every petal outside ``kept``, for each
+        # each request's arm once its petal is snipped into two halves
+        # ("stem", or (petal, +1 forward / -1 backward)) and its offset on it
+        self._arm = [_star_arm(space, c, o) for c, o in self.loc]
+        # the star left by snipping every petal outside ``kept``, for each
         # set of kept petals that host a prediction
         self._snipped = {
             frozenset(kept): self._snip_index(frozenset(kept))
@@ -368,9 +373,16 @@ class FlowerOracle(DominationOracle):
         }
 
     def _snip_index(self, kept: frozenset) -> TreeIndex:
-        ids = [i for i in range(self.n) if self.comp[i] == "stem" or self.comp[i] not in kept]
-        tree, _, mapped = snip_flower(self.flower, kept, [self.loc[i] for i in ids])
-        return tree_index_for(tree, dict(zip(ids, mapped)))
+        """The stem arm, then each petal outside ``kept`` as its forward and
+        its backward half, with the requests on them."""
+        arms: dict = {"stem": []}
+        for k in range(len(self.flower.petals)):
+            if k not in kept:
+                arms[k, 1], arms[k, -1] = [], []
+        for i, (arm, off) in enumerate(self._arm):
+            if arm in arms:
+                arms[arm].append((off, i))
+        return star_index(list(arms.values()))
 
     def _cover(self, qid, rest, end) -> list[int]:
         # in id order: the cover's split ties go to the first one it tries
@@ -465,6 +477,18 @@ class FlowerOracle(DominationOracle):
             prefix = list(dict.fromkeys(loop_prefix + tree_part + petal_part))
             out.append(self._dominator(prefix, q, qf))
         return out
+
+
+def _star_arm(flower: Flower, comp, off) -> tuple:
+    """Arm and offset of a canonical flower point on the snipped star, an
+    offset within ``SNAP`` of the arm's root or end snapped onto it."""
+    if comp == "stem":
+        arm, end = "stem", flower.stem
+    elif off <= flower.petals[comp] / 2:
+        arm, end = (comp, 1), flower.petals[comp] / 2
+    else:
+        arm, end, off = (comp, -1), flower.petals[comp] / 2, flower.petals[comp] - off
+    return arm, (0.0 if off <= SNAP else end if off >= end - SNAP else off)
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,17 @@ class Tree:
             self._parent[v] = (u, i, ln)
             self._children.setdefault(u, []).append(v)
             self._children.setdefault(v, [])
+        # depths from the root down, parents first, each node once: a node
+        # listed under two parents takes its depth from its own parent edge,
+        # and one not connected to the root gets none
         self._depth = {0: 0.0}
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            for v in self._children[u]:
+                if v not in self._depth and self._parent[v][0] == u:
+                    self._depth[v] = self._depth[u] + self._parent[v][2]
+                    stack.append(v)
 
     @property
     def n_nodes(self) -> int:
@@ -193,9 +203,6 @@ class Tree:
         return (ei, ln)
 
     def depth(self, v: int) -> float:
-        if v not in self._depth:
-            u, _, ln = self._parent[v]
-            self._depth[v] = self.depth(u) + ln
         return self._depth[v]
 
     def canon(self, p):
@@ -691,139 +698,50 @@ def canon_point(space: Space, p):
 
 
 # ---------------------------------------------------------------------------
-# Structural transforms: trim, snip
+# Structural transform: trim
 # ---------------------------------------------------------------------------
 
-def trim_tree(tree: Tree, points) -> tuple[Tree, list]:
+def trim_tree(tree: Tree, points) -> tuple[Tree, list[int]]:
     """Restrict a tree to the union of root-to-point paths.
 
-    Returns the trimmed tree plus the image of each input point in it.
-    Degree-2 interior vertices (other than the root) are contracted,
-    edges are truncated right past the deepest point on them, and every
-    leaf of the result hosts a point.
+    Returns the trimmed tree plus the node of each input point in it.  One
+    depth-first pass (children in edge order) makes a node only where a
+    point sits or where the tree branches, numbered in the order it is
+    made, so parents come first and every leaf hosts a point; edges stop
+    at the deepest point on them.  A node that is skipped adds its edge's
+    length to the next node made below it, nearest first.
     """
     points = [tree.canon(p) for p in points]
-    if not points:
-        return Tree([]), []
+    cuts: dict[int, set[float]] = {}  # offsets of points per original edge
+    for ei, off in points:
+        if ei != -1:
+            cuts.setdefault(ei, set()).add(off)
+    # busy[v]: how many child edges of v lead to a point; ``_depth`` holds
+    # parents first, so each node is counted after its children
+    busy: dict[int, int] = {}
+    for v in reversed(tree._depth):
+        busy[v] = sum(1 for w in tree._children[v] if busy[w] or tree._parent[w][1] in cuts)
 
-    # offsets of interest per original edge
-    cuts: dict[int, set[float]] = {}
-    for p in points:
-        if p[0] != -1:
-            cuts.setdefault(p[0], set()).add(p[1])
-
-    # which original nodes still have content at or below them
-    has_below: dict[int, bool] = {}
-
-    def fill(v: int) -> bool:
-        any_c = False
-        for w in tree._children.get(v, []):
-            ei = tree._parent[w][1]
-            if fill(w) or cuts.get(ei):
-                any_c = True
-        has_below[v] = any_c
-        return any_c
-
-    fill(0)
-
-    new_edges: list[tuple[int, int, float]] = []
-    next_id = [0]
-    loc_of: dict[tuple, int] = {TREE_ROOT: 0}
-
-    def new_node() -> int:
-        next_id[0] += 1
-        return next_id[0]
-
-    def build(v_old: int, v_new: int) -> None:
-        for w in tree._children.get(v_old, []):
-            ei = tree._parent[w][1]
-            ln = tree._parent[w][2]
-            offs = sorted(cuts.get(ei, ()))
-            deeper = has_below.get(w, False)
-            if not offs and not deeper:
+    edges: list[tuple[int, int, float]] = []
+    node_at: dict[tuple, int] = {TREE_ROOT: 0}
+    # (original child, the last node made above it, the skipped edge
+    # lengths below that node, top down)
+    stack = [(w, 0, ()) for w in reversed(tree._children[0])]
+    while stack:
+        w, top, skipped = stack.pop()
+        _, ei, ln = tree._parent[w]
+        prev = 0.0
+        for off in sorted(cuts.get(ei, ())) + ([ln] if busy[w] > 1 else []):
+            if off == prev:  # a point sits on w, which branches
                 continue
-            prev_new, prev_off = v_new, 0.0
-            for off in offs:
-                if off == 0.0:
-                    loc_of[(ei, 0.0)] = prev_new
-                    continue
-                node = new_node()
-                new_edges.append((prev_new, node, off - prev_off))
-                loc_of[(ei, off)] = node
-                prev_new, prev_off = node, off
-            if deeper:
-                if prev_off < ln:
-                    node = new_node()
-                    new_edges.append((prev_new, node, ln - prev_off))
-                else:
-                    node = prev_new
-                loc_of[tree.canon((ei, ln))] = node
-                build(w, node)
-
-    build(0, 0)
-
-    # contract degree-2 vertices that host no point and are not the root
-    t = Tree(new_edges)
-    hosted = {loc_of[p] for p in points}
-    kept = {0} | hosted | {
-        v for v in range(1, t.n_nodes) if len(t._children.get(v, [])) >= 2
-    }
-    ids = {v: i for i, v in enumerate(sorted(kept))}
-    final_edges = []
-    for v in sorted(kept - {0}):
-        length = 0.0
-        u = v
-        while True:
-            p, _, ln = t._parent[u]
-            length += ln
-            u = p
-            if u in kept:
-                break
-        final_edges.append((ids[u], ids[v], length))
-
-    out = Tree(final_edges)
-    mapped = [out.node_point(ids[loc_of[p]]) for p in points]
-    return out, mapped
-
-
-def snip_flower(flower: Flower, keep_petals, points=()) -> tuple[Tree, dict, list]:
-    """Replace every petal not kept by two half-length branches.
-
-    Returns (tree part, kept petal lengths by id, mapped points).  A
-    mapped point is a tree point for stem/snipped locations and
-    ``("petal", k, offset)`` for points on kept petals.
-    """
-    keep = set(keep_petals)
-    edges = []
-    next_id = [0]
-
-    def branch(length):
-        next_id[0] += 1
-        edges.append((0, next_id[0], length))
-        return next_id[0]
-
-    stem_node = branch(flower.stem) if flower.stem > 0 else None
-    halves = {}
-    for k, ln in enumerate(flower.petals):
-        if k in keep:
-            continue
-        halves[k] = (branch(ln / 2), branch(ln / 2))
-    tree = Tree(edges)
-
-    def map_point(p):
-        comp, off = flower.canon(p)
-        if (comp, off) == ("stem", 0.0):
-            return TREE_ROOT
-        if comp == "stem":
-            ei = tree._parent[stem_node][1]
-            return tree.canon((ei, off))
-        if comp in keep:
-            return ("petal", comp, off)
-        ln = flower.petals[comp]
-        cw, ccw = halves[comp]
-        if off <= ln / 2:
-            return tree.canon((tree._parent[cw][1], off))
-        return tree.canon((tree._parent[ccw][1], ln - off))
-
-    kept = {k: flower.petals[k] for k in keep}
-    return tree, kept, [map_point(p) for p in points]
+            length = off - prev
+            for s in reversed(skipped):
+                length += s
+            edges.append((top, len(edges) + 1, length))
+            top, skipped, prev = len(edges), (), off
+            node_at[(ei, off)] = top
+        if busy[w]:
+            if prev < ln:
+                skipped += (ln - prev,)
+            stack += [(x, top, skipped) for x in reversed(tree._children[w])]
+    return Tree(edges), [node_at[p] for p in points]

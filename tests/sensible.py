@@ -15,6 +15,12 @@ candidate per step, the reference for ``offline.exact_path``;
 ``path_cover_by_dfs``, ``span_by_counts`` and ``maximal_nodes_by_walk``
 recompute a ``TreeIndex``'s adjacency, counts and rerooted parents on
 every call, the reference for its per-index tables.
+``trim_tree_by_contraction`` builds a whole intermediate tree and
+contracts it, the reference for ``spaces.trim_tree``;
+``tree_index_by_round_trip`` and ``snipped_index_by_round_trip`` build a
+line's, a tree's or a snipped flower's whole tree (``line_tree``,
+``snip_flower``) and turn each item's tree point back into its node, the
+reference for ``offline.star_index`` and ``offline.tree_index_for``.
 """
 from __future__ import annotations
 
@@ -32,6 +38,7 @@ from oltsp.offline import (
     HELD_KARP_CAP,
     OptResult,
     SizeCapExceeded,
+    TreeIndex,
     _build_matrix,
     _id_key,
     _segment_cost,
@@ -39,7 +46,7 @@ from oltsp.offline import (
     ring_cover,
     segment_cover,
 )
-from oltsp.spaces import Flower, Ring, Space
+from oltsp.spaces import TREE_ROOT, Flower, Line, Ring, Space, Tree
 from oltsp.tolerance import TIE
 
 
@@ -593,3 +600,190 @@ def path_cover_by_dfs(idx, s: int, req_nodes, end) -> tuple[float, list[int]]:
             if y != prev and y != last:
                 stack.append((y, x, False))
     return cost, order
+
+
+# ---------------------------------------------------------------------------
+# Tree indexes built through intermediate trees and point round trips
+# ---------------------------------------------------------------------------
+
+def trim_tree_by_contraction(tree: Tree, points) -> tuple[Tree, list]:
+    """Restrict a tree to the union of root-to-point paths.
+
+    Returns the trimmed tree plus the image of each input point in it.
+    Degree-2 interior vertices (other than the root) are contracted,
+    edges are truncated right past the deepest point on them, and every
+    leaf of the result hosts a point.
+    """
+    points = [tree.canon(p) for p in points]
+    if not points:
+        return Tree([]), []
+
+    # offsets of interest per original edge
+    cuts: dict[int, set[float]] = {}
+    for p in points:
+        if p[0] != -1:
+            cuts.setdefault(p[0], set()).add(p[1])
+
+    # which original nodes still have content at or below them
+    has_below: dict[int, bool] = {}
+
+    def fill(v: int) -> bool:
+        any_c = False
+        for w in tree._children.get(v, []):
+            ei = tree._parent[w][1]
+            if fill(w) or cuts.get(ei):
+                any_c = True
+        has_below[v] = any_c
+        return any_c
+
+    fill(0)
+
+    new_edges: list[tuple[int, int, float]] = []
+    next_id = [0]
+    loc_of: dict[tuple, int] = {TREE_ROOT: 0}
+
+    def new_node() -> int:
+        next_id[0] += 1
+        return next_id[0]
+
+    def build(v_old: int, v_new: int) -> None:
+        for w in tree._children.get(v_old, []):
+            ei = tree._parent[w][1]
+            ln = tree._parent[w][2]
+            offs = sorted(cuts.get(ei, ()))
+            deeper = has_below.get(w, False)
+            if not offs and not deeper:
+                continue
+            prev_new, prev_off = v_new, 0.0
+            for off in offs:
+                if off == 0.0:
+                    loc_of[(ei, 0.0)] = prev_new
+                    continue
+                node = new_node()
+                new_edges.append((prev_new, node, off - prev_off))
+                loc_of[(ei, off)] = node
+                prev_new, prev_off = node, off
+            if deeper:
+                if prev_off < ln:
+                    node = new_node()
+                    new_edges.append((prev_new, node, ln - prev_off))
+                else:
+                    node = prev_new
+                loc_of[tree.canon((ei, ln))] = node
+                build(w, node)
+
+    build(0, 0)
+
+    # contract degree-2 vertices that host no point and are not the root
+    t = Tree(new_edges)
+    hosted = {loc_of[p] for p in points}
+    kept = {0} | hosted | {
+        v for v in range(1, t.n_nodes) if len(t._children.get(v, [])) >= 2
+    }
+    ids = {v: i for i, v in enumerate(sorted(kept))}
+    final_edges = []
+    for v in sorted(kept - {0}):
+        length = 0.0
+        u = v
+        while True:
+            p, _, ln = t._parent[u]
+            length += ln
+            u = p
+            if u in kept:
+                break
+        final_edges.append((ids[u], ids[v], length))
+
+    out = Tree(final_edges)
+    mapped = [out.node_point(ids[loc_of[p]]) for p in points]
+    return out, mapped
+
+
+def snip_flower(flower: Flower, keep_petals, points=()) -> tuple[Tree, dict, list]:
+    """Replace every petal not kept by two half-length branches.
+
+    Returns (tree part, kept petal lengths by id, mapped points).  A
+    mapped point is a tree point for stem/snipped locations and
+    ``("petal", k, offset)`` for points on kept petals.
+    """
+    keep = set(keep_petals)
+    edges = []
+    next_id = [0]
+
+    def branch(length):
+        next_id[0] += 1
+        edges.append((0, next_id[0], length))
+        return next_id[0]
+
+    stem_node = branch(flower.stem) if flower.stem > 0 else None
+    halves = {}
+    for k, ln in enumerate(flower.petals):
+        if k in keep:
+            continue
+        halves[k] = (branch(ln / 2), branch(ln / 2))
+    tree = Tree(edges)
+
+    def map_point(p):
+        comp, off = flower.canon(p)
+        if (comp, off) == ("stem", 0.0):
+            return TREE_ROOT
+        if comp == "stem":
+            ei = tree._parent[stem_node][1]
+            return tree.canon((ei, off))
+        if comp in keep:
+            return ("petal", comp, off)
+        ln = flower.petals[comp]
+        cw, ccw = halves[comp]
+        if off <= ln / 2:
+            return tree.canon((tree._parent[cw][1], off))
+        return tree.canon((tree._parent[ccw][1], ln - off))
+
+    kept = {k: flower.petals[k] for k in keep}
+    return tree, kept, [map_point(p) for p in points]
+
+
+def line_tree(coords: list[float]) -> tuple[Tree, list]:
+    edges = []
+    node_at = {0.0: 0}
+    for side in (-1, 1):
+        vals = sorted({c for c in coords if (c < 0 if side < 0 else c > 0)}, key=abs)
+        prev, prev_node = 0.0, 0
+        for c in vals:
+            node = len(node_at)
+            edges.append((prev_node, node, abs(c) - abs(prev)))
+            node_at[c] = node
+            prev, prev_node = c, node
+    tree = Tree(edges)
+    mapped = [tree.node_point(node_at[c]) for c in coords]
+    return tree, mapped
+
+
+def node_index(tree: Tree, p) -> int:
+    p = tree.canon(p)
+    if p[0] == -1:
+        return 0
+    ei, off = p
+    u, v, ln = tree.edges[ei]
+    if off >= ln:
+        return v
+    raise ValueError(f"point {p} is not a node of the tree")
+
+
+def tree_index_by_round_trip(space, items: dict) -> TreeIndex:
+    """``offline.tree_index_for`` through a whole tree built per space: a
+    line's nodes by side, or a tree trimmed and contracted, with every
+    item's tree point turned back into its node by ``node_index``."""
+    keys = list(items)
+    if isinstance(space, Line):
+        tree, mapped = line_tree([items[k] for k in keys])
+    else:
+        tree, mapped = trim_tree_by_contraction(space, [items[k] for k in keys])
+    return TreeIndex(tree, {k: node_index(tree, p) for k, p in zip(keys, mapped)})
+
+
+def snipped_index_by_round_trip(flower: Flower, locations: list, kept) -> TreeIndex:
+    """``FlowerOracle``'s index of the requests off the ``kept`` petals,
+    through the whole snipped tree."""
+    loc = [flower.canon(p) for p in locations]
+    ids = [i for i, p in enumerate(loc) if p[0] == "stem" or p[0] not in kept]
+    tree, _, mapped = snip_flower(flower, kept, [loc[i] for i in ids])
+    return tree_index_by_round_trip(tree, dict(zip(ids, mapped)))

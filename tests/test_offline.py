@@ -31,7 +31,9 @@ from oltsp.offline import (
     tree_index_for,
     tree_tsp,
 )
-from oltsp.spaces import Euclid2D, Flower, Line, Ring, Tree, snip_flower
+from oltsp.engine import la_swag
+from oltsp.oracles import FlowerOracle, RingOracle
+from oltsp.spaces import Euclid2D, Flower, Line, Ring, Tree, trim_tree
 
 from oltsp.tolerance import FEAS
 
@@ -44,7 +46,9 @@ from sensible import (
     opt_value_by_loop,
     path_cover_by_dfs,
     ring_cover_all_cuts,
+    snipped_index_by_round_trip,
     span_by_counts,
+    tree_index_by_round_trip,
 )
 
 TOL = 1e-9
@@ -237,23 +241,28 @@ def test_tree_tsp_serves_points_closer_than_the_tolerance():
     idx = tree_index_for(Line(), {"a": 1.0, "b": 1.0 + 3e-10})
     a, b = idx.node_of["a"], idx.node_of["b"]
     assert idx.maximal_nodes({a, b}, 0) == [b]
+    # even within SNAP of another, a point keeps its own node: every leaf
+    # of an index hosts an item
+    for space, a, b in ((Line(), 1.0, 1.0 + 5e-13), (Tree([(0, 1, 2.0)]), (0, 1.0), (0, 1.0 + 5e-13))):
+        assert tree_index_for(space, {"a": a, "b": b}).node_of == {"a": 1, "b": 2}, space
+
+
+def _snipped_indexes(rng):
+    """The flower oracle's snipped indexes over a random flower."""
+    flower = random_flower(rng, 3)
+    preds = [random_point(flower, rng) for _ in range(6)]
+    return list(FlowerOracle(flower, preds, "closed")._snipped.values())
 
 
 def test_tree_index_numbers_parents_first():
     # TreeIndex.span counts members per subtree in one pass over v = n-1..1
     rng = random.Random(31)
     for _ in range(60):
-        flower = random_flower(rng, 3)
-        kept = {k for k in range(len(flower.petals)) if rng.random() < 0.5}
-        on_tree = [p for p in (random_point(flower, rng) for _ in range(6))
-                   if p[0] == "stem" or p[0] not in kept]
-        snipped, _, mapped = snip_flower(flower, kept, on_tree)
         tree = random_tree(rng)
-        for space, pts in ((Line(), [random_point(Line(), rng) for _ in range(6)]),
-                           (tree, [random_point(tree, rng) for _ in range(6)]),
-                           (snipped, mapped)):
-            idx = tree_index_for(space, dict(enumerate(pts)))
-            assert all(idx.par[v] < v for v in range(1, idx.n)), (space, pts)
+        indexes = [tree_index_for(Line(), dict(enumerate(random_point(Line(), rng) for _ in range(6)))),
+                   tree_index_for(tree, dict(enumerate(random_point(tree, rng) for _ in range(6))))]
+        for idx in indexes + _snipped_indexes(rng):
+            assert all(idx.par[v] < v for v in range(1, idx.n)), (idx.tree, idx.node_of)
 
 
 def _cross_check_indexes(rng, count):
@@ -268,12 +277,48 @@ def _cross_check_indexes(rng, count):
             p = random_point(Line(), rng)
             pts += [p, _nudged(Line(), p, rng)]
         yield tree_index_for(Line(), dict(enumerate(pts)))
+        yield from _snipped_indexes(rng)
+
+
+def _index_tables(idx):
+    return ([(v, ln.hex()) for v, ln in zip(idx.par, idx.plen)], idx.node_of, idx.items_at)
+
+
+def test_star_indexes_match_round_trip_reference():
+    """Lines, split rings and snipped flowers indexed by the star builder
+    equal the whole trees built before, read back point by point: the
+    same parents, lengths bit for bit, nodes and co-located items."""
+    rng = random.Random(47)
+    for _ in range(300):
+        xs = []
+        for _ in range(rng.randint(1, 4)):
+            x = rng.choice([random_point(Line(), rng), float(rng.randint(-2, 2)), -0.0])
+            xs += [x, _nudged(Line(), x, rng)] if x and x not in xs and rng.random() < 0.5 else [x]
+        items = dict(enumerate(xs))
+        assert _index_tables(tree_index_for(Line(), items)) == _index_tables(
+            tree_index_by_round_trip(Line(), items)), xs
+
+        C = round(rng.uniform(0.5, 2.0), 6)
+        pos = [rng.choice([0.0, C / 2, C / 2 + 1e-10, C - 1e-9, round(rng.uniform(0, C), 6)])
+               for _ in range(rng.randint(1, 6))]
+        ring = RingOracle(Ring(C), pos, "closed")
+        split = {i: p if p <= C / 2.0 else p - C for i, p in enumerate(ring.pos)}
+        assert _index_tables(ring.idx) == _index_tables(tree_index_by_round_trip(Line(), split)), (C, pos)
+
         flower = random_flower(rng, 3)
-        kept = {k for k in range(len(flower.petals)) if rng.random() < 0.5}
-        on_tree = [p for p in (random_point(flower, rng) for _ in range(6))
-                   if p[0] == "stem" or p[0] not in kept]
-        snipped, _, mapped = snip_flower(flower, kept, on_tree)
-        yield tree_index_for(snipped, dict(enumerate(mapped)))
+        preds = []
+        for _ in range(rng.randint(1, 6)):  # some within SNAP of a half's or the stem's tip
+            k = rng.randrange(len(flower.petals) + 1)
+            if k == len(flower.petals):
+                ln = flower.stem
+                preds.append(("stem", rng.choice([ln, ln - 5e-13, ln + 5e-13, round(rng.uniform(0, ln), 6)])))
+            else:
+                half = flower.petals[k] / 2
+                preds.append((k, rng.choice([half, half - 5e-13, half + 5e-13, round(rng.uniform(0, 2 * half), 6)])))
+        preds = [p for p in preds if flower.contains(p)]
+        for kept, idx in FlowerOracle(flower, preds, "closed")._snipped.items():
+            assert _index_tables(idx) == _index_tables(
+                snipped_index_by_round_trip(flower, preds, kept)), (flower, preds, kept)
 
 
 def test_tree_index_tables_match_reference():
@@ -299,6 +344,22 @@ def test_tree_index_tables_match_reference():
                 W, edges = idx.span(req)
                 ref_W, ref_edges = span_by_counts(idx, req)
                 assert (W.hex(), edges) == (ref_W.hex(), ref_edges), (idx.tree, req)
+
+
+def test_deep_path_tree_needs_no_recursion():
+    # depths, the trim and every walk are iterative: no call nests per edge
+    path = Tree([(v, v + 1, 1.0) for v in range(1500)])
+    assert path.distance((0, 0.5), (1499, 0.5)) == 1499.0
+    assert path.move_along((0, 0.5), (1499, 0.5), 1200.0) == (1200, 0.5)
+    trimmed, nodes = trim_tree(path, [(1200, 0.5), (1499, 1.0)])
+    assert trimmed.edges == [(0, 1, 1200.5), (1, 2, 299.5)] and nodes == [1, 2]
+    q = PathQuery(path, (1100, 0.25), [(1200, 0.5), (1300, 1.0), (5, 0.0)], CLOSED)
+    res = tree_tsp(q)
+    assert (res.length, res.order) == (2592.0, [2, 0, 1])
+    reqs = [Request(0, (1200, 0.5), 0.0), Request(1, (1010, 1.0), 1.0), Request(2, (1400, 0.0), 2.0)]
+    result, _ = la_swag(Instance(path, reqs, [r.location for r in reqs], "open"))
+    # every request is out at t = 2, so the clean-up runs straight up the path
+    assert result.completion_time == 1402.0 and sorted(result.served_at) == [0, 1, 2]
 
 
 def test_co_located_items_served_by_id():

@@ -15,12 +15,13 @@ from oltsp.spaces import (
     Tree,
     point_from_json,
     point_to_json,
-    snip_flower,
     space_from_json,
     trim_tree,
 )
+from oltsp.oracles import FlowerOracle
 
 from conftest import random_flower, random_general, random_point, random_space, random_tree
+from sensible import trim_tree_by_contraction
 
 TOL = 1e-9
 
@@ -30,7 +31,7 @@ KINDS = ["line", "euclid2d", "ring", "tree", "flower", "general"]
 def test_tree_equality_ignores_caches():
     edges = [(0, 1, 1.0), (1, 2, 2.0)]
     a, b = Tree(edges), Tree(edges)
-    assert a.distance((1, 2.0), (0, 0.5)) == pytest.approx(2.5)  # fills a's depth cache
+    assert a.distance((1, 2.0), (0, 0.5)) == pytest.approx(2.5)  # reads a's depth table
     assert a == b and repr(a) == repr(b)
     assert a != Tree([(0, 1, 1.0), (1, 2, 3.0)])
 
@@ -186,23 +187,23 @@ def test_infinite_leaf_edges():
 def test_trim_star_two_rays():
     star = Tree([(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (0, 4, 1.0), (0, 5, 1.0)])
     pts = [(0, 1.0), (1, 1.0)]
-    trimmed, mapped = trim_tree(star, pts)
+    trimmed, nodes = trim_tree(star, pts)
     leaves = [v for v in range(1, trimmed.n_nodes) if not trimmed._children.get(v)]
     assert len(leaves) == 2
 
 
 def test_trim_truncates_past_request():
     tree = Tree([(0, 1, 4.0)])
-    trimmed, mapped = trim_tree(tree, [(0, 1.5)])
+    trimmed, nodes = trim_tree(tree, [(0, 1.5)])
     assert trimmed.n_nodes == 2
     assert trimmed.edges[0][2] == pytest.approx(1.5)
-    assert trimmed.distance(trimmed.origin(), mapped[0]) == pytest.approx(1.5)
+    assert trimmed.depth(nodes[0]) == pytest.approx(1.5)
 
 
 def test_trim_empty_points():
     tree = Tree([(0, 1, 1.0)])
-    trimmed, mapped = trim_tree(tree, [])
-    assert trimmed.n_nodes == 1 and mapped == []
+    trimmed, nodes = trim_tree(tree, [])
+    assert trimmed.n_nodes == 1 and nodes == []
 
 
 def test_trim_preserves_distances_and_leaves():
@@ -210,32 +211,71 @@ def test_trim_preserves_distances_and_leaves():
     for _ in range(30):
         tree = random_tree(rng)
         pts = [random_point(tree, rng) for _ in range(rng.randint(1, 6))]
-        trimmed, mapped = trim_tree(tree, pts)
+        trimmed, nodes = trim_tree(tree, pts)
         for i in range(len(pts)):
             for j in range(len(pts)):
-                assert trimmed.distance(mapped[i], mapped[j]) == pytest.approx(
+                assert trimmed.node_dist(nodes[i], nodes[j]) == pytest.approx(
                     tree.distance(pts[i], pts[j]), abs=1e-9
                 )
-        hosted = {trimmed.canon(m) for m in mapped}
         for v in range(1, trimmed.n_nodes):
             if not trimmed._children.get(v):
-                assert trimmed.node_point(v) in hosted
+                assert v in nodes
         assert trimmed.n_nodes <= 2 * len(pts) + 2
 
 
+def _trim_cases(rng):
+    """Random trees with random points; integer-length trees with points on
+    a half-integer grid, at nodes and on an unbounded leaf edge."""
+    for _ in range(300):
+        tree = random_tree(rng, rng.randint(1, 5), rng.randint(1, 9))
+        yield tree, [random_point(tree, rng) for _ in range(rng.randint(0, 8))]
+    for _ in range(300):
+        edges = [(rng.randrange(v), v, float(rng.randint(1, 3))) for v in range(1, rng.randint(2, 10))]
+        leaves = sorted(set(range(1, len(edges) + 1)) - {u for u, _, _ in edges})
+        if rng.random() < 0.5:
+            leaf = rng.choice(leaves)
+            edges[leaf - 1] = (edges[leaf - 1][0], leaf, math.inf)
+        tree = Tree(edges)
+        pts = []
+        for _ in range(rng.randint(0, 8)):
+            ei = rng.randrange(len(edges))
+            if rng.random() < 0.4:
+                pts.append(tree.node_point(rng.randrange(tree.n_nodes)))
+            else:
+                pts.append((ei, min(edges[ei][2], rng.choice([0.5, 1.0, 1.5, 2.0, 2.5]))))
+        yield tree, pts
+
+
+def test_trim_matches_contraction_reference():
+    # one pass makes the nodes the contraction keeps, in its order, with
+    # each skipped length added in its order: the same floats
+    rng = random.Random(5)
+    for tree, pts in _trim_cases(rng):
+        trimmed, nodes = trim_tree(tree, pts)
+        ref, ref_points = trim_tree_by_contraction(tree, pts)
+        assert [(u, v, ln.hex()) for u, v, ln in trimmed.edges] == [
+            (u, v, float(ln).hex()) for u, v, ln in ref.edges], (tree, pts)
+        assert [trimmed.node_point(v) for v in nodes] == ref_points, (tree, pts)
+
+
+def _snipped(flower, predictions, kept):
+    return FlowerOracle(flower, predictions, "closed")._snipped[frozenset(kept)]
+
+
 def test_snip_single_petal():
+    # one prediction at each half's tip, the second within SNAP of it
     fl = Flower((2.0,), 0.0)
-    tree, kept, _ = snip_flower(fl, keep_petals=())
-    assert kept == {}
-    lens = sorted(ln for _, _, ln in tree.edges)
+    idx = _snipped(fl, [(0, 1.0), (0, 1.0 + 5e-13)], kept=())
+    assert set(idx.node_of) == {0, 1}  # nothing on a kept petal
+    lens = sorted(idx.plen[1:])
     assert lens == [1.0, 1.0]
 
 
 def test_snip_keep_all():
     fl = Flower((2.0, 1.0), 0.5)
-    tree, kept, _ = snip_flower(fl, keep_petals=(0, 1))
-    assert set(kept) == {0, 1}
-    assert len(tree.edges) == 1 and tree.edges[0][2] == pytest.approx(0.5)
+    idx = _snipped(fl, [(0, 0.7), (1, 0.2), ("stem", 0.5)], kept=(0, 1))
+    assert set(idx.node_of) == {2}  # only the stem request is on the tree
+    assert len(idx.tree.edges) == 1 and idx.tree.edges[0][2] == pytest.approx(0.5)
 
 
 def test_snip_preserves_origin_distances():
@@ -243,12 +283,23 @@ def test_snip_preserves_origin_distances():
     for _ in range(25):
         fl = random_flower(rng)
         pts = [random_point(fl, rng) for _ in range(5)]
-        tree, kept, mapped = snip_flower(fl, keep_petals=(), points=pts)
-        for p, m in zip(pts, mapped):
-            assert isinstance(m, tuple) and m[0] != "petal"
-            assert tree.distance(tree.origin(), m) == pytest.approx(
-                fl.to_origin(p), abs=1e-9
-            )
+        idx = _snipped(fl, pts, kept=())
+        for i, p in enumerate(pts):
+            assert i in idx.node_of
+            assert idx.tree.depth(idx.node_of[i]) == pytest.approx(fl.to_origin(p), abs=1e-9)
+
+
+@pytest.mark.parametrize("edges,errors", [
+    ([(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)],
+     ["node 1 has multiple parents or is the root", "cycle reached from node 1",
+      "cycle reached from node 2"]),
+    ([(0, 1, 1.0), (3, 2, 1.0)], ["node 3 is disconnected from the root"]),
+    ([(0, 1, math.inf), (1, 2, 1.0)], ["edge 0 is unbounded but node 1 has children"]),
+    ([(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)], ["node 2 has multiple parents or is the root"]),
+], ids=["cycle", "disconnected", "unbounded-inner", "duplicate-child"])
+def test_malformed_tree_is_built_and_reported(edges, errors):
+    # construction fills the depth table and terminates on any descriptor
+    assert Tree(edges).validate() == errors
 
 
 @settings(max_examples=60, deadline=None)
