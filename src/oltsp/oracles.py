@@ -166,12 +166,18 @@ class DominationOracle:
 # ---------------------------------------------------------------------------
 
 class GeneralOracle(DominationOracle):
-    """One dominator per (released subset R', unreleased pivot u).
+    """One dominator per (released subset R', unreleased pivot u): an
+    optimal head from the origin over R' to u, then an optimal tail over
+    every other request.
 
     Heads and tails are optimal paths read from Held-Karp tables built once
     over the prediction matrix: one tail table over every request, ending
     at the origin (closed) or anywhere (open), and one head table per pivot
-    u over the other requests, ending at u.
+    u over the other requests, ending at u, with its first step from the
+    origin priced for every subset at once.  A dominator depends on
+    neither the step nor the rest of the released set, so each is walked
+    once per instance, the first time a batch holds it, and kept in
+    ``_dominators[u]`` under the id bitmask of R'.
     """
 
     def __init__(self, space, predictions, variant):
@@ -179,24 +185,36 @@ class GeneralOracle(DominationOracle):
         rows = tuple(range(1, self.n + 1))
         self._tail = exact_path(self.D, rows, 0 if variant == "closed" else FREE)
         self._heads = [exact_path(self.D, rows[:u] + rows[u + 1:], u + 1) for u in range(self.n)]
+        for head in self._heads:
+            head.price_row(0)
+        self._dominators: list[dict[int, tuple]] = [{} for _ in range(self.n)]
 
     def _cover(self, qid, rest, end) -> list[int]:
         # the tail table's walks end at this variant's end
         return self._tail.walk(0 if qid is None else qid + 1, sum(1 << i for i in rest))[1]
 
     def _batch(self, released: frozenset) -> list[tuple]:
-        full = (1 << self.n) - 1
-        rel = sorted(released)
+        # every subset of the released ids, as id bitmasks in binary
+        # counting order over the sorted ids
+        masks = [0]
+        for i in sorted(released):
+            masks += [mask | 1 << i for mask in masks]
         out = []
         for u in sorted(self.ids - released):
-            others = [i for i in range(self.n) if i != u]
-            for sub in _subsets(rel):
-                head_mask = sum(1 << (i - (i > u)) for i in sub)  # u's own bit is left out
-                head = [others[j] for j in self._heads[u].walk(0, head_mask)[1]]
-                rest = full ^ (1 << u) ^ sum(1 << i for i in sub)
-                tail = self._tail.walk(u + 1, rest)[1]
-                out.append(tuple(head + [u] + tail))
+            table = self._dominators[u]
+            for mask in masks:
+                perm = table.get(mask)
+                if perm is None:
+                    perm = table[mask] = self._walk_dominator(u, mask)
+                out.append(perm)
         return out
+
+    def _walk_dominator(self, u: int, mask: int) -> tuple:
+        low = (1 << u) - 1
+        head_mask = mask & low | mask >> 1 & ~low  # u's own bit is left out
+        head = [j + (j >= u) for j in self._heads[u].walk(0, head_mask)[1]]
+        tail = self._tail.walk(u + 1, ((1 << self.n) - 1) ^ (1 << u) ^ mask)[1]
+        return tuple(head + [u] + tail)
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +266,13 @@ class RingOracle(DominationOracle):
         super().__init__(space, predictions, variant)
         C = self.C = space.circumference
         pos = self.pos = [space.norm(p) for p in self.predictions]
-        # the ring split at the antipode: a star of two arms, the
-        # counter-clockwise half first
-        self.idx = star_index([[(C - p, i) for i, p in enumerate(pos) if p > C / 2],
-                               [(p, i) for i, p in enumerate(pos) if p <= C / 2]])
-        # each request's arm (+1 clockwise, -1 counter-clockwise) and its
-        # distance from the origin along that arm
-        self.arm = [1 if p <= C / 2 + TIE else -1 for p in pos]
+        # the ring split at the antipode: each request's arm (+1 clockwise,
+        # -1 counter-clockwise) and its distance from the origin along it,
+        # indexed as a star of two arms, the counter-clockwise half first
+        self.arm = [1 if p <= C / 2 else -1 for p in pos]
         self.depth = [p if a == 1 else C - p for p, a in zip(pos, self.arm)]
+        self.idx = star_index([[(d, i) for i, (d, a) in enumerate(zip(self.depth, self.arm)) if a == side]
+                               for side in (-1, 1)])
         # request ids in four scan orders, ties to the smaller id
         ids = range(self.n)
         self.cw = sorted(ids, key=lambda i: (pos[i], i))

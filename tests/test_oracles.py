@@ -12,6 +12,7 @@ from oltsp.offline import (
     CLOSED,
     FREE,
     PathQuery,
+    PathTable,
     flower_cover,
     held_karp,
     opt_bruteforce,
@@ -27,6 +28,7 @@ from oltsp.oracles import (
     make_oracle,
 )
 from sensible import (
+    general_batch_by_walks,
     sensible_flower_perms,
     sensible_ring_perms,
     sensible_tree_open_perms,
@@ -211,6 +213,15 @@ def test_ring_all_released_single():
     o = RingOracle(Ring(1.0), [0.2, 0.6], "closed")
     o.step(0.0, {0, 1})
     assert len(o.entries) == 1
+
+
+def test_ring_split_is_one_rule():
+    """A request a hair past the antipode lies on the counter-clockwise
+    arm of the split index, and its arm and depth say the same."""
+    o = RingOracle(Ring(1.0), [0.5 + 5e-13, 0.25], "closed")
+    assert o.idx.node_of == {0: 1, 1: 2}
+    assert o.idx.par[1] == 0 and o.idx.plen[1] == o.depth[0] == 1.0 - (0.5 + 5e-13)
+    assert o.arm == [-1, 1]
 
 
 @pytest.mark.parametrize("variant", ["closed", "open"])
@@ -495,6 +506,59 @@ def test_line_adversary_batches_unchanged(grid):
     run_adaptive(adversary.space, adversary, factory)
     text = policies[0].oracle.dump_batches()
     assert hashlib.sha256(text.encode()).hexdigest() == _LINE_ADVERSARY_DIGESTS[grid]
+
+
+@pytest.mark.parametrize("family", ["general", "euclid2d"])
+@pytest.mark.parametrize("variant", ["closed", "open"])
+def test_general_batches_match_walks_reference(family, variant):
+    """Batches read from the per-instance dominator table equal, perm for
+    perm and in order, those walked afresh at each step with each head's
+    first step priced in Python, and so do their counts of new perms; on
+    seeded random and half-integer grid instances up to n = 9."""
+    for space, locs, rels in _pin_pool(family, variant, count=10, n_max=9):
+        oracle = make_oracle(space, locs, variant)
+        ref = make_oracle(space, locs, variant)
+        ref._batch = lambda released, ref=ref: general_batch_by_walks(ref, released)
+        for t in sorted({0.0, *rels}):
+            released = [i for i, r in enumerate(rels) if r <= t]
+            oracle.step(t, released)
+            ref.step(t, released)
+        assert oracle.batches == ref.batches, (space, locs, rels)
+
+
+def test_general_walks_each_dominator_once(monkeypatch):
+    """Each step walks one head and one tail for each (pivot, subset) of
+    its batch that no earlier step held, and nothing else."""
+    rng = random.Random(12)
+    n = 7
+    oracle = GeneralOracle(Euclid2D(), [random_point(Euclid2D(), rng) for _ in range(n)], "open")
+    heads = {id(table): u for u, table in enumerate(oracle._heads)}
+    full = (1 << n) - 1
+    walked = []
+    real_walk = PathTable.walk
+
+    def walk(table, start, remaining):
+        if table is oracle._tail:
+            u = start - 1
+            walked.append(("tail", u, full ^ (1 << u) ^ remaining))
+        else:
+            u = heads[id(table)]
+            low = (1 << u) - 1
+            walked.append(("head", u, remaining & low | (remaining & ~low) << 1))
+        return real_walk(table, start, remaining)
+
+    monkeypatch.setattr(PathTable, "walk", walk)
+    seen: set = set()
+    order = [3, 0, 5, 1, 6, 2]
+    for t in range(len(order) + 1):  # released sets grow one id at a time
+        rel_mask = sum(1 << i for i in order[:t])
+        walked.clear()
+        oracle.step(float(t), order[:t])
+        keys = {(u, mask) for u in range(n) if not rel_mask >> u & 1
+                for mask in range(full + 1) if not mask & ~rel_mask}
+        fresh = keys - seen
+        assert sorted(walked) == sorted([("head", *key) for key in fresh] + [("tail", *key) for key in fresh])
+        seen |= keys
 
 
 @pytest.mark.parametrize("kind", ["ring", "flower"])
