@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import struct
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Any
 
@@ -78,9 +78,7 @@ class PathTable:
     visits every target in the bitmask ``S`` (over positions in
     ``targets``) and then stops, and ``nxt[(j << m) | S]`` is the first
     target of the lexicographically smallest such walk; entries with ``j``
-    in ``S`` are unused.  ``priced`` holds, for each row priced by
-    :meth:`price_row`, the cost and the first target of the walk from it
-    over every nonempty ``S``.
+    in ``S`` are unused.
     """
 
     D: list[list[float]]
@@ -88,7 +86,6 @@ class PathTable:
     end: Any  # a matrix row, or FREE
     T: array  # 'd'
     nxt: array  # 'B'
-    priced: dict[int, tuple[array, array]] = field(default_factory=dict, repr=False)
 
     def walk(self, start: int, remaining: int) -> tuple[float, list[int]]:
         """Cost from row ``start`` over the targets in ``remaining`` and the
@@ -97,26 +94,21 @@ class PathTable:
 
         Each step takes the first target whose candidate cost is within
         ``TIE`` of the best.  From a target outside ``remaining`` the table
-        holds the cost and every step, and so does ``priced`` for the first
-        step from a priced row; from any other row the first step is priced
-        here, over the same candidates in the same order."""
+        holds the cost and every step; from any other row the first step is
+        priced here, over the same candidates in the same order."""
         targets, T, nxt = self.targets, self.T, self.nxt
         m = len(targets)
         j = targets.index(start) if start in targets else -1
         if j < 0 or remaining >> j & 1:
             if not remaining:
                 return (0.0 if self.end == FREE else self.D[start][self.end]), []
-            hit = self.priced.get(start)
-            if hit is not None:
-                cost, j = hit[0][remaining], hit[1][remaining]
-            else:
-                row = self.D[start]
-                cands = [
-                    (c, row[targets[c]] + T[(c << m) | (remaining ^ (1 << c))])
-                    for c in range(m) if remaining >> c & 1
-                ]
-                cost = min(v for _, v in cands)
-                j = next(c for c, v in cands if v <= cost + TIE)
+            row = self.D[start]
+            cands = [
+                (c, row[targets[c]] + T[(c << m) | (remaining ^ (1 << c))])
+                for c in range(m) if remaining >> c & 1
+            ]
+            cost = min(v for _, v in cands)
+            j = next(c for c, v in cands if v <= cost + TIE)
             order = [j]
             remaining ^= 1 << j
         else:
@@ -127,28 +119,6 @@ class PathTable:
             order.append(j)
             remaining ^= 1 << j
         return cost, order
-
-    def price_row(self, start: int) -> None:
-        """Price the first step of the walk from row ``start``, which is not
-        a target, over every nonempty remaining set at once, one popcount
-        layer per numpy step; later walks from ``start`` only follow next
-        hops.  The costs and steps are, bit for bit, those :meth:`walk`
-        prices: the same sums, the same ``min`` (see :func:`exact_path`)
-        and the first candidate within ``TIE`` of it."""
-        m = len(self.targets)
-        Tv = np.frombuffer(self.T).reshape(m, 1 << m)
-        row = np.array([self.D[start][t] for t in self.targets])
-        cost = np.zeros(1 << m)
-        hop = np.zeros(1 << m, np.uint8)
-        ids = np.arange(m)
-        cost[1 << ids] = row + Tv[:, 0]  # a single target c is the only candidate
-        hop[1 << ids] = ids
-        for S, js, _, prev in _layers(m):
-            cand = row[js] + Tv[js, prev]
-            best = cand.min(axis=1)
-            cost[S] = best
-            hop[S] = js[np.arange(len(S)), (cand <= (best + TIE)[:, None]).argmax(axis=1)]
-        self.priced[start] = (array("d", cost.tobytes()), array("B", hop.tobytes()))
 
 
 def exact_path(D, targets: tuple[int, ...], end) -> PathTable:
@@ -178,7 +148,7 @@ def exact_path(D, targets: tuple[int, ...], end) -> PathTable:
         ids = np.arange(m)
         Tv[:, 1 << ids] = A + Tv[:, 0]  # a single target c is the only candidate
         Nv[:, 1 << ids] = ids
-        for S, js, out, prev in _layers(m)[:-1]:
+        for (S, js, prev), out in zip(_layers(m)[:-1], _outside(m), strict=True):
             # cand[s, r, c]: from out[s, r] to js[s, c], then on; only the
             # rows outside S are read, so only they are filled
             cand = A[out[:, :, None], js[:, None, :]]
@@ -752,18 +722,17 @@ def _latest(c: float, d: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def _layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
+def _layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """Index tables of the subset DPs over ``n`` items (the OPT forward
     table and Held-Karp), one per popcount k = 2..n: the sets ``S`` with k
-    members, ascending; ``js[s]``, the k members of ``S[s]``, ascending;
-    ``out[s]``, the n - k other items, ascending; and
+    members, ascending; ``js[s]``, the k members of ``S[s]``, ascending; and
     ``prev[s, c] = S[s] ^ (1 << js[s, c])``.
 
-    Read-only, as every call shares them.  One ``n`` takes 4 (3 n + 2) 2^n
-    bytes: 2.9 MB at ``OPT_CAP``, 13 MB at ``HELD_KARP_CAP`` and 26 MB for
-    every size up to it.  int32 tables would save a third of that, but numpy
-    converts them to intp on every gather: the m = 9 Held-Karp table took
-    0.68 ms with them against 0.46 ms."""
+    Read-only, as every call shares them.  One ``n`` takes 8 (n + 1) 2^n
+    bytes: 1.9 MB at ``OPT_CAP``, 8.5 MB at ``HELD_KARP_CAP`` and 16 MB for
+    every size up to it.  int32 tables would halve that, but numpy converts
+    them to intp on every gather: the m = 9 Held-Karp table took 0.68 ms
+    with them against 0.46 ms."""
     sets = np.arange(1 << n)
     member = ((sets[:, None] >> np.arange(n)) & 1) == 1
     size = member.sum(axis=1)
@@ -772,11 +741,26 @@ def _layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
         S = sets[size == k]
         # not np.nonzero's column: a view that keeps both of its index arrays
         js = (np.flatnonzero(member[S]) % n).reshape(len(S), k)
-        outside = (np.flatnonzero(~member[S]) % n).reshape(len(S), n - k)
-        tables = (S, js, outside, S[:, None] ^ (1 << js))
+        tables = (S, js, S[:, None] ^ (1 << js))
         for t in tables:
             t.flags.writeable = False
         out.append(tables)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _outside(n: int) -> tuple[np.ndarray, ...]:
+    """For each layer of :func:`_layers` but the full set's, ``out[s]``:
+    the n - k items outside ``S[s]``, ascending, the only rows Held-Karp
+    fills.  Kept apart from ``_layers`` so that the OPT table, which never
+    reads them, does not hold them.  Read-only; one ``n`` takes 4 n 2^n
+    bytes, 4.2 MB at ``HELD_KARP_CAP``."""
+    out = []
+    for S, js, _ in _layers(n)[:-1]:
+        free = ((S[:, None] >> np.arange(n)) & 1) == 0
+        t = (np.flatnonzero(free) % n).reshape(len(S), n - js.shape[1])
+        t.flags.writeable = False
+        out.append(t)
     return tuple(out)
 
 
@@ -828,7 +812,7 @@ def opt_bruteforce(instance) -> OptResult:
     f = np.full((1 << n, n), np.inf)
     ids = np.arange(n)
     f[1 << ids, ids] = np.maximum(Dn[0, 1:], relv)
-    for S, js, _, prev in _layers(n):
+    for S, js, prev in _layers(n):
         a = (f[prev] + legs[js]).min(axis=2)
         f[S[:, None], js] = np.maximum(a, relv[js])
     # Python's min keeps the first of equal values, 0.0 or -0.0, as a loop does

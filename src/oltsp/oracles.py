@@ -173,8 +173,7 @@ class GeneralOracle(DominationOracle):
     Heads and tails are optimal paths read from Held-Karp tables built once
     over the prediction matrix: one tail table over every request, ending
     at the origin (closed) or anywhere (open), and one head table per pivot
-    u over the other requests, ending at u, with its first step from the
-    origin priced for every subset at once.  A dominator depends on
+    u over the other requests, ending at u.  A dominator depends on
     neither the step nor the rest of the released set, so each is walked
     once per instance, the first time a batch holds it, and kept in
     ``_dominators[u]`` under the id bitmask of R'.
@@ -185,8 +184,6 @@ class GeneralOracle(DominationOracle):
         rows = tuple(range(1, self.n + 1))
         self._tail = exact_path(self.D, rows, 0 if variant == "closed" else FREE)
         self._heads = [exact_path(self.D, rows[:u] + rows[u + 1:], u + 1) for u in range(self.n)]
-        for head in self._heads:
-            head.price_row(0)
         self._dominators: list[dict[int, tuple]] = [{} for _ in range(self.n)]
 
     def _cover(self, qid, rest, end) -> list[int]:

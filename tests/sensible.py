@@ -13,8 +13,8 @@ each candidate walk's legs afresh, the reference for
 Held-Karp table in pure Python with a greedy walk that rescans every
 candidate per step, the reference for ``offline.exact_path``;
 ``general_batch_by_walks`` walks every head and tail of a general
-oracle's batch afresh at each step, pricing each head's first step from
-the origin in Python, the reference for ``GeneralOracle._batch``;
+oracle's batch afresh at each step, the reference for
+``GeneralOracle._batch``;
 ``path_cover_by_dfs``, ``span_by_counts`` and ``maximal_nodes_by_walk``
 recompute a ``TreeIndex``'s adjacency, counts and rerooted parents on
 every call, the reference for its per-index tables.
@@ -27,7 +27,6 @@ reference for ``offline.star_index`` and ``offline.tree_index_for``.
 """
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from array import array
@@ -530,18 +529,16 @@ def exact_path_by_loop(D, targets: tuple[int, ...], end) -> PathTableByLoop:
 
 def general_batch_by_walks(oracle, released: frozenset) -> list[tuple]:
     """``GeneralOracle._batch`` walking each (pivot, subset) dominator of
-    the step from the oracle's Held-Karp tables, with each head's first
-    step priced in Python."""
+    the step from the oracle's Held-Karp tables."""
     full = (1 << oracle.n) - 1
     rel = sorted(released)
     out = []
     for u in sorted(oracle.ids - released):
         others = [i for i in range(oracle.n) if i != u]
-        head_table = dataclasses.replace(oracle._heads[u], priced={})  # no priced rows
         for k in range(1 << len(rel)):
             sub = [rel[j] for j in range(len(rel)) if k >> j & 1]
             head_mask = sum(1 << (i - (i > u)) for i in sub)  # u's own bit is left out
-            head = [others[j] for j in head_table.walk(0, head_mask)[1]]
+            head = [others[j] for j in oracle._heads[u].walk(0, head_mask)[1]]
             rest = full ^ (1 << u) ^ sum(1 << i for i in sub)
             tail = oracle._tail.walk(u + 1, rest)[1]
             out.append(tuple(head + [u] + tail))

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -201,37 +200,6 @@ def test_exact_path_matches_loop_bit_for_bit():
     _assert_walks_match(D, (1, 2, 3), FREE, [(start, S) for start in range(4) for S in range(8)])
     cost, order = exact_path(D, (1, 2, 3), FREE).walk(0, 0b111)
     assert order == [0, 1, 2] and cost == 0.1 + ((1.0 - 1e-13) + 1.0)
-
-
-def test_priced_row_matches_walks_first_step():
-    """A row priced for every remaining set at once gives, bit for bit, the
-    cost and first step that a walk prices in Python from it, and the same
-    walk: on random points, on a half-integer grid and on the ``TIE``
-    matrix above, from a row whose first step that rule decides."""
-    rng = random.Random(43)
-    D = [[0.0, 0.1, 10.0, 10.0],
-         [0.1, 0.0, 1.0, 1.0 - 1e-13],
-         [10.0, 1.0, 0.0, 1.0],
-         [10.0, 1.0 - 1e-13, 1.0, 0.0]]
-    # from row 1 over targets 2 and 3, the walk by target 3 is 1e-13 shorter:
-    # both are within TIE, so the first step is to target 2
-    cases = [(D, (1, 2, 3), FREE), (D, (2, 3), FREE)]
-    for m in range(10):
-        for grid in (False, True):
-            pts = [(rng.randint(0, 4) / 2, rng.randint(0, 2) / 2) if grid else (rng.random(), rng.random())
-                   for _ in range(m + 2)]
-            D = [[math.dist(a, b) for b in pts] for a in pts]
-            cases += [(D, tuple(range(1, m + 1)), end) for end in (0, m + 1, FREE)]
-    for D, targets, end in cases:
-        table = exact_path(D, targets, end)
-        for start in sorted(set(range(len(D))) - set(targets)):
-            table.price_row(start)
-            cost, hop = table.priced[start]
-            plain = dataclasses.replace(table, priced={})
-            for S in range(1, 1 << len(targets)):
-                want_cost, want_order = plain.walk(start, S)
-                assert (float.hex(cost[S]), hop[S]) == (float.hex(want_cost), want_order[0]), (start, S)
-                assert table.walk(start, S) == (want_cost, want_order)
 
 
 def test_tree_tsp_examples():

@@ -512,9 +512,9 @@ def test_line_adversary_batches_unchanged(grid):
 @pytest.mark.parametrize("variant", ["closed", "open"])
 def test_general_batches_match_walks_reference(family, variant):
     """Batches read from the per-instance dominator table equal, perm for
-    perm and in order, those walked afresh at each step with each head's
-    first step priced in Python, and so do their counts of new perms; on
-    seeded random and half-integer grid instances up to n = 9."""
+    perm and in order, those walked afresh at each step, and so do their
+    counts of new perms; on seeded random and half-integer grid instances
+    up to n = 9."""
     for space, locs, rels in _pin_pool(family, variant, count=10, n_max=9):
         oracle = make_oracle(space, locs, variant)
         ref = make_oracle(space, locs, variant)
