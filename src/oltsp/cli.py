@@ -4,7 +4,9 @@ guarantee ceilings.  Exit code 0 means no guarantee was violated."""
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
+import math
 import os
 import sys
 
@@ -51,11 +53,13 @@ def _cmd_run(args) -> int:
     if args.variant:
         inst = Instance(inst.space, inst.requests, inst.predictions, args.variant)
     config = EngineConfig(oracle=args.oracle, breaking_rule=args.breaking_rule == "on")
-    if args.algo == "swag":
-        result = swag_policy(inst, config)
-        policy = None
-    else:
-        result, policy = la_swag(inst, config)
+    try:
+        if args.algo == "swag":
+            result, policy = swag_policy(inst, config), None
+        else:
+            result, policy = la_swag(inst, config)
+    except ValueError as exc:  # imperfect predictions for swag, an oracle the space does not take
+        return _input_error(exc)
     if args.dump_batches and policy is not None:
         print(policy.oracle.dump_batches())
     print(f"completion_time: {result.completion_time:.9g}")
@@ -71,16 +75,32 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_fixture(args) -> int:
+# fixture flag, its parsed attribute, the fixture keyword it sets
+_FIXTURE_FLAGS = [("--eps", "eps", "eta"), ("--eta", "eta", "eta"), ("--lambda", "lam", "lam")]
+
+
+def _fixture_params(args) -> dict:
+    """The fixture's keyword arguments from the flags given; a flag the
+    fixture does not take raises ValueError naming it."""
+    takes = inspect.signature(fx.FIXTURES[args.id]).parameters
     params = {}
-    if args.eps is not None:
-        # the graph fixture is parameterized by the error level
-        params["eta"] = args.eps / (2 - args.eps)
-    if args.eta is not None:
-        params["eta"] = args.eta
-    if args.lam is not None:
-        params["lam"] = args.lam
-    report = fx.run_fixture(args.id, **params)
+    for flag, attr, key in _FIXTURE_FLAGS:
+        value = getattr(args, attr)
+        if value is None:
+            continue
+        if key not in takes:
+            raise ValueError(f"fixture {args.id!r} takes no {flag}")
+        if attr == "eps":  # the graph fixture is parameterized by the error level
+            value = value / (2 - value) if value != 2 else math.inf
+        params[key] = value
+    return params
+
+
+def _cmd_fixture(args) -> int:
+    try:
+        report = fx.run_fixture(args.id, **_fixture_params(args))
+    except ValueError as exc:  # a flag the fixture does not take, or a value it cannot use
+        return _input_error(exc)
     print(
         f"{report.fixture} params={report.params} alg={report.alg:.9g} "
         f"opt={report.opt:.9g} ratio={report.ratio:.9g} "

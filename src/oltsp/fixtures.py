@@ -171,9 +171,14 @@ class SmoothnessAdversary:
 
 
 def smoothness_lb_graph(eta: float = 0.2) -> FixtureReport:
-    """Adaptive lower-bound instance achieving ratio >= 3/2 + eta/2."""
-    eps = 2.0 * eta / (1.0 + eta)
+    """Adaptive lower-bound instance achieving ratio >= 3/2 + eta/2.  An
+    eta outside [0, 1/3] gives a graph that is no metric: ValueError."""
+    eps = 2.0 * eta / (1.0 + eta) if eta != -1.0 else math.nan
     adv = SmoothnessAdversary(eps)
+    problems = adv.space.validate()
+    if problems:
+        raise ValueError(f"smoothness_lb_graph: eta={eta!r} gives eps={eps!r} and no metric "
+                         f"({len(problems)} problems, the first: {problems[0]})")
     result, inst = run_adaptive(adv.space, adv, LaSwagPolicy.factory("general"))
     opt = opt_bruteforce(inst).length
     expected = 1.5 + eta / 2.0

@@ -84,6 +84,8 @@ class SweepSpec:
             setattr(spec, k, v)
         if spec.oracle != "auto" and not issubclass(SPACE_FAMILIES[spec.space], ORACLES[spec.oracle][1]):
             raise ValueError(f"sweep field 'oracle': {spec.oracle!r} does not run on {spec.space!r} spaces")
+        if spec.algo == "swag" and any(spec.eta):
+            raise ValueError(f"sweep field 'algo': 'swag' needs perfect predictions (eta 0), got eta {spec.eta}")
         return spec
 
 

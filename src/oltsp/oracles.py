@@ -65,8 +65,8 @@ class DominationOracle:
         self._last_time: float | None = None
         self._last_released: frozenset = frozenset()
         self._cleanup_memo: dict[tuple, list[int]] = {}
-        # per-step table, dropped once the step's batch is built: head walks
-        # keyed by (index, nodes, end), flower leaf sets by (index, root)
+        # per-step table of head walks keyed by (index, nodes, end), dropped
+        # once the step's batch is built
         self._walks: dict[tuple, list[int]] = {}
 
     # -- protocol ----------------------------------------------------------
@@ -359,32 +359,30 @@ class RingOracle(DominationOracle):
 # ---------------------------------------------------------------------------
 
 class FlowerOracle(DominationOracle):
+    """Petal-state dominators.  For each final qf, pivot q and set ``done``
+    of petals that host a released request, the petals in ``done`` are
+    looped first: forward, except q's own, looped toward q's half.  A scan
+    over the leaves of the star left by snipping the other petals follows.
+    It ends at q (tree); or at the origin, then walks q's kept petal either
+    way up to q (arc) or around it (late loop, when qf shares that petal);
+    or, when q's petal is in ``done``, at the origin."""
+
     def __init__(self, space: Flower, predictions, variant):
         super().__init__(space, predictions, variant)
         self.flower = space
         self.loc = [space.canon(p) for p in self.predictions]
-        self.comp = [p[0] for p in self.loc]
-        self.off = [p[1] for p in self.loc]
-        self._items = [(p, i) for i, p in enumerate(self.loc)]  # cover items, in id order
-        petal_ids: dict[int, list[int]] = {}
-        for i, c in enumerate(self.comp):
-            if c != "stem":
-                petal_ids.setdefault(c, []).append(i)
-        # each petal's ids in loop order, by direction (+1 forward, -1
-        # backward), ties to the smaller id
-        self._petal_order = {
-            k: {d: sorted(ids, key=lambda i: (d * self.off[i], i)) for d in (1, -1)}
-            for k, ids in petal_ids.items()
-        }
         # each request's arm once its petal is snipped into two halves
         # ("stem", or (petal, +1 forward / -1 backward)) and its offset on it
         self._arm = [_star_arm(space, c, o) for c, o in self.loc]
+        # each petal's ids in loop order by direction (+1 forward, -1
+        # backward), ties to the smaller id
+        petals = sorted({c for c, _ in self.loc} - {"stem"})
+        self._petal_order = {k: {d: sorted((i for i in self.ids if self.loc[i][0] == k),
+                                           key=lambda i: (d * self.loc[i][1], i)) for d in (1, -1)}
+                             for k in petals}
         # the star left by snipping every petal outside ``kept``, for each
         # set of kept petals that host a prediction
-        self._snipped = {
-            frozenset(kept): self._snip_index(frozenset(kept))
-            for kept in _subsets(sorted(petal_ids))
-        }
+        self._snipped = {frozenset(kept): self._snip_index(frozenset(kept)) for kept in _subsets(petals)}
 
     def _snip_index(self, kept: frozenset) -> TreeIndex:
         """The stem arm, then each petal outside ``kept`` as its forward and
@@ -400,96 +398,58 @@ class FlowerOracle(DominationOracle):
 
     def _cover(self, qid, rest, end) -> list[int]:
         # in id order: the cover's split ties go to the first one it tries
-        items = [item for item in self._items if item[1] in rest]
+        items = [(self.loc[i], i) for i in sorted(rest)]
         start = self.origin if qid is None else self.loc[qid]
         end_pt = self.origin if end == CLOSED else (FREE if end == FREE else self.loc[end])
         return flower_cover(self.flower, start, items, end_pt)[1]
 
-    def _loop_order(self, petal: int, pool, direction: int) -> list[int]:
-        return [i for i in self._petal_order[petal][direction] if i in pool]
-
-    def _petal_dir_for(self, petal: int, qid: int) -> int:
-        # loop direction matching the full-moon convention when q sits on it
-        if self.comp[qid] == petal:
-            return 1 if self.off[qid] <= self.flower.petals[petal] / 2 + TIE else -1
-        return 1
-
     def _batch(self, released: frozenset) -> list[tuple]:
         unrel = sorted(self.ids - released)
-        petals_with_rel = sorted(k for k, order in self._petal_order.items()
-                                 if any(i in released for i in order[1]))
+        loopable = sorted({self.loc[i][0] for i in released} - {"stem"})
+        leaves: dict[tuple, list[int]] = {}  # (kept, root) -> maximal released nodes
+        tops: dict[tuple, list[int]] = {}  # (kept, qf, q is qf) -> maximal unreleased nodes
         out = []
         for qf in [None] if self.variant == "closed" else [None] + sorted(self.ids):
-            loop_pool = released - {qf}
+            pool = released - {qf}
+            loops = {(k, d): [i for i in order[d] if i in pool]
+                     for k, order in self._petal_order.items() for d in (1, -1)}
             for q in unrel:
-                if qf is not None and q == qf and len(unrel) > 1:
+                if q == qf and len(unrel) > 1:
                     continue
-                qc = self.comp[q]
-                same_final_petal = qf is not None and qc != "stem" and self.comp[qf] == qc
-                for done in _subsets(petals_with_rel):
-                    done = set(done)
-                    # (approach kind, kept petal set, direction)
-                    options: list[tuple]
-                    if qc == "stem":
-                        options = [("tree", frozenset(done), None)]
-                    elif qc in done:
-                        options = [("after_loop", frozenset(done), None)]
-                    else:
-                        options = [("tree", frozenset(done), None)]
-                        kept_q = frozenset(done | {qc})
-                        options += [("arc", kept_q, 1), ("arc", kept_q, -1)]
-                        if same_final_petal:
-                            options += [("late_loop", kept_q, 1), ("late_loop", kept_q, -1)]
-                    for approach, kept, direction in options:
-                        out += self._variants(released, loop_pool, q, qf, approach, kept, direction)
-        return out
-
-    def _variants(self, rel, loop_pool, q, qf, approach, kept, direction) -> list[tuple]:
-        """Dominators for pivot ``q`` and final ``qf`` with the petals in
-        ``kept`` walked as loops; ``loop_pool`` is ``rel`` without ``qf``."""
-        qc = self.comp[q]
-        done = sorted(k for k in kept if k != qc or approach == "after_loop")
-        idx = self._snipped[kept]
-        root_node = 0
-        if qf is not None and qf in idx.node_of:
-            root_node = idx.node_of[qf]
-        if approach == "tree":
-            # only the deepest unreleased request per branch can be the
-            # first unreleased of a sensible order within the tree part
-            unrel_nodes = {
-                idx.node_of[i] for i in idx.node_of if i not in rel and (i != qf or i == q)
-            }
-            if idx.node_of[q] not in idx.maximal_nodes(unrel_nodes, root_node):
-                return []
-        leaves = self._walks.get((idx, root_node))
-        if leaves is None:  # the same for every pivot, approach and direction
-            rel_nodes = {idx.node_of[i] for i in rel if i in idx.node_of}
-            leaves = self._walks[idx, root_node] = idx.maximal_nodes(rel_nodes, root_node)
-        loop_prefix: list[int] = []
-        for k in done:
-            loop_prefix += self._loop_order(k, loop_pool, self._petal_dir_for(k, q))
-        petal_part = []  # the walk along q's own petal, after the tree part
-        if approach == "arc":
-            qo = self.off[q]
-            petal_part = [
-                i for i in self._loop_order(qc, loop_pool, direction)
-                if (direction == 1 and self.off[i] <= qo + TIE)
-                or (direction == -1 and self.off[i] >= qo - TIE)
-            ]
-        elif approach == "late_loop":
-            petal_part = self._loop_order(qc, loop_pool, direction)
-        out = []
-        for chosen in _subsets(leaves):
-            tree_part: list[int] = []
-            if approach == "tree":
-                qnode = idx.node_of[q]
-                order = self._head_walk(idx, frozenset(chosen + (qnode,)), qnode)
-                tree_part = _emit(idx, order, loop_pool)
-            elif chosen:
-                order = self._head_walk(idx, frozenset(chosen), CLOSED)
-                tree_part = _emit(idx, order, loop_pool)
-            prefix = list(dict.fromkeys(loop_prefix + tree_part + petal_part))
-            out.append(self._dominator(prefix, q, qf))
+                (qc, qo), (arm, _) = self.loc[q], self._arm[q]
+                for done in _subsets(loopable):
+                    prefix = [i for k in done for i in loops[k, arm[1] if k == qc else 1]]
+                    looped = frozenset(done)
+                    # (kept petals, scan ends at q, walk along q's petal)
+                    options = [(looped, qc not in looped, [])]
+                    if qc != "stem" and qc not in looped:
+                        fwd, bwd = loops[qc, 1], loops[qc, -1]
+                        late = [fwd, bwd] if qf is not None and self.loc[qf][0] == qc else []
+                        options += [(looped | {qc}, False, walk) for walk in [
+                            [i for i in fwd if self.loc[i][1] <= qo + TIE],
+                            [i for i in bwd if self.loc[i][1] >= qo - TIE], *late]]
+                    for kept, at_q, walk in options:
+                        idx = self._snipped[kept]
+                        root = idx.node_of.get(qf, 0)
+                        if at_q:
+                            # only the deepest unreleased request per branch
+                            # can be the first unreleased of a sensible order
+                            key = (kept, qf, q == qf)
+                            if key not in tops:
+                                unrel_nodes = {v for i, v in idx.node_of.items()
+                                               if i not in released and (i != qf or q == qf)}
+                                tops[key] = idx.maximal_nodes(unrel_nodes, root)
+                            qnode = idx.node_of[q]
+                            if qnode not in tops[key]:
+                                continue
+                        if (kept, root) not in leaves:
+                            leaves[kept, root] = idx.maximal_nodes(
+                                {idx.node_of[i] for i in released if i in idx.node_of}, root)
+                        for chosen in _subsets(leaves[kept, root]):
+                            nodes, end = (chosen + (qnode,), qnode) if at_q else (chosen, CLOSED)
+                            order = self._head_walk(idx, frozenset(nodes), end) if nodes else []
+                            head = list(dict.fromkeys(prefix + _emit(idx, order, pool) + walk))
+                            out.append(self._dominator(head, q, qf))
         return out
 
 

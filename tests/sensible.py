@@ -14,7 +14,9 @@ Held-Karp table in pure Python with a greedy walk that rescans every
 candidate per step, the reference for ``offline.exact_path``;
 ``general_batch_by_walks`` walks every head and tail of a general
 oracle's batch afresh at each step, the reference for
-``GeneralOracle._batch``;
+``GeneralOracle._batch``; ``flower_batch_by_variants`` builds a flower
+oracle's batch one approach at a time, the reference for
+``FlowerOracle._batch``;
 ``path_cover_by_dfs``, ``span_by_counts`` and ``maximal_nodes_by_walk``
 recompute a ``TreeIndex``'s adjacency, counts and rerooted parents on
 every call, the reference for its per-index tables.
@@ -43,6 +45,7 @@ from oltsp.offline import (
     SizeCapExceeded,
     TreeIndex,
     _build_matrix,
+    _emit,
     _id_key,
     _segment_cost,
     _segment_price,
@@ -542,6 +545,77 @@ def general_batch_by_walks(oracle, released: frozenset) -> list[tuple]:
             rest = full ^ (1 << u) ^ sum(1 << i for i in sub)
             tail = oracle._tail.walk(u + 1, rest)[1]
             out.append(tuple(head + [u] + tail))
+    return out
+
+
+def flower_batch_by_variants(oracle, released: frozenset) -> list[tuple]:
+    """``FlowerOracle._batch`` as one call per (final, pivot, looped petals,
+    approach), each rebuilding its petal loop orders and its maximal
+    unreleased nodes, with the after-loop direction of q's own petal read
+    from the oracle's ``_arm``."""
+    comp = [p[0] for p in oracle.loc]
+    off = [p[1] for p in oracle.loc]
+
+    def subsets(items):
+        return [tuple(x for j, x in enumerate(items) if mask >> j & 1) for mask in range(1 << len(items))]
+
+    def loop_order(petal, pool, direction):
+        return sorted((i for i in pool if comp[i] == petal), key=lambda i: (direction * off[i], i))
+
+    def variants(loop_pool, q, qf, approach, kept, direction):
+        qc = comp[q]
+        done = sorted(k for k in kept if k != qc or approach == "after_loop")
+        idx = oracle._snipped[kept]
+        root_node = idx.node_of[qf] if qf is not None and qf in idx.node_of else 0
+        if approach == "tree":
+            unrel_nodes = {idx.node_of[i] for i in idx.node_of if i not in released and (i != qf or i == q)}
+            if idx.node_of[q] not in idx.maximal_nodes(unrel_nodes, root_node):
+                return []
+        leaves = idx.maximal_nodes({idx.node_of[i] for i in released if i in idx.node_of}, root_node)
+        loop_prefix = []
+        for k in done:
+            loop_prefix += loop_order(k, loop_pool, oracle._arm[q][0][1] if k == qc else 1)
+        petal_part = []
+        if approach == "arc":
+            petal_part = [i for i in loop_order(qc, loop_pool, direction)
+                          if (direction == 1 and off[i] <= off[q] + TIE)
+                          or (direction == -1 and off[i] >= off[q] - TIE)]
+        elif approach == "late_loop":
+            petal_part = loop_order(qc, loop_pool, direction)
+        out = []
+        for chosen in subsets(leaves):
+            tree_part = []
+            if approach == "tree":
+                qnode = idx.node_of[q]
+                tree_part = _emit(idx, oracle._head_walk(idx, frozenset(chosen + (qnode,)), qnode), loop_pool)
+            elif chosen:
+                tree_part = _emit(idx, oracle._head_walk(idx, frozenset(chosen), CLOSED), loop_pool)
+            prefix = list(dict.fromkeys(loop_prefix + tree_part + petal_part))
+            out.append(oracle._dominator(prefix, q, qf))
+        return out
+
+    unrel = sorted(oracle.ids - released)
+    petals_with_rel = sorted({comp[i] for i in released} - {"stem"})
+    out = []
+    for qf in [None] if oracle.variant == "closed" else [None] + sorted(oracle.ids):
+        loop_pool = released - {qf}
+        for q in unrel:
+            if qf is not None and q == qf and len(unrel) > 1:
+                continue
+            qc = comp[q]
+            same_final_petal = qf is not None and qc != "stem" and comp[qf] == qc
+            for done in subsets(petals_with_rel):
+                done = frozenset(done)
+                if qc == "stem":
+                    options = [("tree", done, None)]
+                elif qc in done:
+                    options = [("after_loop", done, None)]
+                else:
+                    options = [("tree", done, None), ("arc", done | {qc}, 1), ("arc", done | {qc}, -1)]
+                    if same_final_petal:
+                        options += [("late_loop", done | {qc}, 1), ("late_loop", done | {qc}, -1)]
+                for approach, kept, direction in options:
+                    out += variants(loop_pool, q, qf, approach, kept, direction)
     return out
 
 

@@ -146,6 +146,14 @@ def test_fixture_unknown():
         run_fixture("nope")
 
 
+@pytest.mark.parametrize("eta", [0.34, 0.999, -1.0, -0.5, float("inf"), float("nan")])
+def test_smoothness_lb_graph_rejects_an_eta_with_no_metric(eta):
+    """Outside eta in [0, 1/3] an edge of the graph is negative or not a
+    number, so it is no metric and the fixture refuses to run on it."""
+    with pytest.raises(ValueError, match="smoothness_lb_graph: eta="):
+        smoothness_lb_graph(eta)
+
+
 # -- sweep -------------------------------------------------------------------
 
 def test_sweep_and_report(tmp_path):
@@ -244,10 +252,12 @@ def test_opt_reported_above_the_old_factorial_cap(tmp_path, capsys):
     ("space", ["line"]),
     ("breaking_rule", "yes"),
     ("oracle", "ring"),
+    ("algo", "swag"),
     ("nn", 5),
 ])
 def test_sweep_spec_rejected_at_the_boundary(field, value, tmp_path):
-    obj = {"space": "line", "count": 2, "n": 3, field: value}
+    # eta 0.5 is valid for la-swag, but swag needs perfect predictions
+    obj = {"space": "line", "count": 2, "n": 3, "eta": [0.0, 0.5], field: value}
     with pytest.raises(ValueError, match=repr(field)):
         SweepSpec.from_json(obj)
     spec = tmp_path / "spec.json"
@@ -255,6 +265,41 @@ def test_sweep_spec_rejected_at_the_boundary(field, value, tmp_path):
     assert cli_main(["sweep", str(spec), "-o", str(tmp_path / "sweep.csv")]) == 2
     assert cli_main(["gen", str(spec), "-o", str(tmp_path / "insts")]) == 2
     assert not os.path.exists(tmp_path / "sweep.csv")
+
+
+def test_cli_run_swag_needs_perfect_predictions(tmp_path, capsys):
+    """swag on imperfect predictions, like an oracle the space does not
+    take, is an input error: exit 2 and a named error, no traceback."""
+    inst = {
+        "space": {"kind": "line"},
+        "variant": "closed",
+        "requests": [{"x": 1.0, "t": 1.0}, {"x": 0.0, "t": 2.0}],
+        "predictions": [0.0, -1.0],
+    }
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst))
+    assert cli_main(["run", str(path), "--algo", "swag"]) == 2
+    assert capsys.readouterr().err.startswith("error: ValueError: ")
+    inst["predictions"] = [1.0, 0.0]
+    path.write_text(json.dumps(inst))
+    assert cli_main(["run", str(path), "--algo", "swag"]) == 0
+    capsys.readouterr()
+    assert cli_main(["run", str(path), "--oracle", "ring"]) == 2
+    assert capsys.readouterr().err.startswith("error: ValueError: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["smoothness_lb_graph", "--eta", "0.34"],
+    ["smoothness_lb_graph", "--eta", "-1"],
+    ["smoothness_lb_graph", "--eps", "2"],
+    ["tradeoff_open_line", "--eta", "0.3"],
+    ["remark_2_5_closed_line", "--lambda", "0.3"],
+])
+def test_cli_fixture_rejects_bad_flags(argv, capsys):
+    """A flag the fixture does not take, or a value it cannot run on, is an
+    input error: exit 2 and a named error, no traceback."""
+    assert cli_main(["fixture", *argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ValueError: ")
 
 
 def test_cli_fixture_and_sweep(tmp_path):

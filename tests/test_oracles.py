@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,6 +14,7 @@ from oltsp.offline import (
     FREE,
     PathQuery,
     PathTable,
+    TreeIndex,
     flower_cover,
     held_karp,
     opt_bruteforce,
@@ -28,6 +30,7 @@ from oltsp.oracles import (
     make_oracle,
 )
 from sensible import (
+    flower_batch_by_variants,
     general_batch_by_walks,
     sensible_flower_perms,
     sensible_ring_perms,
@@ -257,18 +260,24 @@ def test_ring_closed_batch_cardinality():
 # -- flower oracle -----------------------------------------------------------
 
 def test_flower_single_petal_equals_ring_batches():
+    """A one-petal flower with no stem holds the ring's entries.  The first
+    input has a request a hair past the antipode, which the flower's one
+    petal-split rule puts on the backward half, as the ring does."""
+    cases = [([0.5 + 5e-13, 0.25, 0.75], [(0.0, {1, 2})])]
     rng = random.Random(2)
     for trial in range(20):
         n = rng.randint(1, 5)
         pos = [rng.uniform(0, 1) for _ in range(n)]
         rels = [rng.uniform(0, 2) for _ in range(n)]
+        cases.append((pos, [(t, {i for i in range(n) if rels[i] <= t + 1e-12})
+                            for t in sorted({0.0} | set(rels))]))
+    for pos, steps in cases:
         of = make_oracle(Flower((1.0,), 0.0), [(0, p) for p in pos], "closed", "flower")
         og = make_oracle(Ring(1.0), pos, "closed", "ring")
-        for t in sorted({0.0} | set(rels)):
-            rel = {i for i in range(n) if rels[i] <= t + 1e-12}
+        for t, rel in steps:
             of.step(t, rel)
             og.step(t, rel)
-        assert set(of.entries) == set(og.entries)
+        assert set(of.entries) == set(og.entries), pos
 
 
 def test_flower_all_released_single():
@@ -524,6 +533,58 @@ def test_general_batches_match_walks_reference(family, variant):
             oracle.step(t, released)
             ref.step(t, released)
         assert oracle.batches == ref.batches, (space, locs, rels)
+
+
+@pytest.mark.parametrize("variant", ["closed", "open"])
+def test_flower_batches_match_variants_reference(variant):
+    """Batches from the flower oracle's single option loop equal, perm for
+    perm and in order, those built one approach at a time, and so do their
+    counts of new perms; on seeded random and grid instances up to n = 7."""
+    for space, locs, rels in _pin_pool("flower", variant, n_max=7):
+        oracle = make_oracle(space, locs, variant)
+        ref = make_oracle(space, locs, variant)
+        ref._batch = lambda released, ref=ref: flower_batch_by_variants(ref, released)
+        for t in sorted({0.0, *rels}):
+            released = [i for i, r in enumerate(rels) if r <= t]
+            oracle.step(t, released)
+            ref.step(t, released)
+        assert oracle.batches == ref.batches, (space, locs, rels)
+
+
+def test_flower_finds_maximal_nodes_once(monkeypatch):
+    """Within one step, each snipped index is asked for its maximal
+    released nodes at most once per (kept petals, root), and for its
+    maximal unreleased nodes at most once per (kept petals, final, pivot
+    is the final)."""
+    calls: Counter = Counter()
+    real = TreeIndex.maximal_nodes
+
+    def maximal_nodes(idx, nodes, root=0):
+        calls[id(idx), root, frozenset(nodes)] += 1
+        return real(idx, nodes, root)
+
+    monkeypatch.setattr(TreeIndex, "maximal_nodes", maximal_nodes)
+    locs = [(0, 0.5), (0, 1.5), (1, 0.4), (1, 1.0), ("stem", 0.5), ("stem", 1.0), (0, 1.0)]
+    n = len(locs)
+    oracle = make_oracle(Flower((2.0, 1.5), 1.0), locs, "open")
+    order = [4, 0, 2, 5, 1, 3]
+    for t in range(len(order)):  # released sets grow one id at a time
+        released = frozenset(order[:t])
+        calls.clear()
+        oracle.step(float(t), released)
+        allowed: Counter = Counter()
+        for kept, idx in oracle._snipped.items():
+            rel_nodes = frozenset(v for i, v in idx.node_of.items() if i in released)
+            roots = set()
+            for qf in [None, *range(n)]:
+                root = idx.node_of.get(qf, 0)
+                roots.add(root)
+                is_final = oracle.ids - released == {qf}
+                allowed[id(idx), root, frozenset(
+                    v for i, v in idx.node_of.items() if i not in released and (i != qf or is_final))] += 1
+            for root in roots:
+                allowed[id(idx), root, rel_nodes] += 1
+        assert calls and calls <= allowed, t
 
 
 def test_general_walks_each_dominator_once(monkeypatch):
