@@ -91,6 +91,9 @@ class LaSwagPolicy:
         self.stage = "to_pred"
         self._legs: list | None = None
         self._seen_released = -1
+        # the last plan's (released count, entry count) and its scored entries
+        self._scored_for: tuple = ()
+        self._scored: list = []
 
     @classmethod
     def factory(cls, oracle_kind: str = "auto", breaking_rule: bool = True):
@@ -119,9 +122,14 @@ class LaSwagPolicy:
         if len(sim.released) != self._seen_released:
             self._seen_released = len(sim.released)
             self.oracle.step(sim.now, frozenset(sim.released))
-        released = frozenset(sim.released)
-        # each entry's released fraction, once per plan
-        scored = [(e.alpha_released(released), e) for e in self.oracle.entries.values()]
+        # each entry's released fraction, kept while neither the released
+        # set nor the entries change (they grow only, so counts tell)
+        key = (len(sim.released), len(self.oracle.entries))
+        if key != self._scored_for:
+            released = frozenset(sim.released)
+            self._scored_for = key
+            self._scored = [(e.alpha_released(released), e) for e in self.oracle.entries.values()]
+        scored = self._scored
         cand = _candidate(scored, sim.now)
         if cand is None:
             return ("wait", None)

@@ -470,16 +470,26 @@ def tree_index_for(space: Space, items: dict[Any, Any]) -> TreeIndex:
 # Flower cover
 # ---------------------------------------------------------------------------
 
-def flower_cover(flower: Flower, s, req: list[tuple[Any, Any]], end) -> tuple[float, list]:
+def flower_cover(flower: Flower, s, req: list[tuple[Any, Any]], end,
+                 table: dict | None = None) -> tuple[float, list]:
     """Optimal covering walk on a flower from point ``s`` over request points.
 
     Components (petals, stem) only communicate through the receptacle, so
     the walk decomposes into per-component covers stitched at the origin;
     when start and end share a component its requests are split between
     the first and last excursions by exhaustive bipartition.  Every
-    candidate walk is priced from positions alone, each leg once per call;
-    only the first cheapest is built.  Components go in id order.
+    candidate walk is priced from positions alone; only the first cheapest
+    is walked.  Components go in id order.
+
+    ``table`` is the leg table, one per flower: a leg is keyed by its
+    component, start offset, ``(offset, key)`` items and end, and holds
+    its price (cost, ring cut, sweep side) and, once walked, its serving
+    order.  A caller that keeps one table across calls prices and walks
+    each leg once in all of them; with none, a fresh table prices each
+    leg once per call.
     """
+    if table is None:
+        table = {}
     s = flower.canon(s)
     origin = flower.origin()
     fixed = end not in (FREE, CLOSED)
@@ -511,22 +521,30 @@ def flower_cover(flower: Flower, s, req: list[tuple[Any, Any]], end) -> tuple[fl
         key=_id_key,
     )
 
-    # a priced leg: (cost, component, start offset, items, ring cut, sweeps
-    # left first); walking it follows the cut and side its pricing found
-    def price(c, a_off, items, b) -> tuple:
+    # a priced leg: [cost, ring cut, sweeps left first, key, serving order
+    # once walked]; walking it follows the cut and side its pricing found
+    def price(c, a_off, items, b) -> list:
         # b: an offset within c, FREE, or CLOSED
-        positions = [p for p, _ in items]
-        if c == "stem":
-            cost, left = _segment_price(a_off, positions, b)
-            return cost, c, a_off, items, None, left
-        cost, cut, left = _ring_price(flower.petals[c], a_off, positions, b)
-        return cost, c, a_off, items, cut, left
+        key = (c, a_off, tuple(items), b)
+        leg = table.get(key)
+        if leg is None:
+            positions = [p for p, _ in items]
+            if c == "stem":
+                (cost, left), cut = _segment_price(a_off, positions, b), None
+            else:
+                cost, cut, left = _ring_price(flower.petals[c], a_off, positions, b)
+            leg = table[key] = [cost, cut, left, key, None]
+        return leg
 
-    def walk(leg) -> list:
-        _, c, a_off, items, cut, left = leg
-        if c == "stem":
-            return _segment_walk(a_off, items, left)
-        return _ring_walk(flower.petals[c], a_off, items, cut, left)
+    def walk(leg) -> tuple:
+        _, cut, left, (c, a_off, items, _), order = leg
+        if order is None:
+            if c == "stem":
+                order = _segment_walk(a_off, items, left)
+            else:
+                order = _ring_walk(flower.petals[c], a_off, items, cut, left)
+            order = leg[4] = tuple(order)
+        return order
 
     if not comps:
         return (0.0 if not fixed else flower.distance(s, e)), []
@@ -542,7 +560,7 @@ def flower_cover(flower: Flower, s, req: list[tuple[Any, Any]], end) -> tuple[fl
                 extra += flower.to_origin(s)
             if fixed and ec is not None and ec != c:
                 extra += flower.to_origin(e)
-            return leg[0] + extra, walk(leg)
+            return leg[0] + extra, list(walk(leg))
 
     # A candidate walk is a list of priced legs: the start component's
     # cover to the origin, the others closed from the origin in id order,

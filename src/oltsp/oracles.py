@@ -383,6 +383,9 @@ class FlowerOracle(DominationOracle):
         # the star left by snipping every petal outside ``kept``, for each
         # set of kept petals that host a prediction
         self._snipped = {frozenset(kept): self._snip_index(frozenset(kept)) for kept in _subsets(petals)}
+        # the clean-ups' leg table, kept for the oracle's lifetime: every
+        # clean-up prices and walks each leg once
+        self._legs: dict = {}
 
     def _snip_index(self, kept: frozenset) -> TreeIndex:
         """The stem arm, then each petal outside ``kept`` as its forward and
@@ -401,7 +404,7 @@ class FlowerOracle(DominationOracle):
         items = [(self.loc[i], i) for i in sorted(rest)]
         start = self.origin if qid is None else self.loc[qid]
         end_pt = self.origin if end == CLOSED else (FREE if end == FREE else self.loc[end])
-        return flower_cover(self.flower, start, items, end_pt)[1]
+        return flower_cover(self.flower, start, items, end_pt, self._legs)[1]
 
     def _batch(self, released: frozenset) -> list[tuple]:
         unrel = sorted(self.ids - released)

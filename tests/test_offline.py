@@ -646,10 +646,13 @@ def _flower_point(flower, rng, grid):
 
 
 def test_flower_cover_matches_masks_reference():
-    """Legs priced once per call, and the winner walked from their cuts,
-    give the reference's cost (bit for bit) and order: 1-3 petals with
-    and without a stem, random and grid-tie offsets, starts at the origin,
-    on a petal and on the stem, and every kind of end."""
+    """Legs priced once, and the winner walked from their cuts, give the
+    reference's cost (bit for bit) and order: 1-3 petals with and without
+    a stem, random and grid-tie offsets, starts at the origin, on a petal
+    and on the stem, and every kind of end.  Each drawn (flower, req)
+    shares one leg table across all its starts and ends, in a forward and
+    then a reverse pass, so legs priced and walked for one query are read
+    back by the others; a fresh table per call must agree as well."""
     rng = random.Random(29)
     for _ in range(1500):
         grid = rng.random() < 0.5
@@ -660,9 +663,12 @@ def test_flower_cover_matches_masks_reference():
         starts = [flower.origin(), _flower_point(flower, rng, grid)]
         if flower.stem > 0:
             starts.append(("stem", rng.choice([0.5, 1.0]) if grid else rng.uniform(0.0, 1.0)))
-        for s in starts:
-            for end in (CLOSED, FREE, flower.origin(), _flower_point(flower, rng, grid)):
-                got, want = flower_cover(flower, s, req, end), flower_cover_by_masks(flower, s, req, end)
+        ends = (CLOSED, FREE, flower.origin(), _flower_point(flower, rng, grid))
+        queries = [(s, end) for s in starts for end in ends]
+        table: dict = {}
+        for s, end in queries + queries[::-1]:
+            want = flower_cover_by_masks(flower, s, req, end)
+            for got in (flower_cover(flower, s, req, end, table), flower_cover(flower, s, req, end)):
                 assert got[0].hex() == want[0].hex() and got[1] == want[1], (flower, s, req, end)
 
 

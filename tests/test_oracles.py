@@ -6,8 +6,9 @@ from collections import Counter
 
 import pytest
 
+from oltsp import offline
 from oltsp.core import Instance, Request, route_stats, run_adaptive
-from oltsp.engine import LaSwagPolicy
+from oltsp.engine import EngineConfig, LaSwagPolicy, la_swag
 from oltsp.fixtures import LineReleaseAdversary
 from oltsp.offline import (
     CLOSED,
@@ -622,26 +623,58 @@ def test_general_walks_each_dominator_once(monkeypatch):
         seen |= keys
 
 
-@pytest.mark.parametrize("kind", ["ring", "flower"])
-def test_oracle_covers_match_public_covers(kind):
+@pytest.mark.parametrize("kind, variant", [("ring", "closed"), ("flower", "closed"), ("ring", "open"),
+                                           ("flower", "open")],
+                         ids=["ring", "flower", "ring-open", "flower-open"])
+def test_oracle_covers_match_public_covers(kind, variant):
     """An oracle's clean-up, read from its per-instance positions, is the
-    public cover of the same points: every start, rest set and end."""
-    for sp, locs, _ in _pin_pool(kind, "closed", count=5):
+    public cover of the same points: every start, rest set and end, on a
+    fresh oracle and on one that has stepped through its releases.  The
+    flower oracle's leg table is warm in the second, and fills as the
+    queries run in both, so a leg read back must walk as it would alone."""
+    for sp, locs, rels in _pin_pool(kind, variant, count=5):
         n = len(locs)
-        oracle = make_oracle(sp, locs, "closed")
+        stepped = make_oracle(sp, locs, variant)
+        for t in sorted({0.0, *rels}):
+            stepped.step(t, [i for i, r in enumerate(rels) if r <= t])
         origin = sp.origin()
-        for qid in [None] + list(range(n)):
-            start = origin if qid is None else locs[qid]
-            for mask in range(1 << n):
-                rest = frozenset(i for i in range(n) if mask >> i & 1 and i != qid)
-                items = [(locs[i], i) for i in sorted(rest)]
-                for end in [CLOSED, FREE] + list(range(n)):
-                    end_pt = origin if end == CLOSED else (FREE if end == FREE else locs[end])
-                    if kind == "ring":
-                        want = ring_cover(sp.circumference, start, items, end_pt)[1]
-                    else:
-                        want = flower_cover(sp, start, items, end_pt)[1]
-                    assert oracle._cover(qid, rest, end) == want, (sp, locs, qid, rest, end)
+        for oracle in (make_oracle(sp, locs, variant), stepped):
+            for qid in [None] + list(range(n)):
+                start = origin if qid is None else locs[qid]
+                for mask in range(1 << n):
+                    rest = frozenset(i for i in range(n) if mask >> i & 1 and i != qid)
+                    items = [(locs[i], i) for i in sorted(rest)]
+                    for end in [CLOSED, FREE] + list(range(n)):
+                        end_pt = origin if end == CLOSED else (FREE if end == FREE else locs[end])
+                        if kind == "ring":
+                            want = ring_cover(sp.circumference, start, items, end_pt)[1]
+                        else:
+                            want = flower_cover(sp, start, items, end_pt)[1]
+                        assert oracle._cover(qid, rest, end) == want, (sp, locs, qid, rest, end)
+
+
+def test_flower_oracle_prices_each_leg_once(monkeypatch):
+    """Across a whole open-flower policy run, the oracle's clean-ups price
+    no leg twice: its leg table outlives the clean-up that filled it.  The
+    breaking rule is off, since its one exact clean-up solves a fresh
+    query of its own."""
+    priced: Counter = Counter()
+    ring_price, segment_price = offline._ring_price, offline._segment_price
+
+    def ring(C, s, positions, end):
+        priced["ring", C, s, tuple(positions), end] += 1
+        return ring_price(C, s, positions, end)
+
+    def segment(s, positions, end):
+        priced["segment", s, tuple(positions), end] += 1
+        return segment_price(s, positions, end)
+
+    monkeypatch.setattr(offline, "_ring_price", ring)
+    monkeypatch.setattr(offline, "_segment_price", segment)
+    locs = [(0, 0.5), (0, 1.5), (1, 0.4), (1, 1.0), ("stem", 0.5), ("stem", 1.0), (0, 1.2)]
+    inst = _instance(Flower((2.0, 1.5), 1.0), locs, [0.0, 0.3, 0.6, 1.1, 1.7, 2.4, 3.0], "open")
+    la_swag(inst, EngineConfig(breaking_rule=False))
+    assert priced and max(priced.values()) == 1
 
 
 # -- protocol ----------------------------------------------------------------
