@@ -353,7 +353,6 @@ class Simulation:
                 candidates.append(self._queue[0][0])
             if adv_wake is not None:
                 candidates.append(adv_wake)
-            candidates = [c for c in candidates if c is not None]
             if not candidates:
                 raise SimulationStalled("policy waits forever and nothing is pending",
                                         self.now, self.pos, self._unserved(), act)

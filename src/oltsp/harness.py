@@ -217,13 +217,29 @@ def _far_anchor(space: Space, x, needed: float, rng):
     raise ValueError(space)
 
 
+class EtaUnreachable(ValueError):
+    """Predictions cannot be displaced to the ``target`` error; ``achieved``
+    is the error reached instead, or None when every request is at the
+    origin (the error's denominator F is 0)."""
+
+    def __init__(self, target: float, achieved: float | None):
+        super().__init__(target, achieved)
+        self.target = target
+        self.achieved = achieved
+
+    def __str__(self) -> str:
+        if self.achieved is None:
+            return "target error unreachable: all requests at the origin"
+        return f"target error {self.target} unreachable on this space (got {self.achieved:.4g})"
+
+
 def perturb_predictions(instance: Instance, target_eta: float, rng=None,
                         clip: bool = False) -> Instance:
     """Displace predictions along geodesics so the realized error matches
     the target (exactly when the geometry permits, within 5% always).
 
     With ``clip=True`` a capped space yields the largest achievable error
-    instead of raising.
+    instead of raising :class:`EtaUnreachable`.
     """
     if target_eta < 0:
         raise ValueError("target error must be nonnegative")
@@ -232,7 +248,7 @@ def perturb_predictions(instance: Instance, target_eta: float, rng=None,
     rng = np.random.default_rng(0) if rng is None else rng
     F = shortest_serving_path_length(instance)
     if F <= TIE:
-        raise ValueError("target error unreachable: all requests at the origin")
+        raise EtaUnreachable(target_eta, None)
     space = instance.space
     delta = target_eta * F
     xs = instance.locations()
@@ -262,9 +278,7 @@ def perturb_predictions(instance: Instance, target_eta: float, rng=None,
     out = instance.with_predictions(preds)
     achieved = prediction_error(out)
     if not clip and not (0.95 * target_eta <= achieved <= 1.05 * target_eta):
-        raise ValueError(
-            f"target error {target_eta} unreachable on this space (got {achieved:.4g})"
-        )
+        raise EtaUnreachable(target_eta, achieved)
     return out
 
 

@@ -10,7 +10,6 @@ reproduces the optimal length.
 from __future__ import annotations
 
 import math
-import struct
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -32,7 +31,15 @@ OPT_CAP = 14  # a table of n * 2^n doubles is 1.8 MB at the cap
 
 
 class SizeCapExceeded(ValueError):
-    pass
+    """A problem of ``size`` items above a solver's ``cap``."""
+
+    def __init__(self, message: str, size: int, cap: int):
+        super().__init__(message, size, cap)
+        self.size = size
+        self.cap = cap
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
 def _id_key(k) -> tuple:
@@ -135,7 +142,7 @@ def exact_path(D, targets: tuple[int, ...], end) -> PathTable:
     """
     m = len(targets)
     if m > HELD_KARP_CAP:
-        raise SizeCapExceeded(f"{m} targets exceeds bitmask cap {HELD_KARP_CAP}")
+        raise SizeCapExceeded(f"{m} targets exceeds bitmask cap {HELD_KARP_CAP}", m, HELD_KARP_CAP)
     T = array("d", [0.0]) * (m << m)
     nxt = array("B", [0]) * (m << m)
     if end != FREE:
@@ -701,44 +708,6 @@ def eval_serving_order(instance, order) -> float:
     return t
 
 
-_BITS = struct.Struct("<q")
-_DOUBLE = struct.Struct("<d")
-_SIGN = 1 << 63
-
-
-def _float_key(x: float) -> int:
-    """Integer that orders like ``x`` over the finite floats (-0.0 and 0.0
-    share key 0)."""
-    k = _BITS.unpack(_DOUBLE.pack(x))[0]
-    return k if k >= 0 else -(k + _SIGN)
-
-
-def _key_float(k: int) -> float:
-    return _DOUBLE.unpack(_BITS.pack(k if k >= 0 else -k - _SIGN))[0]
-
-
-def _latest(c: float, d: float) -> float:
-    """The largest float ``t`` with ``t + d <= c`` in float arithmetic, for a
-    finite ``c`` and a finite ``d >= 0``."""
-    t = c - d
-    if t + d <= c < math.nextafter(t, math.inf) + d:
-        return t
-    # ``t + d`` is monotone in ``t``: bisect the float keys of a bracket a
-    # few ulps of ``c`` and ``d`` wide.  Stepping ``t`` one ulp at a time
-    # never ends when ``t`` is much smaller than ``d``.
-    step = math.ulp(c) + math.ulp(d)
-    while (t - step) + d > c or (t + step) + d <= c:
-        step *= 2
-    lo_k, hi_k = _float_key(t - step), _float_key(t + step)
-    while hi_k - lo_k > 1:
-        mid = (lo_k + hi_k) // 2
-        if _key_float(mid) + d <= c:
-            lo_k = mid
-        else:
-            hi_k = mid
-    return _key_float(lo_k)
-
-
 @lru_cache(maxsize=None)
 def _layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """Index tables of the subset DPs over ``n`` items (the OPT forward
@@ -785,13 +754,41 @@ def _outside(n: int) -> tuple[np.ndarray, ...]:
 class _LazyOptResult(OptResult):
     """An optimum whose serving order is found the first time it is read."""
 
-    def __init__(self, length: float, D: list[list[float]], rel: list[float], closed: bool):
+    def __init__(self, length: float, D: np.ndarray, rel: np.ndarray, closed: bool):
         self.length = length
         self._problem = (D, rel, closed)
 
     @cached_property
     def order(self) -> list[int]:
         return _serving_order(*self._problem, self.length)
+
+
+def _finish(D: np.ndarray, rel: np.ndarray, closed: bool, row: int, t: float, ids: list[int]) -> float:
+    """Earliest finish of a server at matrix row ``row`` (0 the origin,
+    ``k + 1`` request ``k``) at time ``t`` that then serves ``ids`` (at
+    least one) and, if ``closed``, returns to the origin.
+
+    Bit for bit the least completion time over the orders of ``ids``
+    evaluated leg by leg as :func:`eval_serving_order` does: ``max(t + d,
+    r)`` is monotone in ``t`` in float arithmetic, so the earliest time at
+    the last request of each served set is the minimum over those orders.
+    One popcount layer per numpy step, with a loop's float ``+``, ``min``
+    and ``max``."""
+    m = len(ids)
+    rows = np.array(ids) + 1
+    legs = D[rows[:, None], rows]  # legs[j, i]: request ids[j] to ids[i]
+    r = rel[ids]
+    # f[S, j]: earliest time at ids[j] having served the set S; inf where j
+    # is not in S.  np.maximum(a, r) returns r when a == r, as ``a if a > r
+    # else r`` does, so the sign of a zero ``a`` never counts.
+    f = np.full((1 << m, m), np.inf)
+    pos = np.arange(m)
+    f[1 << pos, pos] = np.maximum(t + D[row, rows], r)
+    for S, js, prev in _layers(m):
+        a = (f[prev] + legs[js]).min(axis=2)
+        f[S[:, None], js] = np.maximum(a, r[js])
+    # Python's min keeps the first of equal values, 0.0 or -0.0, as a loop does
+    return min((f[-1] + D[rows, 0] if closed else f[-1]).tolist())
 
 
 def opt_bruteforce(instance) -> OptResult:
@@ -804,96 +801,43 @@ def opt_bruteforce(instance) -> OptResult:
 
     The result is, bit for bit, the enumeration's: the value of the best
     order evaluated leg by leg as :func:`eval_serving_order` does, and the
-    lexicographically smallest order that attains it.  ``max(t + d, r)`` is
-    monotone in ``t`` in float arithmetic, so the earliest time at the
-    last request of each served set is the minimum over those orders.  The
-    forward table of those times gives the value, one popcount layer per
-    numpy step with the same float ``+``, ``min`` and ``max`` as a loop;
-    the order is found by :func:`_serving_order` when ``.order`` is first
-    read.  No tolerance decides anything.
+    lexicographically smallest order that attains it, both from one
+    forward kernel, :func:`_finish`; the order is found by
+    :func:`_serving_order` when ``.order`` is first read.  No tolerance
+    decides anything.
     """
     n = len(instance.requests)
     if n > OPT_CAP:
-        raise SizeCapExceeded(f"{n} requests exceeds subset-DP cap {OPT_CAP}")
+        raise SizeCapExceeded(f"{n} requests exceeds subset-DP cap {OPT_CAP}", n, OPT_CAP)
     if n == 0:
         return OptResult(0.0, [])
-    D = _build_matrix(instance.space, [instance.origin] + [r.location for r in instance.requests])
-    rel = [r.release for r in instance.requests]
+    D = np.array(_build_matrix(instance.space, [instance.origin] + [r.location for r in instance.requests]))
+    rel = np.array([r.release for r in instance.requests])
     closed = instance.variant == "closed"
-    Dn = np.array(D)
-    legs = Dn[1:, 1:]  # legs[j, i]: request j to request i
-    relv = np.array(rel)
-
-    # f[S, j]: earliest time at request j having served the set S; inf
-    # where j is not in S.  np.maximum(a, r) returns r when a == r, as
-    # ``a if a > r else r`` does, so the sign of a zero ``a`` never counts.
-    f = np.full((1 << n, n), np.inf)
-    ids = np.arange(n)
-    f[1 << ids, ids] = np.maximum(Dn[0, 1:], relv)
-    for S, js, prev in _layers(n):
-        a = (f[prev] + legs[js]).min(axis=2)
-        f[S[:, None], js] = np.maximum(a, relv[js])
-    # Python's min keeps the first of equal values, 0.0 or -0.0, as a loop does
-    last = f[-1] + Dn[1:, 0] if closed else f[-1]
-    return _LazyOptResult(min(last.tolist()), D, rel, closed)
+    return _LazyOptResult(_finish(D, rel, closed, 0, 0.0, list(range(n))), D, rel, closed)
 
 
-def _serving_order(D: list[list[float]], rel: list[float], closed: bool, opt: float) -> list[int]:
+def _serving_order(D: np.ndarray, rel: np.ndarray, closed: bool, opt: float) -> list[int]:
     """The lexicographically smallest order that finishes by ``opt``, the
     optimum over matrix ``D`` (row 0 the origin) and releases ``rel``.
 
-    A backward table of the latest time from which the rest still finishes
-    by ``opt`` lets a greedy pass take the smallest feasible next request.
+    At each stop it takes the smallest remaining request from which the
+    rest can still finish by ``opt``; :func:`_finish` is exact, so the
+    first such request starts an optimal order.
     """
-    n = len(rel)
-    full = (1 << n) - 1
-    # legs[i][j]: request i to request j; _build_matrix fills both
-    # triangles from one distance call, so legs[i][j] == legs[j][i]
-    legs = [row[1:] for row in D[1:]]
-    members = [[k for k in range(n) if S >> k & 1] for S in range(full + 1)]
-
-    # tau[R * n + j]: latest time at request j, with the set R still to
-    # serve, from which the server still finishes by ``opt``
-    tau = array("d", [0.0]) * (n << n)
-    for j in range(n):
-        tau[j] = _latest(opt, D[j + 1][0]) if closed else opt
-    # _latest(c, d) lies within 2.5 ulps of the largest |c| or d of fl(c - d),
-    # so only candidates within ``near`` of the best difference can win
-    near = 8 * math.ulp(max(opt, max(map(max, legs))))
-    for R in range(1, full):
-        cands = []
-        for k in members[R]:
-            c = tau[(R ^ (1 << k)) * n + k]
-            if rel[k] <= c:
-                cands.append((k, c))
-        base = R * n
-        for j in members[full ^ R]:
-            if not cands:
-                tau[base + j] = -math.inf
-                continue
-            row = legs[j]
-            diffs = [c - row[k] for k, c in cands]
-            top = max(diffs) - near
-            tau[base + j] = max([
-                _latest(c, row[k]) for (k, c), v in zip(cands, diffs) if v >= top
-            ])
-
-    order = []
-    t = 0.0
-    row = D[0][1:]
-    R = full
-    while R:
-        for k in members[R]:
-            a = t + row[k]
-            if a < rel[k]:
-                a = rel[k]
-            if a <= tau[(R ^ (1 << k)) * n + k]:
+    dist, release = D.tolist(), rel.tolist()
+    order: list[int] = []
+    rest = list(range(len(release)))
+    row, t = 0, 0.0
+    while len(rest) > 1:
+        for k in rest:
+            a = max(t + dist[row][k + 1], release[k])
+            if _finish(D, rel, closed, k + 1, a, [i for i in rest if i != k]) <= opt:
                 break
         order.append(k)
-        t = a
-        R ^= 1 << k
-        row = legs[k]
-    return order
+        rest.remove(k)
+        row, t = k + 1, a
+    return order + rest
 
 
 def shortest_serving_path_length(instance) -> float:

@@ -5,9 +5,11 @@ guaranteed to contain an optimum for every release-time assignment, so
 tests can check that the oracles dominate exactly the right families.
 ``opt_by_enumeration`` is the exact optimum by evaluating every order,
 the reference for ``offline.opt_bruteforce``; ``opt_value_by_loop`` is its
-value by the forward subset DP in pure Python, the reference above the
-enumeration's reach; ``ring_cover_all_cuts`` builds the walk of every cut,
-the reference for ``offline.ring_cover``; ``flower_cover_by_masks`` prices
+value by the forward subset DP in pure Python, and
+``serving_order_by_latest_times`` its order by a backward table of latest
+start times, the references above the enumeration's reach;
+``ring_cover_all_cuts`` builds the walk of every cut, the reference for
+``offline.ring_cover``; ``flower_cover_by_masks`` prices
 each candidate walk's legs afresh, the reference for
 ``offline.flower_cover``; ``exact_path_by_loop`` is the
 Held-Karp table in pure Python with a greedy walk that rescans every
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 from array import array
 from dataclasses import dataclass
 from typing import Any
@@ -282,6 +285,107 @@ def opt_value_by_loop(instance) -> float:
     return opt
 
 
+_BITS = struct.Struct("<q")
+_DOUBLE = struct.Struct("<d")
+_SIGN = 1 << 63
+
+
+def _float_key(x: float) -> int:
+    """Integer that orders like ``x`` over the finite floats (-0.0 and 0.0
+    share key 0)."""
+    k = _BITS.unpack(_DOUBLE.pack(x))[0]
+    return k if k >= 0 else -(k + _SIGN)
+
+
+def _key_float(k: int) -> float:
+    return _DOUBLE.unpack(_BITS.pack(k if k >= 0 else -k - _SIGN))[0]
+
+
+def _latest(c: float, d: float) -> float:
+    """The largest float ``t`` with ``t + d <= c`` in float arithmetic, for a
+    finite ``c`` and a finite ``d >= 0``."""
+    t = c - d
+    if t + d <= c < math.nextafter(t, math.inf) + d:
+        return t
+    # ``t + d`` is monotone in ``t``: bisect the float keys of a bracket a
+    # few ulps of ``c`` and ``d`` wide.  Stepping ``t`` one ulp at a time
+    # never ends when ``t`` is much smaller than ``d``.
+    step = math.ulp(c) + math.ulp(d)
+    while (t - step) + d > c or (t + step) + d <= c:
+        step *= 2
+    lo_k, hi_k = _float_key(t - step), _float_key(t + step)
+    while hi_k - lo_k > 1:
+        mid = (lo_k + hi_k) // 2
+        if _key_float(mid) + d <= c:
+            lo_k = mid
+        else:
+            hi_k = mid
+    return _key_float(lo_k)
+
+
+def serving_order_by_latest_times(instance, opt: float) -> list[int]:
+    """The serving order of ``offline.opt_bruteforce``: the lexicographically
+    smallest order that finishes by ``opt``, the instance's optimum.
+
+    A backward table of the latest time from which the rest still finishes
+    by ``opt`` lets a greedy pass take the smallest feasible next request.
+    """
+    n = len(instance.requests)
+    if n == 0:
+        return []
+    D = _build_matrix(instance.space, [instance.origin] + [r.location for r in instance.requests])
+    rel = [r.release for r in instance.requests]
+    closed = instance.variant == "closed"
+    full = (1 << n) - 1
+    # legs[i][j]: request i to request j; _build_matrix fills both
+    # triangles from one distance call, so legs[i][j] == legs[j][i]
+    legs = [row[1:] for row in D[1:]]
+    members = [[k for k in range(n) if S >> k & 1] for S in range(full + 1)]
+
+    # tau[R * n + j]: latest time at request j, with the set R still to
+    # serve, from which the server still finishes by ``opt``
+    tau = array("d", [0.0]) * (n << n)
+    for j in range(n):
+        tau[j] = _latest(opt, D[j + 1][0]) if closed else opt
+    # _latest(c, d) lies within 2.5 ulps of the largest |c| or d of fl(c - d),
+    # so only candidates within ``near`` of the best difference can win
+    near = 8 * math.ulp(max(opt, max(map(max, legs))))
+    for R in range(1, full):
+        cands = []
+        for k in members[R]:
+            c = tau[(R ^ (1 << k)) * n + k]
+            if rel[k] <= c:
+                cands.append((k, c))
+        base = R * n
+        for j in members[full ^ R]:
+            if not cands:
+                tau[base + j] = -math.inf
+                continue
+            row = legs[j]
+            diffs = [c - row[k] for k, c in cands]
+            top = max(diffs) - near
+            tau[base + j] = max([
+                _latest(c, row[k]) for (k, c), v in zip(cands, diffs) if v >= top
+            ])
+
+    order = []
+    t = 0.0
+    row = D[0][1:]
+    R = full
+    while R:
+        for k in members[R]:
+            a = t + row[k]
+            if a < rel[k]:
+                a = rel[k]
+            if a <= tau[(R ^ (1 << k)) * n + k]:
+                break
+        order.append(k)
+        t = a
+        R ^= 1 << k
+        row = legs[k]
+    return order
+
+
 def ring_cover_all_cuts(C: float, s: float, req: list[tuple[float, Any]], end) -> tuple[float, list]:
     """``offline.ring_cover`` by building the walk of every cut and the full
     loop, then taking the first cheapest."""
@@ -514,7 +618,7 @@ def exact_path_by_loop(D, targets: tuple[int, ...], end) -> PathTableByLoop:
     (a matrix row, or FREE), bottom-up over the remaining-target mask."""
     m = len(targets)
     if m > HELD_KARP_CAP:
-        raise SizeCapExceeded(f"{m} targets exceeds bitmask cap {HELD_KARP_CAP}")
+        raise SizeCapExceeded(f"{m} targets exceeds bitmask cap {HELD_KARP_CAP}", m, HELD_KARP_CAP)
     T = array("d", [0.0]) * (m << m)
     rows = [D[t] for t in targets]
     if end != FREE:

@@ -19,6 +19,7 @@ from oltsp.fixtures import (
 )
 from oltsp.harness import (
     CSV_COLUMNS,
+    EtaUnreachable,
     SweepSpec,
     adversarial_predictions,
     ceiling,
@@ -87,6 +88,31 @@ def test_perturb_hits_target_within_band():
                     continue  # capped geometry
                 eta = prediction_error(out)
                 assert 0.95 * target <= eta <= 1.05 * target
+
+
+def test_perturb_unreachable_eta_carries_target_and_achieved():
+    from oltsp.core import Request
+    from oltsp.spaces import Ring
+
+    # open, F = 0.5: no prediction lies more than 0.5 away, so eta <= 1
+    inst = Instance(Ring(1.0), [Request(0, 0.5, 0.0)], [0.5], "open")
+    with pytest.raises(EtaUnreachable) as info:
+        perturb_predictions(inst, 3.0, np.random.default_rng(1))
+    exc = info.value
+    assert isinstance(exc, ValueError) and exc.target == 3.0
+    assert exc.achieved == pytest.approx(1.0)
+    assert str(exc) == f"target error 3.0 unreachable on this space (got {exc.achieved:.4g})"
+    clipped = perturb_predictions(inst, 3.0, np.random.default_rng(1), clip=True)
+    assert prediction_error(clipped) == exc.achieved
+
+    at_origin = Instance(Ring(1.0), [Request(0, 0.0, 1.0)], [0.0], "closed")
+    with pytest.raises(EtaUnreachable) as info:
+        perturb_predictions(at_origin, 0.5)
+    assert (info.value.target, info.value.achieved) == (0.5, None)
+    assert str(info.value) == "target error unreachable: all requests at the origin"
+    with pytest.raises(ValueError, match="nonnegative") as info:
+        perturb_predictions(inst, -1.0)
+    assert not isinstance(info.value, EtaUnreachable)
 
 
 def test_perturb_degenerate_space_raises():

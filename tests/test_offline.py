@@ -17,7 +17,6 @@ from oltsp.offline import (
     OPT_CAP,
     PathQuery,
     SizeCapExceeded,
-    _latest,
     eval_serving_order,
     exact_path,
     flower_cover,
@@ -39,6 +38,7 @@ from oltsp.tolerance import FEAS
 
 from conftest import random_flower, random_point, random_space, random_tree
 from sensible import (
+    _latest,
     exact_path_by_loop,
     flower_cover_by_masks,
     maximal_nodes_by_walk,
@@ -46,6 +46,7 @@ from sensible import (
     opt_value_by_loop,
     path_cover_by_dfs,
     ring_cover_all_cuts,
+    serving_order_by_latest_times,
     snipped_index_by_round_trip,
     span_by_counts,
     tree_index_by_round_trip,
@@ -157,8 +158,10 @@ def test_path_table_reads_any_start_and_remaining_set():
 
 def test_held_karp_cap():
     pts = [(float(i), 0.0) for i in range(HELD_KARP_CAP + 1)]
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(SizeCapExceeded) as info:
         held_karp(PathQuery(Euclid2D(), (0.0, 0.0), pts, CLOSED))
+    assert (info.value.size, info.value.cap) == (HELD_KARP_CAP + 1, HELD_KARP_CAP)
+    assert str(info.value) == f"{HELD_KARP_CAP + 1} targets exceeds bitmask cap {HELD_KARP_CAP}"
 
 
 def _assert_walks_match(D, targets, end, pairs):
@@ -493,8 +496,10 @@ def test_opt_bruteforce_lower_bounds():
 def test_opt_bruteforce_cap():
     sp = Line()
     reqs = [Request(i, float(i), 0.0) for i in range(OPT_CAP + 1)]
-    with pytest.raises(SizeCapExceeded, match="subset-DP cap"):
+    with pytest.raises(SizeCapExceeded) as info:
         opt_bruteforce(Instance(sp, reqs, [r.location for r in reqs], "open"))
+    assert (info.value.size, info.value.cap) == (OPT_CAP + 1, OPT_CAP)
+    assert str(info.value) == f"{OPT_CAP + 1} requests exceeds subset-DP cap {OPT_CAP}"
 
 
 def test_latest_is_the_largest_float_that_still_arrives_in_time():
@@ -559,9 +564,32 @@ def test_opt_matches_loop_dp_bit_for_bit():
             assert float.hex(opt_bruteforce(inst).length) == float.hex(opt_value_by_loop(inst))
 
 
+def test_opt_order_matches_latest_times_reference():
+    """Above the enumeration's reach, the greedy pass through the forward
+    kernel gives the backward latest-time table's order, on the kind of
+    inputs of the value test above: five families and the tie-heavy line
+    and ring grids.  The value itself is pinned by that test."""
+    rng = random.Random(37)
+    for n in range(9, OPT_CAP + 1):
+        cases = []
+        for k, kind in enumerate(("line", "tree", "ring", "flower", "general")):
+            sp = random_space(kind, rng, n)
+            reqs = [Request(i, random_point(sp, rng), round(rng.uniform(0, 3), rng.choice([1, 6])))
+                    for i in range(n)]
+            cases.append(Instance(sp, reqs, [r.location for r in reqs], ("open", "closed")[(n + k) % 2]))
+        for sp in (Line(), Ring(1.0)):
+            for variant in ("open", "closed"):
+                reqs = [Request(i, rng.choice(GRID_POSITIONS), rng.choice(GRID_RELEASES))
+                        for i in range(n)]
+                cases.append(Instance(sp, reqs, [r.location for r in reqs], variant))
+        for inst in cases:
+            res = opt_bruteforce(inst)
+            assert res.order == serving_order_by_latest_times(inst, res.length)
+
+
 def test_opt_order_is_built_only_when_read(monkeypatch, tmp_path, capsys):
-    """Callers that read only ``.length`` never run the backward pass, and
-    reading ``.order`` runs it once."""
+    """Callers that read only ``.length`` never build the serving order,
+    and reading ``.order`` builds it once."""
     real = offline._serving_order
 
     def refuse(*args):
