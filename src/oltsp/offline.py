@@ -766,7 +766,7 @@ class _LazyOptResult(OptResult):
 def _finish(D: np.ndarray, rel: np.ndarray, closed: bool, row: int, t: float, ids: list[int]) -> float:
     """Earliest finish of a server at matrix row ``row`` (0 the origin,
     ``k + 1`` request ``k``) at time ``t`` that then serves ``ids`` (at
-    least one) and, if ``closed``, returns to the origin.
+    least one, ascending) and, if ``closed``, returns to the origin.
 
     Bit for bit the least completion time over the orders of ``ids``
     evaluated leg by leg as :func:`eval_serving_order` does: ``max(t + d,
@@ -775,9 +775,10 @@ def _finish(D: np.ndarray, rel: np.ndarray, closed: bool, row: int, t: float, id
     One popcount layer per numpy step, with a loop's float ``+``, ``min``
     and ``max``."""
     m = len(ids)
-    rows = np.array(ids) + 1
-    legs = D[rows[:, None], rows]  # legs[j, i]: request ids[j] to ids[i]
-    r = rel[ids]
+    full = m == len(rel)  # every request: views, not gathers
+    rows = slice(1, None) if full else np.array(ids) + 1
+    legs = D[rows, rows] if full else D[rows[:, None], rows]  # legs[j, i]: request ids[j] to ids[i]
+    r = rel if full else rel[ids]
     # f[S, j]: earliest time at ids[j] having served the set S; inf where j
     # is not in S.  np.maximum(a, r) returns r when a == r, as ``a if a > r
     # else r`` does, so the sign of a zero ``a`` never counts.

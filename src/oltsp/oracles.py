@@ -170,20 +170,21 @@ class GeneralOracle(DominationOracle):
     optimal head from the origin over R' to u, then an optimal tail over
     every other request.
 
-    Heads and tails are optimal paths read from Held-Karp tables built once
-    over the prediction matrix: one tail table over every request, ending
-    at the origin (closed) or anywhere (open), and one head table per pivot
-    u over the other requests, ending at u.  A dominator depends on
-    neither the step nor the rest of the released set, so each is walked
-    once per instance, the first time a batch holds it, and kept in
-    ``_dominators[u]`` under the id bitmask of R'.
+    Heads and tails are read from Held-Karp tables built once over the
+    prediction matrix.  A head read backward is a walk from u over R' to the
+    origin, so one back table, ending at the origin, holds every head and is
+    the closed variant's tail table; the open variant adds one ending anywhere.
+    Among equal-length heads the one taken is the lexicographically smallest
+    backward.  A dominator depends on neither the step nor the rest of the
+    released set, so each is walked once per instance, the first time a batch
+    holds it, and kept in ``_dominators[u]`` under the id bitmask of R'.
     """
 
     def __init__(self, space, predictions, variant):
         super().__init__(space, predictions, variant)
         rows = tuple(range(1, self.n + 1))
-        self._tail = exact_path(self.D, rows, 0 if variant == "closed" else FREE)
-        self._heads = [exact_path(self.D, rows[:u] + rows[u + 1:], u + 1) for u in range(self.n)]
+        self._back = exact_path(self.D, rows, 0)
+        self._tail = self._back if self.end == CLOSED else exact_path(self.D, rows, FREE)
         self._dominators: list[dict[int, tuple]] = [{} for _ in range(self.n)]
 
     def _cover(self, qid, rest, end) -> list[int]:
@@ -207,9 +208,7 @@ class GeneralOracle(DominationOracle):
         return out
 
     def _walk_dominator(self, u: int, mask: int) -> tuple:
-        low = (1 << u) - 1
-        head_mask = mask & low | mask >> 1 & ~low  # u's own bit is left out
-        head = [j + (j >= u) for j in self._heads[u].walk(0, head_mask)[1]]
+        head = self._back.walk(u + 1, mask)[1][::-1]
         tail = self._tail.walk(u + 1, ((1 << self.n) - 1) ^ (1 << u) ^ mask)[1]
         return tuple(head + [u] + tail)
 

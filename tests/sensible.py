@@ -15,10 +15,10 @@ each candidate walk's legs afresh, the reference for
 Held-Karp table in pure Python with a greedy walk that rescans every
 candidate per step, the reference for ``offline.exact_path``;
 ``general_batch_by_walks`` walks every head and tail of a general
-oracle's batch afresh at each step, the reference for
-``GeneralOracle._batch``; ``flower_batch_by_variants`` builds a flower
-oracle's batch one approach at a time, the reference for
-``FlowerOracle._batch``;
+oracle's batch afresh at each step, each head from a table of its own
+pivot's, the reference for ``GeneralOracle._batch``;
+``flower_batch_by_variants`` builds a flower oracle's batch one approach
+at a time, the reference for ``FlowerOracle._batch``;
 ``path_cover_by_dfs``, ``span_by_counts`` and ``maximal_nodes_by_walk``
 recompute a ``TreeIndex``'s adjacency, counts and rerooted parents on
 every call, the reference for its per-index tables.
@@ -52,6 +52,7 @@ from oltsp.offline import (
     _id_key,
     _segment_cost,
     _segment_price,
+    exact_path,
     ring_cover,
     segment_cover,
 )
@@ -636,16 +637,21 @@ def exact_path_by_loop(D, targets: tuple[int, ...], end) -> PathTableByLoop:
 
 def general_batch_by_walks(oracle, released: frozenset) -> list[tuple]:
     """``GeneralOracle._batch`` walking each (pivot, subset) dominator of
-    the step from the oracle's Held-Karp tables."""
+    the step afresh: its head from a Held-Karp table over the other
+    requests that ends at the pivot u, built for each u at each step, and
+    its tail from the oracle's tail table.  The heads are the
+    lexicographically smallest optimal walks forward, where the oracle's
+    are the smallest backward."""
     full = (1 << oracle.n) - 1
     rel = sorted(released)
     out = []
     for u in sorted(oracle.ids - released):
         others = [i for i in range(oracle.n) if i != u]
+        heads = exact_path(oracle.D, tuple(i + 1 for i in others), u + 1)
         for k in range(1 << len(rel)):
             sub = [rel[j] for j in range(len(rel)) if k >> j & 1]
             head_mask = sum(1 << (i - (i > u)) for i in sub)  # u's own bit is left out
-            head = [others[j] for j in oracle._heads[u].walk(0, head_mask)[1]]
+            head = [others[j] for j in heads.walk(0, head_mask)[1]]
             rest = full ^ (1 << u) ^ sum(1 << i for i in sub)
             tail = oracle._tail.walk(u + 1, rest)[1]
             out.append(tuple(head + [u] + tail))

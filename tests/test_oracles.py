@@ -6,8 +6,8 @@ from collections import Counter
 
 import pytest
 
-from oltsp import offline
-from oltsp.core import Instance, Request, route_stats, run_adaptive
+from oltsp import offline, oracles
+from oltsp.core import Instance, Request, route_stats, run_adaptive, simulate
 from oltsp.engine import EngineConfig, LaSwagPolicy, la_swag
 from oltsp.fixtures import LineReleaseAdversary
 from oltsp.offline import (
@@ -39,6 +39,7 @@ from sensible import (
     sensible_tree_perms,
 )
 from oltsp.spaces import Euclid2D, Flower, General, Line, Ring, Tree
+from oltsp.tolerance import TIE
 
 from conftest import random_flower, random_general, random_point, random_space, random_tree
 
@@ -475,10 +476,10 @@ _BATCH_DIGESTS = {
     ("ring", "open"): "d433a8a57fc174dc716439f426ce23e99325bd71278145a2a564f24282d22f59",
     ("flower", "closed"): "9fc34e3f27ecea212d66809df2b9800196048feb713b723ea25c62262b3b2382",
     ("flower", "open"): "01a5610f10da0e5f94ce6c03222a0b00a6c99fa418646ddbc1a04f52259e4c5f",
-    ("general", "closed"): "9f8502b070a0b6e07482c9a4318d1d33f535627d742a29230a1edfc5c32fe88e",
-    ("general", "open"): "7cbb72f8596fe69ad02e16f6979e02af1901aa926812e9ddc82d94b479feef57",
-    ("euclid2d", "closed"): "fb57c6f915f75a4e09b49ca97ad64ced0a13739f01df462bb7a5ecc09693e0b8",
-    ("euclid2d", "open"): "d9efc3a7c5ff79e643817ba1421231104a6457837f136528a7f3346184fed610",
+    ("general", "closed"): "a0063b946a96f6f4ad84e41b10ea216da6690ec07c21e205f48034066851b79e",
+    ("general", "open"): "51cccb53fa6ac2ba2af7d35f1e846844faa3818562121bca4109496f86a4a3bb",
+    ("euclid2d", "closed"): "a3c68318f95a55016594b7f3d331c64b3328a3848c491654bd8d3897997a37be",
+    ("euclid2d", "open"): "77c3491f729ca1435a60b94799b908435ceb22141c4a0dcaf5a9c84619493324",
 }
 
 
@@ -518,22 +519,67 @@ def test_line_adversary_batches_unchanged(grid):
     assert hashlib.sha256(text.encode()).hexdigest() == _LINE_ADVERSARY_DIGESTS[grid]
 
 
-@pytest.mark.parametrize("family", ["general", "euclid2d"])
+def _walks_pool(family, variant):
+    """The pin pool at n <= 9, or, for "general-edge", seeded random
+    General spaces with every prediction inside an edge."""
+    if family != "general-edge":
+        yield from _pin_pool(family, variant, count=10, n_max=9)
+        return
+    rng = random.Random(f"{family}/{variant}")
+    for _ in range(20):
+        space = _pin_space("general", rng)
+        n = rng.randint(1, 9)
+        edges = [rng.sample(range(space.n), 2) for _ in range(n)]
+        locs = [space.canon((a, b, round(rng.uniform(0, space.matrix[a][b]), 3))) for a, b in edges]
+        yield space, locs, [round(rng.uniform(0, 2), 3) for _ in range(n)]
+
+
+def _head_length(D, head):
+    """Forward length of the walk from the origin through the ids ``head``."""
+    stops = [0] + [i + 1 for i in head]
+    return sum(D[a][b] for a, b in zip(stops, stops[1:]))
+
+
+@pytest.mark.parametrize("family", ["general", "euclid2d", "tree", "general-edge"])
 @pytest.mark.parametrize("variant", ["closed", "open"])
 def test_general_batches_match_walks_reference(family, variant):
-    """Batches read from the per-instance dominator table equal, perm for
-    perm and in order, those walked afresh at each step, and so do their
-    counts of new perms; on seeded random and half-integer grid instances
-    up to n = 9."""
-    for space, locs, rels in _pin_pool(family, variant, count=10, n_max=9):
-        oracle = make_oracle(space, locs, variant)
-        ref = make_oracle(space, locs, variant)
-        ref._batch = lambda released, ref=ref: general_batch_by_walks(ref, released)
+    """Stepped at every release time, each (pivot, subset) dominator that
+    the general oracle reads from its back table has the pivot, the tail
+    and the head's request set of the one walked from a head table of that
+    pivot's own, and a head whose forward length is within ``TIE`` per
+    head request of the reference's: the two differ only between
+    equal-length heads.  On each instance where no head differs, LA-SWAG's
+    completion time is bit-identical to that of a policy whose oracle runs
+    the reference.  On seeded random and grid instances up to n = 9, and on
+    two inputs whose ``D`` need not be bitwise symmetric, so that a head
+    reversed is exact only within ``TIE``: tree spaces served by the
+    general oracle, and General points inside an edge."""
+    asymmetric = untied = 0
+    for space, locs, rels in _walks_pool(family, variant):
+        oracle = GeneralOracle(space, locs, variant)
+        tied = False
         for t in sorted({0.0, *rels}):
-            released = [i for i, r in enumerate(rels) if r <= t]
-            oracle.step(t, released)
-            ref.step(t, released)
-        assert oracle.batches == ref.batches, (space, locs, rels)
+            released = frozenset(i for i, r in enumerate(rels) if r <= t)
+            if released == oracle.ids:
+                break
+            want_batch = general_batch_by_walks(oracle, released)
+            for perm, want in zip(oracle._batch(released), want_batch, strict=True):
+                k = next(j for j, i in enumerate(want) if i not in released)
+                assert (perm[k], perm[k + 1:], set(perm[:k])) == (want[k], want[k + 1:], set(want[:k]))
+                assert abs(_head_length(oracle.D, perm[:k + 1]) - _head_length(oracle.D, want[:k + 1])) <= TIE * k
+                tied |= perm != want
+        if not tied:
+            untied += 1
+            inst = _instance(space, locs, rels, variant)
+            ref = LaSwagPolicy(space, len(locs), locs, variant, "general")
+            ref.oracle._batch = lambda released, o=ref.oracle: general_batch_by_walks(o, released)
+            policy = LaSwagPolicy(space, len(locs), locs, variant, "general")
+            assert simulate(inst, policy).completion_time == simulate(inst, ref).completion_time, (space, locs, rels)
+        D = oracle.D
+        asymmetric += any(D[a][b] != D[b][a] for a in range(len(D)) for b in range(a))
+    assert untied
+    if family in ("tree", "general-edge"):
+        assert asymmetric
 
 
 @pytest.mark.parametrize("variant", ["closed", "open"])
@@ -589,38 +635,47 @@ def test_flower_finds_maximal_nodes_once(monkeypatch):
 
 
 def test_general_walks_each_dominator_once(monkeypatch):
-    """Each step walks one head and one tail for each (pivot, subset) of
-    its batch that no earlier step held, and nothing else."""
-    rng = random.Random(12)
-    n = 7
-    oracle = GeneralOracle(Euclid2D(), [random_point(Euclid2D(), rng) for _ in range(n)], "open")
-    heads = {id(table): u for u, table in enumerate(oracle._heads)}
-    full = (1 << n) - 1
+    """A general oracle fills one Held-Karp table when closed and two when
+    open, and each step walks one back walk (the head, reversed) and one
+    tail walk for each (pivot, subset) of its batch that no earlier step
+    held, and nothing else."""
+    filled = []
+
+    def counted_exact_path(*args):
+        filled.append(offline.exact_path(*args))
+        return filled[-1]
+
+    monkeypatch.setattr(oracles, "exact_path", counted_exact_path)
     walked = []
     real_walk = PathTable.walk
+    rng = random.Random(12)
+    n = 7
+    full = (1 << n) - 1
+    locs = [random_point(Euclid2D(), rng) for _ in range(n)]
+    for variant, tables in [("closed", 1), ("open", 2)]:
+        filled.clear()
+        oracle = GeneralOracle(Euclid2D(), locs, variant)
+        assert len(filled) == tables
+        tail = "back" if oracle._tail is oracle._back else "tail"
 
-    def walk(table, start, remaining):
-        if table is oracle._tail:
-            u = start - 1
-            walked.append(("tail", u, full ^ (1 << u) ^ remaining))
-        else:
-            u = heads[id(table)]
-            low = (1 << u) - 1
-            walked.append(("head", u, remaining & low | (remaining & ~low) << 1))
-        return real_walk(table, start, remaining)
+        def walk(table, start, remaining, oracle=oracle):
+            walked.append(("back" if table is oracle._back else "tail", start, remaining))
+            return real_walk(table, start, remaining)
 
-    monkeypatch.setattr(PathTable, "walk", walk)
-    seen: set = set()
-    order = [3, 0, 5, 1, 6, 2]
-    for t in range(len(order) + 1):  # released sets grow one id at a time
-        rel_mask = sum(1 << i for i in order[:t])
-        walked.clear()
-        oracle.step(float(t), order[:t])
-        keys = {(u, mask) for u in range(n) if not rel_mask >> u & 1
-                for mask in range(full + 1) if not mask & ~rel_mask}
-        fresh = keys - seen
-        assert sorted(walked) == sorted([("head", *key) for key in fresh] + [("tail", *key) for key in fresh])
-        seen |= keys
+        monkeypatch.setattr(PathTable, "walk", walk)
+        seen: set = set()
+        order = [3, 0, 5, 1, 6, 2]
+        for t in range(len(order) + 1):  # released sets grow one id at a time
+            rel_mask = sum(1 << i for i in order[:t])
+            walked.clear()
+            oracle.step(float(t), order[:t])
+            keys = {(u, mask) for u in range(n) if not rel_mask >> u & 1
+                    for mask in range(full + 1) if not mask & ~rel_mask}
+            fresh = keys - seen
+            assert sorted(walked) == sorted([("back", u + 1, mask) for u, mask in fresh]
+                                            + [(tail, u + 1, full ^ (1 << u) ^ mask) for u, mask in fresh])
+            seen |= keys
+        assert len(filled) == tables
 
 
 @pytest.mark.parametrize("kind, variant", [("ring", "closed"), ("flower", "closed"), ("ring", "open"),
