@@ -401,26 +401,36 @@ def run_adaptive(space: Space, adversary, policy_factory) -> tuple[RunResult, In
     return result, inst
 
 
+def follow_route(sim: Simulation, route: list) -> tuple:
+    """The next action along ``route``, a list of stops; each stop is
+    popped once done.  A stop ``(rid, point)`` moves to ``point`` and
+    waits there until request ``rid``, if any, is released; ``(rid,
+    None)`` moves to request ``rid``'s released location and serves it.
+    The closed variant's return home is ``(None, origin)``.  An empty
+    route finishes."""
+    while route:
+        rid, point = route[0]
+        target = sim.released[rid].location if point is None else point
+        if sim.space.distance(sim.pos, target) > FEAS:
+            return ("move", target)
+        if point is None:
+            sim.serve(rid)
+        elif rid is not None and rid not in sim.released:
+            return ("wait", None)
+        route.pop(0)
+    return ("finish",)
+
+
 class FollowOrderPolicy:
-    """Serve the true locations in a fixed order, waiting at each request."""
+    """Serve the requests in a fixed order: go to each one's true
+    location, wait there for its release and serve it; closed, return
+    home."""
 
     def __init__(self, instance: Instance, order):
-        self.locations = instance.locations()
-        self.order = list(order)
-        self.variant = instance.variant
-        self.origin = instance.origin
-        self.i = 0
+        locations = [canon_point(instance.space, x) for x in instance.locations()]
+        self.route = [stop for rid in order for stop in ((rid, locations[rid]), (rid, None))]
+        if instance.variant == "closed":
+            self.route.append((None, instance.origin))
 
     def decide(self, sim: Simulation):
-        while self.i < len(self.order):
-            rid = self.order[self.i]
-            loc = canon_point(sim.space, self.locations[rid])
-            if sim.space.distance(sim.pos, loc) > FEAS:
-                return ("move", loc)
-            if rid not in sim.released:
-                return ("wait", None)
-            sim.serve(rid)
-            self.i += 1
-        if self.variant == "closed" and sim.space.distance(sim.pos, self.origin) > FEAS:
-            return ("move", self.origin)
-        return ("finish",)
+        return follow_route(sim, self.route)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import BREAK_RULE, Instance, RunResult, Simulation, simulate
+from .core import BREAK_RULE, Instance, RunResult, Simulation, follow_route, simulate
 from .offline import FREE, PathQuery, solve_classical
 from .oracles import make_oracle
 from .spaces import canon_point
@@ -74,7 +74,14 @@ def _minimizer(scored):
 
 
 class LaSwagPolicy:
-    """Algorithm policy: strategic wait, predicted-spot visits, breaking rule."""
+    """LA-SWAG as one route of stops for :func:`~oltsp.core.follow_route`.
+
+    It plans at the origin until some oracle route is half elapsed and
+    half released, then follows sigma1: to each request's predicted spot,
+    waits there for its release, then serves its true location, and
+    (closed) returns home.  Once everything is released, the breaking
+    rule replaces the rest of the route with an exact clean-up of the
+    unserved requests."""
 
     def __init__(self, space, n, predictions, variant,
                  oracle_kind: str = "auto", breaking_rule: bool = True):
@@ -84,13 +91,10 @@ class LaSwagPolicy:
         self.variant = variant
         self.breaking_rule = breaking_rule
         self.oracle = make_oracle(space, self.predictions, variant, oracle_kind)
-        self.phase = "plan"
+        self.phase = "plan"  # then "follow", or "cleanup" once the breaking rule fires
         self.start: StartDecision | None = None
-        self.sigma1: tuple = ()
-        self.i = 0
-        self.stage = "to_pred"
-        self._legs: list | None = None
-        self._seen_released = -1
+        self.route: list = []
+        self._home = [(None, space.origin())] if variant == "closed" else []
         # the last plan's (released count, entry count) and its scored entries
         self._scored_for: tuple = ()
         self._scored: list = []
@@ -104,29 +108,22 @@ class LaSwagPolicy:
 
     # -- helpers -------------------------------------------------------------
 
-    def _at(self, sim: Simulation, point) -> bool:
-        return sim.space.distance(sim.pos, point) <= FEAS
-
     def _enter_cleanup(self, sim: Simulation) -> None:
         sim.note(BREAK_RULE)
         unserved = sim.unserved_released()
         end = sim.space.origin() if self.variant == "closed" else FREE
         query = PathQuery(sim.space, sim.pos, [r.location for r in unserved], end)
-        res = solve_classical(query)
-        self._legs = [(unserved[j].id, unserved[j].location) for j in res.order]
-        if self.variant == "closed":
-            self._legs.append((None, sim.space.origin()))
+        order = solve_classical(query).order
+        self.route = [(unserved[j].id, None) for j in order] + self._home
         self.phase = "cleanup"
 
     def _plan(self, sim: Simulation):
-        if len(sim.released) != self._seen_released:
-            self._seen_released = len(sim.released)
-            self.oracle.step(sim.now, frozenset(sim.released))
+        released = frozenset(sim.released)
+        self.oracle.step(sim.now, released)  # a repeat query adds nothing
         # each entry's released fraction, kept while neither the released
         # set nor the entries change (they grow only, so counts tell)
-        key = (len(sim.released), len(self.oracle.entries))
+        key = (len(released), len(self.oracle.entries))
         if key != self._scored_for:
-            released = frozenset(sim.released)
             self._scored_for = key
             self._scored = [(e.alpha_released(released), e) for e in self.oracle.entries.values()]
         scored = self._scored
@@ -136,8 +133,10 @@ class LaSwagPolicy:
         if cand > sim.now + TIE:
             return ("wait", cand)
         sigma0 = _witness(scored, sim.now)
-        self.sigma1 = _minimizer(scored)
-        self.start = StartDecision(sim.now, sigma0.perm if sigma0 else (), self.sigma1)
+        sigma1 = _minimizer(scored)
+        self.start = StartDecision(sim.now, sigma0.perm if sigma0 else (), sigma1)
+        self.route = [stop for r in sigma1 for stop in ((r, self.predictions[r]), (r, None))]
+        self.route += self._home
         self.phase = "follow"
         return None
 
@@ -145,49 +144,16 @@ class LaSwagPolicy:
 
     def decide(self, sim: Simulation):
         if self.breaking_rule and self.phase != "cleanup" and sim.all_released():
-            if len(sim.served) < self.n or (
-                self.variant == "closed" and not self._at(sim, sim.space.origin())
+            if len(sim.served) == self.n and (
+                self.variant == "open" or sim.space.distance(sim.pos, sim.space.origin()) <= FEAS
             ):
-                self._enter_cleanup(sim)
-            else:
                 return ("finish",)
+            self._enter_cleanup(sim)
         if self.phase == "plan":
             act = self._plan(sim)
             if act is not None:
                 return act
-        if self.phase == "follow":
-            while self.i < len(self.sigma1):
-                rid = self.sigma1[self.i]
-                if rid in sim.served:
-                    self.i += 1
-                    self.stage = "to_pred"
-                    continue
-                if self.stage == "to_pred":
-                    p = self.predictions[rid]
-                    if not self._at(sim, p):
-                        return ("move", p)
-                    if rid not in sim.released:
-                        return ("wait", None)
-                    self.stage = "to_true"
-                x = sim.released[rid].location
-                if not self._at(sim, x):
-                    return ("move", x)
-                sim.serve(rid)
-                self.i += 1
-                self.stage = "to_pred"
-            if self.variant == "closed" and not self._at(sim, sim.space.origin()):
-                return ("move", sim.space.origin())
-            return ("finish",)
-        if self.phase == "cleanup":
-            while self._legs:
-                rid, loc = self._legs[0]
-                if not self._at(sim, loc):
-                    return ("move", loc)
-                if rid is not None:
-                    sim.serve(rid)
-                self._legs.pop(0)
-            return ("finish",)
-        raise RuntimeError("unreachable policy state")
+        return follow_route(sim, self.route)
 
 
 def la_swag(instance: Instance, config: EngineConfig = EngineConfig()) -> tuple[RunResult, LaSwagPolicy]:

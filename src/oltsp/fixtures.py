@@ -9,13 +9,9 @@ from .core import Instance, Request, run_adaptive
 from .engine import LaSwagPolicy, la_swag_policy
 from .offline import eval_serving_order, opt_bruteforce, shortest_serving_path_length
 from .spaces import General, Line, Ring
-from .tolerance import FEAS, TIE
+from .tolerance import ADAPTIVE_MARGIN, FEAS, STATIC_MARGIN, TIE
 
 OPEN_LINE_LB = (1.0 + math.sqrt(61.0)) / 6.0  # ~1.4684, fixed point of r = 5/(3r-1)
-
-# how far a realized ratio may sit from its expected value and still pass
-STATIC_MARGIN = 1e-6
-ADAPTIVE_MARGIN = 1e-4
 
 
 @dataclass

@@ -13,7 +13,7 @@ from .engine import EngineConfig, la_swag, swag_policy
 from .offline import SizeCapExceeded, opt_bruteforce, shortest_serving_path_length
 from .oracles import ORACLES
 from .spaces import Euclid2D, Flower, General, Line, Ring, Space, Tree
-from .tolerance import TIE
+from .tolerance import SWEEP_SLACK, TIE
 
 # family name -> space class
 SPACE_FAMILIES = {
@@ -366,7 +366,7 @@ def _sweep_item(args: tuple[SweepSpec, int]) -> tuple[list[SweepRow], list[str],
         achieved = prediction_error(trial)
         row = run_one(trial, spec, f"{spec.space}-{idx}", achieved, opt)
         rows.append(row)
-        bound = min(1.5 + 5.0 * achieved, ceiling(spec.space, spec.variant)) + 1e-6
+        bound = min(1.5 + 5.0 * achieved, ceiling(spec.space, spec.variant)) + SWEEP_SLACK
         if row.ratio > bound:
             violations.append(
                 f"{row.instance_id}@eta={achieved:.4g}: ratio {row.ratio:.6f} > {bound:.6f}"

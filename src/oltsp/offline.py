@@ -556,18 +556,12 @@ def flower_cover(flower: Flower, s, req: list[tuple[Any, Any]], end,
     if not comps:
         return (0.0 if not fixed else flower.distance(s, e)), []
     if len(comps) == 1:
+        # start and end lie in the one component c or at the origin, whose
+        # offset is 0: a closed tour from the origin ends at offset 0
         c = comps[0]
-        if (sc is None or sc == c) and (not fixed or ec is None or ec == c):
-            b = CLOSED if end == CLOSED and sc == c else (FREE if end == FREE else (off(e) if ec == c else 0.0))
-            if end == CLOSED and sc is None:
-                b = 0.0
-            leg = price(c, off(s) if sc == c else 0.0, groups.get(c, []), b)
-            extra = 0.0
-            if sc is not None and sc != c:  # start elsewhere: walk to the origin first
-                extra += flower.to_origin(s)
-            if fixed and ec is not None and ec != c:
-                extra += flower.to_origin(e)
-            return leg[0] + extra, list(walk(leg))
+        b = FREE if end == FREE else (CLOSED if end == CLOSED and sc == c else off(e))
+        leg = price(c, off(s), groups.get(c, []), b)
+        return leg[0], list(walk(leg))
 
     # A candidate walk is a list of priced legs: the start component's
     # cover to the origin, the others closed from the origin in id order,

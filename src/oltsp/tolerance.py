@@ -8,8 +8,17 @@ TIE   two times, values or route statistics this close count as equal:
 FEAS  at-the-point and ordering checks: the server is at a location,
       a node lies on a tree path, an event is not in the past, a metric
       satisfies its axioms.
+SWEEP_SLACK      a sweep row violates its guarantee only when its ratio
+                 exceeds the bound by more than this.
+STATIC_MARGIN    a static fixture's ratio passes within this distance
+                 of its expected value.
+ADAPTIVE_MARGIN  the same for a fixture played against an adaptive
+                 release adversary.
 """
 
 SNAP = 1e-12
 TIE = 1e-12
 FEAS = 1e-9
+SWEEP_SLACK = 1e-6
+STATIC_MARGIN = 1e-6
+ADAPTIVE_MARGIN = 1e-4

@@ -1,15 +1,16 @@
+import hashlib
 import math
 import random
 
 import pytest
 
-from oltsp.core import Instance, Request, route_stats
+from oltsp.core import FollowOrderPolicy, Instance, Request, route_stats, simulate
 from oltsp.engine import EngineConfig, LaSwagPolicy, la_swag, la_swag_policy, swag_policy
 from oltsp.offline import opt_bruteforce
 from oltsp.oracles import make_oracle
 from oltsp.spaces import Euclid2D, Flower, Line, Ring, Tree
 
-from conftest import random_point, random_space
+from conftest import pin_pool, random_point, random_space
 
 TOL = 1e-9
 
@@ -211,3 +212,52 @@ def test_unbounded_leaf_edges():
     res = la_swag_policy(inst)
     opt = opt_bruteforce(inst).length
     assert res.completion_time <= 1.5 * opt + 1e-9
+
+
+# -- pinned trajectories -----------------------------------------------------
+
+def _run_text(res, start=None):
+    return f"{res.to_csv()}{res.completion_time!r}\n{res.served_at!r}\n{start!r}"
+
+
+def _trajectories_digest(family, variant):
+    texts = []
+    for space, locs, rels in pin_pool(family, variant):
+        reqs = [Request(i, x, t) for i, (x, t) in enumerate(zip(locs, rels))]
+        # perfect predictions, then each request predicted at the next one's spot
+        for preds in (locs, locs[1:] + locs[:1]):
+            inst = Instance(space, reqs, list(preds), variant)
+            for rule in (True, False):
+                res, policy = la_swag(inst, EngineConfig(breaking_rule=rule))
+                texts.append(_run_text(res, policy.start))
+        inst = Instance(space, reqs, list(locs), variant)
+        texts.append(_run_text(simulate(inst, FollowOrderPolicy(inst, opt_bruteforce(inst).order))))
+    return hashlib.sha256("\n\n".join(texts).encode()).hexdigest()
+
+
+_TRAJECTORY_DIGESTS = {
+    ("line", "closed"): "fdc6e25f886128381f0b651f746bb0f09532851bec4ad6aa157f7d7c560335c5",
+    ("line", "open"): "647219177926538b83f425fe16a960dcfac3470a0c6c1327138297017e0909a9",
+    ("tree", "closed"): "52400691f359758f03dd38dc4d93252cc92676c70d0687ad2a787a367c5780cf",
+    ("tree", "open"): "77fa2825170b7e8727eb1891769df5020bab1bf62a36679e83607714b82a78ec",
+    ("ring", "closed"): "6afc4e65cbe8825451c29ff94a8f26de1a94e3e6a1ea99a7116fdb01444badf2",
+    ("ring", "open"): "e9ad677672590fd5d44ac9766e6df332835e07a702c223a49d27879ae44400a4",
+    ("flower", "closed"): "ac5e1f4dcef24a6ba39bf15d7c64ca7a1a3a6fe6dbf9fd75bf4435d194262e22",
+    ("flower", "open"): "a8899dd247b1cab57626d9b59585d937d070e246c44aaaa8ecc0da2af5ccd309",
+    ("general", "closed"): "0d6b16082c97719a4e76a822b369df8d2dd69ebf5657511b426560ee1da0460b",
+    ("general", "open"): "57356eb05c3dc7ba51bb398d2d2dc93ab6dc7201f8c380e4f9a364d503ab7958",
+    ("euclid2d", "closed"): "d14c25ef182bb297986f62f5aa37bb5ad682ee1f49f83721dbd45b963996d9f5",
+    ("euclid2d", "open"): "40f3b6fe9cd00619ca8dfd7e7c8416f655bb835a4cd5862bcdee33c7e08df25d",
+}
+
+
+@pytest.mark.parametrize("family, variant", list(_TRAJECTORY_DIGESTS))
+def test_trajectories_unchanged(family, variant):
+    """Every run of LA-SWAG on the pinned pools, with perfect and with
+    shifted predictions and the breaking rule on and off, and of
+    ``FollowOrderPolicy`` along each instance's optimal order, is pinned
+    by one sha256 per family and variant over its CSV trajectory, its
+    exact completion and serve times, and its start decision.  Only a
+    change meant to alter trajectories may update a digest, and it must
+    say so in CHANGES.md."""
+    assert _trajectories_digest(family, variant) == _TRAJECTORY_DIGESTS[family, variant]

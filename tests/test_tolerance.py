@@ -12,6 +12,8 @@ TOLERANCE_CONSTANT = re.compile(r"^\s*_?[A-Z0-9_]*(TOL|EPS|SNAP)[A-Z0-9_]*\s*(:[
 
 def test_tolerance_values():
     assert (tolerance.SNAP, tolerance.TIE, tolerance.FEAS) == (1e-12, 1e-12, 1e-9)
+    assert (tolerance.SWEEP_SLACK, tolerance.STATIC_MARGIN, tolerance.ADAPTIVE_MARGIN) == (
+        1e-6, 1e-6, 1e-4)
 
 
 def test_no_tolerance_defined_outside_the_tolerance_module():
