@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from . import spaces
+from .offline import distance_matrix, shortest_serving_path_length
 from .spaces import Space, SpaceError, canon_point, json_field
 from .tolerance import FEAS, TIE
 
@@ -106,13 +107,6 @@ class Instance:
 # Route statistics
 # ---------------------------------------------------------------------------
 
-def distance_matrix(space: Space, points: list) -> list[list[float]]:
-    """``D[a][b] = space.distance(points[a], points[b])``.  Both triangles
-    are evaluated, in that argument order, because a distance need not be
-    bitwise symmetric (tree anchors add up in a different order)."""
-    return [[space.distance(a, b) for b in points] for a in points]
-
-
 class RouteStats:
     """Length and released-prefix fraction of one serving order.
 
@@ -156,8 +150,6 @@ def route_stats(instance: Instance, perm) -> RouteStats:
 
 def prediction_error(instance: Instance) -> float:
     """Sum of true-to-predicted distances over the shortest serving path length."""
-    from .offline import shortest_serving_path_length
-
     delta = sum(
         instance.space.distance(r.location, p)
         for r, p in zip(instance.requests, instance.predictions)
@@ -231,12 +223,11 @@ class IncompleteRun(RuntimeError):
 class Simulation:
     """Single-server world: releases arrive, the policy moves the server."""
 
-    def __init__(self, space: Space, n: int, predictions: list, variant: str,
+    def __init__(self, space: Space, n: int, variant: str,
                  releases: Iterable[tuple[float, int, Any]] = (),
                  adversary=None):
         self.space = space
         self.n = n
-        self.predictions = list(predictions)
         self.variant = variant
         self.now = 0.0
         self.pos = space.origin()
@@ -377,21 +368,15 @@ class Simulation:
 
 
 def simulate(instance: Instance, policy) -> RunResult:
-    sim = Simulation(
-        instance.space,
-        instance.n,
-        instance.predictions,
-        instance.variant,
-        releases=[(r.release, r.id, r.location) for r in instance.requests],
-    )
+    sim = Simulation(instance.space, instance.n, instance.variant,
+                     releases=[(r.release, r.id, r.location) for r in instance.requests])
     return sim.run(policy)
 
 
 def run_adaptive(space: Space, adversary, policy_factory) -> tuple[RunResult, Instance]:
     """Play a policy against a release-time adversary; returns the run and
     the instance the adversary ended up realizing."""
-    sim = Simulation(space, adversary.n, adversary.predictions, adversary.variant,
-                     adversary=adversary)
+    sim = Simulation(space, adversary.n, adversary.variant, adversary=adversary)
     policy = policy_factory(space, adversary.n, adversary.predictions, adversary.variant)
     result = sim.run(policy)
     reqs = [sim.released[i] for i in sorted(sim.released)]

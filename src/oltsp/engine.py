@@ -29,29 +29,14 @@ class StartDecision:
     sigma1: tuple
 
 
-def _candidate(scored, window_start: float):
-    """Earliest time >= window_start at which some route satisfies both
-    start conditions, given the released set is frozen in this window.
-    ``scored`` pairs each oracle entry's released fraction with it."""
+def _witness(scored):
+    """The shortest half-released entry, the lexicographically smallest
+    among equal lengths, or None.  ``scored`` pairs each oracle entry's
+    released fraction with it.  With the released set frozen, both start
+    conditions first hold at half its length."""
     best = None
     for alpha, e in scored:
-        if alpha >= _HALF:
-            if best is None or e.length < best:
-                best = e.length
-    if best is None:
-        return None
-    return max(window_start, best / 2.0)
-
-
-def _witness(scored, T: float):
-    best = None
-    limit = 2 * T + FEAS
-    for alpha, e in scored:
-        if alpha < _HALF:
-            continue
-        if e.length > limit:
-            continue
-        if best is None or (e.length, e.perm) < (best.length, best.perm):
+        if alpha >= _HALF and (best is None or (e.length, e.perm) < (best.length, best.perm)):
             best = e
     return best
 
@@ -127,14 +112,13 @@ class LaSwagPolicy:
             self._scored_for = key
             self._scored = [(e.alpha_released(released), e) for e in self.oracle.entries.values()]
         scored = self._scored
-        cand = _candidate(scored, sim.now)
-        if cand is None:
+        sigma0 = _witness(scored)
+        if sigma0 is None:
             return ("wait", None)
-        if cand > sim.now + TIE:
-            return ("wait", cand)
-        sigma0 = _witness(scored, sim.now)
+        if sigma0.length / 2.0 > sim.now + TIE:
+            return ("wait", sigma0.length / 2.0)
         sigma1 = _minimizer(scored)
-        self.start = StartDecision(sim.now, sigma0.perm if sigma0 else (), sigma1)
+        self.start = StartDecision(sim.now, sigma0.perm, sigma1)
         self.route = [stop for r in sigma1 for stop in ((r, self.predictions[r]), (r, None))]
         self.route += self._home
         self.phase = "follow"

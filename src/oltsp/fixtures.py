@@ -237,7 +237,7 @@ class LineReleaseAdversary:
         best = None
         for sgn in (1.0, -1.0):
             denom = sgn * v + 1.0
-            if abs(denom) < 1e-15:
+            if denom == 0.0:  # v is 0 or +-1, so denom is exactly 0, 1 or 2
                 continue
             tau = (2.0 - self.delta - sgn * c0 + (sgn * v) * sim.now) / denom
             if tau < sim.now - TIE or tau > horizon + TIE:

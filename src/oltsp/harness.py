@@ -13,7 +13,7 @@ from .engine import EngineConfig, la_swag, swag_policy
 from .offline import SizeCapExceeded, opt_bruteforce, shortest_serving_path_length
 from .oracles import ORACLES
 from .spaces import Euclid2D, Flower, General, Line, Ring, Space, Tree
-from .tolerance import SWEEP_SLACK, TIE
+from .tolerance import DIAMETER_FLOOR, SWEEP_SLACK, TIE
 
 # family name -> space class
 SPACE_FAMILIES = {
@@ -165,7 +165,7 @@ def generate_one(spec: SweepSpec, idx: int) -> Instance:
         n = spec.n
     locs = [_random_point(space, rng) for _ in range(n)]
     diam = max((2.0 * space.distance(space.origin(), x) for x in locs), default=1.0)
-    rels = [float(rng.uniform(0, 2.0 * max(diam, 1e-6))) for _ in range(n)]
+    rels = [float(rng.uniform(0, 2.0 * max(diam, DIAMETER_FLOOR))) for _ in range(n)]
     reqs = [Request(i, locs[i], rels[i]) for i in range(n)]
     return Instance(space, reqs, list(locs), spec.variant)
 

@@ -62,14 +62,14 @@ class OptResult:
     order: list[int]  # indices into the query's required list
 
 
-def _build_matrix(space: Space, points: list) -> list[list[float]]:
-    n = len(points)
-    D = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = space.distance(points[i], points[j])
-            D[i][j] = D[j][i] = d
-    return D
+def distance_matrix(space: Space, points: list) -> list[list[float]]:
+    """``D[a][b] = space.distance(points[a], points[b])``, the leg walked
+    from ``points[a]`` to ``points[b]``.  Both triangles are evaluated, in
+    that argument order, because a distance need not be bitwise symmetric
+    (tree anchors add up in a different order); every kernel reads a leg
+    in the direction the server walks it, as :func:`eval_serving_order`
+    does."""
+    return [[space.distance(a, b) for b in points] for a in points]
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +177,7 @@ def held_karp(query: PathQuery) -> OptResult:
     else:
         pts.append(end)
         end_idx = len(pts) - 1
-    D = _build_matrix(query.space, pts)
+    D = distance_matrix(query.space, pts)
     m = len(query.required)
     cost, order = exact_path(D, tuple(range(1, m + 1)), end_idx).walk(0, (1 << m) - 1)
     return OptResult(cost, order)
@@ -771,7 +771,7 @@ def _finish(D: np.ndarray, rel: np.ndarray, closed: bool, row: int, t: float, id
     m = len(ids)
     full = m == len(rel)  # every request: views, not gathers
     rows = slice(1, None) if full else np.array(ids) + 1
-    legs = D[rows, rows] if full else D[rows[:, None], rows]  # legs[j, i]: request ids[j] to ids[i]
+    legs = D[rows, rows] if full else D[rows[:, None], rows]  # legs[i, j]: request ids[i] to ids[j]
     r = rel if full else rel[ids]
     # f[S, j]: earliest time at ids[j] having served the set S; inf where j
     # is not in S.  np.maximum(a, r) returns r when a == r, as ``a if a > r
@@ -780,7 +780,9 @@ def _finish(D: np.ndarray, rel: np.ndarray, closed: bool, row: int, t: float, id
     pos = np.arange(m)
     f[1 << pos, pos] = np.maximum(t + D[row, rows], r)
     for S, js, prev in _layers(m):
-        a = (f[prev] + legs[js]).min(axis=2)
+        # a[s, c]: earliest arrival at js[s, c] after the last request i of
+        # prev[s, c], over the leg legs.T[c, i] from i to it
+        a = (f[prev] + legs.T[js]).min(axis=2)
         f[S[:, None], js] = np.maximum(a, r[js])
     # Python's min keeps the first of equal values, 0.0 or -0.0, as a loop does
     return min((f[-1] + D[rows, 0] if closed else f[-1]).tolist())
@@ -799,14 +801,17 @@ def opt_bruteforce(instance) -> OptResult:
     lexicographically smallest order that attains it, both from one
     forward kernel, :func:`_finish`; the order is found by
     :func:`_serving_order` when ``.order`` is first read.  No tolerance
-    decides anything.
+    decides anything.  Each leg is read from :func:`distance_matrix` in
+    the direction it is walked, so ``eval_serving_order(instance,
+    result.order)`` equals ``result.length`` bit for bit in every space,
+    trees (whose distance is not bitwise symmetric) included.
     """
     n = len(instance.requests)
     if n > OPT_CAP:
         raise SizeCapExceeded(f"{n} requests exceeds subset-DP cap {OPT_CAP}", n, OPT_CAP)
     if n == 0:
         return OptResult(0.0, [])
-    D = np.array(_build_matrix(instance.space, [instance.origin] + [r.location for r in instance.requests]))
+    D = np.array(distance_matrix(instance.space, [instance.origin] + [r.location for r in instance.requests]))
     rel = np.array([r.release for r in instance.requests])
     closed = instance.variant == "closed"
     return _LazyOptResult(_finish(D, rel, closed, 0, 0.0, list(range(n))), D, rel, closed)

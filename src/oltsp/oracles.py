@@ -17,12 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import RouteStats, distance_matrix
+from .core import RouteStats
 from .offline import (
     CLOSED,
     FREE,
     TreeIndex,
     _emit,
+    distance_matrix,
     exact_path,
     flower_cover,
     ring_cover,

@@ -14,6 +14,9 @@ STATIC_MARGIN    a static fixture's ratio passes within this distance
                  of its expected value.
 ADAPTIVE_MARGIN  the same for a fixture played against an adaptive
                  release adversary.
+DIAMETER_FLOOR   a generated instance draws its release times over at
+                 least twice this diameter, also when every request sits
+                 at the origin.
 """
 
 SNAP = 1e-12
@@ -22,3 +25,4 @@ FEAS = 1e-9
 SWEEP_SLACK = 1e-6
 STATIC_MARGIN = 1e-6
 ADAPTIVE_MARGIN = 1e-4
+DIAMETER_FLOOR = 1e-6

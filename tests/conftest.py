@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oltsp.harness import SweepSpec, generate_one
 from oltsp.spaces import Euclid2D, Flower, General, Line, Ring, Tree
 
 
@@ -154,3 +155,12 @@ def pin_pool(family, variant, count=40, n_max=6):
         n = rng.randint(1, n_max)
         yield (space, [_grid_point(space, rng) for _ in range(n)],
                [rng.choice([0.0, 0.5, 1.0, 1.5]) for _ in range(n)])
+
+
+def asymmetric_tree_instances():
+    """Three sweep instances (n = 7) on trees whose distance is not bitwise
+    symmetric: reading a leg against the direction the server walks it
+    moves OPT's value by an ulp on each, as tree/closed seeds 135 and 248
+    and tree/open seed 135."""
+    return [generate_one(SweepSpec(space="tree", variant=variant, n=7, count=1, seed=seed), 0)
+            for variant, seed in (("closed", 135), ("closed", 248), ("open", 135))]

@@ -7,7 +7,10 @@ tests can check that the oracles dominate exactly the right families.
 the reference for ``offline.opt_bruteforce``; ``opt_value_by_loop`` is its
 value by the forward subset DP in pure Python, and
 ``serving_order_by_latest_times`` its order by a backward table of latest
-start times, the references above the enumeration's reach;
+start times, the references above the enumeration's reach.  All three
+read ``offline.distance_matrix``, each leg from the request it leaves to
+the one it reaches, as ``eval_serving_order`` walks it: a tree's
+distance is not bitwise symmetric.
 ``ring_cover_all_cuts`` builds the walk of every cut, the reference for
 ``offline.ring_cover``; ``flower_cover_by_masks`` prices
 each candidate walk's legs afresh, the reference for
@@ -47,11 +50,11 @@ from oltsp.offline import (
     OptResult,
     SizeCapExceeded,
     TreeIndex,
-    _build_matrix,
     _emit,
     _id_key,
     _segment_cost,
     _segment_price,
+    distance_matrix,
     exact_path,
     ring_cover,
     segment_cover,
@@ -233,7 +236,7 @@ def opt_by_enumeration(instance):
         return OptResult(0.0, [])
     space = instance.space
     pts = [instance.origin] + [r.location for r in instance.requests]
-    D = np.array(_build_matrix(space, pts))
+    D = np.array(distance_matrix(space, pts))
     rel = np.array([r.release for r in instance.requests])
     P = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
     t = np.zeros(len(P))
@@ -254,12 +257,11 @@ def opt_value_by_loop(instance) -> float:
     n = len(instance.requests)
     if n == 0:
         return 0.0
-    D = _build_matrix(instance.space, [instance.origin] + [r.location for r in instance.requests])
+    D = distance_matrix(instance.space, [instance.origin] + [r.location for r in instance.requests])
     rel = [r.release for r in instance.requests]
     closed = instance.variant == "closed"
     full = (1 << n) - 1
-    # legs[i][j]: request i to request j; _build_matrix fills both
-    # triangles from one distance call, so legs[i][j] == legs[j][i]
+    # legs[i][j]: request i to request j
     legs = [row[1:] for row in D[1:]]
     members = [[k for k in range(n) if S >> k & 1] for S in range(full + 1)]
 
@@ -275,8 +277,7 @@ def opt_value_by_loop(instance) -> float:
         base = S * n
         for j in ks:
             prev = (S ^ (1 << j)) * n
-            col = legs[j]
-            a = min([f[prev + i] + col[i] for i in ks if i != j])
+            a = min([f[prev + i] + legs[i][j] for i in ks if i != j])
             f[base + j] = a if a > rel[j] else rel[j]
     last = full * n
     if closed:
@@ -334,12 +335,11 @@ def serving_order_by_latest_times(instance, opt: float) -> list[int]:
     n = len(instance.requests)
     if n == 0:
         return []
-    D = _build_matrix(instance.space, [instance.origin] + [r.location for r in instance.requests])
+    D = distance_matrix(instance.space, [instance.origin] + [r.location for r in instance.requests])
     rel = [r.release for r in instance.requests]
     closed = instance.variant == "closed"
     full = (1 << n) - 1
-    # legs[i][j]: request i to request j; _build_matrix fills both
-    # triangles from one distance call, so legs[i][j] == legs[j][i]
+    # legs[i][j]: request i to request j
     legs = [row[1:] for row in D[1:]]
     members = [[k for k in range(n) if S >> k & 1] for S in range(full + 1)]
 

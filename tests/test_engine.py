@@ -30,9 +30,6 @@ def _grid_scan_start(inst, step=1e-4):
     """Dense time-grid reference for the strategic start time."""
     oracle = make_oracle(inst.space, inst.predictions, inst.variant)
     events = sorted({0.0} | {r.release for r in inst.requests})
-    horizon = max(events) + max(
-        (e for e in (0.0,)), default=0.0
-    )
     # upper bound: after the last release some route has alpha == 1
     oracle_probe = make_oracle(inst.space, inst.predictions, inst.variant)
     oracle_probe.step(max(events), frozenset(range(inst.n)))

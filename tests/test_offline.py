@@ -17,6 +17,7 @@ from oltsp.offline import (
     OPT_CAP,
     PathQuery,
     SizeCapExceeded,
+    distance_matrix,
     eval_serving_order,
     exact_path,
     flower_cover,
@@ -36,7 +37,14 @@ from oltsp.spaces import Euclid2D, Flower, Line, Ring, Tree, trim_tree
 
 from oltsp.tolerance import FEAS
 
-from conftest import random_flower, random_point, random_space, random_tree
+from conftest import (
+    asymmetric_tree_instances,
+    pin_pool,
+    random_flower,
+    random_point,
+    random_space,
+    random_tree,
+)
 from sensible import (
     _latest,
     exact_path_by_loop,
@@ -178,7 +186,8 @@ def test_exact_path_matches_loop_bit_for_bit():
     to the last bit and its order, from every row (a target outside or
     inside the set, or not a target) and, at m <= 8, every remaining set;
     on random points and on a half-integer grid whose equal-looking sums
-    differ in the last bits, so the ``TIE`` rule decides steps."""
+    differ in the last bits, so the ``TIE`` rule decides steps; and on
+    tree matrices that are not bitwise symmetric."""
     rng = random.Random(41)
     for m in range(13):
         rows = m + 2  # row 0 a start, rows 1..m the targets, row m + 1 an end
@@ -203,6 +212,14 @@ def test_exact_path_matches_loop_bit_for_bit():
     _assert_walks_match(D, (1, 2, 3), FREE, [(start, S) for start in range(4) for S in range(8)])
     cost, order = exact_path(D, (1, 2, 3), FREE).walk(0, 0b111)
     assert order == [0, 1, 2] and cost == 0.1 + ((1.0 - 1e-13) + 1.0)
+
+    # tree matrices whose two triangles differ in the last bits
+    for inst in asymmetric_tree_instances():
+        D = distance_matrix(inst.space, [inst.origin] + inst.locations())
+        targets = tuple(range(1, inst.n + 1))
+        for end in (0, FREE):
+            _assert_walks_match(D, targets, end,
+                                [(start, S) for start in range(inst.n + 1) for S in range(1 << inst.n)])
 
 
 def test_tree_tsp_examples():
@@ -519,8 +536,9 @@ GRID_RELEASES = [0.0, 0.1, 0.3, 0.6, 1.0, 1.3]
 
 def test_opt_matches_enumeration_bit_for_bit():
     """Same length and same (lexicographically smallest optimal) order as
-    evaluating every order, on random instances of every family and on
-    tie-heavy grids where many orders share the optimum."""
+    evaluating every order, on random instances of every family, on
+    tie-heavy grids where many orders share the optimum and on trees whose
+    distance is not bitwise symmetric."""
     rng = random.Random(2024)
     cases = []
     for kind in ("line", "euclid2d", "ring", "tree", "flower", "general"):
@@ -538,7 +556,7 @@ def test_opt_matches_enumeration_bit_for_bit():
                 reqs = [Request(i, rng.choice(GRID_POSITIONS), rng.choice(GRID_RELEASES))
                         for i in range(n)]
                 cases.append(Instance(sp, reqs, [r.location for r in reqs], variant))
-    for inst in cases:
+    for inst in cases + asymmetric_tree_instances():
         got, want = opt_bruteforce(inst), opt_by_enumeration(inst)
         assert (got.length, got.order) == (want.length, want.order)
 
@@ -546,7 +564,8 @@ def test_opt_matches_enumeration_bit_for_bit():
 def test_opt_matches_loop_dp_bit_for_bit():
     """Above the enumeration's reach, the numpy layers give the pure-Python
     forward loop's value to the last bit, on random instances of five
-    families and on tie-heavy line and ring grids."""
+    families and on tie-heavy line and ring grids; and below it on trees
+    whose distance is not bitwise symmetric."""
     rng = random.Random(31)
     for n in range(10, OPT_CAP + 1):
         cases = []
@@ -562,13 +581,16 @@ def test_opt_matches_loop_dp_bit_for_bit():
                 cases.append(Instance(sp, reqs, [r.location for r in reqs], variant))
         for inst in cases:
             assert float.hex(opt_bruteforce(inst).length) == float.hex(opt_value_by_loop(inst))
+    for inst in asymmetric_tree_instances():
+        assert float.hex(opt_bruteforce(inst).length) == float.hex(opt_value_by_loop(inst))
 
 
 def test_opt_order_matches_latest_times_reference():
     """Above the enumeration's reach, the greedy pass through the forward
     kernel gives the backward latest-time table's order, on the kind of
-    inputs of the value test above: five families and the tie-heavy line
-    and ring grids.  The value itself is pinned by that test."""
+    inputs of the value test above: five families, the tie-heavy line
+    and ring grids, and the trees that are not bitwise symmetric.  The
+    value itself is pinned by that test."""
     rng = random.Random(37)
     for n in range(9, OPT_CAP + 1):
         cases = []
@@ -585,6 +607,25 @@ def test_opt_order_matches_latest_times_reference():
         for inst in cases:
             res = opt_bruteforce(inst)
             assert res.order == serving_order_by_latest_times(inst, res.length)
+    for inst in asymmetric_tree_instances():
+        res = opt_bruteforce(inst)
+        assert res.order == serving_order_by_latest_times(inst, res.length)
+
+
+@pytest.mark.parametrize("family", ["line", "tree", "ring", "flower", "general", "euclid2d"])
+def test_opt_value_is_its_order_evaluated_leg_by_leg(family):
+    """OPT's value is, to the last bit, its own serving order evaluated leg
+    by leg by ``eval_serving_order``: on the pin pools of each family and
+    variant and on trees whose distance is not bitwise symmetric, where a
+    leg read against the walking direction moves the value by an ulp."""
+    cases = asymmetric_tree_instances() if family == "tree" else []
+    for variant in ("closed", "open"):
+        for space, locs, rels in pin_pool(family, variant):
+            reqs = [Request(i, x, t) for i, (x, t) in enumerate(zip(locs, rels))]
+            cases.append(Instance(space, reqs, locs, variant))
+    for inst in cases:
+        opt = opt_bruteforce(inst)
+        assert float.hex(opt.length) == float.hex(eval_serving_order(inst, opt.order)), inst.to_json()
 
 
 def test_opt_order_is_built_only_when_read(monkeypatch, tmp_path, capsys):

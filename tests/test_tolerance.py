@@ -6,7 +6,7 @@ import oltsp
 from oltsp import tolerance
 
 PACKAGE = pathlib.Path(oltsp.__file__).parent
-BARE_LITERAL = re.compile(r"(?<![\w.])1(\.0*)?[eE]-0*(9|12)\b")
+BARE_LITERAL = re.compile(r"(?<![\w.])1(\.0*)?[eE]-0*\d+\b")
 TOLERANCE_CONSTANT = re.compile(r"^\s*_?[A-Z0-9_]*(TOL|EPS|SNAP)[A-Z0-9_]*\s*(:[^=\n]*)?=(?!=)", re.M)
 
 
@@ -14,6 +14,7 @@ def test_tolerance_values():
     assert (tolerance.SNAP, tolerance.TIE, tolerance.FEAS) == (1e-12, 1e-12, 1e-9)
     assert (tolerance.SWEEP_SLACK, tolerance.STATIC_MARGIN, tolerance.ADAPTIVE_MARGIN) == (
         1e-6, 1e-6, 1e-4)
+    assert tolerance.DIAMETER_FLOOR == 1e-6
 
 
 def test_no_tolerance_defined_outside_the_tolerance_module():
