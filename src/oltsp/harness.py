@@ -326,8 +326,7 @@ class SweepRow:
         )
 
 
-def run_one(instance: Instance, spec: SweepSpec, instance_id: str, eta: float,
-            opt: float | None = None) -> SweepRow:
+def run_one(instance: Instance, spec: SweepSpec, instance_id: str, eta: float, opt: float) -> SweepRow:
     config = EngineConfig(oracle=spec.oracle, breaking_rule=spec.breaking_rule)
     t0 = time.perf_counter()
     if spec.algo == "swag":
@@ -337,8 +336,6 @@ def run_one(instance: Instance, spec: SweepSpec, instance_id: str, eta: float,
         result, policy = la_swag(instance, config)
         batches = ";".join(str(b.batch_size) for b in policy.oracle.batches)
     wall = time.perf_counter() - t0
-    if opt is None:
-        opt = opt_bruteforce(instance).length
     ratio = result.completion_time / opt if opt > TIE else 1.0
     return SweepRow(
         instance_id, spec.space, instance.variant, instance.n, eta,

@@ -311,7 +311,9 @@ class TreeIndex:
     The tables every query reads are built once: each node's items and its
     neighbours, ascending, at construction; and per root, on its first
     use, the tree rerooted there (parents, and the depth-first preorder
-    with children ascending, with each subtree's slice of it).
+    with children ascending, with each subtree's slice of it).  Each
+    covering walk that :meth:`cover_order` finds is kept for the index's
+    lifetime as well.
     """
 
     def __init__(self, tree: Tree, node_of_item: dict[Any, int]):
@@ -337,6 +339,7 @@ class TreeIndex:
         for items in self.items_at:
             items.sort(key=_id_key)
         self._roots: dict[int, tuple[list[int], list[int], list[int], list[int]]] = {}
+        self._walks: dict[tuple, list[int]] = {}
 
     def _rooted(self, root: int) -> tuple[list[int], list[int], list[int], list[int]]:
         """The tree rerooted at ``root``: parents, the preorder with children
@@ -424,6 +427,15 @@ class TreeIndex:
             e = end if end != FREE else max(inside, key=lambda v: (dist(s, v), -v))
             cost = 2 * W - dist(s, e)
         return cost, [v for v in self.walk_order(s, e) if v in inside]
+
+    def cover_order(self, s: int, nodes, end) -> list[int]:
+        """The node order of :meth:`path_cover` from ``s`` over ``nodes`` to
+        ``end``, found on the first request and read back after."""
+        key = (s, frozenset(nodes), end)
+        order = self._walks.get(key)
+        if order is None:
+            order = self._walks[key] = self.path_cover(*key)[1]
+        return order
 
     def walk_order(self, s: int, e: int) -> list[int]:
         """Every node, in the order of a depth-first walk from ``s`` with
@@ -553,8 +565,6 @@ def flower_cover(flower: Flower, s, req: list[tuple[Any, Any]], end,
             order = leg[4] = tuple(order)
         return order
 
-    if not comps:
-        return (0.0 if not fixed else flower.distance(s, e)), []
     if len(comps) == 1:
         # start and end lie in the one component c or at the origin, whose
         # offset is 0: a closed tour from the origin ends at offset 0
@@ -564,69 +574,40 @@ def flower_cover(flower: Flower, s, req: list[tuple[Any, Any]], end,
         return leg[0], list(walk(leg))
 
     # A candidate walk is a list of priced legs: the start component's
-    # cover to the origin, the others closed from the origin in id order,
-    # and the final component's cover.  The closed leg of each component
-    # but the start's and the end's, and the start's whole cover to the
-    # origin (used unless the end lies in the start component), are the
-    # same in every candidate that has them, so each is priced once.
+    # cover to the origin (the head), the others closed from the origin in
+    # id order, and the final component's cover (the tail).  The closed leg
+    # of each component but the start's and the end's, and the head (used
+    # unless the end lies in the start component), are the same in every
+    # candidate that has them, so each is priced once.
     mid = {c: price(c, 0.0, groups[c], CLOSED) for c in comps if c in groups and c not in (sc, ec)}
     head = price(sc, off(s), groups.get(sc, []), 0.0) if sc is not None and ec != sc else None
-
-    def middles(exclude):
-        cost, legs = 0.0, []
-        for c, leg in mid.items():
-            if c not in exclude:
-                cost += leg[0]
-                legs.append(leg)
-        return cost, legs
-
-    best: tuple[float, list] | None = None
-
-    def consider(cost, legs):
-        nonlocal best
-        if best is None or cost < best[0] - TIE:
-            best = (cost, legs)
-
-    def evaluate(final_comp, final_mode):
-        """Walk = start-comp cover to O, middle comps closed, final comp."""
-        if final_comp is None or final_comp == sc:
-            if sc is None:
-                consider(*middles(()))
-                return
-            mc, ml = middles((sc,))
-            if final_comp is None:
-                consider(head[0] + mc, [head] + ml)
-                return
-            items = groups.get(sc, [])
-            for mask in range(1 << len(items)):
-                A = [items[i] for i in range(len(items)) if mask & (1 << i)]
-                B = [items[i] for i in range(len(items)) if not mask & (1 << i)]
-                h, t = price(sc, off(s), A, 0.0), price(sc, 0.0, B, final_mode)
-                consider(h[0] + mc + t[0], [h] + ml + [t])
-        else:
-            hc, hl = (0.0, []) if head is None else (head[0], [head])
-            mc, ml = middles((sc, final_comp))
-            tail = price(final_comp, 0.0, groups.get(final_comp, []), final_mode)
-            consider(hc + mc + tail[0], hl + ml + [tail])
-
+    # the finals: (component the walk ends in, where its cover ends), with
+    # (None, None) for a walk that ends at the origin
     if end == FREE:
-        evaluate(None, None)  # end at the origin
-        for c in comps:
-            evaluate(c, FREE)
-    elif end == CLOSED:
-        if sc is None:
-            evaluate(None, None)
-        else:
-            evaluate(sc, off(s))
+        finals = [(None, None)] + [(c, FREE) for c in comps]
     else:
-        if ec is None:
-            evaluate(None, None)
+        fc, b = (sc, off(s)) if end == CLOSED else (ec, off(e))
+        finals = [(None, None) if fc is None else (fc, b)]
+    best_cost, best_legs = math.inf, []
+    for fc, b in finals:
+        middle = [leg for c, leg in mid.items() if c != fc]
+        mc = 0.0
+        for leg in middle:
+            mc += leg[0]
+        if fc is None or fc != sc:
+            pairs = [(head, None if fc is None else price(fc, 0.0, groups.get(fc, []), b))]
         else:
-            evaluate(ec, off(e))
-
-    assert best is not None
-    cost, legs = best
-    return cost, [k for leg in legs for k in walk(leg)]
+            # the start component's requests split between its first and
+            # last excursion, in binary counting order over its items
+            items = groups.get(sc, [])
+            pairs = ((price(sc, off(s), [x for i, x in enumerate(items) if mask >> i & 1], 0.0),
+                      price(sc, 0.0, [x for i, x in enumerate(items) if not mask >> i & 1], b))
+                     for mask in range(1 << len(items)))
+        for h, t in pairs:
+            cost = (0.0 if h is None else h[0]) + mc + (0.0 if t is None else t[0])
+            if cost < best_cost - TIE:
+                best_cost, best_legs = cost, [h, *middle, t]
+    return best_cost, [k for leg in best_legs if leg is not None for k in walk(leg)]
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,6 @@ class DominationOracle:
         self._last_time: float | None = None
         self._last_released: frozenset = frozenset()
         self._cleanup_memo: dict[tuple, list[int]] = {}
-        # per-step table of head walks keyed by (index, nodes, end), dropped
-        # once the step's batch is built
-        self._walks: dict[tuple, list[int]] = {}
 
     # -- protocol ----------------------------------------------------------
 
@@ -86,7 +83,6 @@ class DominationOracle:
             batch = [tuple(self._cover(None, self.ids, self.end))]
         else:
             batch = list(dict.fromkeys(self._batch(released)))
-            self._walks = {}
         new = []
         closed = self.variant == "closed"
         for perm in batch:
@@ -130,17 +126,6 @@ class DominationOracle:
         None starts at the origin."""
         raise NotImplementedError
 
-    def _head_walk(self, idx: TreeIndex, nodes: frozenset, end) -> list[int]:
-        """Node order of an optimal walk over the tree ``idx`` from the
-        origin over ``nodes`` to ``end`` (a node or CLOSED).  Every guessed
-        final request of a step asks for the same walks, so each is found
-        once per step and kept until the step's batch is built."""
-        key = (idx, nodes, end)
-        order = self._walks.get(key)
-        if order is None:
-            order = self._walks[key] = idx.path_cover(0, nodes, end)[1]
-        return order
-
     def _tree_batch(self, idx: TreeIndex, released: frozenset) -> list[tuple]:
         """Scan-to-pivot dominators over the tree ``idx``, one set per final
         request: rooted at the origin with no final (closed), or at each
@@ -157,7 +142,7 @@ class DominationOracle:
             wanted = released - {qf}
             for qnode, q in pivots:
                 for chosen in _subsets(leaves):
-                    order = self._head_walk(idx, frozenset(chosen + (qnode,)), qnode)
+                    order = idx.cover_order(0, chosen + (qnode,), qnode)
                     out.append(self._dominator(_emit(idx, order, wanted), q, qf))
         return out
 
@@ -243,7 +228,7 @@ class TreeOracle(DominationOracle):
         node_of = self.idx.node_of
         start = 0 if qid is None else node_of[qid]
         if end == FREE:  # the walk ends at its span's farthest node
-            _, order = self.idx.path_cover(start, {node_of[i] for i in rest}, FREE)
+            order = self.idx.cover_order(start, {node_of[i] for i in rest}, FREE)
         else:
             # rest's nodes lie on the walk's span, which the whole tree's
             # walk order visits in the walk's own order: no span needed
@@ -450,7 +435,7 @@ class FlowerOracle(DominationOracle):
                                 {idx.node_of[i] for i in released if i in idx.node_of}, root)
                         for chosen in _subsets(leaves[kept, root]):
                             nodes, end = (chosen + (qnode,), qnode) if at_q else (chosen, CLOSED)
-                            order = self._head_walk(idx, frozenset(nodes), end) if nodes else []
+                            order = idx.cover_order(0, nodes, end) if nodes else []
                             head = list(dict.fromkeys(prefix + _emit(idx, order, pool) + walk))
                             out.append(self._dominator(head, q, qf))
         return out

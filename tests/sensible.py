@@ -697,9 +697,9 @@ def flower_batch_by_variants(oracle, released: frozenset) -> list[tuple]:
             tree_part = []
             if approach == "tree":
                 qnode = idx.node_of[q]
-                tree_part = _emit(idx, oracle._head_walk(idx, frozenset(chosen + (qnode,)), qnode), loop_pool)
+                tree_part = _emit(idx, idx.cover_order(0, chosen + (qnode,), qnode), loop_pool)
             elif chosen:
-                tree_part = _emit(idx, oracle._head_walk(idx, frozenset(chosen), CLOSED), loop_pool)
+                tree_part = _emit(idx, idx.cover_order(0, chosen, CLOSED), loop_pool)
             prefix = list(dict.fromkeys(loop_prefix + tree_part + petal_part))
             out.append(oracle._dominator(prefix, q, qf))
         return out

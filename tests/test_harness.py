@@ -7,6 +7,7 @@ import pytest
 
 from oltsp.cli import main as cli_main
 from oltsp.core import Instance, prediction_error
+from oltsp.engine import EngineConfig, la_swag
 from oltsp.fixtures import (
     OPEN_LINE_LB,
     open_lb_line_adversary,
@@ -247,6 +248,60 @@ def test_cli_run_and_trajectory(tmp_path):
     traj = tmp_path / "traj.csv"
     assert cli_main(["run", str(path), "--trajectory", str(traj)]) == 0
     assert traj.read_text().startswith("time,location,event")
+
+
+_LINE_THREE = {
+    "space": {"kind": "line"},
+    "variant": "closed",
+    "requests": [{"x": 1.0, "t": 1.0}, {"x": -0.5, "t": 2.5}, {"x": 2.0, "t": 0.5}],
+    "predictions": [1.0, -0.5, 2.0],
+}
+
+
+def test_cli_run_dump_batches_prints_the_oracle_batches(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_LINE_THREE))
+    _, policy = la_swag(Instance.from_json(_LINE_THREE), EngineConfig())
+    dump = policy.oracle.dump_batches()
+    assert dump.startswith("batch t=0: ")
+    assert cli_main(["run", str(path), "--dump-batches"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(dump + "\ncompletion_time: ")
+    assert cli_main(["run", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("completion_time: ")
+
+
+def test_cli_run_variant_overrides_the_file(tmp_path, capsys):
+    """``--variant open`` on a closed instance file runs the open instance."""
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_LINE_THREE))
+    closed = Instance.from_json(_LINE_THREE)
+    opened = Instance(closed.space, closed.requests, closed.predictions, "open")
+    times = {}
+    for variant, inst in (("closed", closed), ("open", opened)):
+        times[variant] = f"completion_time: {la_swag(inst, EngineConfig())[0].completion_time:.9g}"
+    assert times["closed"] != times["open"]
+    assert cli_main(["run", str(path)]) == 0
+    assert times["closed"] in capsys.readouterr().out.splitlines()
+    assert cli_main(["run", str(path), "--variant", "open"]) == 0
+    assert times["open"] in capsys.readouterr().out.splitlines()
+
+
+def test_swag_sweep_rows_have_no_batch_sizes(tmp_path):
+    """``swag`` runs no oracle, so its rows leave ``oracle_batch_sizes``
+    empty, where ``la-swag`` rows fill it."""
+    column = CSV_COLUMNS.index("oracle_batch_sizes")
+    fields = {}
+    for algo in ("swag", "la-swag"):
+        spec = tmp_path / f"{algo}.json"
+        spec.write_text(json.dumps({"space": "line", "count": 3, "n": 4, "seed": 2, "eta": [0.0], "algo": algo}))
+        out = tmp_path / f"{algo}.csv"
+        assert cli_main(["sweep", str(spec), "-o", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:] if not line.startswith("#")]
+        fields[algo] = [row[column] for row in rows]
+    assert len(fields["swag"]) == len(fields["la-swag"]) == 3
+    assert fields["swag"] == ["", "", ""]
+    assert all(fields["la-swag"])
 
 
 def test_opt_reported_above_the_old_factorial_cap(tmp_path, capsys):

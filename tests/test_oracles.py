@@ -10,6 +10,7 @@ from oltsp import offline, oracles
 from oltsp.core import Instance, Request, route_stats, run_adaptive, simulate
 from oltsp.engine import EngineConfig, LaSwagPolicy, la_swag
 from oltsp.fixtures import LineReleaseAdversary
+from oltsp.harness import SweepSpec, generate_one
 from oltsp.offline import (
     CLOSED,
     FREE,
@@ -657,6 +658,28 @@ def test_flower_oracle_prices_each_leg_once(monkeypatch):
     inst = _instance(Flower((2.0, 1.5), 1.0), locs, [0.0, 0.3, 0.6, 1.1, 1.7, 2.4, 3.0], "open")
     la_swag(inst, EngineConfig(breaking_rule=False))
     assert priced and max(priced.values()) == 1
+
+
+@pytest.mark.parametrize("variant", ["closed", "open"])
+@pytest.mark.parametrize("kind", ["line", "tree", "ring", "flower"])
+def test_tree_indexes_walk_each_cover_once(kind, variant, monkeypatch):
+    """Across whole policy runs, no tree index finds the covering walk of
+    one (start, node set, end) twice: each index keeps the walks it found
+    for its lifetime, whichever step, final or clean-up asks again.  The
+    breaking rule is off, since its one exact clean-up indexes a fresh
+    query of its own."""
+    runs: Counter = Counter()
+    path_cover = TreeIndex.path_cover
+
+    def counted(idx, s, nodes, end):
+        runs[idx, s, frozenset(nodes), end] += 1
+        return path_cover(idx, s, nodes, end)
+
+    monkeypatch.setattr(TreeIndex, "path_cover", counted)
+    for seed in range(20):
+        inst = generate_one(SweepSpec(space=kind, count=1, n=7, seed=seed, variant=variant), 0)
+        la_swag(inst, EngineConfig(breaking_rule=False))
+    assert runs and max(runs.values()) == 1
 
 
 # -- protocol ----------------------------------------------------------------
