@@ -12,7 +12,7 @@ import sys
 
 from . import fixtures as fx
 from .core import Instance
-from .engine import EngineConfig, la_swag, swag_policy
+from .engine import EngineConfig, la_swag, swag
 from .harness import SweepSpec, generate, sweep, write_report
 from .offline import OPT_CAP, opt_bruteforce
 from .oracles import ORACLES
@@ -54,13 +54,10 @@ def _cmd_run(args) -> int:
         inst = Instance(inst.space, inst.requests, inst.predictions, args.variant)
     config = EngineConfig(oracle=args.oracle, breaking_rule=args.breaking_rule == "on")
     try:
-        if args.algo == "swag":
-            result, policy = swag_policy(inst, config), None
-        else:
-            result, policy = la_swag(inst, config)
+        result, policy = (swag if args.algo == "swag" else la_swag)(inst, config)
     except ValueError as exc:  # imperfect predictions for swag, an oracle the space does not take
         return _input_error(exc)
-    if args.dump_batches and policy is not None:
+    if args.dump_batches:
         print(policy.oracle.dump_batches())
     print(f"completion_time: {result.completion_time:.9g}")
     if inst.n <= OPT_CAP:
@@ -153,7 +150,8 @@ def main(argv=None) -> int:
     p.add_argument("--algo", choices=["la-swag", "swag"], default="la-swag")
     p.add_argument("--oracle", choices=["auto", *ORACLES], default="auto")
     p.add_argument("--variant", choices=["open", "closed"], default=None)
-    p.add_argument("--breaking-rule", choices=["on", "off"], default="on")
+    p.add_argument("--breaking-rule", choices=["on", "off"], default="on",
+                   help="LA-SWAG's breaking rule; swag always runs with it off")
     p.add_argument("--trajectory", help="write the event log as CSV")
     p.add_argument("--dump-batches", action="store_true", help="print each oracle batch")
     p.set_defaults(func=_cmd_run)

@@ -15,7 +15,7 @@ from typing import Any, Iterable
 
 from . import spaces
 from .offline import distance_matrix, shortest_serving_path_length
-from .spaces import Space, SpaceError, canon_point, json_field
+from .spaces import Space, SpaceError, json_field
 from .tolerance import FEAS, TIE
 
 DEPART = "depart"
@@ -78,10 +78,10 @@ class Instance:
             "space": self.space.to_json(),
             "variant": self.variant,
             "requests": [
-                {"x": spaces.point_to_json(self.space, r.location), "t": r.release}
+                {"x": spaces.point_to_json(r.location), "t": r.release}
                 for r in self.requests
             ],
-            "predictions": [spaces.point_to_json(self.space, p) for p in self.predictions],
+            "predictions": [spaces.point_to_json(p) for p in self.predictions],
         }
 
     @staticmethod
@@ -283,7 +283,7 @@ class Simulation:
                 raise ValueError("release scheduled in the past")
             if i in self.released:
                 raise ValueError(f"request {i} released twice")
-            self.released[i] = Request(i, canon_point(self.space, loc), t)
+            self.released[i] = Request(i, self.space.canon(loc), t)
             self._log(RELEASE, detail=i)
             fired = True
         return fired
@@ -322,7 +322,7 @@ class Simulation:
                 target = act[1]
                 if not self.space.contains(target):
                     raise SpaceError(f"target {target!r} outside the space")
-                target = canon_point(self.space, target)
+                target = self.space.canon(target)
                 d = self.space.distance(self.pos, target)
                 if waiting:
                     self._log(WAIT_END)
@@ -373,16 +373,17 @@ def simulate(instance: Instance, policy) -> RunResult:
     return sim.run(policy)
 
 
-def run_adaptive(space: Space, adversary, policy_factory) -> tuple[RunResult, Instance]:
-    """Play a policy against a release-time adversary; returns the run and
-    the instance the adversary ended up realizing."""
-    sim = Simulation(space, adversary.n, adversary.variant, adversary=adversary)
-    policy = policy_factory(space, adversary.n, adversary.predictions, adversary.variant)
+def run_adaptive(adversary, policy) -> tuple[RunResult, Instance]:
+    """Play ``policy`` against a release-time adversary, which carries the
+    ``space``, ``n``, ``predictions`` and ``variant`` of the instance it
+    builds; returns the run and the instance the adversary ended up
+    realizing."""
+    sim = Simulation(adversary.space, adversary.n, adversary.variant, adversary=adversary)
     result = sim.run(policy)
     reqs = [sim.released[i] for i in sorted(sim.released)]
-    if len(reqs) != adversary.n:
-        raise RuntimeError("adversary did not release every request")
-    inst = Instance(space, reqs, adversary.predictions, adversary.variant)
+    if len(reqs) != adversary.n:  # the run served 0..n-1, so there are extra ids
+        raise RuntimeError(f"adversary released requests {sorted(sim.released)} for n = {adversary.n}")
+    inst = Instance(adversary.space, reqs, adversary.predictions, adversary.variant)
     return result, inst
 
 
@@ -412,7 +413,7 @@ class FollowOrderPolicy:
     home."""
 
     def __init__(self, instance: Instance, order):
-        locations = [canon_point(instance.space, x) for x in instance.locations()]
+        locations = [instance.space.canon(x) for x in instance.locations()]
         self.route = [stop for rid in order for stop in ((rid, locations[rid]), (rid, None))]
         if instance.variant == "closed":
             self.route.append((None, instance.origin))

@@ -5,18 +5,17 @@ and fall back to an exact cleanup once everything is released.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import BREAK_RULE, Instance, RunResult, Simulation, follow_route, simulate
 from .offline import FREE, PathQuery, solve_classical
 from .oracles import make_oracle
-from .spaces import canon_point
 from .tolerance import FEAS, TIE
 
 _HALF = 0.5 - TIE  # alpha threshold of the start conditions
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineConfig:
     oracle: str = "auto"
     breaking_rule: bool = True
@@ -68,14 +67,12 @@ class LaSwagPolicy:
     rule replaces the rest of the route with an exact clean-up of the
     unserved requests."""
 
-    def __init__(self, space, n, predictions, variant,
-                 oracle_kind: str = "auto", breaking_rule: bool = True):
-        self.space = space
-        self.n = n
-        self.predictions = [canon_point(space, p) for p in predictions]
+    def __init__(self, space, predictions, variant, config: EngineConfig = EngineConfig()):
+        self.n = len(predictions)
+        self.predictions = [space.canon(p) for p in predictions]
         self.variant = variant
-        self.breaking_rule = breaking_rule
-        self.oracle = make_oracle(space, self.predictions, variant, oracle_kind)
+        self.breaking_rule = config.breaking_rule
+        self.oracle = make_oracle(space, self.predictions, variant, config.oracle)
         self.phase = "plan"  # then "follow", or "cleanup" once the breaking rule fires
         self.start: StartDecision | None = None
         self.route: list = []
@@ -83,13 +80,6 @@ class LaSwagPolicy:
         # the last plan's (released count, entry count) and its scored entries
         self._scored_for: tuple = ()
         self._scored: list = []
-
-    @classmethod
-    def factory(cls, oracle_kind: str = "auto", breaking_rule: bool = True):
-        def make(space, n, predictions, variant):
-            return cls(space, n, predictions, variant, oracle_kind, breaking_rule)
-
-        return make
 
     # -- helpers -------------------------------------------------------------
 
@@ -141,10 +131,7 @@ class LaSwagPolicy:
 
 
 def la_swag(instance: Instance, config: EngineConfig = EngineConfig()) -> tuple[RunResult, LaSwagPolicy]:
-    policy = LaSwagPolicy(
-        instance.space, instance.n, instance.predictions, instance.variant,
-        oracle_kind=config.oracle, breaking_rule=config.breaking_rule,
-    )
+    policy = LaSwagPolicy(instance.space, instance.predictions, instance.variant, config)
     return simulate(instance, policy), policy
 
 
@@ -152,10 +139,15 @@ def la_swag_policy(instance: Instance, config: EngineConfig = EngineConfig()) ->
     return la_swag(instance, config)[0]
 
 
-def swag_policy(instance: Instance, config: EngineConfig = EngineConfig()) -> RunResult:
-    """Perfect-prediction variant: no breaking rule, waits at request spots."""
+def swag(instance: Instance, config: EngineConfig = EngineConfig()) -> tuple[RunResult, LaSwagPolicy]:
+    """The perfect-prediction policy: LA-SWAG with the breaking rule off,
+    whatever ``config`` says, so it waits at the request spots.  Predictions
+    that are not the request locations raise ValueError."""
     for r, p in zip(instance.requests, instance.predictions):
         if instance.space.distance(r.location, p) > FEAS:
             raise ValueError("perfect predictions are required here")
-    cfg = EngineConfig(oracle=config.oracle, breaking_rule=False)
-    return la_swag(instance, cfg)[0]
+    return la_swag(instance, replace(config, breaking_rule=False))
+
+
+def swag_policy(instance: Instance, config: EngineConfig = EngineConfig()) -> RunResult:
+    return swag(instance, config)[0]

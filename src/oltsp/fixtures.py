@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .core import Instance, Request, run_adaptive
-from .engine import LaSwagPolicy, la_swag_policy
+from .engine import EngineConfig, LaSwagPolicy, la_swag_policy
 from .offline import eval_serving_order, opt_bruteforce, shortest_serving_path_length
 from .spaces import General, Line, Ring
 from .tolerance import ADAPTIVE_MARGIN, FEAS, STATIC_MARGIN, TIE
@@ -175,7 +175,8 @@ def smoothness_lb_graph(eta: float = 0.2) -> FixtureReport:
     if problems:
         raise ValueError(f"smoothness_lb_graph: eta={eta!r} gives eps={eps!r} and no metric "
                          f"({len(problems)} problems, the first: {problems[0]})")
-    result, inst = run_adaptive(adv.space, adv, LaSwagPolicy.factory("general"))
+    policy = LaSwagPolicy(adv.space, adv.predictions, adv.variant, EngineConfig(oracle="general"))
+    result, inst = run_adaptive(adv, policy)
     opt = opt_bruteforce(inst).length
     expected = 1.5 + eta / 2.0
     return _mk_report(
@@ -322,7 +323,8 @@ def _line_opt(inst: Instance) -> float:
 
 def open_lb_line_adversary(grid: int = 21) -> FixtureReport:
     adv = LineReleaseAdversary(grid)
-    result, inst = run_adaptive(adv.space, adv, LaSwagPolicy.factory("tree"))
+    policy = LaSwagPolicy(adv.space, adv.predictions, adv.variant, EngineConfig(oracle="tree"))
+    result, inst = run_adaptive(adv, policy)
     opt = _line_opt(inst)
     return _mk_report(
         "open_lb_line_adversary", {"grid": grid},

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Instance, Request, prediction_error
-from .engine import EngineConfig, la_swag, swag_policy
+from .engine import EngineConfig, la_swag, swag
 from .offline import SizeCapExceeded, opt_bruteforce, shortest_serving_path_length
 from .oracles import ORACLES
 from .spaces import Euclid2D, Flower, General, Line, Ring, Space, Tree
@@ -188,7 +188,7 @@ def _far_anchor(space: Space, x, needed: float, rng):
         r = needed + 1.0
         return (x[0] + r * math.cos(ang), x[1] + r * math.sin(ang)), math.inf
     if isinstance(space, Ring):
-        anchor = space.norm(x + space.circumference / 2.0)
+        anchor = space.canon(x + space.circumference / 2.0)
         return anchor, space.circumference / 2.0
     if isinstance(space, Tree):
         best, bd = None, -1.0
@@ -253,10 +253,10 @@ def perturb_predictions(instance: Instance, target_eta: float, rng=None,
     delta = target_eta * F
     xs = instance.locations()
     weights = np.asarray(rng.uniform(0.5, 1.0, instance.n))
-    want = delta * weights / weights.sum()
+    want = (delta * weights / weights.sum()).tolist()
     anchors, caps = [], []
     for x, w in zip(xs, want):
-        a, cap = _far_anchor(space, x, float(w) + 1.0, rng)
+        a, cap = _far_anchor(space, x, w + 1.0, rng)
         anchors.append(a)
         caps.append(min(cap, space.distance(x, a)))
     # waterfill the residual over uncapped requests
@@ -329,12 +329,8 @@ class SweepRow:
 def run_one(instance: Instance, spec: SweepSpec, instance_id: str, eta: float, opt: float) -> SweepRow:
     config = EngineConfig(oracle=spec.oracle, breaking_rule=spec.breaking_rule)
     t0 = time.perf_counter()
-    if spec.algo == "swag":
-        result = swag_policy(instance, config)
-        batches = ""
-    else:
-        result, policy = la_swag(instance, config)
-        batches = ";".join(str(b.batch_size) for b in policy.oracle.batches)
+    result, policy = (swag if spec.algo == "swag" else la_swag)(instance, config)
+    batches = ";".join(str(b.batch_size) for b in policy.oracle.batches)
     wall = time.perf_counter() - t0
     ratio = result.completion_time / opt if opt > TIE else 1.0
     return SweepRow(

@@ -633,11 +633,11 @@ def tree_tsp(query: PathQuery) -> OptResult:
 
 def ring_tsp(query: PathQuery) -> OptResult:
     space = query.space
-    req = [(space.norm(p), i) for i, p in enumerate(query.required)]
+    req = [(space.canon(p), i) for i, p in enumerate(query.required)]
     end = query.end
     if end not in (FREE, CLOSED):
-        end = space.norm(end)
-    cost, order = ring_cover(space.circumference, space.norm(query.start), req, end)
+        end = space.canon(end)
+    cost, order = ring_cover(space.circumference, space.canon(query.start), req, end)
     return OptResult(cost, order)
 
 

@@ -247,7 +247,7 @@ class RingOracle(DominationOracle):
     def __init__(self, space: Ring, predictions, variant):
         super().__init__(space, predictions, variant)
         C = self.C = space.circumference
-        pos = self.pos = [space.norm(p) for p in self.predictions]
+        pos = self.pos = [space.canon(p) for p in self.predictions]
         # the ring split at the antipode: each request's arm (+1 clockwise,
         # -1 counter-clockwise) and its distance from the origin along it,
         # indexed as a star of two arms, the counter-clockwise half first

@@ -3,8 +3,9 @@
 Six families: the real line, the Euclidean plane, weighted rooted trees,
 rings, flowers (rings plus a stem glued at one point), and general
 finite metrics given by a distance matrix.  Each space knows its origin,
-computes exact shortest-path distances between points, and can move a
-point a given distance along a canonical geodesic toward a target.
+puts each point in one canonical form (``canon``), computes exact
+shortest-path distances between points, and can move a point a given
+distance along a canonical geodesic toward a target.
 
 Point encodings are space specific:
   Line      float coordinate
@@ -44,6 +45,9 @@ class Line:
     def origin(self) -> float:
         return 0.0
 
+    def canon(self, p: float) -> float:
+        return p
+
     def contains(self, p) -> bool:
         return isinstance(p, (int, float)) and math.isfinite(p)
 
@@ -76,6 +80,9 @@ class Euclid2D:
 
     def origin(self):
         return (0.0, 0.0)
+
+    def canon(self, p):
+        return p
 
     def contains(self, p) -> bool:
         return (
@@ -116,27 +123,27 @@ class Ring:
     def origin(self) -> float:
         return 0.0
 
-    def norm(self, p: float) -> float:
+    def canon(self, p: float) -> float:
         return p % self.circumference
 
     def contains(self, p) -> bool:
         return isinstance(p, (int, float)) and math.isfinite(p)
 
     def distance(self, a: float, b: float) -> float:
-        arc = abs(self.norm(a) - self.norm(b))
+        arc = abs(self.canon(a) - self.canon(b))
         return min(arc, self.circumference - arc)
 
     def cw_arc(self, a: float, b: float) -> float:
         """Arc length going clockwise (increasing coordinate) from a to b."""
-        return (self.norm(b) - self.norm(a)) % self.circumference
+        return (self.canon(b) - self.canon(a)) % self.circumference
 
     def move_along(self, a: float, b: float, t: float):
         _check_traveled(self, a, b, t)
         cw = self.cw_arc(a, b)
         # clockwise wins ties, per the canonical-geodesic convention
         if cw <= self.circumference - cw:
-            return self.norm(a + t)
-        return self.norm(a - t)
+            return self.canon(a + t)
+        return self.canon(a - t)
 
     def validate(self) -> list[str]:
         if not (0 < self.circumference < math.inf):
@@ -651,18 +658,8 @@ def space_from_json(obj: dict) -> Space:
     raise SpaceError(f"unknown space kind {kind!r}")
 
 
-def point_to_json(space: Space, p) -> Any:
-    if isinstance(space, (Line, Ring)):
-        return p
-    if isinstance(space, Euclid2D):
-        return [p[0], p[1]]
-    if isinstance(space, Tree):
-        return [p[0], p[1]]
-    if isinstance(space, Flower):
-        return [p[0], p[1]]
-    if isinstance(space, General):
-        return p if isinstance(p, int) else [p[0], p[1], p[2]]
-    raise SpaceError("unknown space")
+def point_to_json(p) -> Any:
+    return list(p) if isinstance(p, tuple) else p
 
 
 def point_from_json(space: Space, obj, what: str = "point") -> Any:
@@ -687,14 +684,6 @@ def point_from_json(space: Space, obj, what: str = "point") -> Any:
     except (TypeError, ValueError, IndexError):
         raise SpaceError(f"{what}: {obj!r} is not a {type(space).__name__} point") from None
     return space.canon(p) if space.contains(p) else p
-
-
-def canon_point(space: Space, p):
-    if isinstance(space, (Tree, Flower, General)):
-        return space.canon(p)
-    if isinstance(space, Ring):
-        return space.norm(p)
-    return p
 
 
 # ---------------------------------------------------------------------------

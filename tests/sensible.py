@@ -190,7 +190,7 @@ def sensible_flower_perms(flower: Flower, locations: list) -> list[tuple]:
 def sensible_ring_perms(ring: Ring, locations: list) -> list[tuple]:
     """Closed-variant sensible orders on a ring: an optional initial full
     loop, then line order on the ring split at the antipode."""
-    locs = [(0, ring.norm(p)) for p in locations]
+    locs = [(0, ring.canon(p)) for p in locations]
     out = []
     n = len(locations)
     for p in itertools.permutations(range(n)):

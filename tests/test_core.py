@@ -14,6 +14,7 @@ from oltsp.core import (
     Request,
     SimulationStalled,
     Simulation,
+    follow_route,
     prediction_error,
     route_stats,
     run_adaptive,
@@ -272,7 +273,7 @@ def test_run_invariants_random():
 
 def test_remark_trajectory_reaches_minus_one_at_two():
     inst = Instance(Line(), [Request(0, 1.0, 1.0), Request(1, 0.0, 2.0)], [0.0, -1.0], "closed")
-    policy = LaSwagPolicy(inst.space, inst.n, inst.predictions, inst.variant)
+    policy = LaSwagPolicy(inst.space, inst.predictions, inst.variant)
     res = simulate(inst, policy)
     arrived = [e for e in res.trajectory if e.kind == "arrive" and abs(e.point - (-1.0)) < TOL]
     assert arrived and arrived[0].time == pytest.approx(2.0)
@@ -288,6 +289,7 @@ def test_trajectory_csv():
 
 def test_run_adaptive_null_adversary():
     class Null:
+        space = Line()
         n = 0
         predictions = []
         variant = "closed"
@@ -299,12 +301,13 @@ def test_run_adaptive_null_adversary():
         def decide(self, sim):
             return ("finish",)
 
-    res, inst = run_adaptive(Line(), Null(), lambda *a: Idle())
+    res, inst = run_adaptive(Null(), Idle())
     assert res.completion_time == 0.0 and inst.n == 0
 
 
 def test_adaptive_past_release_rejected():
     class Bad:
+        space = Line()
         n = 1
         predictions = [0.5]
         variant = "open"
@@ -319,8 +322,89 @@ def test_adaptive_past_release_rejected():
                 return None
             return 1.0 if not self.fired else None
 
+    bad = Bad()
     with pytest.raises(ValueError):
-        run_adaptive(Line(), Bad(), LaSwagPolicy.factory())
+        run_adaptive(bad, LaSwagPolicy(bad.space, bad.predictions, bad.variant))
+
+
+def test_instance_rejects_bad_arity_and_variant():
+    with pytest.raises(ValueError, match="one prediction per request"):
+        Instance(Line(), [Request(0, 1.0, 0.0)], [], "open")
+    with pytest.raises(ValueError, match="bad variant 'loop'"):
+        Instance(Line(), [Request(0, 1.0, 0.0)], [1.0], "loop")
+
+
+class _ServeThenFinish:
+    def __init__(self, *rids):
+        self.rids = rids
+
+    def decide(self, sim):
+        for rid in self.rids:
+            sim.serve(rid)
+        return ("finish",)
+
+
+def test_serve_needs_a_released_request_under_the_server():
+    reqs = [Request(0, 0.0, 0.0), Request(1, 1.0, 1.0)]
+    inst = Instance(Line(), reqs, [0.0, 1.0], "open")
+    with pytest.raises(ValueError, match="request 1 not released"):
+        simulate(inst, _ServeThenFinish(1))
+    inst = Instance(Line(), [Request(0, 0.0, 0.0), Request(1, 1.0, 0.0)], [0.0, 1.0], "open")
+    with pytest.raises(ValueError, match="server not at request 1"):
+        simulate(inst, _ServeThenFinish(1))
+    inst = Instance(Line(), [Request(0, 0.0, 0.0)], [0.0], "open")
+    res = simulate(inst, _ServeThenFinish(0, 0))  # a repeat serve is a no-op
+    assert res.served_at == {0: 0.0}
+    assert [e.kind for e in res.trajectory].count("serve") == 1
+
+
+@pytest.mark.parametrize("releases, match", [
+    ([(-1.0, 0, 0.5)], "release scheduled in the past"),
+    ([(0.0, 0, 0.5), (0.0, 0, 0.5)], "request 0 released twice"),
+])
+def test_bad_release_schedule_rejected(releases, match):
+    sim = Simulation(Line(), 1, "open", releases=releases)
+    with pytest.raises(ValueError, match=match):
+        sim.run(FollowOrderPolicy(Instance(Line(), [Request(0, 0.5, 0.0)], [0.5], "open"), [0]))
+
+
+@pytest.mark.parametrize("action, error, match", [
+    (("move", (1, 0.5)), SpaceError, r"target \(1, 0.5\) outside the space"),
+    (("jump", 1.0), ValueError, r"unknown action \('jump', 1.0\)"),
+])
+def test_bad_action_rejected(action, error, match):
+    class Bad:
+        def decide(self, sim):
+            return action
+
+    inst = Instance(Line(), [Request(0, 1.0, 0.0)], [1.0], "open")
+    with pytest.raises(error, match=match):
+        simulate(inst, Bad())
+
+
+def test_run_adaptive_rejects_an_adversary_that_releases_an_extra_request():
+    """A run only finishes once requests 0..n-1 are served, so an adversary
+    that releases the wrong set of requests has released an extra id."""
+    class Extra:
+        space = Line()
+        n = 1
+        predictions = [0.5]
+        variant = "open"
+
+        def step(self, sim):
+            if not sim.released:
+                sim.emit_release(0, 0.5, 0.0)
+                sim.emit_release(1, 1.0, 0.0)
+            return None
+
+    class ServeReleased:
+        def decide(self, sim):
+            if not sim.released:
+                return ("wait", None)
+            return follow_route(sim, [(r.id, None) for r in sim.unserved_released()])
+
+    with pytest.raises(RuntimeError, match=r"adversary released requests \[0, 1\] for n = 1"):
+        run_adaptive(Extra(), ServeReleased())
 
 
 # -- input validation at the boundary ---------------------------------------

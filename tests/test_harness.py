@@ -5,11 +5,14 @@ import random
 import numpy as np
 import pytest
 
+from oltsp import harness
 from oltsp.cli import main as cli_main
-from oltsp.core import Instance, prediction_error
+from oltsp.core import Instance, prediction_error, run_adaptive
 from oltsp.engine import EngineConfig, la_swag
 from oltsp.fixtures import (
     OPEN_LINE_LB,
+    LineReleaseAdversary,
+    _line_opt,
     open_lb_line_adversary,
     remark_2_5_closed_line,
     remark_8_3_open_line,
@@ -25,11 +28,13 @@ from oltsp.harness import (
     adversarial_predictions,
     ceiling,
     generate,
+    generate_one,
     perturb_predictions,
     sweep,
     write_report,
 )
 from oltsp.spaces import Tree
+from oltsp.tolerance import ADAPTIVE_MARGIN, FEAS
 
 
 def test_generate_empty():
@@ -125,6 +130,18 @@ def test_perturb_degenerate_space_raises():
         perturb_predictions(inst, 0.5)
 
 
+def test_perturbed_predictions_are_plain_numbers():
+    """Perturbed points hold Python ints, floats and petal names only, so
+    a trajectory CSV prints each coordinate as a number, not ``np.``."""
+    for fam in ("line", "euclid2d", "tree", "ring", "flower", "general"):
+        inst = generate_one(SweepSpec(space=fam, count=1, n=4, seed=3), 0)
+        out = perturb_predictions(inst, 0.5, np.random.default_rng(3), clip=True)
+        assert out.predictions != inst.locations(), fam
+        for p in out.predictions:
+            assert all(type(c) in (int, float, str) for c in (p if isinstance(p, tuple) else (p,))), (fam, p)
+        assert "np." not in la_swag(out)[0].to_csv(), fam
+
+
 def test_adversarial_predictions_change_predictions():
     spec = SweepSpec(space="euclid2d", count=3, n=5, seed=3)
     moved = 0
@@ -166,6 +183,41 @@ def test_fixture_ring_lb():
 def test_fixture_a1():
     rep = open_lb_line_adversary()
     assert rep.passed and rep.ratio >= OPEN_LINE_LB - 1e-6
+
+
+class _WalkWaitNearest:
+    """Walk to ``x0`` and wait there until ``t_w``, then serve the nearest
+    released request, the lower id among equally near ones."""
+
+    def __init__(self, x0, t_w):
+        self.x0, self.t_w = x0, t_w
+
+    def decide(self, sim):
+        if sim.now < self.t_w:
+            return ("move", self.x0) if abs(sim.pos - self.x0) > FEAS else ("wait", self.t_w)
+        while todo := sim.unserved_released():
+            r = min(todo, key=lambda r: (abs(r.location - sim.pos), r.id))
+            if abs(r.location - sim.pos) > FEAS:
+                return ("move", r.location)
+            sim.serve(r.id)
+        return ("finish",) if sim.all_released() else ("wait", None)
+
+
+def test_line_adversary_bound_holds_for_scripted_policies():
+    """The open-line bound holds for any online algorithm, so it holds for
+    policies that leave the origin early, where LA-SWAG waits there until
+    the adversary's phase-1 wave ends.  They reach the branches LA-SWAG
+    never does: the wave front crossing a moving server, the single sweep
+    from the far end, and the held-back request of phase 2."""
+    phase_2 = far_end = 0
+    for x0 in (-1.0, -0.6, -0.3, 0.0, 0.2, 0.5, 0.8, 1.0):
+        for t_w in (0.0, 0.5, 1.0, 1.3, 1.6, 2.0):
+            adversary = LineReleaseAdversary(21)
+            result, inst = run_adaptive(adversary, _WalkWaitNearest(x0, t_w))
+            assert result.completion_time / _line_opt(inst) >= OPEN_LINE_LB - ADAPTIVE_MARGIN, (x0, t_w)
+            phase_2 += adversary.D_id is not None
+            far_end += adversary.t0 is None
+    assert phase_2 and far_end
 
 
 def test_fixture_unknown():
@@ -215,6 +267,29 @@ def test_sweep_pool_size_invariance():
     serial = sweep(spec, jobs=1)
     pooled = sweep(spec, jobs=2)
     assert key(serial[0]) == key(pooled[0])
+
+
+def test_cli_sweep_reports_violations_and_skips(tmp_path, monkeypatch, capsys):
+    """A row above its guarantee exits 1 and is printed and written as a
+    violation; an unreachable eta and an n above the OPT cap are written
+    as skipped rows."""
+    cases = [
+        ({"space": "line", "count": 1, "n": 1, "seed": 1, "eta": [0.0]},
+         "violation: line-0@eta=0: ratio 1.288319 > 0.500001"),
+        ({"space": "ring", "count": 1, "n": 3, "seed": 0, "eta": [50.0]},
+         "skipped: ring-0@50.0: target error 50.0 unreachable on this space (got 3.294)"),
+        ({"space": "line", "count": 1, "n": 15, "seed": 0, "eta": [0.0]},
+         "skipped: line-0: 15 requests exceeds subset-DP cap 14"),
+    ]
+    monkeypatch.setattr(harness, "ceiling", lambda family, variant: 0.5)
+    for k, (obj, line) in enumerate(cases):
+        spec = tmp_path / f"spec{k}.json"
+        spec.write_text(json.dumps(obj))
+        out = tmp_path / f"sweep{k}.csv"
+        violated = line.startswith("violation")
+        assert cli_main(["sweep", str(spec), "-o", str(out)]) == int(violated)
+        assert (line in capsys.readouterr().out.splitlines()) == violated
+        assert "# " + line in out.read_text().splitlines()
 
 
 def test_ceilings():
@@ -287,21 +362,33 @@ def test_cli_run_variant_overrides_the_file(tmp_path, capsys):
     assert times["open"] in capsys.readouterr().out.splitlines()
 
 
-def test_swag_sweep_rows_have_no_batch_sizes(tmp_path):
-    """``swag`` runs no oracle, so its rows leave ``oracle_batch_sizes``
-    empty, where ``la-swag`` rows fill it."""
+def test_swag_sweep_rows_carry_the_batch_sizes(tmp_path):
+    """``swag`` runs LA-SWAG's oracle with the breaking rule off, whatever
+    the spec's ``breaking_rule`` says, so its rows carry that run's
+    ``oracle_batch_sizes``."""
+    obj = {"space": "line", "count": 3, "n": 4, "seed": 2, "eta": [0.0], "algo": "swag"}
+    spec = tmp_path / "swag.json"
+    spec.write_text(json.dumps(obj))
+    out = tmp_path / "swag.csv"
+    assert cli_main(["sweep", str(spec), "-o", str(out)]) == 0
     column = CSV_COLUMNS.index("oracle_batch_sizes")
-    fields = {}
-    for algo in ("swag", "la-swag"):
-        spec = tmp_path / f"{algo}.json"
-        spec.write_text(json.dumps({"space": "line", "count": 3, "n": 4, "seed": 2, "eta": [0.0], "algo": algo}))
-        out = tmp_path / f"{algo}.csv"
-        assert cli_main(["sweep", str(spec), "-o", str(out)]) == 0
-        rows = [line.split(",") for line in out.read_text().splitlines()[1:] if not line.startswith("#")]
-        fields[algo] = [row[column] for row in rows]
-    assert len(fields["swag"]) == len(fields["la-swag"]) == 3
-    assert fields["swag"] == ["", "", ""]
-    assert all(fields["la-swag"])
+    got = [line.split(",")[column] for line in out.read_text().splitlines()[1:] if not line.startswith("#")]
+    want = []
+    for inst in generate(SweepSpec.from_json(obj)):
+        _, policy = la_swag(inst, EngineConfig(breaking_rule=False))
+        want.append(";".join(str(b.batch_size) for b in policy.oracle.batches))
+    assert len(got) == 3 and all(want)
+    assert got == want
+
+
+def test_cli_run_swag_dump_batches_prints_the_oracle_batches(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_LINE_THREE))
+    _, policy = la_swag(Instance.from_json(_LINE_THREE), EngineConfig(breaking_rule=False))
+    dump = policy.oracle.dump_batches()
+    assert dump.startswith("batch t=0: ")
+    assert cli_main(["run", str(path), "--algo", "swag", "--dump-batches"]) == 0
+    assert capsys.readouterr().out.startswith(dump + "\ncompletion_time: ")
 
 
 def test_opt_reported_above_the_old_factorial_cap(tmp_path, capsys):

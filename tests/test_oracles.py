@@ -434,16 +434,10 @@ def test_line_adversary_batches_unchanged(grid):
     sha256 of ``dump_batches()``.  Its open variant guesses each of up to
     41 requests as the final one per step, loops that the n <= 6 pools
     above never reach."""
-    policies = []
-    make = LaSwagPolicy.factory("tree")
-
-    def factory(*args):
-        policies.append(make(*args))
-        return policies[-1]
-
     adversary = LineReleaseAdversary(grid)
-    run_adaptive(adversary.space, adversary, factory)
-    text = policies[0].oracle.dump_batches()
+    policy = LaSwagPolicy(adversary.space, adversary.predictions, adversary.variant, EngineConfig(oracle="tree"))
+    run_adaptive(adversary, policy)
+    text = policy.oracle.dump_batches()
     assert hashlib.sha256(text.encode()).hexdigest() == _LINE_ADVERSARY_DIGESTS[grid]
 
 
@@ -499,9 +493,9 @@ def test_general_batches_match_walks_reference(family, variant):
         if not tied:
             untied += 1
             inst = _instance(space, locs, rels, variant)
-            ref = LaSwagPolicy(space, len(locs), locs, variant, "general")
+            ref = LaSwagPolicy(space, locs, variant, EngineConfig(oracle="general"))
             ref.oracle._batch = lambda released, o=ref.oracle: general_batch_by_walks(o, released)
-            policy = LaSwagPolicy(space, len(locs), locs, variant, "general")
+            policy = LaSwagPolicy(space, locs, variant, EngineConfig(oracle="general"))
             assert simulate(inst, policy).completion_time == simulate(inst, ref).completion_time, (space, locs, rels)
         D = oracle.D
         asymmetric += any(D[a][b] != D[b][a] for a in range(len(D)) for b in range(a))

@@ -170,8 +170,8 @@ def test_json_round_trip():
         sp2 = space_from_json(sp.to_json())
         p = random_point(sp, rng)
         q = random_point(sp, rng)
-        p2 = point_from_json(sp2, point_to_json(sp, p))
-        q2 = point_from_json(sp2, point_to_json(sp, q))
+        p2 = point_from_json(sp2, point_to_json(p))
+        q2 = point_from_json(sp2, point_to_json(q))
         assert sp2.distance(p2, q2) == pytest.approx(sp.distance(p, q), abs=1e-12)
 
 
@@ -306,6 +306,6 @@ def test_malformed_tree_is_built_and_reported(edges, errors):
 @given(st.floats(0.1, 5.0), st.floats(0, 10), st.floats(0, 10), st.floats(0, 1))
 def test_ring_triangle_property(c, a, b, f):
     r = Ring(c)
-    a, b = r.norm(a), r.norm(b)
+    a, b = r.canon(a), r.canon(b)
     m = r.move_along(a, b, f * r.distance(a, b))
     assert r.distance(a, m) + r.distance(m, b) == pytest.approx(r.distance(a, b), abs=1e-9)
