@@ -35,6 +35,13 @@ class Request:
     release: float
 
 
+def _check_space(space: Space) -> Space:
+    problems = space.validate()
+    if problems:
+        raise SpaceError("invalid space: " + "; ".join(problems))
+    return space
+
+
 @dataclass
 class Instance:
     space: Space
@@ -43,6 +50,7 @@ class Instance:
     variant: str = "closed"  # "open" | "closed"
 
     def __post_init__(self):
+        _check_space(self.space)
         if len(self.predictions) != len(self.requests):
             raise ValueError("one prediction per request is required")
         if self.variant not in ("open", "closed"):
@@ -88,10 +96,8 @@ class Instance:
     def from_json(obj: dict) -> "Instance":
         """Decode an instance.  A field that is missing or malformed raises
         SpaceError naming it."""
-        space = spaces.space_from_json(json_field(obj, "space", "instance"))
-        problems = space.validate()
-        if problems:
-            raise SpaceError("invalid space: " + "; ".join(problems))
+        # checked before the points are decoded, which index into the space
+        space = _check_space(spaces.space_from_json(json_field(obj, "space", "instance")))
         reqs = [
             Request(i, spaces.point_from_json(space, json_field(r, "x", f"request {i}"),
                                               f"request {i}: location"),
@@ -148,15 +154,18 @@ def route_stats(instance: Instance, perm) -> RouteStats:
     return RouteStats(tuple(perm), D, instance.variant == "closed")
 
 
-def prediction_error(instance: Instance) -> float:
-    """Sum of true-to-predicted distances over the shortest serving path length."""
+def prediction_error(instance: Instance, F: float | None = None) -> float:
+    """Sum of true-to-predicted distances over the shortest serving path
+    length F, which depends on the true locations only; a caller that
+    already holds F passes it."""
     delta = sum(
         instance.space.distance(r.location, p)
         for r, p in zip(instance.requests, instance.predictions)
     )
     if delta <= FEAS:
         return 0.0
-    F = shortest_serving_path_length(instance)
+    if F is None:
+        F = shortest_serving_path_length(instance)
     if F <= FEAS:
         return 0.0
     return delta / F

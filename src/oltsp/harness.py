@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -12,27 +13,68 @@ from .core import Instance, Request, prediction_error
 from .engine import EngineConfig, la_swag, swag
 from .offline import SizeCapExceeded, opt_bruteforce, shortest_serving_path_length
 from .oracles import ORACLES
-from .spaces import Euclid2D, Flower, General, Line, Ring, Space, Tree
+from .spaces import Euclid2D, Flower, General, Line, Ring, Tree
 from .tolerance import DIAMETER_FLOOR, SWEEP_SLACK, TIE
 
-# family name -> space class
-SPACE_FAMILIES = {
-    "line": Line, "euclid2d": Euclid2D, "tree": Tree, "ring": Ring, "flower": Flower, "general": General,
+
+def _random_tree(rng, spec: SweepSpec) -> Tree:
+    edges = []
+    nodes = [0]
+    leaves: set[int] = set()
+    for _ in range(int(rng.integers(1, 7))):
+        if len(leaves) >= spec.leaves:
+            parent = int(rng.choice(sorted(leaves)))
+        else:
+            parent = int(rng.choice(nodes))
+        child = len(nodes)
+        edges.append((parent, child, float(rng.uniform(0.2, 2.0))))
+        leaves.discard(parent)
+        leaves.add(child)
+        nodes.append(child)
+    return Tree(edges)
+
+
+def _random_flower(rng, spec: SweepSpec) -> Flower:
+    p = int(rng.integers(1, spec.petals + 1))
+    petals = tuple(float(rng.uniform(0.5, 1.5)) for _ in range(p))
+    stem = float(rng.uniform(0.0, 1.0)) if rng.random() < 0.7 else 0.0
+    return Flower(petals, stem)
+
+
+def _random_general(rng, spec: SweepSpec) -> General:
+    """Plane distances between the origin and n + 3 random sites."""
+    pts = [(0.0, 0.0)] + [(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))) for _ in range(spec.n + 3)]
+    return General([[math.hypot(a[0] - b[0], a[1] - b[1]) for b in pts] for a in pts])
+
+
+class Family(NamedTuple):
+    space: type  # the space class, whose ``kind`` is the family name
+    draw: Callable  # (rng, spec) -> a random space of the family
+    closed: float  # robustness ceilings per variant
+    open: float
+
+
+FAMILIES = {
+    "line": Family(Line, lambda rng, spec: Line(), 2.5, 3.0 - 1.0 / 3.0),
+    "euclid2d": Family(Euclid2D, lambda rng, spec: Euclid2D(), 2.5, 3.0 - 1.0 / 6.0),
+    "tree": Family(Tree, _random_tree, 2.5, 3.0 - 1.0 / 3.0),
+    "ring": Family(Ring, lambda rng, spec: Ring(float(rng.uniform(0.5, 2.0))), 2.75, 3.0 - 1.0 / 6.0),
+    "flower": Family(Flower, _random_flower, 2.75, 3.0 - 1.0 / 6.0),
+    "general": Family(General, _random_general, 2.75, 3.0 - 1.0 / 6.0),
 }
 
-# robustness ceilings per space family and variant
+
 def ceiling(family: str, variant: str) -> float:
-    tree_like = family in ("line", "tree")
-    if variant == "closed":
-        return 2.5 if tree_like or family == "euclid2d" else 2.75
-    return 3.0 - (1.0 / 3.0 if tree_like else 1.0 / 6.0)
+    """The robustness ceiling of a space family and variant."""
+    row = FAMILIES[family]
+    return row.closed if variant == "closed" else row.open
 
 
 # sweep fields checked by ``SweepSpec.from_json``: integers with their
 # minimum, and fields with a fixed set of values
 _SPEC_MINIMUM = {"count": 0, "n": 0, "seed": 0, "leaves": 1, "petals": 1}
 _SPEC_CHOICES = {
-    "space": tuple(SPACE_FAMILIES),
+    "space": tuple(FAMILIES),
     "variant": ("closed", "open"),
     "algo": ("la-swag", "swag"),
     "oracle": ("auto", *ORACLES),
@@ -82,7 +124,7 @@ class SweepSpec:
             else:
                 raise ValueError(f"unknown sweep field {k!r}")
             setattr(spec, k, v)
-        if spec.oracle != "auto" and not issubclass(SPACE_FAMILIES[spec.space], ORACLES[spec.oracle][1]):
+        if spec.oracle != "auto" and not issubclass(FAMILIES[spec.space].space, ORACLES[spec.oracle][1]):
             raise ValueError(f"sweep field 'oracle': {spec.oracle!r} does not run on {spec.space!r} spaces")
         if spec.algo == "swag" and any(spec.eta):
             raise ValueError(f"sweep field 'algo': 'swag' needs perfect predictions (eta 0), got eta {spec.eta}")
@@ -93,77 +135,13 @@ class SweepSpec:
 # Generation
 # ---------------------------------------------------------------------------
 
-def _random_tree(rng, max_leaves: int) -> Tree:
-    edges = []
-    nodes = [0]
-    leaves: set[int] = set()
-    for _ in range(int(rng.integers(1, 7))):
-        if len(leaves) >= max_leaves:
-            parent = int(rng.choice(sorted(leaves)))
-        else:
-            parent = int(rng.choice(nodes))
-        child = len(nodes)
-        edges.append((parent, child, float(rng.uniform(0.2, 2.0))))
-        leaves.discard(parent)
-        leaves.add(child)
-        nodes.append(child)
-    return Tree(edges)
-
-
-def _random_space(family: str, spec: SweepSpec, rng) -> Space:
-    if family == "line":
-        return Line()
-    if family == "euclid2d":
-        return Euclid2D()
-    if family == "ring":
-        return Ring(float(rng.uniform(0.5, 2.0)))
-    if family == "tree":
-        return _random_tree(rng, spec.leaves)
-    if family == "flower":
-        p = int(rng.integers(1, spec.petals + 1))
-        petals = tuple(float(rng.uniform(0.5, 1.5)) for _ in range(p))
-        stem = float(rng.uniform(0.0, 1.0)) if rng.random() < 0.7 else 0.0
-        return Flower(petals, stem)
-    if family == "general":
-        k = spec.n + 3
-        pts = [(0.0, 0.0)] + [(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))) for _ in range(k)]
-        mat = [[math.hypot(a[0] - b[0], a[1] - b[1]) for b in pts] for a in pts]
-        return General(mat)
-    raise ValueError(family)
-
-
-def _random_point(space: Space, rng):
-    if isinstance(space, Line):
-        return float(rng.uniform(-2, 2))
-    if isinstance(space, Euclid2D):
-        return (float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
-    if isinstance(space, Ring):
-        return float(rng.uniform(0, space.circumference))
-    if isinstance(space, Tree):
-        ei = int(rng.integers(0, len(space.edges)))
-        return space.canon((ei, float(rng.uniform(0, space.edges[ei][2]))))
-    if isinstance(space, Flower):
-        comps = list(range(len(space.petals)))
-        weights = [space.petals[k] for k in comps]
-        if space.stem > 0:
-            comps.append("stem")
-            weights.append(space.stem)
-        total = sum(weights)
-        c = comps[int(rng.choice(len(comps), p=[w / total for w in weights]))]
-        ln = space.stem if c == "stem" else space.petals[c]
-        return space.canon((c, float(rng.uniform(0, ln))))
-    if isinstance(space, General):
-        return int(rng.integers(0, space.n))
-    raise ValueError(space)
-
-
 def generate_one(spec: SweepSpec, idx: int) -> Instance:
     rng = np.random.default_rng([spec.seed, idx])
-    space = _random_space(spec.space, spec, rng)
+    space = FAMILIES[spec.space].draw(rng, spec)
     n = int(rng.integers(0, spec.n + 1)) if spec.n > 0 else 0
     if spec.count == 1:
         n = spec.n
-    locs = [_random_point(space, rng) for _ in range(n)]
+    locs = [space.random_point(rng) for _ in range(n)]
     diam = max((2.0 * space.distance(space.origin(), x) for x in locs), default=1.0)
     rels = [float(rng.uniform(0, 2.0 * max(diam, DIAMETER_FLOOR))) for _ in range(n)]
     reqs = [Request(i, locs[i], rels[i]) for i in range(n)]
@@ -177,45 +155,6 @@ def generate(spec: SweepSpec) -> list[Instance]:
 # ---------------------------------------------------------------------------
 # Prediction perturbation
 # ---------------------------------------------------------------------------
-
-def _far_anchor(space: Space, x, needed: float, rng):
-    """A point at distance >= min(needed, cap) from x, with that cap."""
-    if isinstance(space, Line):
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        return x + sign * (needed + 1.0), math.inf
-    if isinstance(space, Euclid2D):
-        ang = float(rng.uniform(0, 2 * math.pi))
-        r = needed + 1.0
-        return (x[0] + r * math.cos(ang), x[1] + r * math.sin(ang)), math.inf
-    if isinstance(space, Ring):
-        anchor = space.canon(x + space.circumference / 2.0)
-        return anchor, space.circumference / 2.0
-    if isinstance(space, Tree):
-        best, bd = None, -1.0
-        for v in range(space.n_nodes):
-            if math.isinf(space.depth(v)):
-                continue
-            d = space.distance(x, space.node_point(v))
-            if d > bd:
-                best, bd = space.node_point(v), d
-        for ei, (u, v, ln) in enumerate(space.edges):
-            if math.isinf(ln):
-                p = (ei, space.distance(x, space.node_point(u)) + needed + 1.0)
-                return p, math.inf
-        return best, bd
-    if isinstance(space, Flower):
-        cands = []
-        if space.stem > 0:
-            cands.append(("stem", space.stem))
-        for k, ln in enumerate(space.petals):
-            cands.append(space.canon((k, (x[1] + ln / 2.0) % ln)) if x[0] == k else (k, ln / 2.0))
-        best = max(cands, key=lambda c: space.distance(x, c))
-        return best, space.distance(x, best)
-    if isinstance(space, General):
-        best = max(range(space.n), key=lambda s: space.distance(x, s))
-        return best, space.distance(x, best)
-    raise ValueError(space)
-
 
 class EtaUnreachable(ValueError):
     """Predictions cannot be displaced to the ``target`` error; ``achieved``
@@ -234,19 +173,21 @@ class EtaUnreachable(ValueError):
 
 
 def perturb_predictions(instance: Instance, target_eta: float, rng=None,
-                        clip: bool = False) -> Instance:
+                        clip: bool = False, F: float | None = None) -> Instance:
     """Displace predictions along geodesics so the realized error matches
     the target (exactly when the geometry permits, within 5% always).
 
     With ``clip=True`` a capped space yields the largest achievable error
-    instead of raising :class:`EtaUnreachable`.
+    instead of raising :class:`EtaUnreachable`.  ``F`` is the instance's
+    shortest serving path length, computed here unless the caller holds it.
     """
     if target_eta < 0:
         raise ValueError("target error must be nonnegative")
     if target_eta == 0 or instance.n == 0:
         return instance.perfect()
     rng = np.random.default_rng(0) if rng is None else rng
-    F = shortest_serving_path_length(instance)
+    if F is None:
+        F = shortest_serving_path_length(instance)
     if F <= TIE:
         raise EtaUnreachable(target_eta, None)
     space = instance.space
@@ -256,7 +197,7 @@ def perturb_predictions(instance: Instance, target_eta: float, rng=None,
     want = (delta * weights / weights.sum()).tolist()
     anchors, caps = [], []
     for x, w in zip(xs, want):
-        a, cap = _far_anchor(space, x, w + 1.0, rng)
+        a, cap = space.far_point(x, w + 1.0, rng)
         anchors.append(a)
         caps.append(min(cap, space.distance(x, a)))
     # waterfill the residual over uncapped requests
@@ -276,7 +217,7 @@ def perturb_predictions(instance: Instance, target_eta: float, rng=None,
         for x, a, d in zip(xs, anchors, dist)
     ]
     out = instance.with_predictions(preds)
-    achieved = prediction_error(out)
+    achieved = prediction_error(out, F)
     if not clip and not (0.95 * target_eta <= achieved <= 1.05 * target_eta):
         raise EtaUnreachable(target_eta, achieved)
     return out
@@ -349,14 +290,16 @@ def _sweep_item(args: tuple[SweepSpec, int]) -> tuple[list[SweepRow], list[str],
         opt = opt_bruteforce(inst).length
     except SizeCapExceeded as exc:
         return rows, violations, [f"{spec.space}-{idx}: {exc}"]
+    # perturbation moves predictions only, so one F serves every eta
+    F = shortest_serving_path_length(inst) if any(spec.eta) else None
     for eta in spec.eta:
         rng = np.random.default_rng([spec.seed, idx, int(round(eta * 1e6))])
         try:
-            trial = perturb_predictions(inst, eta, rng)
+            trial = perturb_predictions(inst, eta, rng, F=F)
         except ValueError as exc:
             skipped.append(f"{spec.space}-{idx}@{eta}: {exc}")
             continue
-        achieved = prediction_error(trial)
+        achieved = prediction_error(trial, F)
         row = run_one(trial, spec, f"{spec.space}-{idx}", achieved, opt)
         rows.append(row)
         bound = min(1.5 + 5.0 * achieved, ceiling(spec.space, spec.variant)) + SWEEP_SLACK

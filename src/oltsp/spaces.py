@@ -5,7 +5,9 @@ rings, flowers (rings plus a stem glued at one point), and general
 finite metrics given by a distance matrix.  Each space knows its origin,
 puts each point in one canonical form (``canon``), computes exact
 shortest-path distances between points, and can move a point a given
-distance along a canonical geodesic toward a target.
+distance along a canonical geodesic toward a target.  From a numpy
+``Generator`` it draws a random point (``random_point``) and a point at
+distance >= min(needed, cap) from x with that cap (``far_point``).
 
 Point encodings are space specific:
   Line      float coordinate
@@ -60,6 +62,13 @@ class Line:
             return a + t
         return a - t
 
+    def random_point(self, rng) -> float:
+        return float(rng.uniform(-2, 2))
+
+    def far_point(self, x: float, needed: float, rng):
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        return x + sign * (needed + 1.0), math.inf
+
     def validate(self) -> list[str]:
         return []
 
@@ -100,6 +109,14 @@ class Euclid2D:
             return a
         f = t / d
         return (a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1]))
+
+    def random_point(self, rng):
+        return (float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
+
+    def far_point(self, x, needed: float, rng):
+        ang = float(rng.uniform(0, 2 * math.pi))
+        r = needed + 1.0
+        return (x[0] + r * math.cos(ang), x[1] + r * math.sin(ang)), math.inf
 
     def validate(self) -> list[str]:
         return []
@@ -145,6 +162,12 @@ class Ring:
             return self.canon(a + t)
         return self.canon(a - t)
 
+    def random_point(self, rng) -> float:
+        return float(rng.uniform(0, self.circumference))
+
+    def far_point(self, x: float, needed: float, rng):
+        return self.canon(x + self.circumference / 2.0), self.circumference / 2.0
+
     def validate(self) -> list[str]:
         if not (0 < self.circumference < math.inf):
             return ["circumference must be positive and finite"]
@@ -172,6 +195,7 @@ class Tree:
     """
 
     edges: list[tuple[int, int, float]]
+    kind = "tree"
     # caches filled from ``edges``; equality and repr ignore them
     _parent: dict = field(init=False, repr=False, compare=False)
     _children: dict = field(init=False, repr=False, compare=False)
@@ -334,6 +358,17 @@ class Tree:
         step = t if nb == u else -t
         return self.canon((ei, start + step))
 
+    def random_point(self, rng):
+        ei = int(rng.integers(0, len(self.edges)))
+        return self.canon((ei, float(rng.uniform(0, self.edges[ei][2]))))
+
+    def far_point(self, x, needed: float, rng):
+        for ei, (u, v, ln) in enumerate(self.edges):
+            if math.isinf(ln):
+                return (ei, self.distance(x, self.node_point(u)) + needed + 1.0), math.inf
+        best = max(map(self.node_point, range(self.n_nodes)), key=lambda p: self.distance(x, p))
+        return best, self.distance(x, best)
+
     def validate(self) -> list[str]:
         errs = []
         seen_children = set()
@@ -450,6 +485,23 @@ class Flower:
         if b[1] <= ln - b[1]:
             return self.canon((b[0], t))
         return self.canon((b[0], ln - t))
+
+    def random_point(self, rng):
+        # a component with probability proportional to its length
+        comps = list(range(len(self.petals))) + (["stem"] if self.stem > 0 else [])
+        lengths = [self.stem if c == "stem" else self.petals[c] for c in comps]
+        total = sum(lengths)
+        k = int(rng.choice(len(comps), p=[ln / total for ln in lengths]))
+        return self.canon((comps[k], float(rng.uniform(0, lengths[k]))))
+
+    def far_point(self, x, needed: float, rng):
+        cands = []
+        if self.stem > 0:
+            cands.append(("stem", self.stem))
+        for k, ln in enumerate(self.petals):
+            cands.append(self.canon((k, (x[1] + ln / 2.0) % ln)) if x[0] == k else (k, ln / 2.0))
+        best = max(cands, key=lambda c: self.distance(x, c))
+        return best, self.distance(x, best)
 
     def validate(self) -> list[str]:
         errs = [f"petal {k} must have positive finite length"
@@ -570,6 +622,13 @@ class General:
         if nb == aa:
             return self.canon((aa, bb, t))
         return self.canon((aa, bb, self.matrix[aa][bb] - t))
+
+    def random_point(self, rng) -> int:
+        return int(rng.integers(0, self.n))
+
+    def far_point(self, x, needed: float, rng):
+        best = max(range(self.n), key=lambda s: self.distance(x, s))
+        return best, self.distance(x, best)
 
     def validate(self) -> list[str]:
         m, n = self.matrix, self.n

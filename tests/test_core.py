@@ -23,7 +23,7 @@ from oltsp.core import (
 from oltsp.engine import LaSwagPolicy
 from oltsp.fixtures import smoothness_lb_space
 from oltsp.offline import eval_serving_order, opt_bruteforce
-from oltsp.spaces import Euclid2D, Line, Ring, SpaceError, Tree
+from oltsp.spaces import Euclid2D, Flower, General, Line, Ring, SpaceError, Tree
 
 from conftest import random_point, random_space
 
@@ -468,6 +468,20 @@ def test_validate_unknown_kind_is_an_input_error(tmp_path, capsys):
     path.write_text(json.dumps({"kind": "blob"}))
     assert cli_main(["validate", str(path)]) == 2
     assert "unknown space kind 'blob'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("space, x, match", [
+    pytest.param(Ring(-1.0), 0.5, "circumference", id="ring-negative-circumference"),
+    pytest.param(Tree([(0, 1, 1.0), (0, 1, 2.0)]), (0, 0.5), "multiple parents", id="tree-two-parents"),
+    pytest.param(Flower((-1.0,), 0.0), ("stem", 0.0), "petal 0", id="flower-negative-petal"),
+    pytest.param(General([[0, 1], [2, 0]]), 1, "asymmetry", id="general-asymmetric"),
+])
+def test_library_instance_rejects_an_invalid_space(space, x, match):
+    """A library caller's space is checked as a JSON file's is.  The point
+    lies inside each of these spaces, so only the space check stops them;
+    unchecked, LA-SWAG ran on them and returned a completion time."""
+    with pytest.raises(SpaceError, match="invalid space: .*" + match):
+        Instance(space, [Request(0, x, 1.0)], [x], "closed")
 
 
 def test_float_tree_edge_index_rejected():

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import os
 import random
+import re
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from oltsp.harness import (
     sweep,
     write_report,
 )
-from oltsp.spaces import Tree
+from oltsp.spaces import Tree, space_from_json
 from oltsp.tolerance import ADAPTIVE_MARGIN, FEAS
 
 
@@ -50,6 +52,52 @@ def test_generate_deterministic_bytes():
     assert a == b
     c = [json.dumps(i.to_json(), sort_keys=True) for i in generate(SweepSpec(space="flower", count=6, n=5, seed=10, variant="open"))]
     assert a != c
+
+
+def test_generation_unchanged():
+    """Generated instances and their perturbed predictions, bit for bit:
+    every family and variant, seeds 0-39, etas 0.1 and 2 (clipped), or the
+    error a perturbation raises, are pinned by one sha256."""
+    digest = hashlib.sha256()
+    for family in harness.FAMILIES:
+        for variant in ("closed", "open"):
+            for seed in range(40):
+                inst = generate_one(SweepSpec(space=family, variant=variant, n=6, seed=seed, count=2), 1)
+                digest.update(json.dumps(inst.to_json()).encode())
+                for eta in (0.1, 2.0):
+                    try:
+                        out = perturb_predictions(inst, eta, np.random.default_rng([seed, 1]), clip=True)
+                        digest.update(json.dumps(out.to_json()).encode())
+                    except ValueError as exc:
+                        digest.update(repr(exc).encode())
+    assert digest.hexdigest() == "19b1a556986e50f1523656db96e7db8e10538cffb2ca4123fd767e24b5015bec"
+
+
+@pytest.mark.parametrize("family", list(harness.FAMILIES))
+def test_family_row_conforms(family):
+    """Each ``FAMILIES`` row names a space class of that kind whose random
+    spaces are valid and round-trip through JSON, whose random points lie
+    inside them, and whose far points keep ``far_point``'s contract: a
+    point inside, at distance >= min(needed, cap) from x.  A family added
+    to the table but not to a class, or the reverse, fails here."""
+    row = harness.FAMILIES[family]
+    assert row.space.kind == family
+    rng = np.random.default_rng(5)
+    spec = SweepSpec(space=family, n=4)
+    for _ in range(30):
+        space = row.draw(rng, spec)
+        assert type(space) is row.space and space.validate() == []
+        assert space_from_json(space.to_json()) == space
+        for needed in (0.01, 0.7, 5.0):
+            x = space.random_point(rng)
+            assert space.contains(x)
+            p, cap = space.far_point(x, needed, rng)
+            assert space.contains(p)
+            assert space.distance(x, p) >= min(needed, cap) - FEAS
+    # a sweep spec takes exactly the family names
+    assert SweepSpec.from_json({"space": family}).space == family
+    with pytest.raises(ValueError, match=re.escape(f"must be one of {list(harness.FAMILIES)}")):
+        SweepSpec.from_json({"space": family.upper()})
 
 
 def test_generate_tree_leaf_cap():
@@ -293,11 +341,19 @@ def test_cli_sweep_reports_violations_and_skips(tmp_path, monkeypatch, capsys):
 
 
 def test_ceilings():
-    assert ceiling("tree", "closed") == 2.5
-    assert ceiling("euclid2d", "closed") == 2.5
-    assert ceiling("general", "closed") == 2.75
-    assert ceiling("tree", "open") == pytest.approx(8 / 3)
-    assert ceiling("ring", "open") == pytest.approx(3 - 1 / 6)
+    """Every family and variant, exactly: the sweep's violation bound reads
+    these values."""
+    want = {
+        ("line", "closed"): 2.5, ("line", "open"): 3.0 - 1.0 / 3.0,
+        ("euclid2d", "closed"): 2.5, ("euclid2d", "open"): 3.0 - 1.0 / 6.0,
+        ("tree", "closed"): 2.5, ("tree", "open"): 3.0 - 1.0 / 3.0,
+        ("ring", "closed"): 2.75, ("ring", "open"): 3.0 - 1.0 / 6.0,
+        ("flower", "closed"): 2.75, ("flower", "open"): 3.0 - 1.0 / 6.0,
+        ("general", "closed"): 2.75, ("general", "open"): 3.0 - 1.0 / 6.0,
+    }
+    assert {(f, v): ceiling(f, v) for f in harness.FAMILIES for v in ("closed", "open")} == want
+    with pytest.raises(KeyError):
+        ceiling("bogus", "closed")
 
 
 # -- CLI ---------------------------------------------------------------------

@@ -49,6 +49,16 @@ def test_identity_distance_zero():
         assert sp.distance(p, p) == pytest.approx(0.0, abs=TOL)
 
 
+def test_tree_far_point_runs_out_an_unbounded_edge():
+    """On a tree with an unbounded leaf edge, the far point lies on that edge
+    past ``needed``, with no cap; without one it is the farthest node."""
+    x = (0, 0.5)
+    p, cap = Tree([(0, 1, 1.0), (1, 2, math.inf)]).far_point(x, 3.0, None)
+    assert (p, cap) == ((1, 0.5 + 3.0 + 1.0), math.inf)
+    tree = Tree([(0, 1, 1.0), (1, 2, 2.0), (0, 3, 2.5)])
+    assert tree.far_point(x, 9.0, None) == ((2, 2.5), 3.0)
+
+
 def test_line_and_ring_move():
     assert Line().move_along(0.0, 3.0, 1.0) == pytest.approx(1.0)
     r = Ring(1.0)
