@@ -33,11 +33,7 @@ def _witness(scored):
     among equal lengths, or None.  ``scored`` pairs each oracle entry's
     released fraction with it.  With the released set frozen, both start
     conditions first hold at half its length."""
-    best = None
-    for alpha, e in scored:
-        if alpha >= _HALF and (best is None or (e.length, e.perm) < (best.length, best.perm)):
-            best = e
-    return best
+    return min((e for alpha, e in scored if alpha >= _HALF), key=lambda e: (e.length, e.perm), default=None)
 
 
 def _minimizer(scored):

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .core import Instance, Request, run_adaptive
-from .engine import EngineConfig, LaSwagPolicy, la_swag_policy
+from .engine import LaSwagPolicy, la_swag_policy
 from .offline import eval_serving_order, opt_bruteforce, shortest_serving_path_length
 from .spaces import General, Line, Ring
 from .tolerance import ADAPTIVE_MARGIN, FEAS, STATIC_MARGIN, TIE
@@ -35,6 +35,21 @@ def _mk_report(name, params, alg, opt, expected, comparison, margin) -> FixtureR
     return FixtureReport(name, params, alg, opt, ratio, expected, comparison, passed)
 
 
+def _static(name, instance, expected, comparison="==", params=None) -> FixtureReport:
+    """LA-SWAG on a fixed instance against its brute-force optimum."""
+    alg = la_swag_policy(instance).completion_time
+    opt = opt_bruteforce(instance).length
+    return _mk_report(name, params or {}, alg, opt, expected, comparison, STATIC_MARGIN)
+
+
+def _adaptive(name, params, adversary, opt, expected) -> FixtureReport:
+    """LA-SWAG against a release-time adversary; ``opt`` prices the
+    instance the adversary realized."""
+    policy = LaSwagPolicy(adversary.space, adversary.predictions, adversary.variant)
+    result, inst = run_adaptive(adversary, policy)
+    return _mk_report(name, params, result.completion_time, opt(inst), expected, ">=", ADAPTIVE_MARGIN)
+
+
 # ---------------------------------------------------------------------------
 # Static line fixtures
 # ---------------------------------------------------------------------------
@@ -42,32 +57,21 @@ def _mk_report(name, params, alg, opt, expected, comparison, margin) -> FixtureR
 def remark_2_5_closed_line() -> FixtureReport:
     """Two requests on the line with predictions at the wrong end: the
     server is lured to -1 and pays ratio exactly 2.5 (closed)."""
-    inst = Instance(
-        Line(),
-        [Request(0, 1.0, 1.0), Request(1, 0.0, 2.0)],
-        [0.0, -1.0],
-        "closed",
-    )
-    alg = la_swag_policy(inst).completion_time
-    opt = opt_bruteforce(inst).length
-    return _mk_report("remark_2_5_closed_line", {}, alg, opt, 2.5, "==", STATIC_MARGIN)
+    inst = Instance(Line(), [Request(0, 1.0, 1.0), Request(1, 0.0, 2.0)], [0.0, -1.0], "closed")
+    return _static("remark_2_5_closed_line", inst, 2.5)
 
 
 def remark_8_3_open_line() -> FixtureReport:
     """One request predicted at -1 but appearing at 1.5: ratio 8/3 (open)."""
     inst = Instance(Line(), [Request(0, 1.5, 1.5)], [-1.0], "open")
-    alg = la_swag_policy(inst).completion_time
-    opt = opt_bruteforce(inst).length
-    return _mk_report("remark_8_3_open_line", {}, alg, opt, 8.0 / 3.0, "==", STATIC_MARGIN)
+    return _static("remark_8_3_open_line", inst, 8.0 / 3.0)
 
 
 def ring_consistency_lb() -> FixtureReport:
     """Perfect-prediction witness on the ring: a single request at the
     antipode released at 0.5 forces ratio exactly 3/2."""
     inst = Instance(Ring(1.0), [Request(0, 0.5, 0.5)], [0.5], "closed")
-    alg = la_swag_policy(inst).completion_time
-    opt = opt_bruteforce(inst).length
-    return _mk_report("ring_consistency_lb", {}, alg, opt, 1.5, "==", STATIC_MARGIN)
+    return _static("ring_consistency_lb", inst, 1.5)
 
 
 def tradeoff_open_line(lam: float = 0.5) -> FixtureReport:
@@ -78,10 +82,7 @@ def tradeoff_open_line(lam: float = 0.5) -> FixtureReport:
     sitting exactly on that boundary.
     """
     inst = Instance(Line(), [Request(0, 1.0, 1.0)], [-1.0], "open")
-    alg = la_swag_policy(inst).completion_time
-    opt = opt_bruteforce(inst).length
-    return _mk_report("tradeoff_open_line", {"lambda": lam}, alg, opt, 2.0 + lam, ">=",
-                      STATIC_MARGIN)
+    return _static("tradeoff_open_line", inst, 2.0 + lam, ">=", {"lambda": lam})
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +176,8 @@ def smoothness_lb_graph(eta: float = 0.2) -> FixtureReport:
     if problems:
         raise ValueError(f"smoothness_lb_graph: eta={eta!r} gives eps={eps!r} and no metric "
                          f"({len(problems)} problems, the first: {problems[0]})")
-    policy = LaSwagPolicy(adv.space, adv.predictions, adv.variant, EngineConfig(oracle="general"))
-    result, inst = run_adaptive(adv, policy)
-    opt = opt_bruteforce(inst).length
-    expected = 1.5 + eta / 2.0
-    return _mk_report(
-        "smoothness_lb_graph", {"eta": eta, "eps": eps},
-        result.completion_time, opt, expected, ">=", ADAPTIVE_MARGIN,
-    )
+    return _adaptive("smoothness_lb_graph", {"eta": eta, "eps": eps}, adv,
+                     lambda inst: opt_bruteforce(inst).length, 1.5 + eta / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +317,8 @@ def _line_opt(inst: Instance) -> float:
 
 
 def open_lb_line_adversary(grid: int = 21) -> FixtureReport:
-    adv = LineReleaseAdversary(grid)
-    policy = LaSwagPolicy(adv.space, adv.predictions, adv.variant, EngineConfig(oracle="tree"))
-    result, inst = run_adaptive(adv, policy)
-    opt = _line_opt(inst)
-    return _mk_report(
-        "open_lb_line_adversary", {"grid": grid},
-        result.completion_time, opt, OPEN_LINE_LB, ">=", ADAPTIVE_MARGIN,
-    )
+    return _adaptive("open_lb_line_adversary", {"grid": grid}, LineReleaseAdversary(grid),
+                     _line_opt, OPEN_LINE_LB)
 
 
 FIXTURES = {

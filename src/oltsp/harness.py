@@ -195,12 +195,10 @@ def perturb_predictions(instance: Instance, target_eta: float, rng=None,
     xs = instance.locations()
     weights = np.asarray(rng.uniform(0.5, 1.0, instance.n))
     want = (delta * weights / weights.sum()).tolist()
-    anchors, caps = [], []
-    for x, w in zip(xs, want):
-        a, cap = space.far_point(x, w + 1.0, rng)
-        anchors.append(a)
-        caps.append(min(cap, space.distance(x, a)))
-    # waterfill the residual over uncapped requests
+    anchors = [space.far_point(x, w + 1.0, rng) for x, w in zip(xs, want)]
+    # each request moves at most to its anchor; waterfill the residual over
+    # the requests below that cap
+    caps = [space.distance(x, a) for x, a in zip(xs, anchors)]
     dist = [min(w, c) for w, c in zip(want, caps)]
     for _ in range(4):
         residual = delta - sum(dist)

@@ -213,14 +213,12 @@ def _segment_price(s: float, positions: list[float], end) -> tuple[float, bool]:
 
 def _segment_walk(s: float, req: list[tuple[float, Any]], left: bool) -> list:
     """Keys of ``req`` in the serving order of a line walk from ``s`` that
-    sweeps left first (``left``) or right first."""
-    if left:
-        lo = sorted((p, k) for p, k in req if p <= s)[::-1]
-        hi = sorted((p, k) for p, k in req if p > s)
-        return [k for _, k in lo] + [k for _, k in hi]
-    hi = sorted((p, k) for p, k in req if p >= s)
-    lo = sorted((p, k) for p, k in req if p < s)[::-1]
-    return [k for _, k in hi] + [k for _, k in lo]
+    sweeps left first (``left``) or right first: each side outward from
+    ``s``, the first side with ``s`` itself, co-located keys smaller first."""
+    d = -1.0 if left else 1.0
+    first = sorted((d * p, k) for p, k in req if d * p >= d * s)
+    then = sorted((-d * p, k) for p, k in req if d * p < d * s)
+    return [k for _, k in first + then]
 
 
 def segment_cover(s: float, req: list[tuple[float, Any]], end) -> tuple[float, list]:
@@ -275,12 +273,12 @@ def _ring_price(C: float, s: float, positions: list[float], end) -> tuple[float,
 
 def _ring_walk(C: float, s: float, req: list[tuple[float, Any]], cut: float | None, left: bool) -> list:
     """Keys of ``req`` in the serving order of the ring walk that
-    :func:`_ring_price` priced: the full loop from ``s`` when ``cut`` is
-    None, else the segment unrolled at ``cut`` and swept as ``left`` says."""
+    :func:`_ring_price` priced: the segment unrolled at ``cut`` and swept
+    as ``left`` says, or for the full loop (``cut`` None) unrolled at ``s``
+    and swept forward."""
     s = s % C
     if cut is None:
-        req = [(p % C, k) for p, k in req]
-        return [k for _, k in sorted(req, key=lambda r: ((r[0] - s) % C, _id_key(r[1])))]
+        cut, left = s, False
     return _segment_walk((s - cut) % C, [((p % C - cut) % C, k) for p, k in req], left)
 
 

@@ -6,8 +6,9 @@ finite metrics given by a distance matrix.  Each space knows its origin,
 puts each point in one canonical form (``canon``), computes exact
 shortest-path distances between points, and can move a point a given
 distance along a canonical geodesic toward a target.  From a numpy
-``Generator`` it draws a random point (``random_point``) and a point at
-distance >= min(needed, cap) from x with that cap (``far_point``).
+``Generator`` it draws a random point (``random_point``) and a point far
+from x (``far_point``): at distance >= needed where the space runs that
+far, else at least as far as any point ``random_point`` draws.
 
 Point encodings are space specific:
   Line      float coordinate
@@ -67,7 +68,7 @@ class Line:
 
     def far_point(self, x: float, needed: float, rng):
         sign = 1.0 if rng.random() < 0.5 else -1.0
-        return x + sign * (needed + 1.0), math.inf
+        return x + sign * (needed + 1.0)
 
     def validate(self) -> list[str]:
         return []
@@ -116,7 +117,7 @@ class Euclid2D:
     def far_point(self, x, needed: float, rng):
         ang = float(rng.uniform(0, 2 * math.pi))
         r = needed + 1.0
-        return (x[0] + r * math.cos(ang), x[1] + r * math.sin(ang)), math.inf
+        return (x[0] + r * math.cos(ang), x[1] + r * math.sin(ang))
 
     def validate(self) -> list[str]:
         return []
@@ -166,7 +167,7 @@ class Ring:
         return float(rng.uniform(0, self.circumference))
 
     def far_point(self, x: float, needed: float, rng):
-        return self.canon(x + self.circumference / 2.0), self.circumference / 2.0
+        return self.canon(x + self.circumference / 2.0)
 
     def validate(self) -> list[str]:
         if not (0 < self.circumference < math.inf):
@@ -365,9 +366,8 @@ class Tree:
     def far_point(self, x, needed: float, rng):
         for ei, (u, v, ln) in enumerate(self.edges):
             if math.isinf(ln):
-                return (ei, self.distance(x, self.node_point(u)) + needed + 1.0), math.inf
-        best = max(map(self.node_point, range(self.n_nodes)), key=lambda p: self.distance(x, p))
-        return best, self.distance(x, best)
+                return (ei, self.distance(x, self.node_point(u)) + needed + 1.0)
+        return max(map(self.node_point, range(self.n_nodes)), key=lambda p: self.distance(x, p))
 
     def validate(self) -> list[str]:
         errs = []
@@ -500,8 +500,7 @@ class Flower:
             cands.append(("stem", self.stem))
         for k, ln in enumerate(self.petals):
             cands.append(self.canon((k, (x[1] + ln / 2.0) % ln)) if x[0] == k else (k, ln / 2.0))
-        best = max(cands, key=lambda c: self.distance(x, c))
-        return best, self.distance(x, best)
+        return max(cands, key=lambda c: self.distance(x, c))
 
     def validate(self) -> list[str]:
         errs = [f"petal {k} must have positive finite length"
@@ -627,8 +626,7 @@ class General:
         return int(rng.integers(0, self.n))
 
     def far_point(self, x, needed: float, rng):
-        best = max(range(self.n), key=lambda s: self.distance(x, s))
-        return best, self.distance(x, best)
+        return max(range(self.n), key=lambda s: self.distance(x, s))
 
     def validate(self) -> list[str]:
         m, n = self.matrix, self.n

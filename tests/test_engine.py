@@ -237,10 +237,10 @@ _TRAJECTORY_DIGESTS = {
     ("line", "open"): "647219177926538b83f425fe16a960dcfac3470a0c6c1327138297017e0909a9",
     ("tree", "closed"): "52400691f359758f03dd38dc4d93252cc92676c70d0687ad2a787a367c5780cf",
     ("tree", "open"): "77fa2825170b7e8727eb1891769df5020bab1bf62a36679e83607714b82a78ec",
-    ("ring", "closed"): "6afc4e65cbe8825451c29ff94a8f26de1a94e3e6a1ea99a7116fdb01444badf2",
-    ("ring", "open"): "e9ad677672590fd5d44ac9766e6df332835e07a702c223a49d27879ae44400a4",
-    ("flower", "closed"): "ac5e1f4dcef24a6ba39bf15d7c64ca7a1a3a6fe6dbf9fd75bf4435d194262e22",
-    ("flower", "open"): "a8899dd247b1cab57626d9b59585d937d070e246c44aaaa8ecc0da2af5ccd309",
+    ("ring", "closed"): "7696ad32b0c4d567b9d7f4c5eb6961405e0de2ea3e04a4b719168572d302c197",
+    ("ring", "open"): "65f725bddc765a94432ea008fca4ba6681ecc8b10d64204d93f7793037a0b4ef",
+    ("flower", "closed"): "10c85a1506db36ed7480c8083e68e9cf956217a47012ecade7f76dca51bc8fa8",
+    ("flower", "open"): "913c9e2e4c293be257a1f5b4827fb85d0b349133dc39af6de2486bf8cbd2454b",
     ("general", "closed"): "0d6b16082c97719a4e76a822b369df8d2dd69ebf5657511b426560ee1da0460b",
     ("general", "open"): "57356eb05c3dc7ba51bb398d2d2dc93ab6dc7201f8c380e4f9a364d503ab7958",
     ("euclid2d", "closed"): "d14c25ef182bb297986f62f5aa37bb5ad682ee1f49f83721dbd45b963996d9f5",

@@ -77,9 +77,11 @@ def test_generation_unchanged():
 def test_family_row_conforms(family):
     """Each ``FAMILIES`` row names a space class of that kind whose random
     spaces are valid and round-trip through JSON, whose random points lie
-    inside them, and whose far points keep ``far_point``'s contract: a
-    point inside, at distance >= min(needed, cap) from x.  A family added
-    to the table but not to a class, or the reverse, fails here."""
+    inside them, and whose far points keep the contract perturbation rests
+    on: a point inside, at distance >= needed from x on the unbounded line
+    and plane, and elsewhere at least as far from x as every random point.
+    A family added to the table but not to a class, or the reverse, fails
+    here."""
     row = harness.FAMILIES[family]
     assert row.space.kind == family
     rng = np.random.default_rng(5)
@@ -91,9 +93,13 @@ def test_family_row_conforms(family):
         for needed in (0.01, 0.7, 5.0):
             x = space.random_point(rng)
             assert space.contains(x)
-            p, cap = space.far_point(x, needed, rng)
+            p = space.far_point(x, needed, rng)
             assert space.contains(p)
-            assert space.distance(x, p) >= min(needed, cap) - FEAS
+            if family in ("line", "euclid2d"):
+                assert space.distance(x, p) >= needed
+            else:
+                farthest = max(space.distance(x, space.random_point(rng)) for _ in range(50))
+                assert space.distance(x, p) >= farthest - FEAS
     # a sweep spec takes exactly the family names
     assert SweepSpec.from_json({"space": family}).space == family
     with pytest.raises(ValueError, match=re.escape(f"must be one of {list(harness.FAMILIES)}")):
@@ -489,6 +495,11 @@ def test_sweep_spec_rejected_at_the_boundary(field, value, tmp_path):
     assert cli_main(["sweep", str(spec), "-o", str(tmp_path / "sweep.csv")]) == 2
     assert cli_main(["gen", str(spec), "-o", str(tmp_path / "insts")]) == 2
     assert not os.path.exists(tmp_path / "sweep.csv")
+
+
+def test_sweep_spec_must_be_an_object():
+    with pytest.raises(ValueError, match="a sweep spec is a JSON object"):
+        SweepSpec.from_json([1])
 
 
 def test_cli_run_swag_needs_perfect_predictions(tmp_path, capsys):

@@ -26,6 +26,7 @@ from oltsp.offline import (
     opt_bruteforce,
     ring_cover,
     ring_tsp,
+    segment_cover,
     shortest_serving_path_length,
     solve_classical,
     tree_index_for,
@@ -392,6 +393,45 @@ def test_co_located_items_served_by_id():
     # the full loop (every gap under half the circle) serves them the same way
     loop = ring_cover(1.0, 0.0, [(0.5, 10), (0.5, 2), (0.25, 11), (0.75, 12)], CLOSED)
     assert loop == (1.0, [11, 2, 10, 12])
+
+
+# Co-located pairs listed larger id first: every walk serves each pair
+# smaller id first, on either side of its start and in either direction.
+
+@pytest.mark.parametrize("end", [CLOSED, FREE, 0.5])
+@pytest.mark.parametrize("near", [-1.0, 1.0])
+def test_segment_cover_serves_co_located_ids_smaller_first(end, near):
+    req = [(near, 10), (near, 2), (-2.0 * near, 11), (-2.0 * near, 3)]
+    # the closed walk and this point end sweep left first, the free walk
+    # the near side first (right first when near is 1.0)
+    near_first = end == FREE or near < 0
+    assert segment_cover(0.0, req, end)[1] == ([2, 10, 3, 11] if near_first else [3, 11, 2, 10])
+
+
+@pytest.mark.parametrize("req, end, want", [
+    # a cut swept left first: 3.5 lies just left of the start
+    ([(1.0, 10), (1.0, 2), (3.5, 11), (3.5, 3)], CLOSED, [3, 11, 2, 10]),
+    # a cut swept right first
+    ([(0.5, 10), (0.5, 2), (3.0, 11), (3.0, 3)], FREE, [2, 10, 3, 11]),
+    # every gap a quarter of the circle: the full loop
+    ([(1.0, 10), (1.0, 2), (3.0, 11), (3.0, 3), (2.0, 12), (2.0, 4)], CLOSED, [2, 10, 4, 12, 3, 11]),
+], ids=["cut-left-first", "cut-right-first", "full-loop"])
+def test_ring_cover_serves_co_located_ids_smaller_first(req, end, want):
+    assert ring_cover(4.0, 0.0, req, end)[1] == want
+
+
+def test_flower_cover_serves_co_located_ids_smaller_first():
+    """A stem leg swept toward the origin, then a petal cut swept left
+    first (1.5 lies left of the origin on a petal of length 2)."""
+    flower = Flower((2.0,), 1.0)
+    req = [(("stem", 0.3), 10), (("stem", 0.3), 2), ((0, 1.5), 12), ((0, 1.5), 4),
+           ((0, 0.4), 11), ((0, 0.4), 3)]
+    assert flower_cover(flower, ("stem", 0.8), req, flower.origin())[1] == [2, 10, 4, 12, 3, 11]
+
+
+def test_tree_index_needs_a_tree_shaped_space():
+    with pytest.raises(TypeError, match="not a tree-shaped space"):
+        tree_index_for(Ring(1.0), {})
 
 
 @pytest.mark.parametrize("kind,solver", [("tree", tree_tsp), ("ring", ring_tsp), ("flower", flower_tsp)])

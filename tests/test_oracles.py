@@ -171,6 +171,11 @@ def test_tree_batch_line_partition_size():
     assert o.batches[0].batch_size <= 3 * 4
 
 
+def test_make_oracle_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown oracle kind 'bogus'"):
+        make_oracle(Line(), [1.0], "closed", "bogus")
+
+
 def test_tree_all_released_single():
     o = make_oracle(Line(), [1.0, -1.0], "closed", "tree")
     o.step(0.0, {0, 1})
@@ -400,10 +405,10 @@ _BATCH_DIGESTS = {
     ("line", "open"): "0b27d965e40dbbeed4eb35509a478d1705d795d53cddc5264c1f441f289a0a37",
     ("tree", "closed"): "f874946446b2aa49c5bad81caa04a94877b6fe0a03e2b04fca4c9a6333be4e83",
     ("tree", "open"): "6f75eeadd123def2a7c5981d469a52d14ea5230031e598adad7db71c7da5fc8e",
-    ("ring", "closed"): "b491c2a5915d186d79dab095cd40cdc751441f242e1d0f00ab6f4abcc6df79fb",
-    ("ring", "open"): "d433a8a57fc174dc716439f426ce23e99325bd71278145a2a564f24282d22f59",
-    ("flower", "closed"): "9fc34e3f27ecea212d66809df2b9800196048feb713b723ea25c62262b3b2382",
-    ("flower", "open"): "01a5610f10da0e5f94ce6c03222a0b00a6c99fa418646ddbc1a04f52259e4c5f",
+    ("ring", "closed"): "df07ed37f7226c56e193c58e2eae93322c364454e77b59dbcb01d5efb60cb41e",
+    ("ring", "open"): "b612e6e3154ba58dba870326c74d828a1ae3c7052c96cfd6f8a16cfb30fa3fdf",
+    ("flower", "closed"): "7256c4cfcee51f78b0c4e0448447a2af50c24bd2a74a6be577457c15ff6122d4",
+    ("flower", "open"): "3180a76c045ffb16629ccdb386682e86b4c038cf59248e600808ce09a9052f45",
     ("general", "closed"): "a0063b946a96f6f4ad84e41b10ea216da6690ec07c21e205f48034066851b79e",
     ("general", "open"): "51cccb53fa6ac2ba2af7d35f1e846844faa3818562121bca4109496f86a4a3bb",
     ("euclid2d", "closed"): "a3c68318f95a55016594b7f3d331c64b3328a3848c491654bd8d3897997a37be",

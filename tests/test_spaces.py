@@ -51,12 +51,12 @@ def test_identity_distance_zero():
 
 def test_tree_far_point_runs_out_an_unbounded_edge():
     """On a tree with an unbounded leaf edge, the far point lies on that edge
-    past ``needed``, with no cap; without one it is the farthest node."""
+    past ``needed``; without one it is the farthest node."""
     x = (0, 0.5)
-    p, cap = Tree([(0, 1, 1.0), (1, 2, math.inf)]).far_point(x, 3.0, None)
-    assert (p, cap) == ((1, 0.5 + 3.0 + 1.0), math.inf)
+    assert Tree([(0, 1, 1.0), (1, 2, math.inf)]).far_point(x, 3.0, None) == (1, 0.5 + 3.0 + 1.0)
     tree = Tree([(0, 1, 1.0), (1, 2, 2.0), (0, 3, 2.5)])
-    assert tree.far_point(x, 9.0, None) == ((2, 2.5), 3.0)
+    assert tree.far_point(x, 9.0, None) == (2, 2.5)
+    assert tree.distance(x, (2, 2.5)) == 3.0
 
 
 def test_line_and_ring_move():
@@ -164,6 +164,18 @@ def test_validate_general():
     assert ok.validate() == []
     bad = General([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
     assert any("triangle" in v for v in bad.validate())
+
+
+def test_malformed_descriptors_are_named():
+    with pytest.raises(SpaceError, match="malformed field 'circumference'"):
+        space_from_json({"kind": "ring", "circumference": "abc"})
+    assert Flower((1.0,), -0.5).validate() == ["stem length must be nonnegative"]
+
+
+def test_general_sites_round_trip():
+    g = General([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]], ["O", "A", "B"])
+    assert g.to_json()["sites"] == ["O", "A", "B"]
+    assert space_from_json(g.to_json()) == g
 
 
 def test_validate_random_planar_metrics():
