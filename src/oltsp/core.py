@@ -8,6 +8,7 @@ are computed in closed form.
 """
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 from dataclasses import dataclass
@@ -51,18 +52,23 @@ class Instance:
 
     def __post_init__(self):
         _check_space(self.space)
-        if len(self.predictions) != len(self.requests):
-            raise ValueError("one prediction per request is required")
+        self._check_predictions()
         if self.variant not in ("open", "closed"):
             raise ValueError(f"bad variant {self.variant!r}")
-        contains = self.space.contains
-        for i, (r, p) in enumerate(zip(self.requests, self.predictions)):
-            if not contains(r.location):
+        for i, r in enumerate(self.requests):
+            if r.id != i:
+                raise ValueError(f"request {i}: id {r.id!r} is not its position {i}")
+            if not self.space.contains(r.location):
                 raise SpaceError(f"request {i}: location {r.location!r} is outside the space")
-            if not contains(p):
-                raise SpaceError(f"request {i}: prediction {p!r} is outside the space")
             if not (math.isfinite(r.release) and r.release >= 0):
                 raise ValueError(f"request {i}: release {r.release!r} must be finite and >= 0")
+
+    def _check_predictions(self):
+        if len(self.predictions) != len(self.requests):
+            raise ValueError("one prediction per request is required")
+        for i, p in enumerate(self.predictions):
+            if not self.space.contains(p):
+                raise SpaceError(f"request {i}: prediction {p!r} is outside the space")
 
     @property
     def origin(self):
@@ -76,7 +82,11 @@ class Instance:
         return [r.location for r in self.requests]
 
     def with_predictions(self, predictions) -> "Instance":
-        return Instance(self.space, self.requests, list(predictions), self.variant)
+        """This instance with other predictions; only they are checked."""
+        out = copy.copy(self)
+        out.predictions = list(predictions)
+        out._check_predictions()
+        return out
 
     def perfect(self) -> "Instance":
         return self.with_predictions(self.locations())

@@ -214,6 +214,13 @@ class LineReleaseAdversary:
             sim.emit_release(i, self.grid[i], t)
             self.released_ids.add(i)
 
+    def _release_rest(self, sim, side) -> None:
+        """Release each remaining request, at x, at 2 + side * x: one wave from ``side``."""
+        for i, x in enumerate(self.grid):
+            if i not in self.released_ids:
+                self._emit(sim, [i], 2.0 + side * x)
+        self.phase = 3
+
     def _next_wave(self, t):
         times = [2.0 - abs(self.grid[i]) for i in range(self.n)
                  if i not in self.released_ids and 2.0 - abs(self.grid[i]) > t + TIE]
@@ -252,13 +259,8 @@ class LineReleaseAdversary:
             self.sign = 1.0 if s >= 0 else -1.0
             if abs(s) >= 1.0 - self.delta - TIE:
                 # single sweep from the far end
-                for i, x in enumerate(self.grid):
-                    if i not in self.released_ids:
-                        self._emit(sim, [i], 2.0 + self.sign * x)
-                self.phase = 3
-                return None
+                return self._release_rest(sim, self.sign)
             self.phase = 1
-            self._emit(sim, self._due(sim.now), sim.now)
             # fall through to phase-1 monitoring
         if self.phase == 1:
             self._emit(sim, self._due(sim.now), sim.now)
@@ -269,11 +271,7 @@ class LineReleaseAdversary:
                 self.mu = self.sign * s2
                 if self.t0 >= 3.0 * self.lam - 3.0 - FEAS:
                     # release the middle as one continuing wave
-                    for i, x in enumerate(self.grid):
-                        if i not in self.released_ids:
-                            self._emit(sim, [i], 2.0 + self.mu * x)
-                    self.phase = 3
-                    return None
+                    return self._release_rest(sim, self.mu)
                 # hold back the request closest to the front on the mu side
                 cands = [i for i in range(self.n) if i not in self.released_ids]
                 self.D_id = max(cands, key=lambda i: self.mu * self.grid[i])

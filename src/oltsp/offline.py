@@ -748,10 +748,9 @@ def _finish(D: np.ndarray, rel: np.ndarray, closed: bool, row: int, t: float, id
     One popcount layer per numpy step, with a loop's float ``+``, ``min``
     and ``max``."""
     m = len(ids)
-    full = m == len(rel)  # every request: views, not gathers
-    rows = slice(1, None) if full else np.array(ids) + 1
-    legs = D[rows, rows] if full else D[rows[:, None], rows]  # legs[i, j]: request ids[i] to ids[j]
-    r = rel if full else rel[ids]
+    rows = np.array(ids) + 1
+    legs = D[rows[:, None], rows]  # legs[i, j]: request ids[i] to ids[j]
+    r = rel[ids]
     # f[S, j]: earliest time at ids[j] having served the set S; inf where j
     # is not in S.  np.maximum(a, r) returns r when a == r, as ``a if a > r
     # else r`` does, so the sign of a zero ``a`` never counts.

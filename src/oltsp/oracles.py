@@ -347,10 +347,10 @@ class FlowerOracle(DominationOracle):
     """Petal-state dominators.  For each final qf, pivot q and set ``done``
     of petals that host a released request, the petals in ``done`` are
     looped first: forward, except q's own, looped toward q's half.  A scan
-    over the leaves of the star left by snipping the other petals follows.
-    It ends at q (tree); or at the origin, then walks q's kept petal either
-    way up to q (arc) or around it (late loop, when qf shares that petal);
-    or, when q's petal is in ``done``, at the origin."""
+    over the leaves of one star, reading only the other petals' requests,
+    follows.  It ends at q (tree); or at the origin, then walks q's kept
+    petal either way up to q (arc) or around it (late loop, when qf shares
+    that petal); or, when q's petal is in ``done``, at the origin."""
 
     def __init__(self, space: Flower, predictions, variant):
         super().__init__(space, predictions, variant)
@@ -365,24 +365,16 @@ class FlowerOracle(DominationOracle):
         self._petal_order = {k: {d: sorted((i for i in self.ids if self.loc[i][0] == k),
                                            key=lambda i: (d * self.loc[i][1], i)) for d in (1, -1)}
                              for k in petals}
-        # the star left by snipping every petal outside ``kept``, for each
-        # set of kept petals that host a prediction
-        self._snipped = {frozenset(kept): self._snip_index(frozenset(kept)) for kept in _subsets(petals)}
+        # the star of every petal snipped at its antipode: the stem arm, then
+        # each petal's forward and backward half, with the requests on them
+        self.idx = star_index([[(off, i) for i, (a, off) in enumerate(self._arm) if a == arm]
+                               for arm in ["stem", *((k, d) for k in petals for d in (1, -1))]])
+        # for each set of kept petals, the requests a scan reads: those off them
+        self._scanned = {frozenset(kept): frozenset(i for i in self.ids if self.loc[i][0] not in kept)
+                         for kept in _subsets(petals)}
         # the clean-ups' leg table, kept for the oracle's lifetime: every
         # clean-up prices and walks each leg once
         self._legs: dict = {}
-
-    def _snip_index(self, kept: frozenset) -> TreeIndex:
-        """The stem arm, then each petal outside ``kept`` as its forward and
-        its backward half, with the requests on them."""
-        arms: dict = {"stem": []}
-        for k in range(len(self.flower.petals)):
-            if k not in kept:
-                arms[k, 1], arms[k, -1] = [], []
-        for i, (arm, off) in enumerate(self._arm):
-            if arm in arms:
-                arms[arm].append((off, i))
-        return star_index(list(arms.values()))
 
     def _cover(self, qid, rest, end) -> list[int]:
         # in id order: the cover's split ties go to the first one it tries
@@ -392,6 +384,7 @@ class FlowerOracle(DominationOracle):
         return flower_cover(self.flower, start, items, end_pt, self._legs)[1]
 
     def _batch(self, released: frozenset) -> list[tuple]:
+        idx, node_of = self.idx, self.idx.node_of
         unrel = sorted(self.ids - released)
         loopable = sorted({self.loc[i][0] for i in released} - {"stem"})
         leaves: dict[tuple, list[int]] = {}  # (kept, root) -> maximal released nodes
@@ -417,22 +410,21 @@ class FlowerOracle(DominationOracle):
                             [i for i in fwd if self.loc[i][1] <= qo + TIE],
                             [i for i in bwd if self.loc[i][1] >= qo - TIE], *late]]
                     for kept, at_q, walk in options:
-                        idx = self._snipped[kept]
-                        root = idx.node_of.get(qf, 0)
+                        on = self._scanned[kept]
+                        root = node_of[qf] if qf in on else 0
                         if at_q:
                             # only the deepest unreleased request per branch
                             # can be the first unreleased of a sensible order
                             key = (kept, qf, q == qf)
                             if key not in tops:
-                                unrel_nodes = {v for i, v in idx.node_of.items()
+                                unrel_nodes = {node_of[i] for i in on
                                                if i not in released and (i != qf or q == qf)}
                                 tops[key] = idx.maximal_nodes(unrel_nodes, root)
-                            qnode = idx.node_of[q]
+                            qnode = node_of[q]
                             if qnode not in tops[key]:
                                 continue
                         if (kept, root) not in leaves:
-                            leaves[kept, root] = idx.maximal_nodes(
-                                {idx.node_of[i] for i in released if i in idx.node_of}, root)
+                            leaves[kept, root] = idx.maximal_nodes({node_of[i] for i in released & on}, root)
                         for chosen in _subsets(leaves[kept, root]):
                             nodes, end = (chosen + (qnode,), qnode) if at_q else (chosen, CLOSED)
                             order = idx.cover_order(0, nodes, end) if nodes else []

@@ -21,7 +21,8 @@ candidate per step, the reference for ``offline.exact_path``;
 oracle's batch afresh at each step, each head from a table of its own
 pivot's, the reference for ``GeneralOracle._batch``;
 ``flower_batch_by_variants`` builds a flower oracle's batch one approach
-at a time, the reference for ``FlowerOracle._batch``;
+at a time, each set of kept petals scanning its own snipped index, the
+reference for ``FlowerOracle._batch``;
 ``path_cover_by_dfs``, ``span_by_counts`` and ``maximal_nodes_by_walk``
 recompute a ``TreeIndex``'s adjacency, counts and rerooted parents on
 every call, the reference for its per-index tables.
@@ -30,7 +31,10 @@ contracts it, the reference for ``spaces.trim_tree``;
 ``tree_index_by_round_trip`` and ``snipped_index_by_round_trip`` build a
 line's, a tree's or a snipped flower's whole tree (``line_tree``,
 ``snip_flower``) and turn each item's tree point back into its node, the
-reference for ``offline.star_index`` and ``offline.tree_index_for``.
+reference for ``offline.star_index`` and ``offline.tree_index_for``;
+``snipped_index_by_round_trip`` is also the reference for the star that
+``FlowerOracle`` scans and, per set of kept petals, for the requests a
+scan reads and the index ``flower_batch_by_variants`` scans.
 """
 from __future__ import annotations
 
@@ -662,9 +666,17 @@ def flower_batch_by_variants(oracle, released: frozenset) -> list[tuple]:
     """``FlowerOracle._batch`` as one call per (final, pivot, looped petals,
     approach), each rebuilding its petal loop orders and its maximal
     unreleased nodes, with the after-loop direction of q's own petal read
-    from the oracle's ``_arm``."""
+    from the oracle's ``_arm``.  Each set of kept petals scans its own
+    index of the requests off them, built by
+    ``snipped_index_by_round_trip``."""
     comp = [p[0] for p in oracle.loc]
     off = [p[1] for p in oracle.loc]
+    indexes: dict = {}
+
+    def snipped(kept):
+        if kept not in indexes:
+            indexes[kept] = snipped_index_by_round_trip(oracle.flower, oracle.loc, kept)
+        return indexes[kept]
 
     def subsets(items):
         return [tuple(x for j, x in enumerate(items) if mask >> j & 1) for mask in range(1 << len(items))]
@@ -675,7 +687,7 @@ def flower_batch_by_variants(oracle, released: frozenset) -> list[tuple]:
     def variants(loop_pool, q, qf, approach, kept, direction):
         qc = comp[q]
         done = sorted(k for k in kept if k != qc or approach == "after_loop")
-        idx = oracle._snipped[kept]
+        idx = snipped(kept)
         root_node = idx.node_of[qf] if qf is not None and qf in idx.node_of else 0
         if approach == "tree":
             unrel_nodes = {idx.node_of[i] for i in idx.node_of if i not in released and (i != qf or i == q)}

@@ -142,6 +142,12 @@ def test_prediction_error_values():
     assert prediction_error(inst) == pytest.approx(0.5 / 2.0)
 
 
+def test_prediction_error_is_zero_when_every_request_is_at_the_origin():
+    # F = 0, so no error is measured, however far the prediction is
+    inst = Instance(Line(), [Request(0, 0.0, 1.0)], [1.0], "closed")
+    assert prediction_error(inst) == 0.0
+
+
 def test_prediction_error_smoothness_graph():
     for eps in (0.1, 0.3, 0.5):
         sp = smoothness_lb_space(eps)
@@ -332,6 +338,18 @@ def test_instance_rejects_bad_arity_and_variant():
         Instance(Line(), [Request(0, 1.0, 0.0)], [], "open")
     with pytest.raises(ValueError, match="bad variant 'loop'"):
         Instance(Line(), [Request(0, 1.0, 0.0)], [1.0], "loop")
+
+
+@pytest.mark.parametrize("ids, match", [
+    ([5], "request 0: id 5 is not its position 0"),
+    ([0, 0], "request 1: id 0 is not its position 1"),
+], ids=["wrong", "duplicate"])
+def test_instance_rejects_a_request_id_off_its_position(ids, match):
+    """A request's id is its position.  Unchecked, a wrong id was priced
+    by OPT and failed late in LA-SWAG, and a duplicate failed only inside
+    the simulation."""
+    with pytest.raises(ValueError, match=match):
+        Instance(Line(), [Request(i, 1.0, 0.0) for i in ids], [1.0] * len(ids), "closed")
 
 
 class _ServeThenFinish:

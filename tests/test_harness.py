@@ -3,17 +3,23 @@ import json
 import os
 import random
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from oltsp import harness
 from oltsp.cli import main as cli_main
-from oltsp.core import Instance, prediction_error, run_adaptive
+from oltsp.core import Instance, Request, follow_route, prediction_error, run_adaptive
 from oltsp.engine import EngineConfig, la_swag
 from oltsp.fixtures import (
+    _A,
+    _B,
+    _C,
+    _E,
     OPEN_LINE_LB,
     LineReleaseAdversary,
+    SmoothnessAdversary,
     _line_opt,
     open_lb_line_adversary,
     remark_2_5_closed_line,
@@ -35,7 +41,8 @@ from oltsp.harness import (
     sweep,
     write_report,
 )
-from oltsp.spaces import Tree, space_from_json
+from oltsp.offline import opt_bruteforce
+from oltsp.spaces import General, Line, SpaceError, Tree, space_from_json
 from oltsp.tolerance import ADAPTIVE_MARGIN, FEAS
 
 
@@ -207,6 +214,27 @@ def test_adversarial_predictions_change_predictions():
     assert moved > 0
 
 
+def test_adversarial_predictions_leave_an_empty_instance_unchanged():
+    inst = Instance(Line(), [], [], "closed")
+    assert adversarial_predictions(inst, np.random.default_rng(7)) is inst
+
+
+def test_new_predictions_are_checked_without_the_space(monkeypatch):
+    """``with_predictions`` and ``perfect`` check only the predictions: a
+    general space's O(n^3) validation ran once per copy before."""
+    inst = generate_one(SweepSpec(space="general", count=1, n=6, seed=3), 0)
+    calls = []
+    real = General.validate
+    monkeypatch.setattr(General, "validate", lambda self: calls.append(1) or real(self))
+    out = perturb_predictions(inst, 0.25, np.random.default_rng(3))
+    assert out.predictions != inst.predictions and inst.perfect().predictions == inst.locations()
+    assert calls == []
+    with pytest.raises(SpaceError, match="request 1: prediction 99 is outside the space"):
+        inst.with_predictions([0, 99] + inst.predictions[2:])
+    with pytest.raises(ValueError, match="one prediction per request"):
+        inst.with_predictions(inst.predictions[1:])
+
+
 # -- fixtures ----------------------------------------------------------------
 
 def test_fixture_remark_25():
@@ -272,6 +300,48 @@ def test_line_adversary_bound_holds_for_scripted_policies():
             phase_2 += adversary.D_id is not None
             far_end += adversary.t0 is None
     assert phase_2 and far_end
+
+
+def test_line_opt_certificate_fails_off_the_adversary_instances():
+    # OPT is 4 (reach -1 at 1, wait until 2, then cross to +1), and neither
+    # lower bound reaches it: the path is 3, the last release 2
+    inst = Instance(Line(), [Request(0, 1.0, 2.0), Request(1, -1.0, 2.0)], [1.0, -1.0], "open")
+    assert opt_bruteforce(inst).length == 4.0
+    with pytest.raises(RuntimeError, match="line optimum certificate failed"):
+        _line_opt(inst)
+
+
+def test_line_adversary_crossing_within_the_current_leg_only():
+    """The wave front |x| = (2 - t) - delta meets a server leaving 0 at t = 1
+    rightward at t = (3 - delta) / 2: found when the leg lasts that long,
+    None when the leg arrives first."""
+    adversary = LineReleaseAdversary(21)
+    tau = (3.0 - adversary.delta) / 2.0
+    sim = SimpleNamespace(pos=0.0, now=1.0, current_leg=(0.0, 1.0, 2.0, 3.0))
+    assert adversary._crossing(sim) == pytest.approx(tau)
+    sim.current_leg = (0.0, 1.0, tau - 1.05, tau - 0.05)
+    assert adversary._crossing(sim) is None
+
+
+class _Route:
+    def __init__(self, route):
+        self.route = route
+
+    def decide(self, sim):
+        return follow_route(sim, self.route)
+
+
+@pytest.mark.parametrize("stops, site", [([_A], _C), ([_A, _C], _E)], ids=["waits-at-A", "enters-the-C-path"])
+def test_smoothness_adversary_when_the_server_heads_to_A(stops, site):
+    """A server at A at t = 1 sees the request predicted at B released
+    first.  The second drops on the inner site of the path the server is
+    not on at t = 2 - eps: C when it waits at A, E once it is on the
+    C-path."""
+    adversary = SmoothnessAdversary(0.2)
+    route = [(None, x) for x in stops] + [(0, stops[-1]), (0, None), (1, None)]
+    _, inst = run_adaptive(adversary, _Route(route))
+    assert adversary.far == _B
+    assert [(r.location, r.release) for r in inst.requests] == [(site, pytest.approx(1.8)), (_B, 1.0)]
 
 
 def test_fixture_unknown():

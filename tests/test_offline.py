@@ -269,10 +269,10 @@ def test_tree_tsp_serves_points_closer_than_the_tolerance():
 
 
 def _snipped_indexes(rng):
-    """The flower oracle's snipped indexes over a random flower."""
+    """The flower oracle's star index over a random flower."""
     flower = random_flower(rng, 3)
     preds = [random_point(flower, rng) for _ in range(6)]
-    return list(FlowerOracle(flower, preds, "closed")._snipped.values())
+    return [FlowerOracle(flower, preds, "closed").idx]
 
 
 def test_tree_index_numbers_parents_first():
@@ -337,9 +337,11 @@ def test_star_indexes_match_round_trip_reference():
                 half = flower.petals[k] / 2
                 preds.append((k, rng.choice([half, half - 5e-13, half + 5e-13, round(rng.uniform(0, 2 * half), 6)])))
         preds = [p for p in preds if flower.contains(p)]
-        for kept, idx in FlowerOracle(flower, preds, "closed")._snipped.items():
-            assert _index_tables(idx) == _index_tables(
-                snipped_index_by_round_trip(flower, preds, kept)), (flower, preds, kept)
+        oracle = FlowerOracle(flower, preds, "closed")
+        assert _index_tables(oracle.idx) == _index_tables(
+            snipped_index_by_round_trip(flower, preds, ())), (flower, preds)
+        for kept, on in oracle._scanned.items():
+            assert on == set(snipped_index_by_round_trip(flower, preds, kept).node_of), (flower, preds, kept)
 
 
 def test_tree_index_tables_match_reference():

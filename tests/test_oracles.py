@@ -526,10 +526,10 @@ def test_flower_batches_match_variants_reference(variant):
 
 
 def test_flower_finds_maximal_nodes_once(monkeypatch):
-    """Within one step, each snipped index is asked for its maximal
-    released nodes at most once per (kept petals, root), and for its
-    maximal unreleased nodes at most once per (kept petals, final, pivot
-    is the final)."""
+    """Within one step, the star index is asked for the maximal released
+    nodes a scan reads at most once per (kept petals, root), and for the
+    maximal unreleased ones at most once per (kept petals, final, pivot is
+    the final)."""
     calls: Counter = Counter()
     real = TreeIndex.maximal_nodes
 
@@ -547,15 +547,16 @@ def test_flower_finds_maximal_nodes_once(monkeypatch):
         calls.clear()
         oracle.step(float(t), released)
         allowed: Counter = Counter()
-        for kept, idx in oracle._snipped.items():
-            rel_nodes = frozenset(v for i, v in idx.node_of.items() if i in released)
+        idx = oracle.idx
+        for kept, on in oracle._scanned.items():
+            rel_nodes = frozenset(idx.node_of[i] for i in on if i in released)
             roots = set()
             for qf in [None, *range(n)]:
-                root = idx.node_of.get(qf, 0)
+                root = idx.node_of[qf] if qf in on else 0
                 roots.add(root)
                 is_final = oracle.ids - released == {qf}
                 allowed[id(idx), root, frozenset(
-                    v for i, v in idx.node_of.items() if i not in released and (i != qf or is_final))] += 1
+                    idx.node_of[i] for i in on if i not in released and (i != qf or is_final))] += 1
             for root in roots:
                 allowed[id(idx), root, rel_nodes] += 1
         assert calls and calls <= allowed, t

@@ -148,6 +148,40 @@ def test_move_along_out_of_range():
         Line().move_along(0.0, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("space, p", [
+    (Euclid2D(), (0.3, -0.4)),
+    (Tree([(0, 1, 1.0), (1, 2, 2.0)]), (1, 0.5)),
+    (Flower((2.0,), 1.0), (0, 0.5)),
+], ids=["euclid2d", "tree", "flower"])
+def test_move_along_in_place_returns_the_point(space, p):
+    assert space.move_along(p, p, 0.0) == p
+
+
+def test_contains_rejects_points_off_the_space():
+    tree = Tree([(0, 1, 1.0)])
+    assert tree.contains((0, 0.5))
+    assert not tree.contains((0.0, 0.5))  # the edge index is no int
+    assert not tree.contains((1, 0.5))  # no edge 1
+    flower = Flower((2.0,), 1.0)
+    assert flower.contains((0, 0.5))
+    assert not flower.contains((1, 0.5))  # no petal 1
+    general = General([[0.0, 1.0], [1.0, 0.0]])
+    assert general.contains((0, 1, 0.5))
+    assert not general.contains((0, 1))  # neither a site nor a segment point
+
+
+def test_general_scaled_scales_a_segment_offset():
+    scaled, f = General([[0.0, 1.0], [1.0, 0.0]]).scaled(2.0)
+    assert f((0, 1, 0.25)) == (0, 1, 0.5)
+    assert f(1) == 1
+    assert scaled.matrix == [[0.0, 2.0], [2.0, 0.0]]
+
+
+def test_point_from_json_needs_a_known_space():
+    with pytest.raises(SpaceError, match="point: 1.0 is not a"):
+        point_from_json(object(), 1.0)
+
+
 def test_scale_covariance():
     rng = random.Random(9)
     for kind in KINDS:
@@ -280,24 +314,26 @@ def test_trim_matches_contraction_reference():
         assert [trimmed.node_point(v) for v in nodes] == ref_points, (tree, pts)
 
 
-def _snipped(flower, predictions, kept):
-    return FlowerOracle(flower, predictions, "closed")._snipped[frozenset(kept)]
+def _snipped(flower, predictions):
+    return FlowerOracle(flower, predictions, "closed").idx
 
 
 def test_snip_single_petal():
     # one prediction at each half's tip, the second within SNAP of it
     fl = Flower((2.0,), 0.0)
-    idx = _snipped(fl, [(0, 1.0), (0, 1.0 + 5e-13)], kept=())
-    assert set(idx.node_of) == {0, 1}  # nothing on a kept petal
+    idx = _snipped(fl, [(0, 1.0), (0, 1.0 + 5e-13)])
+    assert set(idx.node_of) == {0, 1}
     lens = sorted(idx.plen[1:])
     assert lens == [1.0, 1.0]
 
 
 def test_snip_keep_all():
     fl = Flower((2.0, 1.0), 0.5)
-    idx = _snipped(fl, [(0, 0.7), (1, 0.2), ("stem", 0.5)], kept=(0, 1))
-    assert set(idx.node_of) == {2}  # only the stem request is on the tree
-    assert len(idx.tree.edges) == 1 and idx.tree.edges[0][2] == pytest.approx(0.5)
+    oracle = FlowerOracle(fl, [(0, 0.7), (1, 0.2), ("stem", 0.5)], "closed")
+    # with both petals kept, a scan reads only the stem request
+    assert oracle._scanned[frozenset({0, 1})] == {2}
+    idx = oracle.idx
+    assert idx.par[idx.node_of[2]] == 0 and idx.plen[idx.node_of[2]] == pytest.approx(0.5)
 
 
 def test_snip_preserves_origin_distances():
@@ -305,7 +341,7 @@ def test_snip_preserves_origin_distances():
     for _ in range(25):
         fl = random_flower(rng)
         pts = [random_point(fl, rng) for _ in range(5)]
-        idx = _snipped(fl, pts, kept=())
+        idx = _snipped(fl, pts)
         for i, p in enumerate(pts):
             assert i in idx.node_of
             assert idx.tree.depth(idx.node_of[i]) == pytest.approx(fl.to_origin(p), abs=1e-9)
