@@ -149,13 +149,24 @@ class RouteStats:
         self.reach = reach  # distance travelled when arriving at each stop
         self.length = total
 
-    def alpha_released(self, released) -> float:
-        if self.length <= FEAS:
+    def first_unreleased(self, released, k: int = 0) -> int:
+        """Position of the first request of ``perm`` from position ``k`` on
+        that is not in ``released``, or ``len(perm)`` if there is none."""
+        perm = self.perm
+        for k in range(k, len(perm)):
+            if perm[k] not in released:
+                return k
+        return len(perm)
+
+    def alpha_at(self, k: int) -> float:
+        """Released fraction when position ``k`` holds the first unreleased
+        request (``len(perm)``: none)."""
+        if self.length <= FEAS or k == len(self.perm):
             return 1.0
-        for k, i in enumerate(self.perm):
-            if i not in released:
-                return self.reach[k] / self.length
-        return 1.0
+        return self.reach[k] / self.length
+
+    def alpha_released(self, released) -> float:
+        return self.alpha_at(self.first_unreleased(released))
 
 
 def route_stats(instance: Instance, perm) -> RouteStats:

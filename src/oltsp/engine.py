@@ -5,7 +5,9 @@ and fall back to an exact cleanup once everything is released.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, replace
+from itertools import islice
 
 from .core import BREAK_RULE, Instance, RunResult, Simulation, follow_route, simulate
 from .offline import FREE, PathQuery, solve_classical
@@ -73,9 +75,15 @@ class LaSwagPolicy:
         self.start: StartDecision | None = None
         self.route: list = []
         self._home = [(None, space.origin())] if variant == "closed" else []
-        # the last plan's (released count, entry count) and its scored entries
-        self._scored_for: tuple = ()
-        self._scored: list = []
+        # the oracle's entries in insertion order; per entry, its released
+        # fraction and its cursor, the position of its first unreleased
+        # request (-1 before its first scoring); and, by request id, the
+        # entries whose cursor is on that request
+        self._entries: list = []
+        self._alpha: list[float] = []
+        self._cursor: list[int] = []
+        self._waiting: defaultdict[int, list[int]] = defaultdict(list)
+        self._released: frozenset = frozenset()
 
     # -- helpers -------------------------------------------------------------
 
@@ -88,22 +96,37 @@ class LaSwagPolicy:
         self.route = [(unserved[j].id, None) for j in order] + self._home
         self.phase = "cleanup"
 
+    def _advance(self, js, released: frozenset) -> None:
+        """Move each entry of ``js`` on to its first unreleased request
+        past its cursor, score it there and file it under that request."""
+        entries, alpha, cursor, waiting = self._entries, self._alpha, self._cursor, self._waiting
+        for j in js:
+            e = entries[j]
+            k = cursor[j] = e.first_unreleased(released, cursor[j] + 1)
+            alpha[j] = e.alpha_at(k)
+            if k < len(e.perm):
+                waiting[e.perm[k]].append(j)
+
     def _plan(self, sim: Simulation):
         released = frozenset(sim.released)
         self.oracle.step(sim.now, released)  # a repeat query adds nothing
-        # each entry's released fraction, kept while neither the released
-        # set nor the entries change (they grow only, so counts tell)
-        key = (len(released), len(self.oracle.entries))
-        if key != self._scored_for:
-            self._scored_for = key
-            self._scored = [(e.alpha_released(released), e) for e in self.oracle.entries.values()]
-        scored = self._scored
-        sigma0 = _witness(scored)
+        # a release moves on only the entries waiting on it; a new entry is
+        # scored once, as it arrives (the entries only grow, in order)
+        for i in released - self._released:
+            self._advance(self._waiting.pop(i, ()), released)
+        self._released = released
+        old = len(self._entries)
+        self._entries += islice(self.oracle.entries.values(), old, None)
+        grown = len(self._entries) - old
+        self._alpha += [0.0] * grown
+        self._cursor += [-1] * grown
+        self._advance(range(old, len(self._entries)), released)
+        sigma0 = _witness(zip(self._alpha, self._entries))
         if sigma0 is None:
             return ("wait", None)
         if sigma0.length / 2.0 > sim.now + TIE:
             return ("wait", sigma0.length / 2.0)
-        sigma1 = _minimizer(scored)
+        sigma1 = _minimizer(zip(self._alpha, self._entries))
         self.start = StartDecision(sim.now, sigma0.perm, sigma1)
         self.route = [stop for r in sigma1 for stop in ((r, self.predictions[r]), (r, None))]
         self.route += self._home

@@ -310,8 +310,8 @@ class TreeIndex:
     neighbours, ascending, at construction; and per root, on its first
     use, the tree rerooted there (parents, and the depth-first preorder
     with children ascending, with each subtree's slice of it).  Each
-    covering walk that :meth:`cover_order` finds is kept for the index's
-    lifetime as well.
+    covering walk that :meth:`cover_order` finds, and each item walk that
+    :meth:`walk_items` reads, is kept for the index's lifetime as well.
     """
 
     def __init__(self, tree: Tree, node_of_item: dict[Any, int]):
@@ -338,6 +338,7 @@ class TreeIndex:
             items.sort(key=_id_key)
         self._roots: dict[int, tuple[list[int], list[int], list[int], list[int]]] = {}
         self._walks: dict[tuple, list[int]] = {}
+        self._item_walks: dict[tuple[int, int], list] = {}
 
     def _rooted(self, root: int) -> tuple[list[int], list[int], list[int], list[int]]:
         """The tree rerooted at ``root``: parents, the preorder with children
@@ -453,6 +454,16 @@ class TreeIndex:
             walk += pre[stop[toward]:stop[x]]
         walk += pre[first[e]:stop[e]]
         return walk
+
+    def walk_items(self, s: int, e: int) -> list:
+        """Every item, by its node's place in :meth:`walk_order` from ``s``
+        to ``e`` (at one node, in ``items_at`` order), found on the first
+        request and read back after."""
+        items = self._item_walks.get((s, e))
+        if items is None:
+            items_at = self.items_at
+            items = self._item_walks[s, e] = [item for v in self.walk_order(s, e) for item in items_at[v]]
+        return items
 
 
 def star_index(arms) -> TreeIndex:

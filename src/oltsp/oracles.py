@@ -228,12 +228,10 @@ class TreeOracle(DominationOracle):
         node_of = self.idx.node_of
         start = 0 if qid is None else node_of[qid]
         if end == FREE:  # the walk ends at its span's farthest node
-            order = self.idx.cover_order(start, {node_of[i] for i in rest}, FREE)
-        else:
-            # rest's nodes lie on the walk's span, which the whole tree's
-            # walk order visits in the walk's own order: no span needed
-            order = self.idx.walk_order(start, 0 if end == CLOSED else node_of[end])
-        return _emit(self.idx, order, rest)
+            return _emit(self.idx, self.idx.cover_order(start, {node_of[i] for i in rest}, FREE), rest)
+        # rest's nodes lie on the walk's span, which the whole tree's walk
+        # order visits in the walk's own order: no span needed
+        return [i for i in self.idx.walk_items(start, 0 if end == CLOSED else node_of[end]) if i in rest]
 
     def _batch(self, released: frozenset) -> list[tuple]:
         return self._tree_batch(self.idx, released)

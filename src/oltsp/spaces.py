@@ -723,6 +723,8 @@ def point_from_json(space: Space, obj, what: str = "point") -> Any:
     """Decode a point.  A malformed one raises SpaceError naming ``what``.
     One outside the space comes back as decoded, not snapped onto the
     space, so that a containment check still rejects it."""
+    if not isinstance(space, (Line, Ring, Euclid2D, Tree, Flower, General)):
+        raise SpaceError("unknown space")
     try:
         if isinstance(space, (Line, Ring)):
             return float(obj)
@@ -736,8 +738,6 @@ def point_from_json(space: Space, obj, what: str = "point") -> Any:
             if isinstance(obj, int):
                 return obj
             p = (int(obj[0]), int(obj[1]), float(obj[2]))
-        else:
-            raise SpaceError("unknown space")
     except (TypeError, ValueError, IndexError):
         raise SpaceError(f"{what}: {obj!r} is not a {type(space).__name__} point") from None
     return space.canon(p) if space.contains(p) else p

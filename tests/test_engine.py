@@ -5,7 +5,7 @@ import random
 import pytest
 
 from oltsp.core import FollowOrderPolicy, Instance, Request, route_stats, simulate
-from oltsp.engine import EngineConfig, LaSwagPolicy, la_swag, la_swag_policy, swag_policy
+from oltsp.engine import EngineConfig, LaSwagPolicy, _minimizer, _witness, la_swag, la_swag_policy, swag_policy
 from oltsp.offline import opt_bruteforce
 from oltsp.oracles import make_oracle
 from oltsp.spaces import Euclid2D, Flower, Line, Ring, Tree
@@ -209,6 +209,47 @@ def test_unbounded_leaf_edges():
     res = la_swag_policy(inst)
     opt = opt_bruteforce(inst).length
     assert res.completion_time <= 1.5 * opt + 1e-9
+
+
+# -- incremental scores --------------------------------------------------------
+
+class _RescoringPolicy(LaSwagPolicy):
+    """LA-SWAG that, after each plan, checks its kept scores against every
+    oracle entry scored afresh over the released set."""
+
+    plans = 0
+
+    def _plan(self, sim):
+        act = super()._plan(sim)
+        released = frozenset(sim.released)
+        entries = list(self.oracle.entries.values())
+        ref = [(e.alpha_released(released), e) for e in entries]
+        assert self._entries == entries
+        assert [a.hex() for a in self._alpha] == [a.hex() for a, _ in ref]
+        assert _witness(zip(self._alpha, self._entries)) is _witness(ref)
+        assert _minimizer(zip(self._alpha, self._entries)) == _minimizer(ref)
+        if act is None:
+            assert (self.start.sigma0, self.start.sigma1) == (_witness(ref).perm, _minimizer(ref))
+        _RescoringPolicy.plans += 1
+        return act
+
+
+@pytest.mark.parametrize("family, variant", [(f, v) for f in ("line", "tree", "ring", "flower", "general", "euclid2d")
+                                             for v in ("closed", "open")])
+def test_incremental_scores_match_rescoring(family, variant):
+    """At every plan on the pinned pools, with perfect and shifted
+    predictions and the breaking rule on and off, the policy's scores (kept
+    per entry and moved only by the releases it waits on) equal each
+    entry's ``alpha_released`` bit for bit, in entry order, and pick the
+    same sigma0 and sigma1."""
+    _RescoringPolicy.plans = 0
+    for space, locs, rels in pin_pool(family, variant):
+        reqs = [Request(i, x, t) for i, (x, t) in enumerate(zip(locs, rels))]
+        for preds in (locs, locs[1:] + locs[:1]):
+            inst = Instance(space, reqs, list(preds), variant)
+            for rule in (True, False):
+                simulate(inst, _RescoringPolicy(space, inst.predictions, variant, EngineConfig(breaking_rule=rule)))
+    assert _RescoringPolicy.plans > 0
 
 
 # -- pinned trajectories -----------------------------------------------------

@@ -7,9 +7,9 @@ from collections import Counter
 import pytest
 
 from oltsp import offline, oracles
-from oltsp.core import Instance, Request, route_stats, run_adaptive, simulate
+from oltsp.core import Instance, Request, RouteStats, route_stats, run_adaptive, simulate
 from oltsp.engine import EngineConfig, LaSwagPolicy, la_swag
-from oltsp.fixtures import LineReleaseAdversary
+from oltsp.fixtures import LineReleaseAdversary, run_fixture
 from oltsp.harness import SweepSpec, generate_one
 from oltsp.offline import (
     CLOSED,
@@ -444,6 +444,53 @@ def test_line_adversary_batches_unchanged(grid):
     run_adaptive(adversary, policy)
     text = policy.oracle.dump_batches()
     assert hashlib.sha256(text.encode()).hexdigest() == _LINE_ADVERSARY_DIGESTS[grid]
+
+
+@pytest.mark.parametrize("family", ["line", "tree"])
+@pytest.mark.parametrize("variant", ["closed", "open"])
+def test_tree_cleanups_match_node_walk_reference(family, variant):
+    """``TreeOracle._cover`` from the origin and from every request, over
+    random subsets of the requests, to the origin and to every request,
+    equals the items emitted along the whole node walk; to no fixed end it
+    equals the items along ``cover_order``."""
+    rng = random.Random(f"cleanups/{family}/{variant}")
+    for space, locs, _ in pin_pool(family, variant):
+        oracle = make_oracle(space, locs, variant)
+        idx, node_of = oracle.idx, oracle.idx.node_of
+        for qid in [None, *range(len(locs))]:
+            s = 0 if qid is None else node_of[qid]
+            for _ in range(3):
+                rest = frozenset(i for i in range(len(locs)) if rng.random() < 0.6)
+                for end in [CLOSED, *range(len(locs))]:
+                    walk = idx.walk_order(s, 0 if end == CLOSED else node_of[end])
+                    assert oracle._cover(qid, rest, end) == offline._emit(idx, walk, rest)
+                free = idx.cover_order(s, {node_of[i] for i in rest}, FREE) if rest else []
+                assert oracle._cover(qid, rest, FREE) == offline._emit(idx, free, rest)
+
+
+def test_line_adversary_work_counts():
+    """Work done against the grid-41 open line adversary, counted, not
+    timed: covering node walks built, and oracle-entry positions read while
+    scoring released fractions.  Either count rising fails; a fall may
+    lower its pin."""
+    counts = Counter()
+    walk_order, first_unreleased = TreeIndex.walk_order, RouteStats.first_unreleased
+
+    def counted_walk(self, s, e):
+        counts["walks"] += 1
+        return walk_order(self, s, e)
+
+    def counted_first(self, released, k=0):
+        out = first_unreleased(self, released, k)
+        counts["reads"] += min(out + 1, len(self.perm)) - k
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TreeIndex, "walk_order", counted_walk)
+        mp.setattr(RouteStats, "first_unreleased", counted_first)
+        run_fixture("open_lb_line_adversary", grid=41)
+    assert counts["walks"] <= 853
+    assert counts["reads"] <= 29060
 
 
 def _walks_pool(family, variant):
