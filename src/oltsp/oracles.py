@@ -114,7 +114,8 @@ class DominationOracle:
 
     def _cleanup(self, qid: int, rest: frozenset, end) -> list[int]:
         """Serving order of ``rest`` on an optimal walk from request ``qid``
-        to ``end``: CLOSED (the origin), FREE, or a request id."""
+        to ``end``: CLOSED (the origin), FREE, or a request id.  Memoised;
+        the tree oracle, whose index keeps the walks, skips the memo."""
         key = (qid, rest, end)
         hit = self._cleanup_memo.get(key)
         if hit is None:
@@ -129,9 +130,12 @@ class DominationOracle:
     def _tree_batch(self, idx: TreeIndex, released: frozenset) -> list[tuple]:
         """Scan-to-pivot dominators over the tree ``idx``, one set per final
         request: rooted at the origin with no final (closed), or at each
-        request's node with that request pinned last (open)."""
+        request's node with that request pinned last (open).  A scan's
+        released requests depend only on its leaves and pivot node, so each
+        is emitted once per step, and a released final drops its own id."""
         unrel = self.ids - released
         rel_nodes = {idx.node_of[i] for i in released}
+        scans: dict[tuple, list[int]] = {}  # (chosen leaves, pivot node) -> released ids
         out = []
         for qf in [None] if self.variant == "closed" else sorted(self.ids):
             root = 0 if qf is None else idx.node_of[qf]
@@ -139,11 +143,15 @@ class DominationOracle:
             if unrel == {qf}:
                 pivots.append((root, qf))  # the final request is the only unreleased one
             leaves = idx.maximal_nodes(rel_nodes, root)
-            wanted = released - {qf}
             for qnode, q in pivots:
                 for chosen in _subsets(leaves):
-                    order = idx.cover_order(0, chosen + (qnode,), qnode)
-                    out.append(self._dominator(_emit(idx, order, wanted), q, qf))
+                    scan = scans.get((chosen, qnode))
+                    if scan is None:
+                        order = idx.cover_order(0, chosen + (qnode,), qnode)
+                        scan = scans[chosen, qnode] = _emit(idx, order, released)
+                    if qf in released:
+                        scan = [i for i in scan if i != qf]
+                    out.append(self._dominator(scan, q, qf))
         return out
 
 
@@ -232,6 +240,9 @@ class TreeOracle(DominationOracle):
         # rest's nodes lie on the walk's span, which the whole tree's walk
         # order visits in the walk's own order: no span needed
         return [i for i in self.idx.walk_items(start, 0 if end == CLOSED else node_of[end]) if i in rest]
+
+    # the index keeps every walk a clean-up reads, so no memo
+    _cleanup = _cover
 
     def _batch(self, released: frozenset) -> list[tuple]:
         return self._tree_batch(self.idx, released)
@@ -384,8 +395,9 @@ class FlowerOracle(DominationOracle):
     def _batch(self, released: frozenset) -> list[tuple]:
         idx, node_of = self.idx, self.idx.node_of
         unrel = sorted(self.ids - released)
-        loopable = sorted({self.loc[i][0] for i in released} - {"stem"})
-        leaves: dict[tuple, list[int]] = {}  # (kept, root) -> maximal released nodes
+        # every set of looped petals, in binary counting order
+        dones = list(_subsets(sorted({self.loc[i][0] for i in released} - {"stem"})))
+        leaves: dict[tuple, list[tuple]] = {}  # (kept, root) -> subsets of the maximal released nodes
         tops: dict[tuple, list[int]] = {}  # (kept, qf, q is qf) -> maximal unreleased nodes
         out = []
         for qf in [None] if self.variant == "closed" else [None] + sorted(self.ids):
@@ -396,7 +408,7 @@ class FlowerOracle(DominationOracle):
                 if q == qf and len(unrel) > 1:
                     continue
                 (qc, qo), (arm, _) = self.loc[q], self._arm[q]
-                for done in _subsets(loopable):
+                for done in dones:
                     prefix = [i for k in done for i in loops[k, arm[1] if k == qc else 1]]
                     looped = frozenset(done)
                     # (kept petals, scan ends at q, walk along q's petal)
@@ -422,8 +434,9 @@ class FlowerOracle(DominationOracle):
                             if qnode not in tops[key]:
                                 continue
                         if (kept, root) not in leaves:
-                            leaves[kept, root] = idx.maximal_nodes({node_of[i] for i in released & on}, root)
-                        for chosen in _subsets(leaves[kept, root]):
+                            leaves[kept, root] = list(_subsets(
+                                idx.maximal_nodes({node_of[i] for i in released & on}, root)))
+                        for chosen in leaves[kept, root]:
                             nodes, end = (chosen + (qnode,), qnode) if at_q else (chosen, CLOSED)
                             order = idx.cover_order(0, nodes, end) if nodes else []
                             head = list(dict.fromkeys(prefix + _emit(idx, order, pool) + walk))

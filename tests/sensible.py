@@ -20,6 +20,9 @@ candidate per step, the reference for ``offline.exact_path``;
 ``general_batch_by_walks`` walks every head and tail of a general
 oracle's batch afresh at each step, each head from a table of its own
 pivot's, the reference for ``GeneralOracle._batch``;
+``tree_batch_by_finals`` emits every scan of a tree-style batch afresh
+for each guessed final request and cleans up with no memo, the reference
+for ``DominationOracle._tree_batch``;
 ``flower_batch_by_variants`` builds a flower oracle's batch one approach
 at a time, each set of kept petals scanning its own snipped index, the
 reference for ``FlowerOracle._batch``;
@@ -63,6 +66,7 @@ from oltsp.offline import (
     ring_cover,
     segment_cover,
 )
+from oltsp.oracles import _pivots, _subsets
 from oltsp.spaces import TREE_ROOT, Flower, Line, Ring, Space, Tree
 from oltsp.tolerance import TIE
 
@@ -659,6 +663,32 @@ def general_batch_by_walks(oracle, released: frozenset) -> list[tuple]:
             rest = full ^ (1 << u) ^ sum(1 << i for i in sub)
             tail = oracle._tail.walk(u + 1, rest)[1]
             out.append(tuple(head + [u] + tail))
+    return out
+
+
+def tree_batch_by_finals(oracle, idx, released: frozenset) -> list[tuple]:
+    """``DominationOracle._tree_batch`` over ``idx`` with no table shared
+    across finals: for each final request qf it emits every scan against
+    the released requests other than qf, and each dominator's clean-up is
+    the oracle's ``_cover``, with no memo."""
+    unrel = oracle.ids - released
+    rel_nodes = {idx.node_of[i] for i in released}
+    out = []
+    for qf in [None] if oracle.variant == "closed" else sorted(oracle.ids):
+        root = 0 if qf is None else idx.node_of[qf]
+        pivots = _pivots(idx, unrel - {qf}, root)
+        if unrel == {qf}:
+            pivots.append((root, qf))  # the final request is the only unreleased one
+        leaves = idx.maximal_nodes(rel_nodes, root)
+        wanted = released - {qf}
+        pin = [] if qf is None else [qf]
+        end = oracle.end if qf is None else qf
+        for qnode, q in pivots:
+            for chosen in _subsets(leaves):
+                order = idx.cover_order(0, chosen + (qnode,), qnode)
+                prefix = _emit(idx, order, wanted)
+                head = prefix if q == qf else prefix + [q]
+                out.append(tuple(head + oracle._cover(q, oracle.ids.difference(head, pin), end) + pin))
     return out
 
 

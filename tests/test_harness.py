@@ -45,6 +45,8 @@ from oltsp.offline import opt_bruteforce
 from oltsp.spaces import General, Line, SpaceError, Tree, space_from_json
 from oltsp.tolerance import ADAPTIVE_MARGIN, FEAS
 
+from conftest import pin_pool, pin_space, random_point, random_space
+
 
 def test_generate_empty():
     spec = SweepSpec(space="line", count=3, n=0, seed=1)
@@ -111,6 +113,22 @@ def test_family_row_conforms(family):
     assert SweepSpec.from_json({"space": family}).space == family
     with pytest.raises(ValueError, match=re.escape(f"must be one of {list(harness.FAMILIES)}")):
         SweepSpec.from_json({"space": family.upper()})
+
+
+@pytest.mark.parametrize("family", list(harness.FAMILIES))
+def test_test_pools_draw_every_family(family):
+    """The test pools draw every ``FAMILIES`` row: ``conftest.random_space``
+    (with a ``random_point`` on it), ``pin_space``, and both halves of
+    ``pin_pool``, the seeded draws and the fixed grid spaces, give spaces
+    of the row's class.  A family added to the table but not to the
+    pools fails here."""
+    cls = harness.FAMILIES[family].space
+    rng = random.Random(family)
+    space = random_space(family, rng)
+    assert isinstance(space, cls)
+    assert space.contains(random_point(space, rng))
+    assert isinstance(pin_space(family, rng), cls)
+    assert [isinstance(space, cls) for space, _, _ in pin_pool(family, "closed", count=1)] == [True, True]
 
 
 def test_generate_tree_leaf_cap():

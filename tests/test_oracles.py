@@ -38,6 +38,7 @@ from sensible import (
     sensible_ring_perms,
     sensible_tree_open_perms,
     sensible_tree_perms,
+    tree_batch_by_finals,
 )
 from oltsp.spaces import Euclid2D, Flower, General, Line, Ring, Tree
 from oltsp.tolerance import TIE
@@ -468,13 +469,35 @@ def test_tree_cleanups_match_node_walk_reference(family, variant):
                 assert oracle._cover(qid, rest, FREE) == offline._emit(idx, free, rest)
 
 
+@pytest.mark.parametrize("family", ["line", "tree", "ring"])
+@pytest.mark.parametrize("variant", ["closed", "open"])
+def test_tree_batches_match_per_final_reference(family, variant):
+    """Tree-style batches (the whole line and tree batch, the ring's tree
+    part), at every release time of one oracle in turn and then over
+    random released sets, equal perm for perm and in order those that
+    emit each scan afresh for every final request and clean up with no
+    memo."""
+    rng = random.Random(f"tree-batches/{family}/{variant}")
+    for space, locs, rels in pin_pool(family, variant):
+        oracle = make_oracle(space, locs, variant)
+        ref = make_oracle(space, locs, variant)
+        ref._tree_batch = lambda idx, released, ref=ref: tree_batch_by_finals(ref, idx, released)
+        steps = [frozenset(i for i, r in enumerate(rels) if r <= t) for t in sorted({0.0, *rels})]
+        drawn = [frozenset(i for i in oracle.ids if rng.random() < 0.5) for _ in range(4)]
+        for released in steps + drawn:
+            if released != oracle.ids:
+                assert oracle._batch(released) == ref._batch(released), (space, locs, sorted(released))
+
+
 def test_line_adversary_work_counts():
     """Work done against the grid-41 open line adversary, counted, not
-    timed: covering node walks built, and oracle-entry positions read while
-    scoring released fractions.  Either count rising fails; a fall may
-    lower its pin."""
+    timed: covering node walks built, oracle-entry positions read while
+    scoring released fractions, and the scans and clean-ups a tree oracle
+    emits along node walks, with the nodes they read.  Any count rising
+    fails; a fall may lower its pin."""
     counts = Counter()
     walk_order, first_unreleased = TreeIndex.walk_order, RouteStats.first_unreleased
+    emit = oracles._emit
 
     def counted_walk(self, s, e):
         counts["walks"] += 1
@@ -485,12 +508,20 @@ def test_line_adversary_work_counts():
         counts["reads"] += min(out + 1, len(self.perm)) - k
         return out
 
+    def counted_emit(idx, node_order, wanted):
+        counts["emits"] += 1
+        counts["emitted nodes"] += len(node_order)
+        return emit(idx, node_order, wanted)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(TreeIndex, "walk_order", counted_walk)
         mp.setattr(RouteStats, "first_unreleased", counted_first)
+        mp.setattr(oracles, "_emit", counted_emit)
         run_fixture("open_lb_line_adversary", grid=41)
     assert counts["walks"] <= 853
     assert counts["reads"] <= 29060
+    assert counts["emits"] <= 90
+    assert counts["emitted nodes"] <= 2512
 
 
 def _walks_pool(family, variant):
