@@ -34,7 +34,7 @@ def _cmd_validate(args) -> int:
     return 1 if problems else 0
 
 
-def _input_error(exc: ValueError) -> int:
+def _input_error(exc: Exception) -> int:
     print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
     return 2
 
@@ -137,6 +137,12 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _jobs(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="oltsp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -166,7 +172,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("sweep", help="run a ratio sweep from a spec file")
     p.add_argument("spec")
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("-j", "--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("-j", "--jobs", type=_jobs, default=1, help="worker processes, at least 1")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("gen", help="generate instance files from a spec")
@@ -175,7 +181,10 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_gen)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # an input file that cannot be read, an output path that cannot be written
+        return _input_error(exc)
 
 
 if __name__ == "__main__":

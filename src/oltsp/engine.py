@@ -30,14 +30,6 @@ class StartDecision:
     sigma1: tuple
 
 
-def _witness(scored):
-    """The shortest half-released entry, the lexicographically smallest
-    among equal lengths, or None.  ``scored`` pairs each oracle entry's
-    released fraction with it.  With the released set frozen, both start
-    conditions first hold at half its length."""
-    return min((e for alpha, e in scored if alpha >= _HALF), key=lambda e: (e.length, e.perm), default=None)
-
-
 def _minimizer(scored):
     """argmin (1 - beta) * length.  Ties go to the lexicographically
     largest permutation: that is what makes the worst case of the
@@ -77,13 +69,16 @@ class LaSwagPolicy:
         self._home = [(None, space.origin())] if variant == "closed" else []
         # the oracle's entries in insertion order; per entry, its released
         # fraction and its cursor, the position of its first unreleased
-        # request (-1 before its first scoring); and, by request id, the
-        # entries whose cursor is on that request
+        # request (-1 before its first scoring); by request id, the entries
+        # below alpha 1/2 whose cursor is on that request; and the witness:
+        # the shortest entry at alpha >= 1/2 - TIE, the lexicographically
+        # smallest among equal lengths
         self._entries: list = []
         self._alpha: list[float] = []
         self._cursor: list[int] = []
         self._waiting: defaultdict[int, list[int]] = defaultdict(list)
         self._released: frozenset = frozenset()
+        self._sigma0 = None
 
     # -- helpers -------------------------------------------------------------
 
@@ -97,15 +92,19 @@ class LaSwagPolicy:
         self.phase = "cleanup"
 
     def _advance(self, js, released: frozenset) -> None:
-        """Move each entry of ``js`` on to its first unreleased request
-        past its cursor, score it there and file it under that request."""
+        """Move each entry of ``js`` on to its first unreleased request past
+        its cursor, score it, update the witness and, below alpha 1/2, file
+        it there (alpha only grows, and the policy reads min(alpha, 1/2))."""
         entries, alpha, cursor, waiting = self._entries, self._alpha, self._cursor, self._waiting
         for j in js:
             e = entries[j]
             k = cursor[j] = e.first_unreleased(released, cursor[j] + 1)
-            alpha[j] = e.alpha_at(k)
-            if k < len(e.perm):
+            a = alpha[j] = e.alpha_at(k)
+            if a < 0.5:  # alpha_at is 1 past the last request
                 waiting[e.perm[k]].append(j)
+            w = self._sigma0
+            if a >= _HALF and (w is None or (e.length, e.perm) < (w.length, w.perm)):
+                self._sigma0 = e
 
     def _plan(self, sim: Simulation):
         released = frozenset(sim.released)
@@ -121,10 +120,10 @@ class LaSwagPolicy:
         self._alpha += [0.0] * grown
         self._cursor += [-1] * grown
         self._advance(range(old, len(self._entries)), released)
-        sigma0 = _witness(zip(self._alpha, self._entries))
+        sigma0 = self._sigma0
         if sigma0 is None:
             return ("wait", None)
-        if sigma0.length / 2.0 > sim.now + TIE:
+        if sigma0.length / 2.0 > sim.now + TIE:  # released set frozen, both conditions first hold then
             return ("wait", sigma0.length / 2.0)
         sigma1 = _minimizer(zip(self._alpha, self._entries))
         self.start = StartDecision(sim.now, sigma0.perm, sigma1)

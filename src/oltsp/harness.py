@@ -311,6 +311,8 @@ def _sweep_item(args: tuple[SweepSpec, int]) -> tuple[list[SweepRow], list[str],
 def sweep(spec: SweepSpec, jobs: int = 1) -> tuple[list[SweepRow], list[str], list[str]]:
     """Run the sweep, optionally over a process pool.  Rows come back
     sorted by instance id, so the report is identical for any pool size."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     items = [(spec, idx) for idx in range(spec.count)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

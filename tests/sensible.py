@@ -17,6 +17,8 @@ each candidate walk's legs afresh, the reference for
 ``offline.flower_cover``; ``exact_path_by_loop`` is the
 Held-Karp table in pure Python with a greedy walk that rescans every
 candidate per step, the reference for ``offline.exact_path``;
+``witness_by_scan`` reads every scored oracle entry for the shortest
+half-released one, the reference for ``LaSwagPolicy``'s running witness;
 ``general_batch_by_walks`` walks every head and tail of a general
 oracle's batch afresh at each step, each head from a table of its own
 pivot's, the reference for ``GeneralOracle._batch``;
@@ -50,6 +52,7 @@ from typing import Any
 
 import numpy as np
 
+from oltsp.engine import _HALF
 from oltsp.offline import (
     CLOSED,
     FREE,
@@ -641,6 +644,13 @@ def exact_path_by_loop(D, targets: tuple[int, ...], end) -> PathTableByLoop:
                 row = rows[j]
                 T[base + j] = min([row[t] + T[i] for t, i in subs])
     return PathTableByLoop(D, targets, end, T)
+
+
+def witness_by_scan(scored):
+    """The shortest entry at alpha >= 1/2 - TIE, the lexicographically
+    smallest among equal lengths, or None.  ``scored`` pairs each oracle
+    entry's released fraction with it."""
+    return min((e for alpha, e in scored if alpha >= _HALF), key=lambda e: (e.length, e.perm), default=None)
 
 
 def general_batch_by_walks(oracle, released: frozenset) -> list[tuple]:

@@ -4,13 +4,15 @@ import random
 
 import pytest
 
-from oltsp.core import FollowOrderPolicy, Instance, Request, route_stats, simulate
-from oltsp.engine import EngineConfig, LaSwagPolicy, _minimizer, _witness, la_swag, la_swag_policy, swag_policy
+from oltsp.core import FollowOrderPolicy, Instance, Request, route_stats, run_adaptive, simulate
+from oltsp.engine import EngineConfig, LaSwagPolicy, _minimizer, la_swag, la_swag_policy, swag_policy
+from oltsp.fixtures import LineReleaseAdversary
 from oltsp.offline import opt_bruteforce
 from oltsp.oracles import make_oracle
 from oltsp.spaces import Euclid2D, Flower, Line, Ring, Tree
 
 from conftest import pin_pool, random_point, random_space
+from sensible import witness_by_scan
 
 TOL = 1e-9
 
@@ -225,30 +227,39 @@ class _RescoringPolicy(LaSwagPolicy):
         entries = list(self.oracle.entries.values())
         ref = [(e.alpha_released(released), e) for e in entries]
         assert self._entries == entries
-        assert [a.hex() for a in self._alpha] == [a.hex() for a, _ in ref]
-        assert _witness(zip(self._alpha, self._entries)) is _witness(ref)
+        # an entry at alpha >= 1/2 is no longer moved, so only min(alpha, 1/2) is kept exact
+        assert [min(a, 0.5).hex() for a in self._alpha] == [min(a, 0.5).hex() for a, _ in ref]
+        assert self._sigma0 is witness_by_scan(ref)
         assert _minimizer(zip(self._alpha, self._entries)) == _minimizer(ref)
         if act is None:
-            assert (self.start.sigma0, self.start.sigma1) == (_witness(ref).perm, _minimizer(ref))
+            assert (self.start.sigma0, self.start.sigma1) == (witness_by_scan(ref).perm, _minimizer(ref))
         _RescoringPolicy.plans += 1
         return act
 
 
 @pytest.mark.parametrize("family, variant", [(f, v) for f in ("line", "tree", "ring", "flower", "general", "euclid2d")
-                                             for v in ("closed", "open")])
+                                             for v in ("closed", "open")]
+                         + [("line-adversary", 21), ("line-adversary", 41)])
 def test_incremental_scores_match_rescoring(family, variant):
     """At every plan on the pinned pools, with perfect and shifted
     predictions and the breaking rule on and off, the policy's scores (kept
-    per entry and moved only by the releases it waits on) equal each
-    entry's ``alpha_released`` bit for bit, in entry order, and pick the
-    same sigma0 and sigma1."""
+    per entry and moved only by the releases it waits on, until they reach
+    1/2) equal each entry's ``alpha_released`` capped at 1/2 bit for bit, in
+    entry order, and its running witness and sigma1 are the rescan's.  The
+    line-adversary rows run the adaptive path instead: the open line
+    adversary on a grid of ``variant`` points releases requests in reaction
+    to the server."""
     _RescoringPolicy.plans = 0
-    for space, locs, rels in pin_pool(family, variant):
-        reqs = [Request(i, x, t) for i, (x, t) in enumerate(zip(locs, rels))]
-        for preds in (locs, locs[1:] + locs[:1]):
-            inst = Instance(space, reqs, list(preds), variant)
-            for rule in (True, False):
-                simulate(inst, _RescoringPolicy(space, inst.predictions, variant, EngineConfig(breaking_rule=rule)))
+    if family == "line-adversary":
+        adversary = LineReleaseAdversary(variant)
+        run_adaptive(adversary, _RescoringPolicy(adversary.space, adversary.predictions, adversary.variant))
+    else:
+        for space, locs, rels in pin_pool(family, variant):
+            reqs = [Request(i, x, t) for i, (x, t) in enumerate(zip(locs, rels))]
+            for preds in (locs, locs[1:] + locs[:1]):
+                inst = Instance(space, reqs, list(preds), variant)
+                for rule in (True, False):
+                    simulate(inst, _RescoringPolicy(space, inst.predictions, variant, EngineConfig(breaking_rule=rule)))
     assert _RescoringPolicy.plans > 0
 
 

@@ -637,3 +637,39 @@ def test_cli_fixture_and_sweep(tmp_path):
     assert len(files) == 3
     loaded = Instance.from_json(json.loads((gen_dir / files[0]).read_text()))
     assert loaded.variant in ("open", "closed")
+
+
+_SMALL_SPEC = '{"space": "line", "count": 1, "n": 3, "seed": 2, "eta": [0.0]}'
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "sweep", "gen"])
+def test_cli_file_errors_exit_2(command, tmp_path, capsys):
+    """A missing or unreadable input file, and an output path that cannot
+    be written, is an input error: exit 2 and a named error, no traceback.
+    Exit 1 would read as a violation found for validate and sweep."""
+    for path, error in ((tmp_path / "missing.json", "FileNotFoundError"), (tmp_path, "IsADirectoryError")):
+        assert cli_main([command, str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {error}: ")
+    if command == "validate":
+        return
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(_LINE_THREE) if command == "run" else _SMALL_SPEC)
+    out, error = tmp_path / "missing" / "out.csv", "FileNotFoundError"
+    if command == "gen":  # gen makes its output directory, so a file in the way cannot be one
+        out, error = good, "FileExistsError"
+    flag = "--trajectory" if command == "run" else "-o"
+    assert cli_main([command, str(good), flag, str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {error}: ")
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_rejects_jobs_below_1(jobs, tmp_path, capsys):
+    with pytest.raises(ValueError, match="jobs"):
+        sweep(SweepSpec.from_json(json.loads(_SMALL_SPEC)), jobs=jobs)
+    path = tmp_path / "spec.json"
+    path.write_text(_SMALL_SPEC)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["sweep", str(path), "-j", str(jobs), "-o", str(tmp_path / "sweep.csv")])
+    assert exc.value.code == 2
+    assert "-j/--jobs" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "sweep.csv")

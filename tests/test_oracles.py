@@ -491,10 +491,10 @@ def test_tree_batches_match_per_final_reference(family, variant):
 
 def test_line_adversary_work_counts():
     """Work done against the grid-41 open line adversary, counted, not
-    timed: covering node walks built, oracle-entry positions read while
-    scoring released fractions, and the scans and clean-ups a tree oracle
-    emits along node walks, with the nodes they read.  Any count rising
-    fails; a fall may lower its pin."""
+    timed: covering node walks built, oracle-entry scorings (calls to
+    ``first_unreleased``) and the perm positions they read, and the scans
+    and clean-ups a tree oracle emits along node walks, with the nodes
+    they read.  Any count rising fails; a fall may lower its pin."""
     counts = Counter()
     walk_order, first_unreleased = TreeIndex.walk_order, RouteStats.first_unreleased
     emit = oracles._emit
@@ -505,6 +505,7 @@ def test_line_adversary_work_counts():
 
     def counted_first(self, released, k=0):
         out = first_unreleased(self, released, k)
+        counts["scorings"] += 1
         counts["reads"] += min(out + 1, len(self.perm)) - k
         return out
 
@@ -519,7 +520,8 @@ def test_line_adversary_work_counts():
         mp.setattr(oracles, "_emit", counted_emit)
         run_fixture("open_lb_line_adversary", grid=41)
     assert counts["walks"] <= 853
-    assert counts["reads"] <= 29060
+    assert counts["scorings"] <= 6664
+    assert counts["reads"] <= 21594
     assert counts["emits"] <= 90
     assert counts["emitted nodes"] <= 2512
 
