@@ -190,7 +190,8 @@ class LineReleaseAdversary:
     finishing requires a full extra traversal."""
 
     def __init__(self, m: int = 21):
-        assert m >= 5 and (m - 1) % 4 == 0, "grid must contain 0 and +-1/2"
+        if m < 5 or (m - 1) % 4:
+            raise ValueError(f"LineReleaseAdversary: grid m={m!r} must be 5, 9, 13, ... to contain 0 and +-1/2")
         self.space = Line()
         self.grid = [-1.0 + 2.0 * k / (m - 1) for k in range(m)]
         self.predictions = list(self.grid)

@@ -14,7 +14,7 @@ from .engine import EngineConfig, la_swag, swag
 from .offline import SizeCapExceeded, opt_bruteforce, shortest_serving_path_length
 from .oracles import ORACLES
 from .spaces import Euclid2D, Flower, General, Line, Ring, Tree
-from .tolerance import DIAMETER_FLOOR, SWEEP_SLACK, TIE
+from .tolerance import DIAMETER_FLOOR, ETA_BAND, SWEEP_SLACK, TIE
 
 
 def _random_tree(rng, spec: SweepSpec) -> Tree:
@@ -175,7 +175,7 @@ class EtaUnreachable(ValueError):
 def perturb_predictions(instance: Instance, target_eta: float, rng=None,
                         clip: bool = False, F: float | None = None) -> Instance:
     """Displace predictions along geodesics so the realized error matches
-    the target (exactly when the geometry permits, within 5% always).
+    the target (exactly when the geometry permits, within ``ETA_BAND`` always).
 
     With ``clip=True`` a capped space yields the largest achievable error
     instead of raising :class:`EtaUnreachable`.  ``F`` is the instance's
@@ -216,7 +216,7 @@ def perturb_predictions(instance: Instance, target_eta: float, rng=None,
     ]
     out = instance.with_predictions(preds)
     achieved = prediction_error(out, F)
-    if not clip and not (0.95 * target_eta <= achieved <= 1.05 * target_eta):
+    if not clip and not ((1 - ETA_BAND) * target_eta <= achieved <= (1 + ETA_BAND) * target_eta):
         raise EtaUnreachable(target_eta, achieved)
     return out
 

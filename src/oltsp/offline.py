@@ -309,9 +309,9 @@ class TreeIndex:
     The tables every query reads are built once: each node's items and its
     neighbours, ascending, at construction; and per root, on its first
     use, the tree rerooted there (parents, and the depth-first preorder
-    with children ascending, with each subtree's slice of it).  Each
-    covering walk that :meth:`cover_order` finds, and each item walk that
-    :meth:`walk_items` reads, is kept for the index's lifetime as well.
+    with children ascending, with each subtree's slice of it).  Each item
+    walk that :meth:`walk_items` reads, the one table the oracles' scans
+    and clean-ups filter, is kept for the index's lifetime as well.
     """
 
     def __init__(self, tree: Tree, node_of_item: dict[Any, int]):
@@ -337,7 +337,6 @@ class TreeIndex:
         for items in self.items_at:
             items.sort(key=_id_key)
         self._roots: dict[int, tuple[list[int], list[int], list[int], list[int]]] = {}
-        self._walks: dict[tuple, list[int]] = {}
         self._item_walks: dict[tuple[int, int], list] = {}
 
     def _rooted(self, root: int) -> tuple[list[int], list[int], list[int], list[int]]:
@@ -426,15 +425,6 @@ class TreeIndex:
             e = end if end != FREE else max(inside, key=lambda v: (dist(s, v), -v))
             cost = 2 * W - dist(s, e)
         return cost, [v for v in self.walk_order(s, e) if v in inside]
-
-    def cover_order(self, s: int, nodes, end) -> list[int]:
-        """The node order of :meth:`path_cover` from ``s`` over ``nodes`` to
-        ``end``, found on the first request and read back after."""
-        key = (s, frozenset(nodes), end)
-        order = self._walks.get(key)
-        if order is None:
-            order = self._walks[key] = self.path_cover(*key)[1]
-        return order
 
     def walk_order(self, s: int, e: int) -> list[int]:
         """Every node, in the order of a depth-first walk from ``s`` with
@@ -636,8 +626,8 @@ def tree_tsp(query: PathQuery) -> OptResult:
     req_nodes = {idx.node_of[i] for i in range(len(query.required))}
     end = idx.node_of[("e",)] if fixed else query.end
     cost, order = idx.path_cover(s, req_nodes, end)
-    serve = _emit(idx, order, range(len(query.required)))
-    return OptResult(cost, serve)
+    # the start and end items are tuples, the requests ints
+    return OptResult(cost, [i for v in order for i in idx.items_at[v] if isinstance(i, int)])
 
 
 def ring_tsp(query: PathQuery) -> OptResult:
@@ -665,13 +655,6 @@ def solve_classical(query: PathQuery) -> OptResult:
     if isinstance(space, Flower):
         return flower_tsp(query)
     return held_karp(query)
-
-
-def _emit(idx: TreeIndex, node_order: list[int], wanted) -> list:
-    """Items of ``wanted`` (any container) in the order of their nodes in
-    ``node_order``, which holds each node once."""
-    items_at = idx.items_at
-    return [item for v in node_order for item in items_at[v] if item in wanted]
 
 
 # ---------------------------------------------------------------------------

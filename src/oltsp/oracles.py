@@ -15,14 +15,13 @@ crescents/loops, and petal states instead (FPT or polynomial).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .core import RouteStats
 from .offline import (
     CLOSED,
     FREE,
     TreeIndex,
-    _emit,
     distance_matrix,
     exact_path,
     flower_cover,
@@ -130,12 +129,11 @@ class DominationOracle:
     def _tree_batch(self, idx: TreeIndex, released: frozenset) -> list[tuple]:
         """Scan-to-pivot dominators over the tree ``idx``, one set per final
         request: rooted at the origin with no final (closed), or at each
-        request's node with that request pinned last (open).  A scan's
-        released requests depend only on its leaves and pivot node, so each
-        is emitted once per step, and a released final drops its own id."""
+        request's node with that request pinned last (open).  Each scan is
+        read from the step's :func:`_scanner`."""
         unrel = self.ids - released
         rel_nodes = {idx.node_of[i] for i in released}
-        scans: dict[tuple, list[int]] = {}  # (chosen leaves, pivot node) -> released ids
+        scan = _scanner(idx, released)
         out = []
         for qf in [None] if self.variant == "closed" else sorted(self.ids):
             root = 0 if qf is None else idx.node_of[qf]
@@ -143,15 +141,8 @@ class DominationOracle:
             if unrel == {qf}:
                 pivots.append((root, qf))  # the final request is the only unreleased one
             leaves = idx.maximal_nodes(rel_nodes, root)
-            for qnode, q in pivots:
-                for chosen in _subsets(leaves):
-                    scan = scans.get((chosen, qnode))
-                    if scan is None:
-                        order = idx.cover_order(0, chosen + (qnode,), qnode)
-                        scan = scans[chosen, qnode] = _emit(idx, order, released)
-                    if qf in released:
-                        scan = [i for i in scan if i != qf]
-                    out.append(self._dominator(scan, q, qf))
+            out += [self._dominator(scan(chosen + (qnode,), qnode, qf), q, qf)
+                    for qnode, q in pivots for chosen in _subsets(leaves)]
         return out
 
 
@@ -216,6 +207,28 @@ def _subsets(items: list) -> Iterable[tuple]:
         yield tuple(items[j] for j in range(len(items)) if mask >> j & 1)
 
 
+def _scanner(idx: TreeIndex, released: frozenset) -> Callable[..., list[int]]:
+    """One step's scans: ``scan(nodes, e, final)``, the released ids but
+    ``final`` along ``idx.walk_items(0, e)`` on the span of ``nodes`` and
+    the origin, the covering walk's order.  Each (nodes, e) is filtered
+    once per step; an empty node set scans nothing."""
+    par, node_of = idx.par, idx.node_of
+    table: dict[tuple, list[int]] = {}
+
+    def scan(nodes: tuple, e: int, final: int | None = None) -> list[int]:
+        ids = table.get((nodes, e))
+        if ids is None:
+            inside = set()  # each node's path up to the origin
+            for v in nodes:
+                while v != -1 and v not in inside:
+                    inside.add(v)
+                    v = par[v]
+            ids = table[nodes, e] = [i for i in idx.walk_items(0, e) if i in released and node_of[i] in inside]
+        return [i for i in ids if i != final] if final in released else ids
+
+    return scan
+
+
 def _pivots(idx: TreeIndex, ids: Iterable[int], root: int) -> list[tuple[int, int]]:
     """(node, smallest id) for each maximal node hosting one of ``ids``."""
     by_node: dict[int, int] = {}
@@ -235,13 +248,14 @@ class TreeOracle(DominationOracle):
             return []
         node_of = self.idx.node_of
         start = 0 if qid is None else node_of[qid]
-        if end == FREE:  # the walk ends at its span's farthest node
-            return _emit(self.idx, self.idx.cover_order(start, {node_of[i] for i in rest}, FREE), rest)
+        if end == FREE:  # the open variant's one all-released tour
+            order = self.idx.path_cover(start, {node_of[i] for i in rest}, FREE)[1]
+            return [i for v in order for i in self.idx.items_at[v] if i in rest]
         # rest's nodes lie on the walk's span, which the whole tree's walk
         # order visits in the walk's own order: no span needed
         return [i for i in self.idx.walk_items(start, 0 if end == CLOSED else node_of[end]) if i in rest]
 
-    # the index keeps every walk a clean-up reads, so no memo
+    # the index keeps every item walk a clean-up reads, so no memo
     _cleanup = _cover
 
     def _batch(self, released: frozenset) -> list[tuple]:
@@ -399,6 +413,7 @@ class FlowerOracle(DominationOracle):
         dones = list(_subsets(sorted({self.loc[i][0] for i in released} - {"stem"})))
         leaves: dict[tuple, list[tuple]] = {}  # (kept, root) -> subsets of the maximal released nodes
         tops: dict[tuple, list[int]] = {}  # (kept, qf, q is qf) -> maximal unreleased nodes
+        scan = _scanner(idx, released)
         out = []
         for qf in [None] if self.variant == "closed" else [None] + sorted(self.ids):
             pool = released - {qf}
@@ -437,10 +452,8 @@ class FlowerOracle(DominationOracle):
                             leaves[kept, root] = list(_subsets(
                                 idx.maximal_nodes({node_of[i] for i in released & on}, root)))
                         for chosen in leaves[kept, root]:
-                            nodes, end = (chosen + (qnode,), qnode) if at_q else (chosen, CLOSED)
-                            order = idx.cover_order(0, nodes, end) if nodes else []
-                            head = list(dict.fromkeys(prefix + _emit(idx, order, pool) + walk))
-                            out.append(self._dominator(head, q, qf))
+                            ids = scan(chosen + (qnode,), qnode, qf) if at_q else scan(chosen, 0, qf)
+                            out.append(self._dominator(list(dict.fromkeys(prefix + ids + walk)), q, qf))
         return out
 
 

@@ -17,6 +17,7 @@ ADAPTIVE_MARGIN  the same for a fixture played against an adaptive
 DIAMETER_FLOOR   a generated instance draws its release times over at
                  least twice this diameter, also when every request sits
                  at the origin.
+ETA_BAND         perturb_predictions' achieved error is within this share of its target.
 """
 
 SNAP = 1e-12
@@ -26,3 +27,4 @@ SWEEP_SLACK = 1e-6
 STATIC_MARGIN = 1e-6
 ADAPTIVE_MARGIN = 1e-4
 DIAMETER_FLOOR = 1e-6
+ETA_BAND = 0.05

@@ -23,8 +23,9 @@ half-released one, the reference for ``LaSwagPolicy``'s running witness;
 oracle's batch afresh at each step, each head from a table of its own
 pivot's, the reference for ``GeneralOracle._batch``;
 ``tree_batch_by_finals`` emits every scan of a tree-style batch afresh
-for each guessed final request and cleans up with no memo, the reference
-for ``DominationOracle._tree_batch``;
+along an uncached covering walk (``items_along``) for each guessed final
+request and cleans up with no memo, the reference for
+``DominationOracle._tree_batch``;
 ``flower_batch_by_variants`` builds a flower oracle's batch one approach
 at a time, each set of kept petals scanning its own snipped index, the
 reference for ``FlowerOracle._batch``;
@@ -60,7 +61,6 @@ from oltsp.offline import (
     OptResult,
     SizeCapExceeded,
     TreeIndex,
-    _emit,
     _id_key,
     _segment_cost,
     _segment_price,
@@ -676,11 +676,18 @@ def general_batch_by_walks(oracle, released: frozenset) -> list[tuple]:
     return out
 
 
+def items_along(idx: TreeIndex, node_order: list[int], wanted) -> list:
+    """The items of ``wanted`` at the nodes of ``node_order``, in its order
+    (at one node, in ``items_at`` order)."""
+    return [item for v in node_order for item in idx.items_at[v] if item in wanted]
+
+
 def tree_batch_by_finals(oracle, idx, released: frozenset) -> list[tuple]:
     """``DominationOracle._tree_batch`` over ``idx`` with no table shared
     across finals: for each final request qf it emits every scan against
-    the released requests other than qf, and each dominator's clean-up is
-    the oracle's ``_cover``, with no memo."""
+    the released requests other than qf along the node order of an
+    uncached ``path_cover``, and each dominator's clean-up is the oracle's
+    ``_cover``, with no memo."""
     unrel = oracle.ids - released
     rel_nodes = {idx.node_of[i] for i in released}
     out = []
@@ -695,8 +702,7 @@ def tree_batch_by_finals(oracle, idx, released: frozenset) -> list[tuple]:
         end = oracle.end if qf is None else qf
         for qnode, q in pivots:
             for chosen in _subsets(leaves):
-                order = idx.cover_order(0, chosen + (qnode,), qnode)
-                prefix = _emit(idx, order, wanted)
+                prefix = items_along(idx, idx.path_cover(0, chosen + (qnode,), qnode)[1], wanted)
                 head = prefix if q == qf else prefix + [q]
                 out.append(tuple(head + oracle._cover(q, oracle.ids.difference(head, pin), end) + pin))
     return out
@@ -708,7 +714,8 @@ def flower_batch_by_variants(oracle, released: frozenset) -> list[tuple]:
     unreleased nodes, with the after-loop direction of q's own petal read
     from the oracle's ``_arm``.  Each set of kept petals scans its own
     index of the requests off them, built by
-    ``snipped_index_by_round_trip``."""
+    ``snipped_index_by_round_trip``, along the node order of an uncached
+    ``path_cover``."""
     comp = [p[0] for p in oracle.loc]
     off = [p[1] for p in oracle.loc]
     indexes: dict = {}
@@ -749,9 +756,9 @@ def flower_batch_by_variants(oracle, released: frozenset) -> list[tuple]:
             tree_part = []
             if approach == "tree":
                 qnode = idx.node_of[q]
-                tree_part = _emit(idx, idx.cover_order(0, chosen + (qnode,), qnode), loop_pool)
+                tree_part = items_along(idx, idx.path_cover(0, chosen + (qnode,), qnode)[1], loop_pool)
             elif chosen:
-                tree_part = _emit(idx, idx.cover_order(0, chosen, CLOSED), loop_pool)
+                tree_part = items_along(idx, idx.path_cover(0, chosen, CLOSED)[1], loop_pool)
             prefix = list(dict.fromkeys(loop_prefix + tree_part + petal_part))
             out.append(oracle._dominator(prefix, q, qf))
         return out

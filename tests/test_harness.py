@@ -320,6 +320,17 @@ def test_line_adversary_bound_holds_for_scripted_policies():
     assert phase_2 and far_end
 
 
+@pytest.mark.parametrize("m", [1, 3, 6, 7])
+def test_line_adversary_rejects_a_grid_without_0_and_halves(m):
+    with pytest.raises(ValueError, match=f"grid m={m}"):
+        LineReleaseAdversary(m)
+
+
+@pytest.mark.parametrize("m", [21, 41])
+def test_line_adversary_runs_on_its_grids(m):
+    assert run_fixture("open_lb_line_adversary", grid=m).passed
+
+
 def test_line_opt_certificate_fails_off_the_adversary_instances():
     # OPT is 4 (reach -1 at 1, wait until 2, then cross to +1), and neither
     # lower bound reaches it: the path is 3, the last release 2

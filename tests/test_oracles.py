@@ -34,6 +34,7 @@ from oltsp.oracles import (
 from sensible import (
     flower_batch_by_variants,
     general_batch_by_walks,
+    items_along,
     sensible_flower_perms,
     sensible_ring_perms,
     sensible_tree_open_perms,
@@ -453,7 +454,7 @@ def test_tree_cleanups_match_node_walk_reference(family, variant):
     """``TreeOracle._cover`` from the origin and from every request, over
     random subsets of the requests, to the origin and to every request,
     equals the items emitted along the whole node walk; to no fixed end it
-    equals the items along ``cover_order``."""
+    equals the items along an uncached ``path_cover``."""
     rng = random.Random(f"cleanups/{family}/{variant}")
     for space, locs, _ in pin_pool(family, variant):
         oracle = make_oracle(space, locs, variant)
@@ -464,9 +465,9 @@ def test_tree_cleanups_match_node_walk_reference(family, variant):
                 rest = frozenset(i for i in range(len(locs)) if rng.random() < 0.6)
                 for end in [CLOSED, *range(len(locs))]:
                     walk = idx.walk_order(s, 0 if end == CLOSED else node_of[end])
-                    assert oracle._cover(qid, rest, end) == offline._emit(idx, walk, rest)
-                free = idx.cover_order(s, {node_of[i] for i in rest}, FREE) if rest else []
-                assert oracle._cover(qid, rest, FREE) == offline._emit(idx, free, rest)
+                    assert oracle._cover(qid, rest, end) == items_along(idx, walk, rest)
+                free = idx.path_cover(s, {node_of[i] for i in rest}, FREE)[1] if rest else []
+                assert oracle._cover(qid, rest, FREE) == items_along(idx, free, rest)
 
 
 @pytest.mark.parametrize("family", ["line", "tree", "ring"])
@@ -493,11 +494,11 @@ def test_line_adversary_work_counts():
     """Work done against the grid-41 open line adversary, counted, not
     timed: covering node walks built, oracle-entry scorings (calls to
     ``first_unreleased``) and the perm positions they read, and the scans
-    and clean-ups a tree oracle emits along node walks, with the nodes
-    they read.  Any count rising fails; a fall may lower its pin."""
+    a tree oracle filters from an item walk, one per (nodes, end) new to
+    its step's table.  Any count rising fails; a fall may lower its pin."""
     counts = Counter()
     walk_order, first_unreleased = TreeIndex.walk_order, RouteStats.first_unreleased
-    emit = oracles._emit
+    scanner = oracles._scanner
 
     def counted_walk(self, s, e):
         counts["walks"] += 1
@@ -509,21 +510,24 @@ def test_line_adversary_work_counts():
         counts["reads"] += min(out + 1, len(self.perm)) - k
         return out
 
-    def counted_emit(idx, node_order, wanted):
-        counts["emits"] += 1
-        counts["emitted nodes"] += len(node_order)
-        return emit(idx, node_order, wanted)
+    def counted_scanner(idx, released):
+        scan, asked = scanner(idx, released), set()
+
+        def counted_scan(nodes, e, final=None):
+            counts["scan misses"] += (nodes, e) not in asked
+            asked.add((nodes, e))
+            return scan(nodes, e, final)
+        return counted_scan
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(TreeIndex, "walk_order", counted_walk)
         mp.setattr(RouteStats, "first_unreleased", counted_first)
-        mp.setattr(oracles, "_emit", counted_emit)
+        mp.setattr(oracles, "_scanner", counted_scanner)
         run_fixture("open_lb_line_adversary", grid=41)
-    assert counts["walks"] <= 853
+    assert counts["walks"] <= 793
     assert counts["scorings"] <= 6664
     assert counts["reads"] <= 21594
-    assert counts["emits"] <= 90
-    assert counts["emitted nodes"] <= 2512
+    assert counts["scan misses"] <= 90
 
 
 def _walks_pool(family, variant):
@@ -743,23 +747,23 @@ def test_flower_oracle_prices_each_leg_once(monkeypatch):
 @pytest.mark.parametrize("variant", ["closed", "open"])
 @pytest.mark.parametrize("kind", ["line", "tree", "ring", "flower"])
 def test_tree_indexes_walk_each_cover_once(kind, variant, monkeypatch):
-    """Across whole policy runs, no tree index finds the covering walk of
-    one (start, node set, end) twice: each index keeps the walks it found
-    for its lifetime, whichever step, final or clean-up asks again.  The
-    breaking rule is off, since its one exact clean-up indexes a fresh
-    query of its own."""
-    runs: Counter = Counter()
-    path_cover = TreeIndex.path_cover
+    """Across whole policy runs, each tree index builds the item walk of one
+    (start, end) once: every scan and clean-up that asks again, at any step
+    or for any final, reads back the list built first."""
+    asked: dict = {}  # (index, start, end) -> every list returned
+    walk_items = TreeIndex.walk_items
 
-    def counted(idx, s, nodes, end):
-        runs[idx, s, frozenset(nodes), end] += 1
-        return path_cover(idx, s, nodes, end)
+    def counted(idx, s, e):
+        items = walk_items(idx, s, e)
+        asked.setdefault((idx, s, e), []).append(items)
+        return items
 
-    monkeypatch.setattr(TreeIndex, "path_cover", counted)
+    monkeypatch.setattr(TreeIndex, "walk_items", counted)
     for seed in range(20):
         inst = generate_one(SweepSpec(space=kind, count=1, n=7, seed=seed, variant=variant), 0)
-        la_swag(inst, EngineConfig(breaking_rule=False))
-    assert runs and max(runs.values()) == 1
+        la_swag(inst)
+    assert max(len(lists) for lists in asked.values()) > 1
+    assert all(items is lists[0] for lists in asked.values() for items in lists)
 
 
 # -- protocol ----------------------------------------------------------------

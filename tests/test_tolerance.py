@@ -14,7 +14,7 @@ def test_tolerance_values():
     assert (tolerance.SNAP, tolerance.TIE, tolerance.FEAS) == (1e-12, 1e-12, 1e-9)
     assert (tolerance.SWEEP_SLACK, tolerance.STATIC_MARGIN, tolerance.ADAPTIVE_MARGIN) == (
         1e-6, 1e-6, 1e-4)
-    assert tolerance.DIAMETER_FLOOR == 1e-6
+    assert (tolerance.DIAMETER_FLOOR, tolerance.ETA_BAND) == (1e-6, 0.05)
 
 
 def test_no_tolerance_defined_outside_the_tolerance_module():
