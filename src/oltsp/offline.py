@@ -22,6 +22,7 @@ from .tolerance import TIE
 
 FREE = "free"
 CLOSED = "closed"
+_ORIGIN = ("stem", 0.0)  # a flower's origin, canonical
 
 # At the cap a cost-to-go table keeps m 2^m doubles and as many next-hop
 # bytes (9 MB); filling it peaks at 26 MB above the shared index tables,
@@ -490,54 +491,46 @@ def tree_index_for(space: Space, items: dict[Any, Any]) -> TreeIndex:
 
 def flower_cover(flower: Flower, s, req: list[tuple[Any, Any]], end,
                  table: dict | None = None) -> tuple[float, list]:
-    """Optimal covering walk on a flower from point ``s`` over request points.
+    """Optimal covering walk on a flower from point ``s`` over request points:
+    :func:`flower_cover_grouped` over the canonical points as grouped by
+    :func:`flower_groups`, with a fresh leg table if ``table`` is None."""
+    s, end = flower.canon(s), end if end in (FREE, CLOSED) else flower.canon(end)
+    groups = flower_groups([(flower.canon(p), k) for p, k in req], s, end)
+    return flower_cover_grouped(flower, s, groups, end, {} if table is None else table)
 
-    Components (petals, stem) only communicate through the receptacle, so
-    the walk decomposes into per-component covers stitched at the origin;
-    when start and end share a component its requests are split between
-    the first and last excursions by exhaustive bipartition.  Every
-    candidate walk is priced from positions alone; only the first cheapest
-    is walked.  Components go in id order.
 
-    ``table`` is the leg table, one per flower: a leg is keyed by its
-    component, start offset, ``(offset, key)`` items and end, and holds
-    its price (cost, ring cut, sweep side) and, once walked, its serving
-    order.  A caller that keeps one table across calls prices and walks
-    each leg once in all of them; with none, a fresh table prices each
-    leg once per call.
-    """
-    if table is None:
-        table = {}
-    s = flower.canon(s)
-    origin = flower.origin()
-    fixed = end not in (FREE, CLOSED)
-    e = flower.canon(end) if fixed else (s if end == CLOSED else None)
-
-    def comp(p):
-        return None if p == origin else p[0]
-
-    def off(p):
-        return 0.0 if p == origin else p[1]
-
-    sc = comp(s)
-    ec = comp(e) if e is not None else None
-
+def flower_groups(req: list[tuple[tuple, Any]], s: tuple, end) -> dict[Any, list[tuple[float, Any]]]:
+    """Requests ``(point, key)`` at canonical points as ``(offset, key)`` lists
+    by component, in ``req`` order.  One at the origin joins the component of
+    the start ``s``, else of ``end`` (a point, FREE or CLOSED), else the stem:
+    the walk serves it when it first touches the origin."""
+    home = s[0] if s != _ORIGIN else end[0] if end not in (FREE, CLOSED, _ORIGIN) else "stem"
     groups: dict[Any, list[tuple[float, Any]]] = {}
     for p, k in req:
-        p = flower.canon(p)
-        c = comp(p)
-        if c is None:
-            # requests at the receptacle: attach to the start component if
-            # any, so they are served when the walk first touches the origin
-            c = sc if sc is not None else ec
-        if c is None:
-            c = "stem"
-        groups.setdefault(c, []).append((off(p) if comp(p) == c else 0.0, k))
+        groups.setdefault(home if p == _ORIGIN else p[0], []).append((p[1], k))
+    return groups
 
-    comps = sorted(
-        set(groups) | ({sc} if sc is not None else set()) | ({ec} if ec is not None else set()),
-        key=_id_key,
-    )
+
+def flower_cover_grouped(flower: Flower, s: tuple, groups: dict, end, table: dict) -> tuple[float, list]:
+    """Optimal covering walk on a flower from canonical point ``s`` over
+    :func:`flower_groups`' requests to a canonical point, FREE or CLOSED.
+
+    Components (petals ascending, then the stem) meet only at the origin,
+    so the walk is per-component covers stitched there; when start and end
+    share a component its requests are split between the first and last
+    excursions by exhaustive bipartition.  Every candidate walk is priced
+    from positions alone; only the first cheapest is walked.
+
+    ``table`` is the leg table: a leg is keyed by its component, start
+    offset, ``(offset, key)`` items and end, and holds its price (cost,
+    ring cut, sweep side) and, once walked, its serving order.  A table
+    serves one flower and one fixed set of points, no key's offset ever
+    changing; then every call that shares it prices and walks each leg once.
+    """
+    sc, s_off = (None, 0.0) if s == _ORIGIN else s
+    # the end's component (None at the origin or free) and offset, the start's if closed
+    ec, e_off = (sc, s_off) if end == CLOSED else (None, 0.0) if end in (FREE, _ORIGIN) else end
+    comps = [c for c in (*range(len(flower.petals)), "stem") if c in groups or c == sc or c == ec]
 
     # a priced leg: [cost, ring cut, sweeps left first, key, serving order
     # once walked]; walking it follows the cut and side its pricing found
@@ -557,36 +550,29 @@ def flower_cover(flower: Flower, s, req: list[tuple[Any, Any]], end,
     def walk(leg) -> tuple:
         _, cut, left, (c, a_off, items, _), order = leg
         if order is None:
-            if c == "stem":
-                order = _segment_walk(a_off, items, left)
-            else:
-                order = _ring_walk(flower.petals[c], a_off, items, cut, left)
-            order = leg[4] = tuple(order)
+            order = leg[4] = tuple(_segment_walk(a_off, items, left) if c == "stem"
+                                   else _ring_walk(flower.petals[c], a_off, items, cut, left))
         return order
 
     if len(comps) == 1:
         # start and end lie in the one component c or at the origin, whose
         # offset is 0: a closed tour from the origin ends at offset 0
         c = comps[0]
-        b = FREE if end == FREE else (CLOSED if end == CLOSED and sc == c else off(e))
-        leg = price(c, off(s), groups.get(c, []), b)
+        b = FREE if end == FREE else (CLOSED if end == CLOSED and sc == c else e_off)
+        leg = price(c, s_off, groups.get(c, []), b)
         return leg[0], list(walk(leg))
 
     # A candidate walk is a list of priced legs: the start component's
     # cover to the origin (the head), the others closed from the origin in
-    # id order, and the final component's cover (the tail).  The closed leg
+    # order, and the final component's cover (the tail).  The closed leg
     # of each component but the start's and the end's, and the head (used
     # unless the end lies in the start component), are the same in every
     # candidate that has them, so each is priced once.
     mid = {c: price(c, 0.0, groups[c], CLOSED) for c in comps if c in groups and c not in (sc, ec)}
-    head = price(sc, off(s), groups.get(sc, []), 0.0) if sc is not None and ec != sc else None
-    # the finals: (component the walk ends in, where its cover ends), with
-    # (None, None) for a walk that ends at the origin
-    if end == FREE:
-        finals = [(None, None)] + [(c, FREE) for c in comps]
-    else:
-        fc, b = (sc, off(s)) if end == CLOSED else (ec, off(e))
-        finals = [(None, None) if fc is None else (fc, b)]
+    head = price(sc, s_off, groups.get(sc, []), 0.0) if sc is not None and ec != sc else None
+    # the finals: (component the walk ends in, where its cover ends), the
+    # component None for a walk that ends at the origin
+    finals = [(None, None)] + [(c, FREE) for c in comps] if end == FREE else [(ec, e_off)]
     best_cost, best_legs = math.inf, []
     for fc, b in finals:
         middle = [leg for c, leg in mid.items() if c != fc]
@@ -599,7 +585,7 @@ def flower_cover(flower: Flower, s, req: list[tuple[Any, Any]], end,
             # the start component's requests split between its first and
             # last excursion, in binary counting order over its items
             items = groups.get(sc, [])
-            pairs = ((price(sc, off(s), [x for i, x in enumerate(items) if mask >> i & 1], 0.0),
+            pairs = ((price(sc, s_off, [x for i, x in enumerate(items) if mask >> i & 1], 0.0),
                       price(sc, 0.0, [x for i, x in enumerate(items) if not mask >> i & 1], b))
                      for mask in range(1 << len(items)))
         for h, t in pairs:
@@ -642,8 +628,7 @@ def ring_tsp(query: PathQuery) -> OptResult:
 
 def flower_tsp(query: PathQuery) -> OptResult:
     req = [(p, i) for i, p in enumerate(query.required)]
-    cost, order = flower_cover(query.space, query.start, req, query.end)
-    return OptResult(cost, order)
+    return OptResult(*flower_cover(query.space, query.start, req, query.end))
 
 
 def solve_classical(query: PathQuery) -> OptResult:

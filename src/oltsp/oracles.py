@@ -24,7 +24,8 @@ from .offline import (
     TreeIndex,
     distance_matrix,
     exact_path,
-    flower_cover,
+    flower_cover_grouped,
+    flower_groups,
     ring_cover,
     star_index,
     tree_index_for,
@@ -385,9 +386,9 @@ class FlowerOracle(DominationOracle):
         # each petal's ids in loop order by direction (+1 forward, -1
         # backward), ties to the smaller id
         petals = sorted({c for c, _ in self.loc} - {"stem"})
-        self._petal_order = {k: {d: sorted((i for i in self.ids if self.loc[i][0] == k),
-                                           key=lambda i: (d * self.loc[i][1], i)) for d in (1, -1)}
-                             for k in petals}
+        self._petal_order = {(k, d): sorted((i for i in self.ids if self.loc[i][0] == k),
+                                            key=lambda i: (d * self.loc[i][1], i))
+                             for k in petals for d in (1, -1)}
         # the star of every petal snipped at its antipode: the stem arm, then
         # each petal's forward and backward half, with the requests on them
         self.idx = star_index([[(off, i) for i, (a, off) in enumerate(self._arm) if a == arm]
@@ -400,11 +401,12 @@ class FlowerOracle(DominationOracle):
         self._legs: dict = {}
 
     def _cover(self, qid, rest, end) -> list[int]:
+        loc, origin = self.loc, self.origin
+        start = origin if qid is None else loc[qid]
+        end = origin if end == CLOSED else FREE if end == FREE else loc[end]
         # in id order: the cover's split ties go to the first one it tries
-        items = [(self.loc[i], i) for i in sorted(rest)]
-        start = self.origin if qid is None else self.loc[qid]
-        end_pt = self.origin if end == CLOSED else (FREE if end == FREE else self.loc[end])
-        return flower_cover(self.flower, start, items, end_pt, self._legs)[1]
+        groups = flower_groups([(loc[i], i) for i in sorted(rest)], start, end)
+        return flower_cover_grouped(self.flower, start, groups, end, self._legs)[1]
 
     def _batch(self, released: frozenset) -> list[tuple]:
         idx, node_of = self.idx, self.idx.node_of
@@ -414,26 +416,31 @@ class FlowerOracle(DominationOracle):
         leaves: dict[tuple, list[tuple]] = {}  # (kept, root) -> subsets of the maximal released nodes
         tops: dict[tuple, list[int]] = {}  # (kept, qf, q is qf) -> maximal unreleased nodes
         scan = _scanner(idx, released)
+        # each petal's released ids in loop order; a released final leaves itself out
+        rel_loops = {key: [i for i in order if i in released] for key, order in self._petal_order.items()}
         out = []
         for qf in [None] if self.variant == "closed" else [None] + sorted(self.ids):
-            pool = released - {qf}
-            loops = {(k, d): [i for i in order[d] if i in pool]
-                     for k, order in self._petal_order.items() for d in (1, -1)}
+            loops = rel_loops if qf not in released else {
+                key: [i for i in ids if i != qf] for key, ids in rel_loops.items()}
             for q in unrel:
                 if q == qf and len(unrel) > 1:
                     continue
                 (qc, qo), (arm, _) = self.loc[q], self._arm[q]
+                # q's petal walks, each once: to q either way, or around it if qf shares it
+                walks = []
+                if qc != "stem":
+                    fwd, bwd = loops[qc, 1], loops[qc, -1]
+                    walks = [[i for i in fwd if self.loc[i][1] <= qo + TIE],
+                             [i for i in bwd if self.loc[i][1] >= qo - TIE],
+                             *([fwd, bwd] if qf is not None and self.loc[qf][0] == qc else [])]
+                    walks = [w for j, w in enumerate(walks) if w not in walks[:j]]
                 for done in dones:
                     prefix = [i for k in done for i in loops[k, arm[1] if k == qc else 1]]
                     looped = frozenset(done)
                     # (kept petals, scan ends at q, walk along q's petal)
                     options = [(looped, qc not in looped, [])]
-                    if qc != "stem" and qc not in looped:
-                        fwd, bwd = loops[qc, 1], loops[qc, -1]
-                        late = [fwd, bwd] if qf is not None and self.loc[qf][0] == qc else []
-                        options += [(looped | {qc}, False, walk) for walk in [
-                            [i for i in fwd if self.loc[i][1] <= qo + TIE],
-                            [i for i in bwd if self.loc[i][1] >= qo - TIE], *late]]
+                    if qc not in looped:
+                        options += [(looped | {qc}, False, walk) for walk in walks]
                     for kept, at_q, walk in options:
                         on = self._scanned[kept]
                         root = node_of[qf] if qf in on else 0
@@ -451,9 +458,10 @@ class FlowerOracle(DominationOracle):
                         if (kept, root) not in leaves:
                             leaves[kept, root] = list(_subsets(
                                 idx.maximal_nodes({node_of[i] for i in released & on}, root)))
+                        # disjoint parts: looped petals, other arms' span, q's petal
                         for chosen in leaves[kept, root]:
                             ids = scan(chosen + (qnode,), qnode, qf) if at_q else scan(chosen, 0, qf)
-                            out.append(self._dominator(list(dict.fromkeys(prefix + ids + walk)), q, qf))
+                            out.append(self._dominator(prefix + ids + walk, q, qf))
         return out
 
 

@@ -725,20 +725,27 @@ def point_from_json(space: Space, obj, what: str = "point") -> Any:
     space, so that a containment check still rejects it."""
     if not isinstance(space, (Line, Ring, Euclid2D, Tree, Flower, General)):
         raise SpaceError("unknown space")
+
+    def _json(x, kind=(int, float)):
+        # a JSON number of ``kind`` (int for an index), never a boolean
+        if isinstance(x, bool) or not isinstance(x, kind):
+            raise TypeError(x)
+        return x
+
     try:
         if isinstance(space, (Line, Ring)):
-            return float(obj)
+            return float(_json(obj))
         if isinstance(space, Euclid2D):
-            return (float(obj[0]), float(obj[1]))
+            return (float(_json(obj[0])), float(_json(obj[1])))
         if isinstance(space, Tree):
-            p = (int(obj[0]), float(obj[1]))
+            p = (_json(obj[0], int), float(_json(obj[1])))
         elif isinstance(space, Flower):
-            p = (obj[0] if obj[0] == "stem" else int(obj[0]), float(obj[1]))
+            p = (obj[0] if obj[0] == "stem" else _json(obj[0], int), float(_json(obj[1])))
         elif isinstance(space, General):
-            if isinstance(obj, int):
-                return obj
-            p = (int(obj[0]), int(obj[1]), float(obj[2]))
-    except (TypeError, ValueError, IndexError):
+            if not isinstance(obj, (list, tuple)):
+                return _json(obj, int)
+            p = (_json(obj[0], int), _json(obj[1], int), float(_json(obj[2])))
+    except (TypeError, LookupError, OverflowError):
         raise SpaceError(f"{what}: {obj!r} is not a {type(space).__name__} point") from None
     return space.canon(p) if space.contains(p) else p
 

@@ -530,6 +530,35 @@ def test_line_adversary_work_counts():
     assert counts["scan misses"] <= 90
 
 
+@pytest.mark.parametrize("variant, rows, misses", [("closed", 1851, 524), ("open", 9685, 2432)])
+def test_flower_work_counts(variant, rows, misses):
+    """Work a flower oracle does on a fixed pool (``pin_pool`` at n <= 7,
+    stepped at every release time), counted, not timed: batch rows (calls
+    to ``_dominator``) and clean-up misses (calls to ``_cover``, each a
+    walk the memo did not hold).  Any count rising fails; a fall may lower
+    its pin."""
+    counts = Counter()
+    dominator, cover = oracles.DominationOracle._dominator, oracles.FlowerOracle._cover
+
+    def counted_dominator(self, *args):
+        counts["rows"] += 1
+        return dominator(self, *args)
+
+    def counted_cover(self, *args):
+        counts["misses"] += 1
+        return cover(self, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles.DominationOracle, "_dominator", counted_dominator)
+        mp.setattr(oracles.FlowerOracle, "_cover", counted_cover)
+        for space, locs, rels in pin_pool("flower", variant, count=20, n_max=7):
+            oracle = make_oracle(space, locs, variant)
+            for t in sorted({0.0, *rels}):
+                oracle.step(t, [i for i, r in enumerate(rels) if r <= t])
+    assert counts["rows"] <= rows
+    assert counts["misses"] <= misses
+
+
 def _walks_pool(family, variant):
     """The pin pool at n <= 9, or, for "general-edge", seeded random
     General spaces with every prediction inside an edge."""
@@ -690,6 +719,18 @@ def test_general_walks_each_dominator_once(monkeypatch):
         assert len(filled) == tables
 
 
+# flower predictions at the origin, which the oracle's clean-ups group by
+# the origin rule without the public cover's wrapper: the n = 6 open
+# instance whose origin request starts an undominated order, and two
+# petals and a stem with the origin given two ways
+_ORIGIN_FLOWERS = [
+    (Flower((2.0, 1.0), 0.0), [(0, 1.452), (0, 0.389), (0, 0.69), (0, 1.033), (0, 0.116), ("stem", 0.0)],
+     [1.068, 1.666, 0.427, 1.76, 0.859, 0.637]),
+    (Flower((2.0, 1.5), 1.0), [("stem", 0.0), (0, 0.5), (1, 1.0), ("stem", 0.5), (0, 2.0), (1, 0.4)],
+     [0.5, 0.0, 1.0, 0.5, 1.5, 0.0]),
+]
+
+
 @pytest.mark.parametrize("kind, variant", [("ring", "closed"), ("flower", "closed"), ("ring", "open"),
                                            ("flower", "open")],
                          ids=["ring", "flower", "ring-open", "flower-open"])
@@ -698,8 +739,11 @@ def test_oracle_covers_match_public_covers(kind, variant):
     public cover of the same points: every start, rest set and end, on a
     fresh oracle and on one that has stepped through its releases.  The
     flower oracle's leg table is warm in the second, and fills as the
-    queries run in both, so a leg read back must walk as it would alone."""
-    for sp, locs, rels in pin_pool(kind, variant, count=5):
+    queries run in both, so a leg read back must walk as it would alone.
+    Flowers add inputs with predictions at the origin, as start, rest
+    member and end."""
+    extra = _ORIGIN_FLOWERS if kind == "flower" else []
+    for sp, locs, rels in [*pin_pool(kind, variant, count=5), *extra]:
         n = len(locs)
         stepped = make_oracle(sp, locs, variant)
         for t in sorted({0.0, *rels}):

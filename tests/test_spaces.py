@@ -206,6 +206,33 @@ def test_malformed_descriptors_are_named():
     assert Flower((1.0,), -0.5).validate() == ["stem length must be nonnegative"]
 
 
+_TREE = Tree([(0, 1, 1.0), (1, 2, 1.0)])
+_GENERAL = General([[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("space, obj", [
+    (Line(), True), (Line(), "0.5"), (Ring(2.0), "0.5"), (Ring(2.0), False),
+    (Euclid2D(), [True, 0.0]), (Euclid2D(), ["0.1", 0.2]),
+    (_TREE, [1.9, 0.5]), (_TREE, [True, 0.5]), (_TREE, [1, "0.5"]), (_TREE, [0, 10 ** 400]),
+    (Flower((2.0, 1.0), 1.0), [1.7, 0.3]), (Flower((2.0, 1.0), 1.0), [True, 0.5]),
+    (Flower((2.0, 1.0), 1.0), [0, True]), (Flower((2.0, 1.0), 1.0), ["stem", "0.2"]),
+    (Flower((2.0, 1.0), 1.0), {"stem": 0.2}),
+    (_GENERAL, True), (_GENERAL, 1.0), (_GENERAL, "1"), (_GENERAL, [0, True, 0.5]), (_GENERAL, [0, 1, "0.5"]),
+])
+def test_malformed_points_are_named(space, obj):
+    """Indices must be JSON integers and offsets and coordinates JSON
+    numbers: a boolean, a string or a fractional index is not coerced."""
+    with pytest.raises(SpaceError, match=r"^request 3: location: .* is not a \w+ point$"):
+        point_from_json(space, obj, "request 3: location")
+
+
+def test_json_integers_are_numbers():
+    assert point_from_json(Flower((2.0,), 1.0), [0, 1]) == (0, 1.0)
+    assert point_from_json(_TREE, [1, 1]) == _TREE.canon((1, 1.0))
+    assert point_from_json(Line(), -2) == -2.0
+    assert point_from_json(_GENERAL, 1) == 1
+
+
 def test_general_sites_round_trip():
     g = General([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]], ["O", "A", "B"])
     assert g.to_json()["sites"] == ["O", "A", "B"]
