@@ -14,7 +14,7 @@ from . import fixtures as fx
 from .core import Instance
 from .engine import EngineConfig, la_swag, swag
 from .harness import SweepSpec, generate, sweep, write_report
-from .offline import OPT_CAP, opt_bruteforce
+from .offline import SizeCapExceeded, opt_bruteforce
 from .oracles import ORACLES
 from .spaces import space_from_json
 from .tolerance import TIE
@@ -60,11 +60,12 @@ def _cmd_run(args) -> int:
     if args.dump_batches:
         print(policy.oracle.dump_batches())
     print(f"completion_time: {result.completion_time:.9g}")
-    if inst.n <= OPT_CAP:
+    try:
         opt = opt_bruteforce(inst).length
-        ratio = result.completion_time / opt if opt > TIE else 1.0
-        print(f"opt: {opt:.9g}")
-        print(f"ratio: {ratio:.9g}")
+    except SizeCapExceeded:  # no exact optimum at this size, so no ratio
+        pass
+    else:
+        print(f"opt: {opt:.9g}\nratio: {result.completion_time / opt if opt > TIE else 1.0:.9g}")
     if args.trajectory:
         with open(args.trajectory, "w") as fh:
             fh.write(result.to_csv())

@@ -16,7 +16,7 @@ from typing import Any, Iterable
 
 from . import spaces
 from .offline import distance_matrix, shortest_serving_path_length
-from .spaces import Space, SpaceError, json_field
+from .spaces import Space, SpaceError, _json, json_field
 from .tolerance import FEAS, TIE
 
 DEPART = "depart"
@@ -111,11 +111,11 @@ class Instance:
         reqs = [
             Request(i, spaces.point_from_json(space, json_field(r, "x", f"request {i}"),
                                               f"request {i}: location"),
-                    json_field(r, "t", f"request {i}", float))
-            for i, r in enumerate(json_field(obj, "requests", "instance", list))
+                    json_field(r, "t", f"request {i}", _json))
+            for i, r in enumerate(json_field(obj, "requests", "instance", lambda v: _json(v, list)))
         ]
         preds = [spaces.point_from_json(space, p, f"request {i}: prediction")
-                 for i, p in enumerate(json_field(obj, "predictions", "instance", list))]
+                 for i, p in enumerate(json_field(obj, "predictions", "instance", lambda v: _json(v, list)))]
         return Instance(space, reqs, preds, obj.get("variant", "closed"))
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .core import Instance, Request, run_adaptive
 from .engine import LaSwagPolicy, la_swag_policy
-from .offline import eval_serving_order, opt_bruteforce, shortest_serving_path_length
+from .offline import opt_bruteforce
 from .spaces import General, Line, Ring
 from .tolerance import ADAPTIVE_MARGIN, FEAS, STATIC_MARGIN, TIE
 
@@ -26,7 +26,8 @@ class FixtureReport:
     passed: bool
 
 
-def _mk_report(name, params, alg, opt, expected, comparison, margin) -> FixtureReport:
+def _mk_report(name, params, alg, instance, expected, comparison, margin) -> FixtureReport:
+    opt = opt_bruteforce(instance).length
     ratio = alg / opt
     if comparison == "==":
         passed = abs(ratio - expected) <= margin
@@ -38,16 +39,14 @@ def _mk_report(name, params, alg, opt, expected, comparison, margin) -> FixtureR
 def _static(name, instance, expected, comparison="==", params=None) -> FixtureReport:
     """LA-SWAG on a fixed instance against its brute-force optimum."""
     alg = la_swag_policy(instance).completion_time
-    opt = opt_bruteforce(instance).length
-    return _mk_report(name, params or {}, alg, opt, expected, comparison, STATIC_MARGIN)
+    return _mk_report(name, params or {}, alg, instance, expected, comparison, STATIC_MARGIN)
 
 
-def _adaptive(name, params, adversary, opt, expected) -> FixtureReport:
-    """LA-SWAG against a release-time adversary; ``opt`` prices the
-    instance the adversary realized."""
+def _adaptive(name, params, adversary, expected) -> FixtureReport:
+    """LA-SWAG against a release-time adversary, on the instance it realized."""
     policy = LaSwagPolicy(adversary.space, adversary.predictions, adversary.variant)
     result, inst = run_adaptive(adversary, policy)
-    return _mk_report(name, params, result.completion_time, opt(inst), expected, ">=", ADAPTIVE_MARGIN)
+    return _mk_report(name, params, result.completion_time, inst, expected, ">=", ADAPTIVE_MARGIN)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +175,7 @@ def smoothness_lb_graph(eta: float = 0.2) -> FixtureReport:
     if problems:
         raise ValueError(f"smoothness_lb_graph: eta={eta!r} gives eps={eps!r} and no metric "
                          f"({len(problems)} problems, the first: {problems[0]})")
-    return _adaptive("smoothness_lb_graph", {"eta": eta, "eps": eps}, adv,
-                     lambda inst: opt_bruteforce(inst).length, 1.5 + eta / 2.0)
+    return _adaptive("smoothness_lb_graph", {"eta": eta, "eps": eps}, adv, 1.5 + eta / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -295,29 +293,8 @@ class LineReleaseAdversary:
         return None
 
 
-def _line_opt(inst: Instance) -> float:
-    """Optimum for the adversarial line instances, certified against the
-    release-time and path-length lower bounds."""
-    n = inst.n
-    asc = sorted(range(n), key=lambda i: inst.requests[i].location)
-    candidates = [asc, asc[::-1]]
-    t_max_id = max(range(n), key=lambda i: inst.requests[i].release)
-    for base in (asc, asc[::-1]):
-        moved = [i for i in base if i != t_max_id] + [t_max_id]
-        candidates.append(moved)
-    best = min(eval_serving_order(inst, order) for order in candidates)
-    lower = max(
-        shortest_serving_path_length(inst),
-        max(r.release for r in inst.requests),
-    )
-    if best > lower + FEAS:
-        raise RuntimeError("line optimum certificate failed")
-    return best
-
-
 def open_lb_line_adversary(grid: int = 21) -> FixtureReport:
-    return _adaptive("open_lb_line_adversary", {"grid": grid}, LineReleaseAdversary(grid),
-                     _line_opt, OPEN_LINE_LB)
+    return _adaptive("open_lb_line_adversary", {"grid": grid}, LineReleaseAdversary(grid), OPEN_LINE_LB)
 
 
 FIXTURES = {

@@ -761,10 +761,14 @@ def opt_bruteforce(instance) -> OptResult:
     decides anything.  Each leg is read from :func:`distance_matrix` in
     the direction it is walked, so ``eval_serving_order(instance,
     result.order)`` equals ``result.length`` bit for bit in every space,
-    trees (whose distance is not bitwise symmetric) included.
+    trees (whose distance is not bitwise symmetric) included.  Above the
+    cap a line instance gets :func:`_line_optimum` (an optimal order, not
+    always the lexicographically smallest); any other space raises.
     """
     n = len(instance.requests)
     if n > OPT_CAP:
+        if isinstance(instance.space, Line):
+            return _line_optimum(instance)
         raise SizeCapExceeded(f"{n} requests exceeds subset-DP cap {OPT_CAP}", n, OPT_CAP)
     if n == 0:
         return OptResult(0.0, [])
@@ -795,6 +799,38 @@ def _serving_order(D: np.ndarray, rel: np.ndarray, closed: bool, opt: float) -> 
         rest.remove(k)
         row, t = k + 1, a
     return order + rest
+
+
+def _line_optimum(instance) -> OptResult:
+    """Exact optimum of a nonempty line instance in O(n^2) (Psaraftis et
+    al. 1990): a request can wait for the server's last visit, so some
+    optimal order peels the requests, sorted by (position, id), from the
+    outside in.  Its leg-by-leg value is the DP's minimum bit for bit."""
+    reqs, n = instance.requests, len(instance.requests)
+    ids = sorted(range(n), key=lambda i: (reqs[i].location, i))
+    x, rel = np.array([(reqs[i].location, reqs[i].release) for i in ids]).T
+    xp = np.concatenate(([instance.origin], x, [instance.origin]))
+    # the step from block i..i+L serves x[i] (side 0) or x[i + L] (side 1)
+    # from xp[i] (side 0) or xp[i + L + 2] (side 1), the places beside it
+    i, L = np.arange(n), np.arange(n)[:, None]
+    served = np.stack(np.broadcast_arrays(i, np.minimum(i + L, n - 1)), axis=1)
+    stand = np.stack(np.broadcast_arrays(i, np.minimum(i + L + 2, n + 1)), axis=1)
+    legs, rel = np.abs(xp[stand][:, :, None] - x[served][:, None]), rel[served]  # [L, from, side, i]
+    f = np.full((2, n + 1), np.inf)  # earliest times beside block j..: f[0, j] and f[1, j + 1]
+    f[1, 1], came = 0.0, []  # at the origin, beside the whole block
+    for L in range(n - 1, -1, -1):
+        left = f[0, :n - L] + legs[L, 0, :, :n - L]
+        right = f[1, 1:n - L + 1] + legs[L, 1, :, :n - L]
+        came.append(right < left)
+        f[:, 1:n - L + 1] = np.maximum(np.minimum(left, right), rel[L, :, :n - L])
+    end = f[:, 1:] + (np.abs(x - instance.origin) if instance.variant == "closed" else 0.0)
+    side, i = divmod(int(end.argmin()), n)
+    order = []
+    for L in range(n):
+        order.append(ids[i + side * L])
+        side = int(came[n - 1 - L][side, i])
+        i -= 1 - side
+    return OptResult(eval_serving_order(instance, order[::-1]), order[::-1])
 
 
 def shortest_serving_path_length(instance) -> float:

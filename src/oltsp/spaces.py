@@ -507,6 +507,8 @@ class Flower:
                 for k, ln in enumerate(self.petals) if not 0 < ln < math.inf]
         if not self.stem >= 0:
             errs.append("stem length must be nonnegative")
+        elif self.stem == math.inf:
+            errs.append("stem length must be finite")
         return errs
 
     def scaled(self, c: float):
@@ -633,6 +635,9 @@ class General:
         if any(len(row) != n for row in m):
             return [f"matrix must be square: {n} rows of lengths {[len(row) for row in m]}"]
         errs = []
+        if self.sites is not None and not (isinstance(self.sites, list) and len(self.sites) == n
+                                           and all(isinstance(s, str) for s in self.sites)):
+            errs.append(f"sites must be a list of {n} strings")
         for i in range(n):
             if not _close(m[i][i], 0.0):
                 errs.append(f"diagonal entry {i} is nonzero")
@@ -681,6 +686,13 @@ def _check_traveled(space, a, b, t: float) -> float:
     return d
 
 
+def _json(x, kind=float):
+    # ``x`` as a ``kind`` if a JSON value of it (float: any number), not a bool
+    if isinstance(x, bool) or not isinstance(x, (int, float) if kind is float else kind):
+        raise TypeError(x)
+    return kind(x)
+
+
 def json_field(obj, key: str, what: str, decode=lambda v: v):
     """``decode(obj[key])`` for a decoded JSON object ``obj``.  A missing
     field, or one that ``decode`` rejects, raises SpaceError naming it."""
@@ -688,7 +700,7 @@ def json_field(obj, key: str, what: str, decode=lambda v: v):
         raise SpaceError(f"{what}: missing field {key!r}")
     try:
         return decode(obj[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpaceError(f"{what}: malformed field {key!r}: {exc}") from None
 
 
@@ -702,15 +714,15 @@ def space_from_json(obj: dict) -> Space:
     if kind == "euclid2d":
         return Euclid2D()
     if kind == "ring":
-        return Ring(json_field(obj, "circumference", what, float))
+        return Ring(json_field(obj, "circumference", what, _json))
     if kind == "tree":
         return Tree(json_field(obj, "edges", what, lambda edges: [
-            (int(u), int(v), math.inf if ln is None else float(ln)) for u, v, ln in edges]))
+            (_json(u, int), _json(v, int), math.inf if ln is None else _json(ln)) for u, v, ln in edges]))
     if kind == "flower":
-        return Flower(json_field(obj, "petals", what, lambda petals: tuple(float(p) for p in petals)),
-                      json_field(obj, "stem", what, float) if "stem" in obj else 0.0)
+        return Flower(json_field(obj, "petals", what, lambda petals: tuple(map(_json, petals))),
+                      json_field(obj, "stem", what, _json) if "stem" in obj else 0.0)
     if kind == "general":
-        return General(json_field(obj, "matrix", what, lambda m: [[float(v) for v in row] for row in m]),
+        return General(json_field(obj, "matrix", what, lambda m: [list(map(_json, row)) for row in m]),
                        obj.get("sites"))
     raise SpaceError(f"unknown space kind {kind!r}")
 
@@ -725,26 +737,21 @@ def point_from_json(space: Space, obj, what: str = "point") -> Any:
     space, so that a containment check still rejects it."""
     if not isinstance(space, (Line, Ring, Euclid2D, Tree, Flower, General)):
         raise SpaceError("unknown space")
-
-    def _json(x, kind=(int, float)):
-        # a JSON number of ``kind`` (int for an index), never a boolean
-        if isinstance(x, bool) or not isinstance(x, kind):
-            raise TypeError(x)
-        return x
-
     try:
         if isinstance(space, (Line, Ring)):
-            return float(_json(obj))
+            return _json(obj)
+        if isinstance(space, General) and not isinstance(obj, (list, tuple)):
+            return _json(obj, int)
+        if len(obj) != (3 if isinstance(space, General) else 2):
+            raise TypeError(obj)
         if isinstance(space, Euclid2D):
-            return (float(_json(obj[0])), float(_json(obj[1])))
+            return (_json(obj[0]), _json(obj[1]))
         if isinstance(space, Tree):
-            p = (_json(obj[0], int), float(_json(obj[1])))
+            p = (_json(obj[0], int), _json(obj[1]))
         elif isinstance(space, Flower):
-            p = (obj[0] if obj[0] == "stem" else _json(obj[0], int), float(_json(obj[1])))
-        elif isinstance(space, General):
-            if not isinstance(obj, (list, tuple)):
-                return _json(obj, int)
-            p = (_json(obj[0], int), _json(obj[1], int), float(_json(obj[2])))
+            p = (obj[0] if obj[0] == "stem" else _json(obj[0], int), _json(obj[1]))
+        else:
+            p = (_json(obj[0], int), _json(obj[1], int), _json(obj[2]))
     except (TypeError, LookupError, OverflowError):
         raise SpaceError(f"{what}: {obj!r} is not a {type(space).__name__} point") from None
     return space.canon(p) if space.contains(p) else p

@@ -471,6 +471,26 @@ def _probe(space, x, t=1.0, pred=None):
                  "matrix must be square", id="general-ragged-matrix"),
     pytest.param(_probe(_GEN2, 1.0, pred=1), SpaceError,
                  "request 0: location: 1.0 is not a General point", id="general-float-site"),
+    pytest.param(_probe({"kind": "line"}, 1.0, t="0.5"), SpaceError,
+                 "request 0: malformed field 't'", id="string-release"),
+    pytest.param(_probe({"kind": "line"}, 1.0, t=True), SpaceError,
+                 "request 0: malformed field 't'", id="boolean-release"),
+    pytest.param(_probe({"kind": "line"}, 1.0, t=10 ** 400), SpaceError,
+                 "request 0: malformed field 't'", id="release-beyond-float"),
+    pytest.param(_probe({"kind": "ring", "circumference": True}, 0.5), SpaceError,
+                 "ring space: malformed field 'circumference'", id="ring-boolean-circumference"),
+    pytest.param(_probe({"kind": "flower", "petals": ["1.5"]}, [0, 0.5]), SpaceError,
+                 "flower space: malformed field 'petals'", id="flower-string-petal"),
+    pytest.param(_probe({"kind": "flower", "petals": [1.5], "stem": True}, [0, 0.5]), SpaceError,
+                 "flower space: malformed field 'stem'", id="flower-boolean-stem"),
+    pytest.param(_probe({"kind": "tree", "edges": [[0, 1.7, 1.0]]}, [0, 0.5]), SpaceError,
+                 "tree space: malformed field 'edges'", id="tree-float-node"),
+    pytest.param(_probe({"kind": "general", "matrix": [[0, "1"], ["1", 0]]}, 1), SpaceError,
+                 "general space: malformed field 'matrix'", id="general-string-entry"),
+    pytest.param({"space": {"kind": "line"}, "requests": "ab", "predictions": []}, SpaceError,
+                 "instance: malformed field 'requests'", id="requests-not-a-list"),
+    pytest.param({"space": {"kind": "line"}, "requests": [], "predictions": "ab"}, SpaceError,
+                 "instance: malformed field 'predictions'", id="predictions-not-a-list"),
 ])
 def test_invalid_input_rejected_at_the_boundary(obj, error, match, tmp_path, capsys):
     with pytest.raises(error, match=match):
@@ -503,7 +523,7 @@ def test_library_instance_rejects_an_invalid_space(space, x, match):
 
 
 def test_float_tree_edge_index_rejected():
-    # JSON input casts the index to int; a library caller gets no such cast
+    # no point has a float edge index, from a JSON file or a library caller
     tree = Tree([(0, 1, 1.0)])
     with pytest.raises(SpaceError, match="request 0: location"):
         Instance(tree, [Request(0, (0.0, 0.5), 1.0)], [(0, 0.5)], "closed")

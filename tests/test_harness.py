@@ -20,7 +20,6 @@ from oltsp.fixtures import (
     OPEN_LINE_LB,
     LineReleaseAdversary,
     SmoothnessAdversary,
-    _line_opt,
     open_lb_line_adversary,
     remark_2_5_closed_line,
     remark_8_3_open_line,
@@ -41,7 +40,7 @@ from oltsp.harness import (
     sweep,
     write_report,
 )
-from oltsp.offline import opt_bruteforce
+from oltsp.offline import _line_optimum, opt_bruteforce
 from oltsp.spaces import General, Line, SpaceError, Tree, space_from_json
 from oltsp.tolerance import ADAPTIVE_MARGIN, FEAS
 
@@ -314,7 +313,8 @@ def test_line_adversary_bound_holds_for_scripted_policies():
         for t_w in (0.0, 0.5, 1.0, 1.3, 1.6, 2.0):
             adversary = LineReleaseAdversary(21)
             result, inst = run_adaptive(adversary, _WalkWaitNearest(x0, t_w))
-            assert result.completion_time / _line_opt(inst) >= OPEN_LINE_LB - ADAPTIVE_MARGIN, (x0, t_w)
+            opt = opt_bruteforce(inst).length
+            assert result.completion_time / opt >= OPEN_LINE_LB - ADAPTIVE_MARGIN, (x0, t_w)
             phase_2 += adversary.D_id is not None
             far_end += adversary.t0 is None
     assert phase_2 and far_end
@@ -331,13 +331,12 @@ def test_line_adversary_runs_on_its_grids(m):
     assert run_fixture("open_lb_line_adversary", grid=m).passed
 
 
-def test_line_opt_certificate_fails_off_the_adversary_instances():
+def test_line_optimum_beyond_the_lower_bounds():
     # OPT is 4 (reach -1 at 1, wait until 2, then cross to +1), and neither
     # lower bound reaches it: the path is 3, the last release 2
     inst = Instance(Line(), [Request(0, 1.0, 2.0), Request(1, -1.0, 2.0)], [1.0, -1.0], "open")
     assert opt_bruteforce(inst).length == 4.0
-    with pytest.raises(RuntimeError, match="line optimum certificate failed"):
-        _line_opt(inst)
+    assert _line_optimum(inst).length == 4.0
 
 
 def test_line_adversary_crossing_within_the_current_leg_only():
@@ -431,8 +430,8 @@ def test_cli_sweep_reports_violations_and_skips(tmp_path, monkeypatch, capsys):
          "violation: line-0@eta=0: ratio 1.288319 > 0.500001"),
         ({"space": "ring", "count": 1, "n": 3, "seed": 0, "eta": [50.0]},
          "skipped: ring-0@50.0: target error 50.0 unreachable on this space (got 3.294)"),
-        ({"space": "line", "count": 1, "n": 15, "seed": 0, "eta": [0.0]},
-         "skipped: line-0: 15 requests exceeds subset-DP cap 14"),
+        ({"space": "ring", "count": 1, "n": 15, "seed": 0, "eta": [0.0]},
+         "skipped: ring-0: 15 requests exceeds subset-DP cap 14"),
     ]
     monkeypatch.setattr(harness, "ceiling", lambda family, variant: 0.5)
     for k, (obj, line) in enumerate(cases):
@@ -567,6 +566,20 @@ def test_opt_reported_above_the_old_factorial_cap(tmp_path, capsys):
 
     rows, violations, skipped = sweep(SweepSpec(space="line", count=1, n=10, seed=3, eta=[0.0]))
     assert (len(rows), rows[0].n, violations, skipped) == (1, 10, [], [])
+
+
+@pytest.mark.parametrize("space, n, exact", [("line", 20, True), ("ring", 15, False)])
+def test_cli_run_prints_opt_where_it_is_exact(space, n, exact, tmp_path, capsys):
+    """``oltsp run`` prints ``opt:`` and ``ratio:`` wherever ``opt_bruteforce``
+    answers, a line at any n, and neither above its cap elsewhere."""
+    inst = generate_one(SweepSpec(space=space, count=1, n=n, seed=4), 0)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst.to_json()))
+    assert cli_main(["run", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out] == ["completion_time"] + ["opt", "ratio"] * exact
+    if exact:
+        assert out[1] == f"opt: {opt_bruteforce(inst).length:.9g}"
 
 
 @pytest.mark.parametrize("field, value", [

@@ -553,7 +553,7 @@ def test_opt_bruteforce_lower_bounds():
 
 
 def test_opt_bruteforce_cap():
-    sp = Line()
+    sp = Ring(2.0 * OPT_CAP)
     reqs = [Request(i, float(i), 0.0) for i in range(OPT_CAP + 1)]
     with pytest.raises(SizeCapExceeded) as info:
         opt_bruteforce(Instance(sp, reqs, [r.location for r in reqs], "open"))
@@ -806,6 +806,31 @@ def test_opt_above_the_old_factorial_cap():
         assert res.length >= shortest_serving_path_length(inst) - FEAS
         assert sorted(res.order) == list(range(11))
         assert eval_serving_order(inst, res.order) == pytest.approx(res.length, abs=FEAS)
+
+
+@pytest.mark.parametrize("variant", ["closed", "open"])
+def test_line_optimum_matches_opt_bruteforce(variant):
+    """The peel DP on random and tie-heavy line instances at n <= 10: the
+    subset DP's value within ``FEAS``, a permutation for its order, and
+    that order evaluated leg by leg for its value, to the last bit."""
+    for space, locs, rels in pin_pool("line", variant, count=100, n_max=10):
+        inst = Instance(space, [Request(i, x, t) for i, (x, t) in enumerate(zip(locs, rels))], locs, variant)
+        res = offline._line_optimum(inst)
+        assert abs(res.length - opt_bruteforce(inst).length) <= FEAS, inst.to_json()
+        assert sorted(res.order) == list(range(inst.n))
+        assert float.hex(eval_serving_order(inst, res.order)) == float.hex(res.length)
+
+
+def test_opt_bruteforce_is_exact_on_the_line_above_the_cap():
+    """Above ``OPT_CAP`` a line instance gets the peel DP's optimum (a ring
+    raises, see above).  Requests at -5..10, each released at its distance
+    from the origin.  Open, the optimal route goes to -5 first and then to
+    10 (20, where 10 first takes 25), and its peel order serves -5 first;
+    closed, either way round takes 30."""
+    reqs = [Request(i, float(k), abs(k)) for i, k in enumerate(range(-5, 11))]
+    res = opt_bruteforce(Instance(Line(), reqs, [r.location for r in reqs], "open"))
+    assert (res.length, res.order) == (20.0, list(range(16)))
+    assert opt_bruteforce(Instance(Line(), reqs, [r.location for r in reqs], "closed")).length == 30.0
 
 
 def test_shortest_serving_path_examples():

@@ -524,7 +524,7 @@ def test_line_adversary_work_counts():
         mp.setattr(RouteStats, "first_unreleased", counted_first)
         mp.setattr(oracles, "_scanner", counted_scanner)
         run_fixture("open_lb_line_adversary", grid=41)
-    assert counts["walks"] <= 793
+    assert counts["walks"] <= 792
     assert counts["scorings"] <= 6664
     assert counts["reads"] <= 21594
     assert counts["scan misses"] <= 90

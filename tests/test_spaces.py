@@ -18,6 +18,7 @@ from oltsp.spaces import (
     space_from_json,
     trim_tree,
 )
+from oltsp.core import Instance
 from oltsp.oracles import FlowerOracle
 
 from conftest import random_flower, random_general, random_point, random_space, random_tree
@@ -218,12 +219,34 @@ _GENERAL = General([[0.0, 1.0], [1.0, 0.0]])
     (Flower((2.0, 1.0), 1.0), [0, True]), (Flower((2.0, 1.0), 1.0), ["stem", "0.2"]),
     (Flower((2.0, 1.0), 1.0), {"stem": 0.2}),
     (_GENERAL, True), (_GENERAL, 1.0), (_GENERAL, "1"), (_GENERAL, [0, True, 0.5]), (_GENERAL, [0, 1, "0.5"]),
+    (Flower((2.0, 1.0), 1.0), [0, 0.5, 7]), (Euclid2D(), [0.1, 0.2, "x"]), (_GENERAL, [0, 1, 0.5, 3]),
+    (Euclid2D(), [0.1]), (_TREE, [1]), (_GENERAL, [0, 1]),
 ])
 def test_malformed_points_are_named(space, obj):
     """Indices must be JSON integers and offsets and coordinates JSON
-    numbers: a boolean, a string or a fractional index is not coerced."""
+    numbers: a boolean, a string or a fractional index is not coerced.  A
+    point of the wrong length is not cut or padded to fit."""
     with pytest.raises(SpaceError, match=r"^request 3: location: .* is not a \w+ point$"):
         point_from_json(space, obj, "request 3: location")
+
+
+def test_general_sites_must_name_every_site():
+    """A library caller's ``sites`` is checked by ``validate``, as the
+    matrix is; a bad one used to pass and then break ``to_json``."""
+    square = [[0.0, 1.0], [1.0, 0.0]]
+    for sites in (5, ["O"], ["O", 1], ("O", "A")):
+        assert General(square, sites).validate() == ["sites must be a list of 2 strings"]
+    assert General(square, ["O", "A"]).validate() == General(square).validate() == []
+    with pytest.raises(SpaceError, match="invalid space: sites must be a list of 1 strings"):
+        Instance.from_json({"space": {"kind": "general", "matrix": [[0]], "sites": 5},
+                            "requests": [], "predictions": []})
+
+
+def test_flower_stem_must_be_finite():
+    """As the ring's circumference and the petals must be: an infinite stem
+    used to validate, then break ``random_point`` and ``to_json``."""
+    assert Flower((1.0,), math.inf).validate() == ["stem length must be finite"]
+    assert Flower((1.0,), 0.0).validate() == []
 
 
 def test_json_integers_are_numbers():
