@@ -25,7 +25,7 @@ CLOSED = "closed"
 _ORIGIN = ("stem", 0.0)  # a flower's origin, canonical
 
 # At the cap a cost-to-go table keeps m 2^m doubles and as many next-hop
-# bytes (9 MB); filling it peaks at 26 MB above the shared index tables,
+# bytes (9 MB); filling it peaks at 24 MB above the shared index tables,
 # 6.6 MB of that the middle layer's candidates (C(16, 8) 8 (16 - 8) doubles).
 HELD_KARP_CAP = 16
 OPT_CAP = 14  # a table of n * 2^n doubles is 1.8 MB at the cap
@@ -134,12 +134,20 @@ def exact_path(D, targets: tuple[int, ...], end) -> PathTable:
     ending at ``end`` (a matrix row, or FREE), one popcount layer of the
     remaining-target mask per numpy step.
 
+    Each layer lays its candidates out as [member, set, row outside the
+    set], gathered by ``take`` on the flat ``A`` and ``T`` through the
+    index tables of :func:`_held_karp_tables`, and takes the minimum over
+    the leading axis, one ``np.minimum`` of whole (set, row) planes per
+    member: the same reduction along a short trailing axis took 11-16
+    times as long on the middle layer at m = 9, 31 times at m = 14.
+
     The values are, bit for bit, those of a loop that takes, for each set
     and each target outside it, the float ``min`` over its members in
     ascending order of ``D[from][to] + T[rest]``: the same sums, and a
     ``min`` whose choice among equal values cannot show while ``D`` holds
     no -0.0, which no space's distance returns.  The next hop is the first
-    member whose sum is within ``TIE`` of that minimum.
+    member whose sum is within ``TIE`` of that minimum, assigned from the
+    last member down so that the first one wins.
     """
     m = len(targets)
     if m > HELD_KARP_CAP:
@@ -151,20 +159,22 @@ def exact_path(D, targets: tuple[int, ...], end) -> PathTable:
             T[j << m] = D[t][end]
     if m > 1:  # the layer of the full set fills only unused entries
         A = np.array([[D[a][b] for b in targets] for a in targets])  # A[j, c]: j to c
-        Tv = np.frombuffer(T).reshape(m, 1 << m)
-        Nv = np.frombuffer(nxt, np.uint8).reshape(m, 1 << m)
+        Tf, Nf = np.frombuffer(T), np.frombuffer(nxt, np.uint8)
+        Tv, Nv = Tf.reshape(m, 1 << m), Nf.reshape(m, 1 << m)
         ids = np.arange(m)
         Tv[:, 1 << ids] = A + Tv[:, 0]  # a single target c is the only candidate
         Nv[:, 1 << ids] = ids
-        for (S, js, prev), out in zip(_layers(m)[:-1], _outside(m), strict=True):
-            # cand[s, r, c]: from out[s, r] to js[s, c], then on; only the
-            # rows outside S are read, so only they are filled
-            cand = A[out[:, :, None], js[:, None, :]]
-            cand += Tv[js, prev][:, None, :]
-            best = cand.min(axis=2)
-            Tv[out, S[:, None]] = best
-            first = (cand <= (best + TIE)[:, :, None]).argmax(axis=2)
-            Nv[out, S[:, None]] = js[np.arange(len(S))[:, None], first]
+        for take_a, take_t, put, hop in _held_karp_tables(m):
+            cand = A.take(take_a)
+            cand += Tf.take(take_t)[:, :, None]
+            best = np.minimum.reduce(cand)
+            Tf[put] = best
+            within = cand <= best + TIE
+            first = np.empty(put.shape, np.uint8)
+            first[...] = hop[-1][:, None]
+            for c in range(len(hop) - 2, -1, -1):
+                np.copyto(first, hop[c][:, None], where=within[c])
+            Nf[put] = first
     return PathTable(D, targets, end, T, nxt)
 
 
@@ -660,47 +670,73 @@ def eval_serving_order(instance, order) -> float:
     return t
 
 
-@lru_cache(maxsize=None)
-def _layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Index tables of the subset DPs over ``n`` items (the OPT forward
-    table and Held-Karp), one per popcount k = 2..n: the sets ``S`` with k
-    members, ascending; ``js[s]``, the k members of ``S[s]``, ascending; and
-    ``prev[s, c] = S[s] ^ (1 << js[s, c])``.
-
-    Read-only, as every call shares them.  One ``n`` takes 8 (n + 1) 2^n
-    bytes: 1.9 MB at ``OPT_CAP``, 8.5 MB at ``HELD_KARP_CAP`` and 16 MB for
-    every size up to it.  int32 tables would halve that, but numpy converts
-    them to intp on every gather: the m = 9 Held-Karp table took 0.68 ms
-    with them against 0.46 ms."""
+def _layers(n: int, ks: range):
+    """The popcount layers k in ``ks`` of the sets of ``n`` items: for
+    each, the sets ``S`` with k members, ascending; ``js[s]``, the k
+    members of ``S[s]``, ascending; and ``out[s]``, the n - k others,
+    ascending."""
     sets = np.arange(1 << n)
     member = ((sets[:, None] >> np.arange(n)) & 1) == 1
     size = member.sum(axis=1)
-    out = []
-    for k in range(2, n + 1):
+    for k in ks:
         S = sets[size == k]
         # not np.nonzero's column: a view that keeps both of its index arrays
-        js = (np.flatnonzero(member[S]) % n).reshape(len(S), k)
-        tables = (S, js, S[:, None] ^ (1 << js))
-        for t in tables:
-            t.flags.writeable = False
-        out.append(tables)
-    return tuple(out)
+        yield (S, (np.flatnonzero(member[S]) % n).reshape(len(S), k),
+               (np.flatnonzero(~member[S]) % n).reshape(len(S), n - k))
+
+
+# The two kernels' index tables, built once per size and shared by every
+# call, which never writes them.  They stay writeable and C-contiguous,
+# since ``take`` copies any other index array on every call (``_finish``
+# at n = 14 took 7.9-8.1 ms with read-only tables, against 6.4-6.6 ms).
+# They are int64 (intp): int32 would halve their bytes, but ``take``
+# converts such indices on every call, and ``_finish`` took 0.09-0.17 ms
+# with them at n = 9 against 0.07-0.11 ms, 5.3-7.5 ms at n = 14 against
+# 4.2-5.7 ms.
+
+@lru_cache(maxsize=None)
+def _held_karp_tables(m: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Index tables of :func:`exact_path`'s layers k = 2..m-1 over ``m``
+    targets: for member c of set s and row r outside it, ``take_a[c, s,
+    r]`` is the flat index of ``A[out[s, r], js[s, c]]`` and ``take_t[c,
+    s]`` that of ``T[js[s, c], S[s] ^ (1 << js[s, c])]``; ``put[s, r]`` is
+    that of ``T[out[s, r], S[s]]``; and ``hop[c, s] = js[s, c]``.  One
+    ``m`` takes m (2 m + 6.5) 2^m bytes at most: 40.4 MB at
+    ``HELD_KARP_CAP``, 0.11 MB at m = 9 and 72 MB for every size up to
+    the cap."""
+    layers = []
+    for S, js, out in _layers(m, range(2, m)):
+        jc = np.ascontiguousarray(js.T)  # jc[c, s] = js[s, c]
+        layers.append(tuple(map(np.ascontiguousarray, (
+            out * m + jc[:, :, None],
+            (jc << m) | (S ^ (1 << jc)),
+            (out << m) | S[:, None],
+            jc.astype(np.uint8),
+        ))))
+    return tuple(layers)
 
 
 @lru_cache(maxsize=None)
-def _outside(n: int) -> tuple[np.ndarray, ...]:
-    """For each layer of :func:`_layers` but the full set's, ``out[s]``:
-    the n - k items outside ``S[s]``, ascending, the only rows Held-Karp
-    fills.  Kept apart from ``_layers`` so that the OPT table, which never
-    reads them, does not hold them.  Read-only; one ``n`` takes 4 n 2^n
-    bytes, 4.2 MB at ``HELD_KARP_CAP``."""
-    out = []
-    for S, js, _ in _layers(n)[:-1]:
-        free = ((S[:, None] >> np.arange(n)) & 1) == 0
-        t = (np.flatnonzero(free) % n).reshape(len(S), n - js.shape[1])
-        t.flags.writeable = False
-        out.append(t)
-    return tuple(out)
+def _opt_tables(m: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Index tables of :func:`_finish`'s layers k = 2..m over ``m``
+    requests: for the c-th of the k - 1 members i of set s other than its
+    member j = js[s, p], ``take_f[c, s, p]`` is the flat index of ``f[i,
+    S[s] ^ (1 << j)]`` and ``take_legs[c, s, p]`` that of ``legs[i, j]``;
+    ``put[s, p]`` is that of ``f[j, S[s]]``; and ``js`` itself.  One ``m``
+    takes 4 m (m + 1) 2^m bytes at most: 13.8 MB at ``OPT_CAP``, 0.18 MB
+    at m = 9 and 24 MB for every size up to the cap."""
+    layers = []
+    for S, js, _ in _layers(m, range(2, m + 1)):
+        k = js.shape[1]
+        c = np.arange(k - 1)[:, None]
+        i = np.ascontiguousarray(js[:, c + (c >= np.arange(k))].transpose(1, 0, 2))  # i[c, s, p]
+        layers.append(tuple(map(np.ascontiguousarray, (
+            (i << m) | (S[:, None] ^ (1 << js)),
+            i * m + js,
+            (js << m) | S[:, None],
+            js,
+        ))))
+    return tuple(layers)
 
 
 class _LazyOptResult(OptResult):
@@ -725,24 +761,28 @@ def _finish(D: np.ndarray, rel: np.ndarray, closed: bool, row: int, t: float, id
     r)`` is monotone in ``t`` in float arithmetic, so the earliest time at
     the last request of each served set is the minimum over those orders.
     One popcount layer per numpy step, with a loop's float ``+``, ``min``
-    and ``max``."""
+    and ``max``: at each set and member j, the k - 1 other members are
+    laid out as [member, set, j], gathered by ``take`` on the flat ``f``
+    and ``legs`` through :func:`_opt_tables`, and reduced over the
+    leading axis."""
     m = len(ids)
     rows = np.array(ids) + 1
-    legs = D[rows[:, None], rows]  # legs[i, j]: request ids[i] to ids[j]
+    legs = D[rows[:, None], rows].ravel()  # legs[i * m + j]: request ids[i] to ids[j]
     r = rel[ids]
-    # f[S, j]: earliest time at ids[j] having served the set S; inf where j
-    # is not in S.  np.maximum(a, r) returns r when a == r, as ``a if a > r
-    # else r`` does, so the sign of a zero ``a`` never counts.
-    f = np.full((1 << m, m), np.inf)
+    # f[(j << m) | S]: earliest time at ids[j] having served the set S, set
+    # only where j is in S, the only entries read.  np.maximum(a, r)
+    # returns r when a == r, as ``a if a > r else r`` does, so the sign of
+    # a zero ``a`` never counts.
+    f = np.empty(m << m)
     pos = np.arange(m)
-    f[1 << pos, pos] = np.maximum(t + D[row, rows], r)
-    for S, js, prev in _layers(m):
-        # a[s, c]: earliest arrival at js[s, c] after the last request i of
-        # prev[s, c], over the leg legs.T[c, i] from i to it
-        a = (f[prev] + legs.T[js]).min(axis=2)
-        f[S[:, None], js] = np.maximum(a, r[js])
+    f[(pos << m) | (1 << pos)] = np.maximum(t + D[row, rows], r)
+    for take_f, take_legs, put, js in _opt_tables(m):
+        a = f.take(take_f)
+        a += legs.take(take_legs)
+        f[put] = np.maximum(np.minimum.reduce(a), r.take(js))
+    last = f[(1 << m) - 1::1 << m]
     # Python's min keeps the first of equal values, 0.0 or -0.0, as a loop does
-    return min((f[-1] + D[rows, 0] if closed else f[-1]).tolist())
+    return min((last + D[rows, 0] if closed else last).tolist())
 
 
 def opt_bruteforce(instance) -> OptResult:
@@ -810,19 +850,21 @@ def _line_optimum(instance) -> OptResult:
     ids = sorted(range(n), key=lambda i: (reqs[i].location, i))
     x, rel = np.array([(reqs[i].location, reqs[i].release) for i in ids]).T
     xp = np.concatenate(([instance.origin], x, [instance.origin]))
-    # the step from block i..i+L serves x[i] (side 0) or x[i + L] (side 1)
-    # from xp[i] (side 0) or xp[i + L + 2] (side 1), the places beside it
-    i, L = np.arange(n), np.arange(n)[:, None]
-    served = np.stack(np.broadcast_arrays(i, np.minimum(i + L, n - 1)), axis=1)
-    stand = np.stack(np.broadcast_arrays(i, np.minimum(i + L + 2, n + 1)), axis=1)
-    legs, rel = np.abs(xp[stand][:, :, None] - x[served][:, None]), rel[served]  # [L, from, side, i]
     f = np.full((2, n + 1), np.inf)  # earliest times beside block j..: f[0, j] and f[1, j + 1]
     f[1, 1], came = 0.0, []  # at the origin, beside the whole block
+    served = np.empty((2, n))  # one block length at a time: O(n) memory
     for L in range(n - 1, -1, -1):
-        left = f[0, :n - L] + legs[L, 0, :, :n - L]
-        right = f[1, 1:n - L + 1] + legs[L, 1, :, :n - L]
+        # the step from block i..i+L, i < w, serves x[i] (side 0) or x[i + L]
+        # (side 1) from xp[i] or xp[i + L + 2], the places beside it
+        w = n - L
+        s = served[:, :w]
+        s[0], s[1] = x[:w], x[L:]
+        left = f[0, :w] + np.abs(xp[:w] - s)
+        right = f[1, 1:w + 1] + np.abs(xp[L + 2:] - s)
         came.append(right < left)
-        f[:, 1:n - L + 1] = np.maximum(np.minimum(left, right), rel[L, :, :n - L])
+        best = np.minimum(left, right)
+        np.maximum(best[0], rel[:w], out=f[0, 1:w + 1])
+        np.maximum(best[1], rel[L:], out=f[1, 1:w + 1])
     end = f[:, 1:] + (np.abs(x - instance.origin) if instance.variant == "closed" else 0.0)
     side, i = divmod(int(end.argmin()), n)
     order = []

@@ -5,9 +5,11 @@ guaranteed to contain an optimum for every release-time assignment, so
 tests can check that the oracles dominate exactly the right families.
 ``opt_by_enumeration`` is the exact optimum by evaluating every order,
 the reference for ``offline.opt_bruteforce``; ``opt_value_by_loop`` is its
-value by the forward subset DP in pure Python, and
-``serving_order_by_latest_times`` its order by a backward table of latest
-start times, the references above the enumeration's reach.  All three
+value by the forward subset DP in pure Python (``finish_by_loop`` from
+the origin, which is also the reference for ``offline._finish`` from any
+row, time and set of requests), and ``serving_order_by_latest_times``
+its order by a backward table of latest start times, the references
+above the enumeration's reach.  All three
 read ``offline.distance_matrix``, each leg from the request it leaves to
 the one it reaches, as ``eval_serving_order`` walks it: a tree's
 distance is not bitwise symmetric.
@@ -263,39 +265,48 @@ def opt_by_enumeration(instance):
 
 
 def opt_value_by_loop(instance) -> float:
-    """Value of ``offline.opt_bruteforce`` by the forward subset DP, one
-    set and one last request at a time in pure Python."""
+    """Value of ``offline.opt_bruteforce``: ``finish_by_loop`` from the
+    origin at time 0 over every request."""
     n = len(instance.requests)
     if n == 0:
         return 0.0
     D = distance_matrix(instance.space, [instance.origin] + [r.location for r in instance.requests])
-    rel = [r.release for r in instance.requests]
-    closed = instance.variant == "closed"
-    full = (1 << n) - 1
-    # legs[i][j]: request i to request j
-    legs = [row[1:] for row in D[1:]]
-    members = [[k for k in range(n) if S >> k & 1] for S in range(full + 1)]
+    return finish_by_loop(D, [r.release for r in instance.requests], instance.variant == "closed",
+                          0, 0.0, list(range(n)))
 
-    # f[S * n + j]: earliest time at request j having served the set S
-    f = array("d", [0.0]) * (n << n)
-    for j in range(n):
-        a = D[0][j + 1]
-        f[(n << j) + j] = a if a > rel[j] else rel[j]
+
+def finish_by_loop(D, rel, closed: bool, row: int, t: float, ids: list[int]) -> float:
+    """``offline._finish`` by the forward subset DP, one set and one last
+    request at a time in pure Python: the earliest finish of a server at
+    row ``row`` of matrix ``D`` (0 the origin, ``k + 1`` request ``k``)
+    at time ``t`` that serves the requests ``ids`` (ascending), each at
+    its release ``rel[k]`` at the earliest, and, if ``closed``, returns to
+    the origin."""
+    D = [list(map(float, d)) for d in D]
+    m = len(ids)
+    rows = [k + 1 for k in ids]
+    r = [float(rel[k]) for k in ids]
+    full = (1 << m) - 1
+    members = [[k for k in range(m) if S >> k & 1] for S in range(full + 1)]
+
+    # f[S * m + j]: earliest time at request ids[j] having served the set S
+    f = array("d", [0.0]) * (m << m)
+    for j in range(m):
+        a = t + D[row][rows[j]]
+        f[(m << j) + j] = a if a > r[j] else r[j]
     for S in range(3, full + 1):
         ks = members[S]
         if len(ks) < 2:
             continue
-        base = S * n
+        base = S * m
         for j in ks:
-            prev = (S ^ (1 << j)) * n
-            a = min([f[prev + i] + legs[i][j] for i in ks if i != j])
-            f[base + j] = a if a > rel[j] else rel[j]
-    last = full * n
+            prev = (S ^ (1 << j)) * m
+            a = min([f[prev + i] + D[rows[i]][rows[j]] for i in ks if i != j])
+            f[base + j] = a if a > r[j] else r[j]
+    last = full * m
     if closed:
-        opt = min([f[last + j] + D[j + 1][0] for j in range(n)])
-    else:
-        opt = min(f[last:last + n])
-    return opt
+        return min([f[last + j] + D[rows[j]][0] for j in range(m)])
+    return min(f[last:last + m])
 
 
 _BITS = struct.Struct("<q")

@@ -2,7 +2,9 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from oltsp import offline
@@ -49,6 +51,7 @@ from conftest import (
 from sensible import (
     _latest,
     exact_path_by_loop,
+    finish_by_loop,
     flower_cover_by_masks,
     maximal_nodes_by_walk,
     opt_by_enumeration,
@@ -188,11 +191,12 @@ def test_exact_path_matches_loop_bit_for_bit():
     inside the set, or not a target) and, at m <= 8, every remaining set;
     on random points and on a half-integer grid whose equal-looking sums
     differ in the last bits, so the ``TIE`` rule decides steps; and on
-    tree matrices that are not bitwise symmetric."""
+    tree matrices that are not bitwise symmetric.  The index tables are
+    built per size, so m = 13 and 14 get one random matrix each too."""
     rng = random.Random(41)
-    for m in range(13):
+    for m in range(15):
         rows = m + 2  # row 0 a start, rows 1..m the targets, row m + 1 an end
-        for grid in (False, True):
+        for grid in (False, True) if m <= 12 else (False,):
             pts = [(rng.randint(0, 4) / 2, rng.randint(0, 2) / 2) if grid else (rng.random(), rng.random())
                    for _ in range(rows)]
             D = [[math.dist(a, b) for b in pts] for a in pts]
@@ -627,6 +631,50 @@ def test_opt_matches_loop_dp_bit_for_bit():
         assert float.hex(opt_bruteforce(inst).length) == float.hex(opt_value_by_loop(inst))
 
 
+def test_finish_matches_loop_bit_for_bit():
+    """The OPT kernel at the calls ``_serving_order`` makes: from the origin
+    or a request's row, at time 0 or later, over a subset of the other
+    requests, in both variants, gives the pure-Python loop's value to the
+    last bit.  On random instances of five families, tie-heavy line and
+    ring grids (times on the release grid too), trees whose distance is
+    not bitwise symmetric, and requests at the origin released at 0.0 or
+    -0.0, alone or among others, whose zero legs and times exercise the
+    kernel's notes on signed zeros: ``float.hex`` tells the two zeros
+    apart."""
+    rng = random.Random(43)
+    cases = [(inst.space, [r.location for r in inst.requests], [r.release for r in inst.requests])
+             for inst in asymmetric_tree_instances()]
+    for n in range(1, 11):
+        for kind in ("line", "tree", "ring", "flower", "general"):
+            sp = random_space(kind, rng, n)
+            cases.append((sp, [random_point(sp, rng) for _ in range(n)],
+                          [round(rng.uniform(0, 3), rng.choice([1, 6])) for _ in range(n)]))
+        for sp in (Line(), Ring(1.0)):
+            cases.append((sp, [rng.choice(GRID_POSITIONS) for _ in range(n)],
+                          [rng.choice(GRID_RELEASES) for _ in range(n)]))
+        cases.append((Line(), [0.0] * n, [rng.choice([0.0, -0.0]) for _ in range(n)]))
+        cases.append((Ring(1.0), [rng.choice([0.0, 0.5]) for _ in range(n)],
+                      [rng.choice([0.0, 0.5]) for _ in range(n)]))
+    calls = 0
+    for space, locs, rels in cases:
+        n = len(locs)
+        D = np.array(distance_matrix(space, [space.origin()] + locs))
+        rel = np.array(rels, dtype=float)
+        for _ in range(3):
+            row = rng.randrange(n + 1)
+            others = [k for k in range(n) if k != row - 1]
+            if not others:
+                continue
+            ids = sorted(rng.sample(others, rng.randint(1, len(others))))
+            for t in (0.0, rng.choice(GRID_RELEASES), round(rng.uniform(0, 3), 6)):
+                for closed in (False, True):
+                    got = offline._finish(D, rel, closed, row, t, ids)
+                    want = finish_by_loop(D, rel, closed, row, t, ids)
+                    assert float.hex(got) == float.hex(want), (locs, rels, closed, row, t, ids)
+                    calls += 1
+    assert calls > 1000
+
+
 def test_opt_order_matches_latest_times_reference():
     """Above the enumeration's reach, the greedy pass through the forward
     kernel gives the backward latest-time table's order, on the kind of
@@ -819,6 +867,23 @@ def test_line_optimum_matches_opt_bruteforce(variant):
         assert abs(res.length - opt_bruteforce(inst).length) <= FEAS, inst.to_json()
         assert sorted(res.order) == list(range(inst.n))
         assert float.hex(eval_serving_order(inst, res.order)) == float.hex(res.length)
+
+
+def test_line_optimum_memory_stays_near_its_choice_bits():
+    """The peel DP builds each block length's legs and releases inside its
+    loop, so at n = 1000 (line, open) its traced peak is the n^2 choice
+    bits (1 MB) and O(n) arrays: 1.3 MB, where tables for every block
+    length at once peaked at 96 MB."""
+    rng = random.Random(53)
+    reqs = [Request(i, rng.uniform(-5, 5), rng.uniform(0, 8)) for i in range(1000)]
+    inst = Instance(Line(), reqs, [r.location for r in reqs], "open")
+    tracemalloc.start()
+    try:
+        offline._line_optimum(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_opt_bruteforce_is_exact_on_the_line_above_the_cap():
