@@ -28,7 +28,9 @@ _ORIGIN = ("stem", 0.0)  # a flower's origin, canonical
 # bytes (9 MB); filling it peaks at 24 MB above the shared index tables,
 # 6.6 MB of that the middle layer's candidates (C(16, 8) 8 (16 - 8) doubles).
 HELD_KARP_CAP = 16
-OPT_CAP = 14  # a table of n * 2^n doubles is 1.8 MB at the cap
+# At the cap an OPT table keeps n 2^n doubles (1.8 MB), read through that
+# size's shared index tables (7.9 MB, 14.0 MB for every size up to the cap).
+OPT_CAP = 14
 
 
 class SizeCapExceeded(ValueError):
@@ -134,12 +136,15 @@ def exact_path(D, targets: tuple[int, ...], end) -> PathTable:
     ending at ``end`` (a matrix row, or FREE), one popcount layer of the
     remaining-target mask per numpy step.
 
-    Each layer lays its candidates out as [member, set, row outside the
+    Each layer lays its candidates out as [member, row outside the set,
     set], gathered by ``take`` on the flat ``A`` and ``T`` through the
     index tables of :func:`_held_karp_tables`, and takes the minimum over
-    the leading axis, one ``np.minimum`` of whole (set, row) planes per
+    the leading axis, one ``np.minimum`` of whole (row, set) planes per
     member: the same reduction along a short trailing axis took 11-16
-    times as long on the middle layer at m = 9, 31 times at m = 14.
+    times as long on the middle layer at m = 9, 31 times at m = 14.  The
+    set axis is the last, so that a member's cost-to-go, the same for
+    every row, is added along it: with the rows last the fill took 1.25
+    times as long at m = 9, 1.36-1.47 times at m = 12-16.
 
     The values are, bit for bit, those of a loop that takes, for each set
     and each target outside it, the float ``min`` over its members in
@@ -160,20 +165,16 @@ def exact_path(D, targets: tuple[int, ...], end) -> PathTable:
     if m > 1:  # the layer of the full set fills only unused entries
         A = np.array([[D[a][b] for b in targets] for a in targets])  # A[j, c]: j to c
         Tf, Nf = np.frombuffer(T), np.frombuffer(nxt, np.uint8)
-        Tv, Nv = Tf.reshape(m, 1 << m), Nf.reshape(m, 1 << m)
-        ids = np.arange(m)
-        Tv[:, 1 << ids] = A + Tv[:, 0]  # a single target c is the only candidate
-        Nv[:, 1 << ids] = ids
         for take_a, take_t, put, hop in _held_karp_tables(m):
             cand = A.take(take_a)
-            cand += Tf.take(take_t)[:, :, None]
+            cand += Tf.take(take_t)[:, None, :]
             best = np.minimum.reduce(cand)
             Tf[put] = best
             within = cand <= best + TIE
             first = np.empty(put.shape, np.uint8)
-            first[...] = hop[-1][:, None]
+            first[...] = hop[-1]
             for c in range(len(hop) - 2, -1, -1):
-                np.copyto(first, hop[c][:, None], where=within[c])
+                np.copyto(first, hop[c], where=within[c])
             Nf[put] = first
     return PathTable(D, targets, end, T, nxt)
 
@@ -670,72 +671,46 @@ def eval_serving_order(instance, order) -> float:
     return t
 
 
-def _layers(n: int, ks: range):
-    """The popcount layers k in ``ks`` of the sets of ``n`` items: for
-    each, the sets ``S`` with k members, ascending; ``js[s]``, the k
-    members of ``S[s]``, ascending; and ``out[s]``, the n - k others,
-    ascending."""
-    sets = np.arange(1 << n)
-    member = ((sets[:, None] >> np.arange(n)) & 1) == 1
-    size = member.sum(axis=1)
-    for k in ks:
-        S = sets[size == k]
-        # not np.nonzero's column: a view that keeps both of its index arrays
-        yield (S, (np.flatnonzero(member[S]) % n).reshape(len(S), k),
-               (np.flatnonzero(~member[S]) % n).reshape(len(S), n - k))
-
-
-# The two kernels' index tables, built once per size and shared by every
-# call, which never writes them.  They stay writeable and C-contiguous,
-# since ``take`` copies any other index array on every call (``_finish``
-# at n = 14 took 7.9-8.1 ms with read-only tables, against 6.4-6.6 ms).
+# The subset DP's one family of index tables, built once per size and
+# shared by :func:`exact_path` and :func:`_finish`, which never write them.
+# They stay writeable and C-contiguous, since ``take`` copies any other
+# index array on every call: at n = 9 and 14, ``_finish`` took 1.08-1.27
+# times as long with read-only tables, ``exact_path`` 1.01-1.14 times.
 # They are int64 (intp): int32 would halve their bytes, but ``take``
-# converts such indices on every call, and ``_finish`` took 0.09-0.17 ms
-# with them at n = 9 against 0.07-0.11 ms, 5.3-7.5 ms at n = 14 against
-# 4.2-5.7 ms.
+# converts such indices on every call, and ``_finish`` took 1.10-1.35
+# times as long with them, ``exact_path`` 1.19-1.28 times.
 
 @lru_cache(maxsize=None)
 def _held_karp_tables(m: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Index tables of :func:`exact_path`'s layers k = 2..m-1 over ``m``
-    targets: for member c of set s and row r outside it, ``take_a[c, s,
-    r]`` is the flat index of ``A[out[s, r], js[s, c]]`` and ``take_t[c,
-    s]`` that of ``T[js[s, c], S[s] ^ (1 << js[s, c])]``; ``put[s, r]`` is
-    that of ``T[out[s, r], S[s]]``; and ``hop[c, s] = js[s, c]``.  One
-    ``m`` takes m (2 m + 6.5) 2^m bytes at most: 40.4 MB at
-    ``HELD_KARP_CAP``, 0.11 MB at m = 9 and 72 MB for every size up to
-    the cap."""
-    layers = []
-    for S, js, out in _layers(m, range(2, m)):
-        jc = np.ascontiguousarray(js.T)  # jc[c, s] = js[s, c]
-        layers.append(tuple(map(np.ascontiguousarray, (
-            out * m + jc[:, :, None],
-            (jc << m) | (S ^ (1 << jc)),
-            (out << m) | S[:, None],
-            jc.astype(np.uint8),
-        ))))
-    return tuple(layers)
+    """Index tables of the subset-DP layers k = 1..m-1 over ``m`` items,
+    for the sets ``S`` with k members, ascending, each with its members
+    ``js[s]`` and the others ``out[s]``, both ascending: for member c of
+    set s and row r outside it, ``take_a[c, r, s]`` is the flat index of
+    ``A[out[s, r], js[s, c]]`` and ``take_t[c, s]`` that of ``T[js[s, c],
+    S[s] ^ (1 << js[s, c])]``; ``put[r, s]`` is that of ``T[out[s, r],
+    S[s]]``; and ``hop[c, s] = js[s, c]``.
 
-
-@lru_cache(maxsize=None)
-def _opt_tables(m: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Index tables of :func:`_finish`'s layers k = 2..m over ``m``
-    requests: for the c-th of the k - 1 members i of set s other than its
-    member j = js[s, p], ``take_f[c, s, p]`` is the flat index of ``f[i,
-    S[s] ^ (1 << j)]`` and ``take_legs[c, s, p]`` that of ``legs[i, j]``;
-    ``put[s, p]`` is that of ``f[j, S[s]]``; and ``js`` itself.  One ``m``
-    takes 4 m (m + 1) 2^m bytes at most: 13.8 MB at ``OPT_CAP``, 0.18 MB
-    at m = 9 and 24 MB for every size up to the cap."""
+    Both subset-DP kernels read them.  :func:`exact_path` keeps in slot
+    ``T[j, S]`` the cost-to-go from target j over the set S, with ``A[j,
+    c]`` the leg j -> c; :func:`_finish` keeps in it f[j, S | {j}], the
+    earliest time at request j having served S and then j, with ``A[j,
+    c]`` the leg c -> j.  One ``m`` takes m (2 m + 6.5) 2^m bytes at most:
+    40.4 MB at ``HELD_KARP_CAP``, 7.9 MB at ``OPT_CAP``, 0.11 MB at m = 9,
+    and 14.0 MB for every size up to ``OPT_CAP``, 72 MB up to
+    ``HELD_KARP_CAP``."""
+    sets = np.arange(1 << m)
+    member = ((sets[:, None] >> np.arange(m)) & 1) == 1
+    size = member.sum(axis=1)
     layers = []
-    for S, js, _ in _layers(m, range(2, m + 1)):
-        k = js.shape[1]
-        c = np.arange(k - 1)[:, None]
-        i = np.ascontiguousarray(js[:, c + (c >= np.arange(k))].transpose(1, 0, 2))  # i[c, s, p]
-        layers.append(tuple(map(np.ascontiguousarray, (
-            (i << m) | (S[:, None] ^ (1 << js)),
-            i * m + js,
-            (js << m) | S[:, None],
-            js,
-        ))))
+    for k in range(1, m):
+        S = sets[size == k]
+        # jc[c, s] and out[r, s]; not np.nonzero's column, a view that keeps
+        # both of its index arrays
+        jc = np.ascontiguousarray((np.flatnonzero(member[S]) % m).reshape(len(S), k).T)
+        out = np.ascontiguousarray((np.flatnonzero(~member[S]) % m).reshape(len(S), m - k).T)
+        # C-contiguous, as each array they are computed from is
+        layers.append((out * m + jc[:, None, :], (jc << m) | (S ^ (1 << jc)),
+                       (out << m) | S, jc.astype(np.uint8)))
     return tuple(layers)
 
 
@@ -761,26 +736,31 @@ def _finish(D: np.ndarray, rel: np.ndarray, closed: bool, row: int, t: float, id
     r)`` is monotone in ``t`` in float arithmetic, so the earliest time at
     the last request of each served set is the minimum over those orders.
     One popcount layer per numpy step, with a loop's float ``+``, ``min``
-    and ``max``: at each set and member j, the k - 1 other members are
-    laid out as [member, set, j], gathered by ``take`` on the flat ``f``
-    and ``legs`` through :func:`_opt_tables`, and reduced over the
-    leading axis."""
+    and ``max``, on :func:`exact_path`'s layout: f[j, S'], the earliest
+    time at ``ids[j]`` having served the set S' (j in S'), is kept in slot
+    ``(j << m) | (S' ^ (1 << j))``, f[j, {j}] set from the first leg.  The
+    layer over the sets S with k members (k = 1..m-1) lays its
+    candidates out as [member c of S, request r outside S, set], gathered
+    by ``take`` on the flat ``f`` and the transposed legs through
+    :func:`_held_karp_tables`, takes the minimum over the leading axis
+    and then r's release, and stores f[r, S | {r}].  The finish reads
+    f[j, all of ``ids``] from the slots ``(j << m) | ((1 << m) - 1 ^ (1
+    << j))``."""
     m = len(ids)
     rows = np.array(ids) + 1
-    legs = D[rows[:, None], rows].ravel()  # legs[i * m + j]: request ids[i] to ids[j]
+    A = D[rows, rows[:, None]]  # A[j, c]: request ids[c] to ids[j]
     r = rel[ids]
-    # f[(j << m) | S]: earliest time at ids[j] having served the set S, set
-    # only where j is in S, the only entries read.  np.maximum(a, r)
-    # returns r when a == r, as ``a if a > r else r`` does, so the sign of
-    # a zero ``a`` never counts.
+    # no slot (j << m) | S with j in S is read, so f starts unfilled.
+    # np.maximum(a, r) returns r when a == r, as ``a if a > r else r``
+    # does, so the sign of a zero ``a`` never counts.
     f = np.empty(m << m)
+    f[::1 << m] = np.maximum(t + D[row, rows], r)
+    for take_a, take_t, put, _ in _held_karp_tables(m):
+        cand = A.take(take_a)
+        cand += f.take(take_t)[:, None, :]
+        f[put] = np.maximum(np.minimum.reduce(cand), r.take(put >> m))
     pos = np.arange(m)
-    f[(pos << m) | (1 << pos)] = np.maximum(t + D[row, rows], r)
-    for take_f, take_legs, put, js in _opt_tables(m):
-        a = f.take(take_f)
-        a += legs.take(take_legs)
-        f[put] = np.maximum(np.minimum.reduce(a), r.take(js))
-    last = f[(1 << m) - 1::1 << m]
+    last = f[(pos << m) | ((1 << m) - 1 ^ (1 << pos))]
     # Python's min keeps the first of equal values, 0.0 or -0.0, as a loop does
     return min((last + D[rows, 0] if closed else last).tolist())
 

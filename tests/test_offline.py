@@ -675,6 +675,21 @@ def test_finish_matches_loop_bit_for_bit():
     assert calls > 1000
 
 
+def test_opt_and_held_karp_share_one_table_per_size():
+    """The OPT kernel and Held-Karp read one family of index tables: at a
+    size both use, the second one to run finds the first one's tables."""
+    rng = random.Random(47)
+    sp = random_space("general", rng, 9)
+    reqs = [Request(i, random_point(sp, rng), round(rng.uniform(0, 3), 3)) for i in range(9)]
+    inst = Instance(sp, reqs, [r.location for r in reqs], "closed")
+    D = distance_matrix(sp, [sp.origin()] + [r.location for r in reqs])
+    offline._held_karp_tables.cache_clear()
+    opt_bruteforce(inst).length
+    exact_path(D, tuple(range(1, 10)), 0)
+    info = offline._held_karp_tables.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_opt_order_matches_latest_times_reference():
     """Above the enumeration's reach, the greedy pass through the forward
     kernel gives the backward latest-time table's order, on the kind of

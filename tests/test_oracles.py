@@ -383,9 +383,27 @@ _OPEN_FLOWER_GAP = {
 }
 
 
+# A smaller one: at t=0 the order (5,4,1,2,3,0) is dominated by no entry.
+# It serves the request at the origin, then sweeps petal 0 forward across
+# its antipode; its pivot, at the origin, is never a maximal node.
+_OPEN_FLOWER_GAP_N6 = {
+    "space": {"kind": "flower", "petals": [2.0, 1.0], "stem": 0.0},
+    "variant": "open",
+    "requests": [
+        {"x": [0, 1.452], "t": 1.068}, {"x": [0, 0.389], "t": 1.666},
+        {"x": [0, 0.69], "t": 0.427}, {"x": [0, 1.033], "t": 1.76},
+        {"x": [0, 0.116], "t": 0.859}, {"x": ["stem", 0.0], "t": 0.637},
+    ],
+    "predictions": [
+        [0, 1.452], [0, 0.389], [0, 0.69], [0, 1.033], [0, 0.116], ["stem", 0.0],
+    ],
+}
+
+
 @pytest.mark.xfail(strict=True, reason="open FlowerOracle leaves some orders undominated")
-def test_open_flower_domination_gap():
-    inst = Instance.from_json(_OPEN_FLOWER_GAP)
+@pytest.mark.parametrize("spec", [_OPEN_FLOWER_GAP, _OPEN_FLOWER_GAP_N6], ids=["n7", "n6"])
+def test_open_flower_domination_gap(spec):
+    inst = Instance.from_json(spec)
     _check_domination(inst, list(itertools.permutations(range(inst.n))))
 
 
