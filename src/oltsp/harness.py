@@ -113,7 +113,7 @@ class SweepSpec:
                         f"sweep field {k!r} must be one of {list(_SPEC_CHOICES[k])}, got {v!r}")
             elif k == "eta":
                 v = v if isinstance(v, list) else [v]
-                if not all(type(e) in (int, float) and math.isfinite(e) and e >= 0 for e in v):
+                if not v or not all(type(e) in (int, float) and math.isfinite(e) and e >= 0 for e in v):
                     raise ValueError(
                         f"sweep field 'eta' must be a finite number >= 0 or a list of them, got {obj[k]!r}")
                 v = [float(e) for e in v]

@@ -24,13 +24,11 @@ FREE = "free"
 CLOSED = "closed"
 _ORIGIN = ("stem", 0.0)  # a flower's origin, canonical
 
-# At the cap a cost-to-go table keeps m 2^m doubles and as many next-hop
-# bytes (9 MB); filling it peaks at 24 MB above the shared index tables,
-# 6.6 MB of that the middle layer's candidates (C(16, 8) 8 (16 - 8) doubles).
+# The one cap of the subset DP, Held-Karp's and OPT's alike.  At the cap a
+# table keeps m 2^m doubles (8.4 MB; Held-Karp adds as many next-hop bytes);
+# filling one peaks at 24 MB at most above the shared index tables, 6.6 MB
+# of that the middle layer's candidates (C(16, 8) 8 (16 - 8) doubles).
 HELD_KARP_CAP = 16
-# At the cap an OPT table keeps n 2^n doubles (1.8 MB), read through that
-# size's shared index tables (7.9 MB, 14.0 MB for every size up to the cap).
-OPT_CAP = 14
 
 
 class SizeCapExceeded(ValueError):
@@ -500,14 +498,13 @@ def tree_index_for(space: Space, items: dict[Any, Any]) -> TreeIndex:
 # Flower cover
 # ---------------------------------------------------------------------------
 
-def flower_cover(flower: Flower, s, req: list[tuple[Any, Any]], end,
-                 table: dict | None = None) -> tuple[float, list]:
+def flower_cover(flower: Flower, s, req: list[tuple[Any, Any]], end) -> tuple[float, list]:
     """Optimal covering walk on a flower from point ``s`` over request points:
     :func:`flower_cover_grouped` over the canonical points as grouped by
-    :func:`flower_groups`, with a fresh leg table if ``table`` is None."""
+    :func:`flower_groups`, with a fresh leg table."""
     s, end = flower.canon(s), end if end in (FREE, CLOSED) else flower.canon(end)
     groups = flower_groups([(flower.canon(p), k) for p, k in req], s, end)
-    return flower_cover_grouped(flower, s, groups, end, {} if table is None else table)
+    return flower_cover_grouped(flower, s, groups, end, {})
 
 
 def flower_groups(req: list[tuple[tuple, Any]], s: tuple, end) -> dict[Any, list[tuple[float, Any]]]:
@@ -695,9 +692,8 @@ def _held_karp_tables(m: int) -> tuple[tuple[np.ndarray, ...], ...]:
     c]`` the leg j -> c; :func:`_finish` keeps in it f[j, S | {j}], the
     earliest time at request j having served S and then j, with ``A[j,
     c]`` the leg c -> j.  One ``m`` takes m (2 m + 6.5) 2^m bytes at most:
-    40.4 MB at ``HELD_KARP_CAP``, 7.9 MB at ``OPT_CAP``, 0.11 MB at m = 9,
-    and 14.0 MB for every size up to ``OPT_CAP``, 72 MB up to
-    ``HELD_KARP_CAP``."""
+    40.4 MB at ``HELD_KARP_CAP``, 0.11 MB at m = 9, and 72 MB for every
+    size up to ``HELD_KARP_CAP``."""
     sets = np.arange(1 << m)
     member = ((sets[:, None] >> np.arange(m)) & 1) == 1
     size = member.sum(axis=1)
@@ -770,8 +766,9 @@ def opt_bruteforce(instance) -> OptResult:
 
     A subset DP over release dates (Held & Karp 1962; Psaraftis et al.
     1990) in O(2^n n^2) time and n 2^n doubles per table, up to
-    ``OPT_CAP`` requests.  It keeps the name of the n! enumeration it
-    replaced, which callers and the benchmark's tracer use.
+    ``HELD_KARP_CAP`` requests in every space, the line included.  It
+    keeps the name of the n! enumeration it replaced, which callers and
+    the benchmark's tracer use.
 
     The result is, bit for bit, the enumeration's: the value of the best
     order evaluated leg by leg as :func:`eval_serving_order` does, and the
@@ -786,10 +783,10 @@ def opt_bruteforce(instance) -> OptResult:
     always the lexicographically smallest); any other space raises.
     """
     n = len(instance.requests)
-    if n > OPT_CAP:
+    if n > HELD_KARP_CAP:
         if isinstance(instance.space, Line):
             return _line_optimum(instance)
-        raise SizeCapExceeded(f"{n} requests exceeds subset-DP cap {OPT_CAP}", n, OPT_CAP)
+        raise SizeCapExceeded(f"{n} requests exceeds subset-DP cap {HELD_KARP_CAP}", n, HELD_KARP_CAP)
     if n == 0:
         return OptResult(0.0, [])
     D = np.array(distance_matrix(instance.space, [instance.origin] + [r.location for r in instance.requests]))

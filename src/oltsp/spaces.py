@@ -379,6 +379,8 @@ class Tree:
                 errs.append(f"edge {i} is unbounded but node {v} has children")
             if v in seen_children or v == 0:
                 errs.append(f"node {v} has multiple parents or is the root")
+            elif not 1 <= v <= len(self.edges):
+                errs.append(f"edge {i} has child {v} outside 1..{len(self.edges)}")
             seen_children.add(v)
         # connectivity: every child chain must reach the root
         for v in seen_children:

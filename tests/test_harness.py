@@ -430,8 +430,8 @@ def test_cli_sweep_reports_violations_and_skips(tmp_path, monkeypatch, capsys):
          "violation: line-0@eta=0: ratio 1.288319 > 0.500001"),
         ({"space": "ring", "count": 1, "n": 3, "seed": 0, "eta": [50.0]},
          "skipped: ring-0@50.0: target error 50.0 unreachable on this space (got 3.294)"),
-        ({"space": "ring", "count": 1, "n": 15, "seed": 0, "eta": [0.0]},
-         "skipped: ring-0: 15 requests exceeds subset-DP cap 14"),
+        ({"space": "ring", "count": 1, "n": 17, "seed": 0, "eta": [0.0]},
+         "skipped: ring-0: 17 requests exceeds subset-DP cap 16"),
     ]
     monkeypatch.setattr(harness, "ceiling", lambda family, variant: 0.5)
     for k, (obj, line) in enumerate(cases):
@@ -568,7 +568,7 @@ def test_opt_reported_above_the_old_factorial_cap(tmp_path, capsys):
     assert (len(rows), rows[0].n, violations, skipped) == (1, 10, [], [])
 
 
-@pytest.mark.parametrize("space, n, exact", [("line", 20, True), ("ring", 15, False)])
+@pytest.mark.parametrize("space, n, exact", [("line", 20, True), ("ring", 16, True), ("ring", 17, False)])
 def test_cli_run_prints_opt_where_it_is_exact(space, n, exact, tmp_path, capsys):
     """``oltsp run`` prints ``opt:`` and ``ratio:`` wherever ``opt_bruteforce``
     answers, a line at any n, and neither above its cap elsewhere."""
@@ -596,6 +596,7 @@ def test_cli_run_prints_opt_where_it_is_exact(space, n, exact, tmp_path, capsys)
     ("oracle", "ring"),
     ("algo", "swag"),
     ("nn", 5),
+    ("eta", []),
 ])
 def test_sweep_spec_rejected_at_the_boundary(field, value, tmp_path):
     # eta 0.5 is valid for la-swag, but swag needs perfect predictions

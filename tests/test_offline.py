@@ -16,13 +16,14 @@ from oltsp.offline import (
     CLOSED,
     FREE,
     HELD_KARP_CAP,
-    OPT_CAP,
     PathQuery,
     SizeCapExceeded,
     distance_matrix,
     eval_serving_order,
     exact_path,
     flower_cover,
+    flower_cover_grouped,
+    flower_groups,
     flower_tsp,
     held_karp,
     opt_bruteforce,
@@ -557,12 +558,12 @@ def test_opt_bruteforce_lower_bounds():
 
 
 def test_opt_bruteforce_cap():
-    sp = Ring(2.0 * OPT_CAP)
-    reqs = [Request(i, float(i), 0.0) for i in range(OPT_CAP + 1)]
+    sp = Ring(2.0 * HELD_KARP_CAP)
+    reqs = [Request(i, float(i), 0.0) for i in range(HELD_KARP_CAP + 1)]
     with pytest.raises(SizeCapExceeded) as info:
         opt_bruteforce(Instance(sp, reqs, [r.location for r in reqs], "open"))
-    assert (info.value.size, info.value.cap) == (OPT_CAP + 1, OPT_CAP)
-    assert str(info.value) == f"{OPT_CAP + 1} requests exceeds subset-DP cap {OPT_CAP}"
+    assert (info.value.size, info.value.cap) == (HELD_KARP_CAP + 1, HELD_KARP_CAP)
+    assert str(info.value) == "17 requests exceeds subset-DP cap 16"
 
 
 def test_latest_is_the_largest_float_that_still_arrives_in_time():
@@ -613,7 +614,7 @@ def test_opt_matches_loop_dp_bit_for_bit():
     families and on tie-heavy line and ring grids; and below it on trees
     whose distance is not bitwise symmetric."""
     rng = random.Random(31)
-    for n in range(10, OPT_CAP + 1):
+    for n in range(10, HELD_KARP_CAP + 1):
         cases = []
         for k, kind in enumerate(("line", "tree", "ring", "flower", "general")):
             sp = random_space(kind, rng, n)
@@ -697,7 +698,7 @@ def test_opt_order_matches_latest_times_reference():
     and ring grids, and the trees that are not bitwise symmetric.  The
     value itself is pinned by that test."""
     rng = random.Random(37)
-    for n in range(9, OPT_CAP + 1):
+    for n in range(9, HELD_KARP_CAP + 1):
         cases = []
         for k, kind in enumerate(("line", "tree", "ring", "flower", "general")):
             sp = random_space(kind, rng, n)
@@ -825,8 +826,10 @@ def test_flower_cover_matches_masks_reference():
     a stem, random and grid-tie offsets, starts at the origin, on a petal
     and on the stem, and every kind of end.  Each drawn (flower, req)
     shares one leg table across all its starts and ends, in a forward and
-    then a reverse pass, so legs priced and walked for one query are read
-    back by the others; a fresh table per call must agree as well."""
+    then a reverse pass, through ``flower_groups`` and
+    ``flower_cover_grouped`` as the flower oracle calls them, so legs
+    priced and walked for one query are read back by the others;
+    ``flower_cover``, with a fresh table per call, must agree as well."""
     rng = random.Random(29)
     for _ in range(1500):
         grid = rng.random() < 0.5
@@ -840,9 +843,12 @@ def test_flower_cover_matches_masks_reference():
         ends = (CLOSED, FREE, flower.origin(), _flower_point(flower, rng, grid))
         queries = [(s, end) for s in starts for end in ends]
         table: dict = {}
+        canon = [(flower.canon(p), k) for p, k in req]
         for s, end in queries + queries[::-1]:
             want = flower_cover_by_masks(flower, s, req, end)
-            for got in (flower_cover(flower, s, req, end, table), flower_cover(flower, s, req, end)):
+            cs, ce = flower.canon(s), end if end in (FREE, CLOSED) else flower.canon(end)
+            shared = flower_cover_grouped(flower, cs, flower_groups(canon, cs, ce), ce, table)
+            for got in (shared, flower_cover(flower, s, req, end)):
                 assert got[0].hex() == want[0].hex() and got[1] == want[1], (flower, s, req, end)
 
 
@@ -902,15 +908,15 @@ def test_line_optimum_memory_stays_near_its_choice_bits():
 
 
 def test_opt_bruteforce_is_exact_on_the_line_above_the_cap():
-    """Above ``OPT_CAP`` a line instance gets the peel DP's optimum (a ring
-    raises, see above).  Requests at -5..10, each released at its distance
-    from the origin.  Open, the optimal route goes to -5 first and then to
-    10 (20, where 10 first takes 25), and its peel order serves -5 first;
-    closed, either way round takes 30."""
-    reqs = [Request(i, float(k), abs(k)) for i, k in enumerate(range(-5, 11))]
+    """Above ``HELD_KARP_CAP`` a line instance gets the peel DP's optimum (a
+    ring raises, see above).  Requests at -5..11, each released at its
+    distance from the origin.  Open, the optimal route goes to -5 first and
+    then to 11 (21, where 11 first takes 27), and its peel order serves -5
+    first; closed, either way round takes 32."""
+    reqs = [Request(i, float(k), abs(k)) for i, k in enumerate(range(-5, 12))]
     res = opt_bruteforce(Instance(Line(), reqs, [r.location for r in reqs], "open"))
-    assert (res.length, res.order) == (20.0, list(range(16)))
-    assert opt_bruteforce(Instance(Line(), reqs, [r.location for r in reqs], "closed")).length == 30.0
+    assert (res.length, res.order) == (21.0, list(range(17)))
+    assert opt_bruteforce(Instance(Line(), reqs, [r.location for r in reqs], "closed")).length == 32.0
 
 
 def test_shortest_serving_path_examples():

@@ -404,7 +404,9 @@ def test_snip_preserves_origin_distances():
     ([(0, 1, 1.0), (3, 2, 1.0)], ["node 3 is disconnected from the root"]),
     ([(0, 1, math.inf), (1, 2, 1.0)], ["edge 0 is unbounded but node 1 has children"]),
     ([(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)], ["node 2 has multiple parents or is the root"]),
-], ids=["cycle", "disconnected", "unbounded-inner", "duplicate-child"])
+    ([(0, 5, 1.0)], ["edge 0 has child 5 outside 1..1"]),
+    ([(0, 1, 1.0), (0, 3, 1.0)], ["edge 1 has child 3 outside 1..2"]),
+], ids=["cycle", "disconnected", "unbounded-inner", "duplicate-child", "child-out-of-range", "child-id-gap"])
 def test_malformed_tree_is_built_and_reported(edges, errors):
     # construction fills the depth table and terminates on any descriptor
     assert Tree(edges).validate() == errors
