@@ -318,10 +318,15 @@ class TreeIndex:
 
     The tables every query reads are built once: each node's items and its
     neighbours, ascending, at construction; and per root, on its first
-    use, the tree rerooted there (parents, and the depth-first preorder
-    with children ascending, with each subtree's slice of it).  Each item
-    walk that :meth:`walk_items` reads, the one table the oracles' scans
-    and clean-ups filter, is kept for the index's lifetime as well.
+    use, the tree rerooted there: parents, the depth-first preorder with
+    children ascending, each subtree's slice of it, and each node's
+    nearest fork (an ancestor with two or more children) above it.  A
+    walk from that root is then a few slices of its preorder, two per
+    fork on the path to the walk's end, so it costs O(forks on the path),
+    not O(nodes).  A root walked for items also gets its item preorder,
+    and each item walk :meth:`walk_items` assembles from it, the one
+    table the oracles' scans and clean-ups filter, is kept for the
+    index's lifetime.
     """
 
     def __init__(self, tree: Tree, node_of_item: dict[Any, int]):
@@ -346,13 +351,17 @@ class TreeIndex:
             self.items_at[v].append(item)
         for items in self.items_at:
             items.sort(key=_id_key)
-        self._roots: dict[int, tuple[list[int], list[int], list[int], list[int]]] = {}
+        self._roots: dict[int, tuple[list[int], list[int], list[int], list[int], list[int]]] = {}
+        self._item_pres: dict[int, tuple[list, list[int]]] = {}
         self._item_walks: dict[tuple[int, int], list] = {}
 
-    def _rooted(self, root: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    def _rooted(self, root: int) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
         """The tree rerooted at ``root``: parents, the preorder with children
-        in node order, and each node's first and past-last preorder
-        position (``pre[first[v]:stop[v]]`` is ``v``'s subtree)."""
+        in node order, each node's first and past-last preorder position
+        (``pre[first[v]:stop[v]]`` is ``v``'s subtree), and each node's
+        ``top``: the child through which its nearest fork above (the
+        nearest ancestor with two or more children, ``par[top[v]]``)
+        reaches it, or ``root`` if no fork is above it."""
         hit = self._roots.get(root)
         if hit is not None:
             return hit
@@ -360,12 +369,17 @@ class TreeIndex:
         child, v = -1, root
         while v != -1:
             par[v], child, v = child, v, self.par[v]
+        nbrs = self.nbrs
         pre: list[int] = []
+        top = list(range(self.n))
         stack = [root]
         while stack:
             x = stack.pop()
             pre.append(x)
-            stack += [y for y in reversed(self.nbrs[x]) if y != par[x]]
+            kids = [y for y in reversed(nbrs[x]) if y != par[x]]
+            if len(kids) == 1:  # x is no fork: its child shares its top
+                top[kids[0]] = top[x]
+            stack += kids
         first = [0] * self.n
         size = [1] * self.n
         for k, x in enumerate(pre):
@@ -373,8 +387,26 @@ class TreeIndex:
         for x in reversed(pre[1:]):
             size[par[x]] += size[x]
         stop = [first[v] + size[v] for v in range(self.n)]
-        hit = self._roots[root] = (par, pre, first, stop)
+        hit = self._roots[root] = (par, pre, first, stop, top)
         return hit
+
+    def _pieces(self, s: int, e: int) -> list[tuple[int, int]]:
+        """The walk from ``s`` to ``e`` as ranges of ``s``'s preorder
+        positions: at each fork on the path, from the top down, the part
+        before the path child and the part after the child's subtree; then
+        the rest of the path and ``e``'s subtree."""
+        par, _, first, stop, top = self._rooted(s)
+        cuts = []  # the path child of each fork, from e up
+        c = top[e]
+        while c != s:
+            cuts.append(c)
+            c = top[par[c]]
+        at, pieces = 0, []
+        for c in reversed(cuts):
+            pieces += (at, first[c]), (stop[c], stop[par[c]])
+            at = first[c]
+        pieces.append((at, stop[e]))
+        return pieces
 
     def maximal_nodes(self, nodes, root: int = 0) -> list[int]:
         """Members that are no other member's proper ancestor when the tree
@@ -440,30 +472,41 @@ class TreeIndex:
         """Every node, in the order of a depth-first walk from ``s`` with
         children in node order, except that the child toward ``e`` is
         entered last.  An optimal covering walk from ``s`` to ``e`` (or
-        back to ``s``, for ``e == s``) visits its span in this order."""
-        # along the path from s to e, each node's subtree is its preorder
-        # with the branch toward e moved to its end
-        par, pre, first, stop = self._rooted(s)
-        path = [e]
-        while path[-1] != s:
-            path.append(par[path[-1]])
+        back to ``s``, for ``e == s``) visits its span in this order.  It
+        is read as the slices :meth:`_pieces` gives of ``s``'s preorder."""
+        pre = self._rooted(s)[1]
         walk: list[int] = []
-        for k in range(len(path) - 1, 0, -1):
-            x, toward = path[k], path[k - 1]
-            walk += pre[first[x]:first[toward]]
-            walk += pre[stop[toward]:stop[x]]
-        walk += pre[first[e]:stop[e]]
+        for a, b in self._pieces(s, e):
+            walk += pre[a:b]
         return walk
 
     def walk_items(self, s: int, e: int) -> list:
         """Every item, by its node's place in :meth:`walk_order` from ``s``
-        to ``e`` (at one node, in ``items_at`` order), found on the first
-        request and read back after."""
+        to ``e`` (at one node, in ``items_at`` order): the same slices of
+        ``s``'s item preorder, assembled on the pair's first request and
+        read back after."""
         items = self._item_walks.get((s, e))
         if items is None:
-            items_at = self.items_at
-            items = self._item_walks[s, e] = [item for v in self.walk_order(s, e) for item in items_at[v]]
+            ipre, ioff = self._item_preorder(s)
+            items = self._item_walks[s, e] = []
+            for a, b in self._pieces(s, e):
+                items += ipre[ioff[a]:ioff[b]]
         return items
+
+    def _item_preorder(self, root: int) -> tuple[list, list[int]]:
+        """Every item in ``root``'s preorder (at one node, in ``items_at``
+        order), and how many items precede each preorder position: the
+        nodes ``pre[a:b]`` hold the items ``ipre[ioff[a]:ioff[b]]``."""
+        hit = self._item_pres.get(root)
+        if hit is None:
+            items_at = self.items_at
+            ipre: list = []
+            ioff = [0]
+            for x in self._rooted(root)[1]:
+                ipre += items_at[x]
+                ioff.append(len(ipre))
+            hit = self._item_pres[root] = (ipre, ioff)
+        return hit
 
 
 def star_index(arms) -> TreeIndex:

@@ -142,7 +142,8 @@ class Ring:
         return 0.0
 
     def canon(self, p: float) -> float:
-        return p % self.circumference
+        # p % C is C itself for a tiny negative p; the second % makes it 0
+        return p % self.circumference % self.circumference
 
     def contains(self, p) -> bool:
         return isinstance(p, (int, float)) and math.isfinite(p)
@@ -238,15 +239,18 @@ class Tree:
         return self._depth[v]
 
     def canon(self, p):
-        """Snap offsets at 0/length onto node representations."""
+        """Snap offsets at 0/length onto node representations.  The child
+        end is tried first, so that a node's own representation (its
+        parent edge at full length) stays put even on an edge no longer
+        than SNAP."""
         ei, off = p
         if ei == -1:
             return TREE_ROOT
         u, v, ln = self.edges[ei]
-        if off <= SNAP:
-            return self.node_point(u)
         if math.isfinite(ln) and off >= ln - SNAP:
             return (ei, ln)
+        if off <= SNAP:
+            return self.node_point(u)
         return (ei, off)
 
     def contains(self, p) -> bool:
@@ -262,8 +266,9 @@ class Tree:
         return -SNAP <= off <= self.edges[ei][2] + SNAP
 
     def _anchors(self, p):
-        """(node, cost) pairs through which geodesics from p must pass."""
-        ei, off = self.canon(p)
+        """(node, cost) pairs through which geodesics from the canonical
+        point p must pass."""
+        ei, off = p
         if ei == -1:
             return [(0, 0.0)]
         u, v, ln = self.edges[ei]
@@ -311,8 +316,9 @@ class Tree:
         if a[0] == b[0] and a[0] != -1:
             return abs(a[1] - b[1])
         best = math.inf
+        anchors_b = self._anchors(b)
         for na, ca in self._anchors(a):
-            for nb, cb in self._anchors(b):
+            for nb, cb in anchors_b:
                 best = min(best, ca + self.node_dist(na, nb) + cb)
         return best
 
@@ -327,8 +333,9 @@ class Tree:
             return self.canon((ei, a[1] + step))
         # pick the anchor pair realizing the geodesic
         best = None
+        anchors_b = self._anchors(b)
         for na, ca in self._anchors(a):
-            for nb, cb in self._anchors(b):
+            for nb, cb in anchors_b:
                 d = ca + self.node_dist(na, nb) + cb
                 if best is None or d < best[0] - TIE:
                     best = (d, na, ca, nb, cb)
@@ -442,7 +449,11 @@ class Flower:
         return isinstance(comp, int) and 0 <= comp < len(self.petals) and math.isfinite(off)
 
     def to_origin(self, p) -> float:
-        comp, off = self.canon(p)
+        return self._to_origin(self.canon(p))
+
+    def _to_origin(self, p) -> float:
+        """``to_origin`` of a canonical point."""
+        comp, off = p
         if comp == "stem":
             return off
         ln = self.petals[comp]
@@ -455,7 +466,7 @@ class Flower:
             return min(arc, self.petals[a[0]] - arc)
         if a[0] == b[0]:
             return abs(a[1] - b[1])
-        return self.to_origin(a) + self.to_origin(b)
+        return self._to_origin(a) + self._to_origin(b)
 
     def move_along(self, a, b, t: float):
         _check_traveled(self, a, b, t)
@@ -472,7 +483,7 @@ class Flower:
         if a[0] == b[0]:
             return self.canon((a[0], a[1] + (t if b[1] >= a[1] else -t)))
         # through the origin
-        d_a = self.to_origin(a)
+        d_a = self._to_origin(a)
         if t <= d_a:
             if a[0] == "stem":
                 return self.canon(("stem", a[1] - t))
@@ -549,13 +560,12 @@ class General:
         if isinstance(p, int):
             return p
         a, b, t = p
-        d = self.matrix[a][b]
+        if a > b:  # orient first: snapping the offset it keeps makes canon idempotent
+            a, b, t = b, a, self.matrix[a][b] - t
         if t <= SNAP:
             return a
-        if t >= d - SNAP:
+        if t >= self.matrix[a][b] - SNAP:
             return b
-        if a > b:
-            a, b, t = b, a, d - t
         return (a, b, t)
 
     def contains(self, p) -> bool:
@@ -571,7 +581,8 @@ class General:
         return False
 
     def _anchors(self, p):
-        p = self.canon(p)
+        """(site, cost) pairs through which geodesics from the canonical
+        point p must pass."""
         if isinstance(p, int):
             return [(p, 0.0)]
         a, b, t = p
@@ -588,21 +599,23 @@ class General:
             and ca[:2] == cb[:2]
         ):
             best = abs(ca[2] - cb[2])
+        anchors_b = self._anchors(cb)
         for na, xa in self._anchors(ca):
-            for nb, xb in self._anchors(cb):
+            for nb, xb in anchors_b:
                 best = min(best, xa + self.matrix[na][nb] + xb)
         return best
 
     def move_along(self, a, b, t: float):
         _check_traveled(self, a, b, t)
         ca, cb = self.canon(a), self.canon(b)
-        if ca == cb:
+        if ca == cb or t <= 0.0:
             return ca
         routes = []
         if not isinstance(ca, int) and not isinstance(cb, int) and ca[:2] == cb[:2]:
             routes.append((abs(ca[2] - cb[2]), "same"))
+        anchors_b = self._anchors(cb)
         for na, xa in self._anchors(ca):
-            for nb, xb in self._anchors(cb):
+            for nb, xb in anchors_b:
                 routes.append((xa + self.matrix[na][nb] + xb, (na, xa, nb, xb)))
         routes.sort(key=lambda r: (r[0], str(r[1])))
         cost, route = routes[0]

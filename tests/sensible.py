@@ -33,7 +33,9 @@ at a time, each set of kept petals scanning its own snipped index, the
 reference for ``FlowerOracle._batch``;
 ``path_cover_by_dfs``, ``span_by_counts`` and ``maximal_nodes_by_walk``
 recompute a ``TreeIndex``'s adjacency, counts and rerooted parents on
-every call, the reference for its per-index tables.
+every call, the reference for its per-index tables; ``walk_by_dfs``
+walks the whole tree depth first from a start node to an end node, the
+reference for ``TreeIndex.walk_order`` and ``TreeIndex.walk_items``.
 ``trim_tree_by_contraction`` builds a whole intermediate tree and
 contracts it, the reference for ``spaces.trim_tree``;
 ``tree_index_by_round_trip`` and ``snipped_index_by_round_trip`` build a
@@ -875,6 +877,33 @@ def path_cover_by_dfs(idx, s: int, req_nodes, end) -> tuple[float, list[int]]:
             if y != prev and y != last:
                 stack.append((y, x, False))
     return cost, order
+
+
+def walk_by_dfs(idx, s: int, e: int) -> tuple[list[int], list]:
+    """Every node of ``idx`` in the order of a depth-first walk from ``s``
+    over an adjacency built from the tree's edges, children ascending but
+    the child toward ``e`` entered last, and every item in that order (at
+    one node, in ``items_at`` order)."""
+    adj: list[list[int]] = [[] for _ in range(idx.tree.n_nodes)]
+    for u, v, _ in idx.tree.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    toward = {e: -1}  # each node's neighbour on its path to e
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y not in toward:
+                toward[y] = x
+                stack.append(y)
+    order: list[int] = []
+    stack = [(s, -1)]
+    while stack:
+        x, prev = stack.pop()
+        order.append(x)
+        kids = sorted((y for y in adj[x] if y != prev), key=lambda y: (y == toward[x], y))
+        stack += [(y, x) for y in reversed(kids)]
+    return order, [item for v in order for item in idx.items_at[v]]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from oltsp.offline import (
     HELD_KARP_CAP,
     PathQuery,
     SizeCapExceeded,
+    TreeIndex,
     distance_matrix,
     eval_serving_order,
     exact_path,
@@ -32,11 +33,12 @@ from oltsp.offline import (
     segment_cover,
     shortest_serving_path_length,
     solve_classical,
+    star_index,
     tree_index_for,
     tree_tsp,
 )
 from oltsp.engine import la_swag
-from oltsp.oracles import FlowerOracle, RingOracle
+from oltsp.oracles import FlowerOracle, RingOracle, make_oracle
 from oltsp.spaces import Euclid2D, Flower, Line, Ring, Tree, trim_tree
 
 from oltsp.tolerance import FEAS
@@ -63,6 +65,7 @@ from sensible import (
     snipped_index_by_round_trip,
     span_by_counts,
     tree_index_by_round_trip,
+    walk_by_dfs,
 )
 
 TOL = 1e-9
@@ -372,6 +375,41 @@ def test_tree_index_tables_match_reference():
                 W, edges = idx.span(req)
                 ref_W, ref_edges = span_by_counts(idx, req)
                 assert (W.hex(), edges) == (ref_W.hex(), ref_edges), (idx.tree, req)
+
+
+def _walk_indexes(rng):
+    """Tree indexes with empty and co-located nodes: random trees of 1-25
+    nodes (a non-int key among the ids in some), stars of 1-5 arms and
+    line stars; then each tree-style oracle's own index on the pin
+    pools."""
+    for _ in range(60):
+        n = rng.randint(1, 25)
+        edges = [(rng.choice([v - 1, rng.randrange(v)]), v, 1.0) for v in range(1, n)]
+        node_of = {i: rng.randrange(n) for i in range(rng.randint(0, n + 3))}
+        if rng.random() < 0.3:
+            node_of[("s",)] = rng.randrange(n)
+        yield TreeIndex(Tree(edges), node_of)
+        ids = itertools.count()
+        yield star_index([[(rng.choice([0.0, 0.5, 1.0, 1.5]), next(ids)) for _ in range(rng.randint(0, 4))]
+                          for _ in range(rng.randint(1, 5))])
+        yield tree_index_for(Line(), {i: rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0, 1.5])
+                                      for i in range(rng.randint(1, 12))})
+    for family in ("line", "tree", "ring", "flower"):
+        for variant in ("closed", "open"):
+            for space, locs, _ in pin_pool(family, variant):
+                yield make_oracle(space, locs, variant).idx
+
+
+def test_tree_walks_match_dfs_reference():
+    """``walk_order`` and ``walk_items``, slices of one preorder per start,
+    equal for every (start, end) pair a depth-first walk over the tree's
+    own edges."""
+    for idx in _walk_indexes(random.Random(53)):
+        for s in range(idx.n):
+            for e in range(idx.n):
+                nodes, items = walk_by_dfs(idx, s, e)
+                assert idx.walk_order(s, e) == nodes, (idx.tree, idx.node_of, s, e)
+                assert idx.walk_items(s, e) == items, (idx.tree, idx.node_of, s, e)
 
 
 def test_deep_path_tree_needs_no_recursion():

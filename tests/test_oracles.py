@@ -508,44 +508,70 @@ def test_tree_batches_match_per_final_reference(family, variant):
                 assert oracle._batch(released) == ref._batch(released), (space, locs, sorted(released))
 
 
+_LINE_ADVERSARY_WORK = {
+    21: {"walks": 1, "root tables": 14, "item walks": 237, "slices": 632,
+         "scorings": 1283, "reads": 3404, "scan misses": 50},
+    41: {"walks": 1, "root tables": 23, "item walks": 791, "slices": 2214,
+         "scorings": 6664, "reads": 21594, "scan misses": 90},
+}
+
+
 def test_line_adversary_work_counts():
-    """Work done against the grid-41 open line adversary, counted, not
-    timed: covering node walks built, oracle-entry scorings (calls to
+    """Work done against the open line adversary at grids 21 and 41,
+    counted, not timed: covering node walks built (calls to
+    ``walk_order``), item preorders built (one per root walked for items),
+    item walks assembled (one per (start, end) new to an index), the
+    preorder slices those walks join, oracle-entry scorings (calls to
     ``first_unreleased``) and the perm positions they read, and the scans
     a tree oracle filters from an item walk, one per (nodes, end) new to
     its step's table.  Any count rising fails; a fall may lower its pin."""
-    counts = Counter()
-    walk_order, first_unreleased = TreeIndex.walk_order, RouteStats.first_unreleased
-    scanner = oracles._scanner
+    walk_order, walk_items, item_preorder = TreeIndex.walk_order, TreeIndex.walk_items, TreeIndex._item_preorder
+    pieces, first_unreleased, scanner = TreeIndex._pieces, RouteStats.first_unreleased, oracles._scanner
+    for grid, pins in _LINE_ADVERSARY_WORK.items():
+        counts = Counter()
 
-    def counted_walk(self, s, e):
-        counts["walks"] += 1
-        return walk_order(self, s, e)
+        def counted_walk(self, s, e):
+            counts["walks"] += 1
+            return walk_order(self, s, e)
 
-    def counted_first(self, released, k=0):
-        out = first_unreleased(self, released, k)
-        counts["scorings"] += 1
-        counts["reads"] += min(out + 1, len(self.perm)) - k
-        return out
+        def counted_items(self, s, e):
+            counts["item walks"] += (s, e) not in self._item_walks
+            return walk_items(self, s, e)
 
-    def counted_scanner(idx, released):
-        scan, asked = scanner(idx, released), set()
+        def counted_preorder(self, root):
+            counts["root tables"] += root not in self._item_pres
+            return item_preorder(self, root)
 
-        def counted_scan(nodes, e, final=None):
-            counts["scan misses"] += (nodes, e) not in asked
-            asked.add((nodes, e))
-            return scan(nodes, e, final)
-        return counted_scan
+        def counted_pieces(self, s, e):
+            out = pieces(self, s, e)
+            counts["slices"] += len(out)
+            return out
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(TreeIndex, "walk_order", counted_walk)
-        mp.setattr(RouteStats, "first_unreleased", counted_first)
-        mp.setattr(oracles, "_scanner", counted_scanner)
-        run_fixture("open_lb_line_adversary", grid=41)
-    assert counts["walks"] <= 792
-    assert counts["scorings"] <= 6664
-    assert counts["reads"] <= 21594
-    assert counts["scan misses"] <= 90
+        def counted_first(self, released, k=0):
+            out = first_unreleased(self, released, k)
+            counts["scorings"] += 1
+            counts["reads"] += min(out + 1, len(self.perm)) - k
+            return out
+
+        def counted_scanner(idx, released):
+            scan, asked = scanner(idx, released), set()
+
+            def counted_scan(nodes, e, final=None):
+                counts["scan misses"] += (nodes, e) not in asked
+                asked.add((nodes, e))
+                return scan(nodes, e, final)
+            return counted_scan
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(TreeIndex, "walk_order", counted_walk)
+            mp.setattr(TreeIndex, "walk_items", counted_items)
+            mp.setattr(TreeIndex, "_item_preorder", counted_preorder)
+            mp.setattr(TreeIndex, "_pieces", counted_pieces)
+            mp.setattr(RouteStats, "first_unreleased", counted_first)
+            mp.setattr(oracles, "_scanner", counted_scanner)
+            run_fixture("open_lb_line_adversary", grid=grid)
+        for key, most in pins.items():
+            assert counts[key] <= most, (grid, key, counts[key])
 
 
 @pytest.mark.parametrize("variant, rows, misses", [("closed", 1851, 524), ("open", 9685, 2432)])

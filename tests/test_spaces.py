@@ -2,10 +2,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oltsp.spaces import (
+    TREE_ROOT,
     Euclid2D,
     Flower,
     General,
@@ -20,6 +21,7 @@ from oltsp.spaces import (
 )
 from oltsp.core import Instance
 from oltsp.oracles import FlowerOracle
+from oltsp.tolerance import SNAP
 
 from conftest import random_flower, random_general, random_point, random_space, random_tree
 from sensible import trim_tree_by_contraction
@@ -419,3 +421,79 @@ def test_ring_triangle_property(c, a, b, f):
     a, b = r.canon(a), r.canon(b)
     m = r.move_along(a, b, f * r.distance(a, b))
     assert r.distance(a, m) + r.distance(m, b) == pytest.approx(r.distance(a, b), abs=1e-9)
+
+
+_ZERO_MOVE_POINTS = [
+    (Line(), [0.0, -1.5, 2.25]),
+    (Euclid2D(), [(0.0, 0.0), (0.3, -0.4), (1.0, 1.0)]),
+    (Ring(2.0), [0.0, 0.5, 1.9, 2.5]),
+    # the root, nodes, interior points, and a node given by its parent edge
+    (Tree([(0, 1, 1.0), (1, 2, 2.0), (1, 3, 1.5)]), [(-1, 0.0), (0, 1.0), (1, 2.0), (1, 0.5), (2, 0.75), (1, 0.0)]),
+    # the origin, the stem's tip, petal points, and a petal's end and a lap past it
+    (Flower((2.0, 3.0), 1.0), [("stem", 0.0), ("stem", 1.0), ("stem", 0.4), (0, 0.5), (1, 2.0), (0, 2.0), (1, 3.5)]),
+    # sites, and interior points in either orientation
+    (General([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]]), [0, 1, 2, (0, 1, 0.5), (2, 1, 0.5), (0, 2, 1.2)]),
+]
+
+
+@pytest.mark.parametrize("space, points", _ZERO_MOVE_POINTS, ids=KINDS)
+def test_move_along_zero_stays_at_the_start(space, points):
+    """Travelling 0 toward any point leaves the server at its start, in
+    canonical form: from a site, a node or an interior point."""
+    for a in points:
+        for b in points:
+            assert space.move_along(a, b, 0.0) == space.canon(a), (a, b)
+
+
+def _near(x: float):
+    """``x`` moved by up to 3 half SNAPs either way, then maybe by one ulp."""
+    def moved(k, ulp):
+        y = x + k * SNAP / 2
+        return math.nextafter(y, ulp * math.inf) if ulp else y
+    return st.builds(moved, st.integers(-3, 3), st.sampled_from([0, -1, 1]))
+
+
+def _offset(length: float):
+    """An offset along a component of ``length``: near either end or its
+    middle, or anywhere on it."""
+    return st.one_of(_near(0.0), _near(length), _near(length / 2), st.floats(0.0, length))
+
+
+@st.composite
+def _space_and_point(draw):
+    kind = draw(st.sampled_from(KINDS))
+    sp = random_space(kind, random.Random(draw(st.integers(0, 1000))))
+    if kind == "tree" and draw(st.booleans()):  # some edges at most 2 SNAP long
+        sp = Tree([(u, v, draw(st.sampled_from([ln, SNAP / 2, SNAP, 1.5 * SNAP, 2 * SNAP])))
+                   for u, v, ln in sp.edges])
+    finite = st.floats(-1e6, 1e6)
+    if kind == "line":
+        p = draw(st.one_of(finite, _near(0.0)))
+    elif kind == "euclid2d":
+        p = (draw(finite), draw(finite))
+    elif kind == "ring":
+        C = sp.circumference
+        p = draw(st.one_of(finite, _near(0.0), _near(C), _near(-C), st.floats(-C, 2 * C)))
+    elif kind == "tree":
+        ei = draw(st.integers(-1, len(sp.edges) - 1))
+        p = TREE_ROOT if ei == -1 else (ei, draw(_offset(sp.edges[ei][2])))
+    elif kind == "flower":
+        k = draw(st.integers(-1, len(sp.petals) - 1))
+        p = ("stem", draw(_offset(sp.stem))) if k == -1 else (k, draw(_offset(sp.petals[k]) | _near(-sp.petals[k])))
+    else:
+        a, b = draw(st.integers(0, sp.n - 1)), draw(st.integers(0, sp.n - 1))
+        p = draw(st.just(a) | _offset(sp.matrix[a][b]).map(lambda t: (a, b, t)))
+    assume(sp.contains(p))
+    return sp, p
+
+
+@settings(max_examples=600, deadline=None)
+@given(_space_and_point())
+def test_canon_is_idempotent(space_and_point):
+    """A canonical point is its own canonical form, in every space, near
+    nodes, ends and the snap distance too: distances and moves
+    canonicalise each point once and pass it on."""
+    sp, p = space_and_point
+    q = sp.canon(p)
+    assert sp.canon(q) == q
+    assert sp.contains(q)
