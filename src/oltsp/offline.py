@@ -322,11 +322,13 @@ class TreeIndex:
     children ascending, each subtree's slice of it, and each node's
     nearest fork (an ancestor with two or more children) above it.  A
     walk from that root is then a few slices of its preorder, two per
-    fork on the path to the walk's end, so it costs O(forks on the path),
-    not O(nodes).  A root walked for items also gets its item preorder,
-    and each item walk :meth:`walk_items` assembles from it, the one
-    table the oracles' scans and clean-ups filter, is kept for the
-    index's lifetime.
+    fork on the path to the walk's end (:meth:`_pieces`), so it costs
+    O(forks on the path), not O(nodes).  There is one walk, read two
+    ways: :meth:`path_cover` filters its nodes to a span, and
+    :meth:`walk_items` joins the same slices of the root's item preorder,
+    built on the root's first item walk.  Each item walk, the one table
+    the oracles' scans and clean-ups filter, is kept for the index's
+    lifetime.
     """
 
     def __init__(self, tree: Tree, node_of_item: dict[Any, int]):
@@ -452,7 +454,12 @@ class TreeIndex:
         """Optimal covering walk from node ``s`` over ``req_nodes``.
 
         ``end`` is a node, FREE, or CLOSED.  Returns (length, node visit
-        order including every span node, first-visit order).
+        order including every span node, first-visit order).  The order is
+        a depth-first walk from ``s`` with children in node order, except
+        that the child toward the walk's end ``e`` is entered last: a
+        covering walk from ``s`` to ``e`` (or back to ``s``) visits its span
+        in it.  It is read as the slices :meth:`_pieces` gives of ``s``'s
+        preorder, filtered to the span.
         """
         K = set(req_nodes)
         K.add(s)
@@ -466,25 +473,15 @@ class TreeIndex:
         else:
             e = end if end != FREE else max(inside, key=lambda v: (dist(s, v), -v))
             cost = 2 * W - dist(s, e)
-        return cost, [v for v in self.walk_order(s, e) if v in inside]
-
-    def walk_order(self, s: int, e: int) -> list[int]:
-        """Every node, in the order of a depth-first walk from ``s`` with
-        children in node order, except that the child toward ``e`` is
-        entered last.  An optimal covering walk from ``s`` to ``e`` (or
-        back to ``s``, for ``e == s``) visits its span in this order.  It
-        is read as the slices :meth:`_pieces` gives of ``s``'s preorder."""
         pre = self._rooted(s)[1]
-        walk: list[int] = []
-        for a, b in self._pieces(s, e):
-            walk += pre[a:b]
-        return walk
+        return cost, [v for a, b in self._pieces(s, e) for v in pre[a:b] if v in inside]
 
     def walk_items(self, s: int, e: int) -> list:
-        """Every item, by its node's place in :meth:`walk_order` from ``s``
-        to ``e`` (at one node, in ``items_at`` order): the same slices of
-        ``s``'s item preorder, assembled on the pair's first request and
-        read back after."""
+        """Every item, by its node's place in the walk from ``s`` to ``e``
+        that :meth:`path_cover` filters (at one node, in ``items_at``
+        order), so a span's items come in its covering walk's order: the
+        slices :meth:`_pieces` gives of ``s``'s item preorder, assembled
+        on the pair's first request and read back after."""
         items = self._item_walks.get((s, e))
         if items is None:
             ipre, ioff = self._item_preorder(s)

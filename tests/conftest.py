@@ -99,8 +99,10 @@ def pin_space(family, rng):
     if family == "tree":
         return Tree([(rng.randrange(child), child, rng.choice([0.5, 1.0, 1.5]))
                      for child in range(1, rng.randint(2, 5))])
-    return Flower(tuple(rng.choice([1.0, 2.0]) for _ in range(rng.randint(1, 2))),
-                  rng.choice([0.0, 1.0]))
+    if family == "flower":
+        return Flower(tuple(rng.choice([1.0, 2.0]) for _ in range(rng.randint(1, 2))),
+                      rng.choice([0.0, 1.0]))
+    raise ValueError(family)
 
 
 def _pin_point(space, rng):

@@ -35,7 +35,8 @@ reference for ``FlowerOracle._batch``;
 recompute a ``TreeIndex``'s adjacency, counts and rerooted parents on
 every call, the reference for its per-index tables; ``walk_by_dfs``
 walks the whole tree depth first from a start node to an end node, the
-reference for ``TreeIndex.walk_order`` and ``TreeIndex.walk_items``.
+reference for ``TreeIndex.walk_items`` (its items) and for the node walk
+a tree oracle's clean-up emits along (its nodes).
 ``trim_tree_by_contraction`` builds a whole intermediate tree and
 contracts it, the reference for ``spaces.trim_tree``;
 ``tree_index_by_round_trip`` and ``snipped_index_by_round_trip`` build a

@@ -56,6 +56,7 @@ from sensible import (
     exact_path_by_loop,
     finish_by_loop,
     flower_cover_by_masks,
+    items_along,
     maximal_nodes_by_walk,
     opt_by_enumeration,
     opt_value_by_loop,
@@ -355,8 +356,9 @@ def test_star_indexes_match_round_trip_reference():
 def test_tree_index_tables_match_reference():
     """Walks, spans and maximal nodes read from the per-index tables equal
     the per-call recomputation bit for bit: every start, with closed,
-    free and every node as the end.  The whole tree's walk order toward
-    a closed or node end visits each walk's span in the walk's order."""
+    free and every node as the end.  The whole tree's item walk toward a
+    closed or node end holds each walk's span items in the walk's order,
+    as ``TreeOracle._cover`` reads them with no span."""
     rng = random.Random(43)
     for idx in _cross_check_indexes(rng, 40):
         nodes = list(range(idx.n))
@@ -369,8 +371,9 @@ def test_tree_index_tables_match_reference():
                     assert (cost.hex(), order) == (ref_cost.hex(), ref_order), (idx.tree, s, req, end)
                     if end != FREE:
                         span = set(ref_order)
-                        walk = idx.walk_order(s, s if end == CLOSED else end)
-                        assert [v for v in walk if v in span] == ref_order, (idx.tree, s, req, end)
+                        walk = idx.walk_items(s, s if end == CLOSED else end)
+                        assert [i for i in walk if idx.node_of[i] in span] == items_along(
+                            idx, ref_order, idx.node_of), (idx.tree, s, req, end)
                 assert idx.maximal_nodes(req, s) == maximal_nodes_by_walk(idx, req, s)
                 W, edges = idx.span(req)
                 ref_W, ref_edges = span_by_counts(idx, req)
@@ -401,15 +404,13 @@ def _walk_indexes(rng):
 
 
 def test_tree_walks_match_dfs_reference():
-    """``walk_order`` and ``walk_items``, slices of one preorder per start,
-    equal for every (start, end) pair a depth-first walk over the tree's
-    own edges."""
+    """``walk_items``, slices of one item preorder per start, equals for
+    every (start, end) pair the items of a depth-first walk over the
+    tree's own edges."""
     for idx in _walk_indexes(random.Random(53)):
         for s in range(idx.n):
             for e in range(idx.n):
-                nodes, items = walk_by_dfs(idx, s, e)
-                assert idx.walk_order(s, e) == nodes, (idx.tree, idx.node_of, s, e)
-                assert idx.walk_items(s, e) == items, (idx.tree, idx.node_of, s, e)
+                assert idx.walk_items(s, e) == walk_by_dfs(idx, s, e)[1], (idx.tree, idx.node_of, s, e)
 
 
 def test_deep_path_tree_needs_no_recursion():

@@ -40,6 +40,7 @@ from sensible import (
     sensible_tree_open_perms,
     sensible_tree_perms,
     tree_batch_by_finals,
+    walk_by_dfs,
 )
 from oltsp.spaces import Euclid2D, Flower, General, Line, Ring, Tree
 from oltsp.tolerance import TIE
@@ -471,8 +472,9 @@ def test_line_adversary_batches_unchanged(grid):
 def test_tree_cleanups_match_node_walk_reference(family, variant):
     """``TreeOracle._cover`` from the origin and from every request, over
     random subsets of the requests, to the origin and to every request,
-    equals the items emitted along the whole node walk; to no fixed end it
-    equals the items along an uncached ``path_cover``."""
+    equals the items emitted along the whole node walk of an independent
+    depth-first search (``walk_by_dfs``); to no fixed end it equals the
+    items along an uncached ``path_cover``."""
     rng = random.Random(f"cleanups/{family}/{variant}")
     for space, locs, _ in pin_pool(family, variant):
         oracle = make_oracle(space, locs, variant)
@@ -482,7 +484,7 @@ def test_tree_cleanups_match_node_walk_reference(family, variant):
             for _ in range(3):
                 rest = frozenset(i for i in range(len(locs)) if rng.random() < 0.6)
                 for end in [CLOSED, *range(len(locs))]:
-                    walk = idx.walk_order(s, 0 if end == CLOSED else node_of[end])
+                    walk = walk_by_dfs(idx, s, 0 if end == CLOSED else node_of[end])[0]
                     assert oracle._cover(qid, rest, end) == items_along(idx, walk, rest)
                 free = idx.path_cover(s, {node_of[i] for i in rest}, FREE)[1] if rest else []
                 assert oracle._cover(qid, rest, FREE) == items_along(idx, free, rest)
@@ -509,30 +511,26 @@ def test_tree_batches_match_per_final_reference(family, variant):
 
 
 _LINE_ADVERSARY_WORK = {
-    21: {"walks": 1, "root tables": 14, "item walks": 237, "slices": 632,
+    21: {"root tables": 14, "item walks": 237, "slices": 632,
          "scorings": 1283, "reads": 3404, "scan misses": 50},
-    41: {"walks": 1, "root tables": 23, "item walks": 791, "slices": 2214,
+    41: {"root tables": 23, "item walks": 791, "slices": 2214,
          "scorings": 6664, "reads": 21594, "scan misses": 90},
 }
 
 
 def test_line_adversary_work_counts():
     """Work done against the open line adversary at grids 21 and 41,
-    counted, not timed: covering node walks built (calls to
-    ``walk_order``), item preorders built (one per root walked for items),
-    item walks assembled (one per (start, end) new to an index), the
-    preorder slices those walks join, oracle-entry scorings (calls to
-    ``first_unreleased``) and the perm positions they read, and the scans
-    a tree oracle filters from an item walk, one per (nodes, end) new to
-    its step's table.  Any count rising fails; a fall may lower its pin."""
-    walk_order, walk_items, item_preorder = TreeIndex.walk_order, TreeIndex.walk_items, TreeIndex._item_preorder
+    counted, not timed: item preorders built (one per root walked for
+    items), item walks assembled (one per (start, end) new to an index),
+    the preorder slices those walks and ``path_cover`` join, oracle-entry
+    scorings (calls to ``first_unreleased``) and the perm positions they
+    read, and the scans a tree oracle filters from an item walk, one per
+    (nodes, end) new to its step's table.  Any count rising fails; a fall
+    may lower its pin."""
+    walk_items, item_preorder = TreeIndex.walk_items, TreeIndex._item_preorder
     pieces, first_unreleased, scanner = TreeIndex._pieces, RouteStats.first_unreleased, oracles._scanner
     for grid, pins in _LINE_ADVERSARY_WORK.items():
         counts = Counter()
-
-        def counted_walk(self, s, e):
-            counts["walks"] += 1
-            return walk_order(self, s, e)
 
         def counted_items(self, s, e):
             counts["item walks"] += (s, e) not in self._item_walks
@@ -563,7 +561,6 @@ def test_line_adversary_work_counts():
             return counted_scan
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(TreeIndex, "walk_order", counted_walk)
             mp.setattr(TreeIndex, "walk_items", counted_items)
             mp.setattr(TreeIndex, "_item_preorder", counted_preorder)
             mp.setattr(TreeIndex, "_pieces", counted_pieces)

@@ -20,10 +20,11 @@ from oltsp.spaces import (
     trim_tree,
 )
 from oltsp.core import Instance
+from oltsp.harness import FAMILIES
 from oltsp.oracles import FlowerOracle
 from oltsp.tolerance import SNAP
 
-from conftest import random_flower, random_general, random_point, random_space, random_tree
+from conftest import pin_pool, random_flower, random_general, random_point, random_space, random_tree
 from sensible import trim_tree_by_contraction
 
 TOL = 1e-9
@@ -497,3 +498,28 @@ def test_canon_is_idempotent(space_and_point):
     q = sp.canon(p)
     assert sp.canon(q) == q
     assert sp.contains(q)
+
+
+def test_test_pools_draw_every_family():
+    """Every sweep family is a kind the tests draw: random spaces and
+    points, and both pinned pools, give spaces of that kind with points
+    inside them.  A family the pools do not know raises, not falls back."""
+    assert set(KINDS) == set(FAMILIES)
+    for family in FAMILIES:
+        rng = random.Random(family)
+        sp = random_space(family, rng)
+        assert sp.kind == family and sp.contains(random_point(sp, rng)), family
+        for variant in ("closed", "open"):
+            for sp, locs, _ in pin_pool(family, variant, count=2):
+                assert sp.kind == family and all(map(sp.contains, locs)), (family, variant, locs)
+    with pytest.raises(ValueError):
+        next(pin_pool("no such family", "closed"))
+
+
+@pytest.mark.xfail(strict=True, reason="Flower.canon snaps to the origin but not to the stem's tip")
+def test_flower_stem_tip_has_one_representation():
+    """Offsets within SNAP of the stem's tip are one point, the tip, as
+    within SNAP of the origin they are the origin."""
+    fl = Flower((1.0,), 1.0)
+    assert fl.canon(("stem", 1.0 - 5e-13)) == ("stem", 1.0)
+    assert fl.canon(("stem", 1.0 + 5e-13)) == ("stem", 1.0)
