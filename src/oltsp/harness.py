@@ -181,8 +181,8 @@ def perturb_predictions(instance: Instance, target_eta: float, rng=None,
     instead of raising :class:`EtaUnreachable`.  ``F`` is the instance's
     shortest serving path length, computed here unless the caller holds it.
     """
-    if target_eta < 0:
-        raise ValueError("target error must be nonnegative")
+    if not 0 <= target_eta < math.inf:
+        raise ValueError(f"target error must be finite and nonnegative, got {target_eta}")
     if target_eta == 0 or instance.n == 0:
         return instance.perfect()
     rng = np.random.default_rng(0) if rng is None else rng
@@ -298,7 +298,10 @@ def _sweep_item(args: tuple[SweepSpec, int]) -> tuple[list[SweepRow], list[str],
             skipped.append(f"{spec.space}-{idx}@{eta}: {exc}")
             continue
         achieved = prediction_error(trial, F)
-        row = run_one(trial, spec, f"{spec.space}-{idx}", achieved, opt)
+        try:
+            row = run_one(trial, spec, f"{spec.space}-{idx}", achieved, opt)
+        except SizeCapExceeded as exc:  # the policy's oracle is capped too
+            return [], [], [f"{spec.space}-{idx}: {exc}"]
         rows.append(row)
         bound = min(1.5 + 5.0 * achieved, ceiling(spec.space, spec.variant)) + SWEEP_SLACK
         if row.ratio > bound:

@@ -423,10 +423,14 @@ class TreeIndex:
                 u = par[u]
         return sorted(nodes - marked)
 
-    def _steiner(self, root: int, nodes) -> tuple[float, list[int], set[int]]:
-        """Weight, edges (as child nodes, ascending) and nodes of the Steiner
-        span of ``nodes``, which hold ``root``: every member's path up to
-        ``root`` in the tree rerooted there."""
+    def span(self, nodes) -> tuple[float, list[int]]:
+        """Weight and edges (as child nodes, ascending) of the Steiner span
+        of ``nodes``: every member's path up to the smallest member in the
+        tree rerooted there."""
+        nodes = set(nodes)
+        if not nodes:
+            return 0.0, []
+        root = min(nodes)
         par = self._rooted(root)[0]
         inside = {root}
         for v in nodes:
@@ -440,15 +444,7 @@ class TreeIndex:
         plen = self.plen
         for v in edges:
             W += plen[v]
-        return W, edges, inside
-
-    def span(self, nodes) -> tuple[float, list[int]]:
-        """Weight and edges (as child nodes, ascending) of the Steiner span
-        of ``nodes``."""
-        nodes = set(nodes)
-        if not nodes:
-            return 0.0, []
-        return self._steiner(min(nodes), nodes)[:2]
+        return W, edges
 
     def path_cover(self, s: int, req_nodes, end) -> tuple[float, list[int]]:
         """Optimal covering walk from node ``s`` over ``req_nodes``.
@@ -465,7 +461,9 @@ class TreeIndex:
         K.add(s)
         if end not in (FREE, CLOSED):
             K.add(end)
-        W, _, inside = self._steiner(s, K)
+        W, edges = self.span(K)
+        # the edges' child ends and their top (nodes are numbered parents first)
+        inside = {self.par[edges[0]], *edges} if edges else K
         dist = self.tree.node_dist
         if end == CLOSED:
             cost = 2 * W
@@ -540,34 +538,26 @@ def tree_index_for(space: Space, items: dict[Any, Any]) -> TreeIndex:
 
 def flower_cover(flower: Flower, s, req: list[tuple[Any, Any]], end) -> tuple[float, list]:
     """Optimal covering walk on a flower from point ``s`` over request points:
-    :func:`flower_cover_grouped` over the canonical points as grouped by
-    :func:`flower_groups`, with a fresh leg table."""
+    :func:`flower_cover_grouped` over the canonical points, with a fresh leg
+    table."""
     s, end = flower.canon(s), end if end in (FREE, CLOSED) else flower.canon(end)
-    groups = flower_groups([(flower.canon(p), k) for p, k in req], s, end)
-    return flower_cover_grouped(flower, s, groups, end, {})
+    return flower_cover_grouped(flower, s, [(flower.canon(p), k) for p, k in req], end, {})
 
 
-def flower_groups(req: list[tuple[tuple, Any]], s: tuple, end) -> dict[Any, list[tuple[float, Any]]]:
-    """Requests ``(point, key)`` at canonical points as ``(offset, key)`` lists
-    by component, in ``req`` order.  One at the origin joins the component of
-    the start ``s``, else of ``end`` (a point, FREE or CLOSED), else the stem:
-    the walk serves it when it first touches the origin."""
-    home = s[0] if s != _ORIGIN else end[0] if end not in (FREE, CLOSED, _ORIGIN) else "stem"
-    groups: dict[Any, list[tuple[float, Any]]] = {}
-    for p, k in req:
-        groups.setdefault(home if p == _ORIGIN else p[0], []).append((p[1], k))
-    return groups
-
-
-def flower_cover_grouped(flower: Flower, s: tuple, groups: dict, end, table: dict) -> tuple[float, list]:
+def flower_cover_grouped(flower: Flower, s: tuple, req: list[tuple[tuple, Any]], end,
+                         table: dict) -> tuple[float, list]:
     """Optimal covering walk on a flower from canonical point ``s`` over
-    :func:`flower_groups`' requests to a canonical point, FREE or CLOSED.
+    requests ``(point, key)`` at canonical points to a canonical point, FREE
+    or CLOSED.
 
-    Components (petals ascending, then the stem) meet only at the origin,
-    so the walk is per-component covers stitched there; when start and end
-    share a component its requests are split between the first and last
-    excursions by exhaustive bipartition.  Every candidate walk is priced
-    from positions alone; only the first cheapest is walked.
+    The requests are grouped by component in ``req`` order.  One at the
+    origin joins the component of the start, else of the end, else the
+    stem: the walk serves it when it first touches the origin.  Components
+    (petals ascending, then the stem) meet only at the origin, so the walk
+    is per-component covers stitched there; when start and end share a
+    component its requests are split between the first and last excursions
+    by exhaustive bipartition.  Every candidate walk is priced from
+    positions alone; only the first cheapest is walked.
 
     ``table`` is the leg table: a leg is keyed by its component, start
     offset, ``(offset, key)`` items and end, and holds its price (cost,
@@ -575,6 +565,10 @@ def flower_cover_grouped(flower: Flower, s: tuple, groups: dict, end, table: dic
     serves one flower and one fixed set of points, no key's offset ever
     changing; then every call that shares it prices and walks each leg once.
     """
+    home = s[0] if s != _ORIGIN else end[0] if end not in (FREE, CLOSED, _ORIGIN) else "stem"
+    groups: dict[Any, list[tuple[float, Any]]] = {}
+    for p, k in req:
+        groups.setdefault(home if p == _ORIGIN else p[0], []).append((p[1], k))
     sc, s_off = (None, 0.0) if s == _ORIGIN else s
     # the end's component (None at the origin or free) and offset, the start's if closed
     ec, e_off = (sc, s_off) if end == CLOSED else (None, 0.0) if end in (FREE, _ORIGIN) else end

@@ -25,7 +25,6 @@ from .offline import (
     distance_matrix,
     exact_path,
     flower_cover_grouped,
-    flower_groups,
     ring_cover,
     star_index,
     tree_index_for,
@@ -405,8 +404,7 @@ class FlowerOracle(DominationOracle):
         start = origin if qid is None else loc[qid]
         end = origin if end == CLOSED else FREE if end == FREE else loc[end]
         # in id order: the cover's split ties go to the first one it tries
-        groups = flower_groups([(loc[i], i) for i in sorted(rest)], start, end)
-        return flower_cover_grouped(self.flower, start, groups, end, self._legs)[1]
+        return flower_cover_grouped(self.flower, start, [(loc[i], i) for i in sorted(rest)], end, self._legs)[1]
 
     def _batch(self, released: frozenset) -> list[tuple]:
         idx, node_of = self.idx, self.idx.node_of

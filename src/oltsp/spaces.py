@@ -696,7 +696,7 @@ Space = Line | Euclid2D | Ring | Tree | Flower | General
 
 def _check_traveled(space, a, b, t: float) -> float:
     d = space.distance(a, b)
-    if t < -FEAS or t > d + FEAS:
+    if not -FEAS <= t <= d + FEAS:  # NaN included
         raise SpaceError(f"traveled {t} outside [0, {d}]")
     return d
 

@@ -1,8 +1,6 @@
 import math
 import random
 
-import pytest
-
 from oltsp.harness import SweepSpec, generate_one
 from oltsp.spaces import Euclid2D, Flower, General, Line, Ring, Tree
 

@@ -22,8 +22,8 @@ from oltsp.core import (
 )
 from oltsp.engine import LaSwagPolicy
 from oltsp.fixtures import smoothness_lb_space
-from oltsp.offline import eval_serving_order, opt_bruteforce
-from oltsp.spaces import Euclid2D, Flower, General, Line, Ring, SpaceError, Tree
+from oltsp.offline import eval_serving_order
+from oltsp.spaces import Flower, General, Line, Ring, SpaceError, Tree
 
 from conftest import random_point, random_space
 

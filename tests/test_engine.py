@@ -9,7 +9,7 @@ from oltsp.engine import EngineConfig, LaSwagPolicy, _minimizer, la_swag, la_swa
 from oltsp.fixtures import LineReleaseAdversary
 from oltsp.offline import opt_bruteforce
 from oltsp.oracles import make_oracle
-from oltsp.spaces import Euclid2D, Flower, Line, Ring, Tree
+from oltsp.spaces import Line, Tree
 
 from conftest import pin_pool, random_point, random_space
 from sensible import witness_by_scan

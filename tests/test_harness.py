@@ -194,9 +194,10 @@ def test_perturb_unreachable_eta_carries_target_and_achieved():
         perturb_predictions(at_origin, 0.5)
     assert (info.value.target, info.value.achieved) == (0.5, None)
     assert str(info.value) == "target error unreachable: all requests at the origin"
-    with pytest.raises(ValueError, match="nonnegative") as info:
-        perturb_predictions(inst, -1.0)
-    assert not isinstance(info.value, EtaUnreachable)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="nonnegative") as info:
+            perturb_predictions(inst, bad)
+        assert not isinstance(info.value, EtaUnreachable)
 
 
 def test_perturb_degenerate_space_raises():
@@ -424,7 +425,8 @@ def test_sweep_pool_size_invariance():
 def test_cli_sweep_reports_violations_and_skips(tmp_path, monkeypatch, capsys):
     """A row above its guarantee exits 1 and is printed and written as a
     violation; an unreachable eta and an n above the OPT cap are written
-    as skipped rows."""
+    as skipped rows: above the policy's cap too, on a line, whose OPT
+    runs at any n."""
     cases = [
         ({"space": "line", "count": 1, "n": 1, "seed": 1, "eta": [0.0]},
          "violation: line-0@eta=0: ratio 1.288319 > 0.500001"),
@@ -432,6 +434,8 @@ def test_cli_sweep_reports_violations_and_skips(tmp_path, monkeypatch, capsys):
          "skipped: ring-0@50.0: target error 50.0 unreachable on this space (got 3.294)"),
         ({"space": "ring", "count": 1, "n": 17, "seed": 0, "eta": [0.0]},
          "skipped: ring-0: 17 requests exceeds subset-DP cap 16"),
+        ({"space": "line", "count": 1, "n": 17, "oracle": "general"},
+         "skipped: line-0: 17 targets exceeds bitmask cap 16"),
     ]
     monkeypatch.setattr(harness, "ceiling", lambda family, variant: 0.5)
     for k, (obj, line) in enumerate(cases):
@@ -440,8 +444,12 @@ def test_cli_sweep_reports_violations_and_skips(tmp_path, monkeypatch, capsys):
         out = tmp_path / f"sweep{k}.csv"
         violated = line.startswith("violation")
         assert cli_main(["sweep", str(spec), "-o", str(out)]) == int(violated)
-        assert (line in capsys.readouterr().out.splitlines()) == violated
+        printed = capsys.readouterr().out.splitlines()
+        assert (line in printed) == violated
+        assert printed[0].endswith(f"; {int(not violated)} skipped")
         assert "# " + line in out.read_text().splitlines()
+        if not violated:
+            assert sweep(SweepSpec.from_json(obj)) == ([], [], [line.removeprefix("skipped: ")])
 
 
 def test_ceilings():

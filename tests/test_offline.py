@@ -24,7 +24,6 @@ from oltsp.offline import (
     exact_path,
     flower_cover,
     flower_cover_grouped,
-    flower_groups,
     flower_tsp,
     held_karp,
     opt_bruteforce,
@@ -32,7 +31,6 @@ from oltsp.offline import (
     ring_tsp,
     segment_cover,
     shortest_serving_path_length,
-    solve_classical,
     star_index,
     tree_index_for,
     tree_tsp,
@@ -865,10 +863,10 @@ def test_flower_cover_matches_masks_reference():
     a stem, random and grid-tie offsets, starts at the origin, on a petal
     and on the stem, and every kind of end.  Each drawn (flower, req)
     shares one leg table across all its starts and ends, in a forward and
-    then a reverse pass, through ``flower_groups`` and
-    ``flower_cover_grouped`` as the flower oracle calls them, so legs
-    priced and walked for one query are read back by the others;
-    ``flower_cover``, with a fresh table per call, must agree as well."""
+    then a reverse pass, through ``flower_cover_grouped`` as the flower
+    oracle calls it, so legs priced and walked for one query are read back
+    by the others; ``flower_cover``, with a fresh table per call, must
+    agree as well."""
     rng = random.Random(29)
     for _ in range(1500):
         grid = rng.random() < 0.5
@@ -886,7 +884,7 @@ def test_flower_cover_matches_masks_reference():
         for s, end in queries + queries[::-1]:
             want = flower_cover_by_masks(flower, s, req, end)
             cs, ce = flower.canon(s), end if end in (FREE, CLOSED) else flower.canon(end)
-            shared = flower_cover_grouped(flower, cs, flower_groups(canon, cs, ce), ce, table)
+            shared = flower_cover_grouped(flower, cs, canon, ce, table)
             for got in (shared, flower_cover(flower, s, req, end)):
                 assert got[0].hex() == want[0].hex() and got[1] == want[1], (flower, s, req, end)
 

@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import math
 import random
 from collections import Counter
 
@@ -21,7 +20,6 @@ from oltsp.offline import (
     held_karp,
     opt_bruteforce,
     ring_cover,
-    tree_index_for,
     tree_tsp,
 )
 from oltsp.oracles import (

@@ -148,8 +148,14 @@ def test_move_along_metric_consistency():
 
 
 def test_move_along_out_of_range():
-    with pytest.raises(SpaceError):
-        Line().move_along(0.0, 1.0, 2.0)
+    """Past the far end, or by no number at all, is off the geodesic."""
+    rng = random.Random(5)
+    for kind in KINDS:
+        sp = random_space(kind, rng)
+        a, b = random_point(sp, rng), random_point(sp, rng)
+        for t in (math.nan, sp.distance(a, b) + 1.0):
+            with pytest.raises(SpaceError, match="outside"):
+                sp.move_along(a, b, t)
 
 
 @pytest.mark.parametrize("space, p", [
