@@ -379,10 +379,12 @@ class Simulation:
                                         self.now, self.pos, self._unserved(), act)
             t_next = min(candidates)
             t_next = max(t_next, self.now)
-            # advance the server
-            if self._leg is not None and t_next > self.now:
-                frm, t0, target, t_arr = self._leg
-                self.pos = self.space.move_along(frm, target, min(t_next, t_arr) - t0)
+            # advance the server; an arrival takes the target itself, as the
+            # rounding of t_arr - t0 grows with the lengths and could carry a
+            # walk of the whole leg past it
+            if self._leg is not None and self.now < t_next < self._leg[3] - TIE:
+                frm, t0, target, _ = self._leg
+                self.pos = self.space.move_along(frm, target, t_next - t0)
             self.now = t_next
             if self._leg is not None and t_next >= self._leg[3] - TIE:
                 self.pos = self._leg[2]

@@ -328,7 +328,11 @@ class TreeIndex:
     :meth:`walk_items` joins the same slices of the root's item preorder,
     built on the root's first item walk.  Each item walk, the one table
     the oracles' scans and clean-ups filter, is kept for the index's
-    lifetime.
+    lifetime.  Maximal nodes need no rerooting: one pass at root 0 finds
+    a set's tips (:meth:`tips`), the members with at most one branch
+    holding other members, each with that branch as a range of the root-0
+    preorder, and rooted anywhere the maximal nodes are the tips whose
+    branch holds the root (:meth:`tips_at`).
     """
 
     def __init__(self, tree: Tree, node_of_item: dict[Any, int]):
@@ -410,18 +414,48 @@ class TreeIndex:
         pieces.append((at, stop[e]))
         return pieces
 
-    def maximal_nodes(self, nodes, root: int = 0) -> list[int]:
-        """Members that are no other member's proper ancestor when the tree
-        is rooted at ``root``, in ascending order."""
-        par = self._rooted(root)[0]
+    def tips(self, nodes) -> list[tuple[int, int, int, bool]]:
+        """The members of a node set with at most one branch (a part of the
+        tree cut at the member) holding other members, ascending, each as
+        ``(v, lo, hi, inside)``: that branch is the root-0 preorder
+        positions ``[lo, hi)`` if ``inside``, else the rest.  Of two or
+        more members, they are those with no other member below them at
+        root 0, whose branch is all but their subtree, and the top member
+        if all the others lie below one child, whose branch is that
+        child's subtree; a lone member's branch is the whole tree.  One
+        marking pass up the root-0 parents; :meth:`tips_at` reads it at
+        any root."""
         nodes = set(nodes)
+        if len(nodes) < 2:
+            return [(v, 0, self.n, True) for v in nodes]
+        par, first, stop = self.par, *self._rooted(0)[2:4]
         marked = set()
         for v in nodes:
             u = par[v]
             while u != -1 and u not in marked:
                 marked.add(u)
                 u = par[u]
-        return sorted(nodes - marked)
+        tips = []
+        t = min(nodes)  # nodes are numbered parents first: only it can be above the rest
+        if t in marked:
+            below = [first[v] for v in nodes if v != t]
+            lo = min(below)
+            # t's children are its larger neighbours
+            c = next((c for c in self.nbrs[t] if c > t and first[c] <= lo < stop[c]), None)
+            if c is not None and max(below) < stop[c]:
+                tips.append((t, first[c], stop[c], True))
+        return tips + [(v, first[v], stop[v], False) for v in sorted(nodes - marked)]
+
+    def tips_at(self, tips, root: int) -> list[int]:
+        """The maximal nodes at ``root`` of the set whose :meth:`tips` these
+        are: the tips whose branch holds ``root``."""
+        f = self._rooted(0)[2][root]
+        return [v for v, lo, hi, inside in tips if (lo <= f < hi) == inside]
+
+    def maximal_nodes(self, nodes, root: int = 0) -> list[int]:
+        """Members that are no other member's proper ancestor when the tree
+        is rooted at ``root``, in ascending order."""
+        return self.tips_at(self.tips(nodes), root)
 
     def span(self, nodes) -> tuple[float, list[int]]:
         """Weight and edges (as child nodes, ascending) of the Steiner span

@@ -129,18 +129,32 @@ class DominationOracle:
     def _tree_batch(self, idx: TreeIndex, released: frozenset) -> list[tuple]:
         """Scan-to-pivot dominators over the tree ``idx``, one set per final
         request: rooted at the origin with no final (closed), or at each
-        request's node with that request pinned last (open).  Each scan is
-        read from the step's :func:`_scanner`."""
-        unrel = self.ids - released
-        rel_nodes = {idx.node_of[i] for i in released}
+        request's node with that request pinned last (open).  The pivots
+        are the maximal unreleased nodes, each with its smallest id but the
+        final, and the leaves the maximal released nodes, both read at the
+        final's node from the step's tips; each scan is read from the
+        step's :func:`_scanner`."""
+        node_of = idx.node_of
+        smallest: dict[int, int] = {}  # unreleased node -> its smallest id
+        second: dict[int, int] = {}  # and its next, the pivot if the final is the smallest
+        for i in sorted(self.ids - released):
+            if node_of[i] in smallest:
+                second.setdefault(node_of[i], i)
+            else:
+                smallest[node_of[i]] = i
+        # one set serves every final: rooted at the final's node, the other
+        # unreleased nodes have the same maximal nodes with that node added;
+        # where it is the only one, its next id is the pivot, or the final
+        # itself if it is the last unreleased request
+        unrel_tips = idx.tips(smallest)
+        rel_tips = idx.tips({node_of[i] for i in released})
         scan = _scanner(idx, released)
         out = []
         for qf in [None] if self.variant == "closed" else sorted(self.ids):
-            root = 0 if qf is None else idx.node_of[qf]
-            pivots = _pivots(idx, unrel - {qf}, root)
-            if unrel == {qf}:
-                pivots.append((root, qf))  # the final request is the only unreleased one
-            leaves = idx.maximal_nodes(rel_nodes, root)
+            root = 0 if qf is None else node_of[qf]
+            pivots = [(v, second.get(v, qf) if smallest[v] == qf else smallest[v])
+                      for v in idx.tips_at(unrel_tips, root)]
+            leaves = idx.tips_at(rel_tips, root)
             out += [self._dominator(scan(chosen + (qnode,), qnode, qf), q, qf)
                     for qnode, q in pivots for chosen in _subsets(leaves)]
         return out
@@ -227,15 +241,6 @@ def _scanner(idx: TreeIndex, released: frozenset) -> Callable[..., list[int]]:
         return [i for i in ids if i != final] if final in released else ids
 
     return scan
-
-
-def _pivots(idx: TreeIndex, ids: Iterable[int], root: int) -> list[tuple[int, int]]:
-    """(node, smallest id) for each maximal node hosting one of ``ids``."""
-    by_node: dict[int, int] = {}
-    for i in sorted(ids):
-        v = idx.node_of[i]
-        by_node.setdefault(v, i)
-    return [(v, by_node[v]) for v in idx.maximal_nodes(by_node, root)]
 
 
 class TreeOracle(DominationOracle):
@@ -411,8 +416,16 @@ class FlowerOracle(DominationOracle):
         unrel = sorted(self.ids - released)
         # every set of looped petals, in binary counting order
         dones = list(_subsets(sorted({self.loc[i][0] for i in released} - {"stem"})))
-        leaves: dict[tuple, list[tuple]] = {}  # (kept, root) -> subsets of the maximal released nodes
-        tops: dict[tuple, list[int]] = {}  # (kept, qf, q is qf) -> maximal unreleased nodes
+        # per set of kept petals, the released and the unreleased nodes off
+        # them, and one tip pass per distinct such set
+        members = {kept: (frozenset(node_of[i] for i in on & released), frozenset(node_of[i] for i in on - released))
+                   for kept, on in self._scanned.items()}
+        tips = {nodes: idx.tips(nodes) for nodes in set().union(*members.values())}
+        # (kept, root) -> the subsets of the maximal released nodes there, and
+        # the maximal unreleased nodes.  These keep an unreleased final's
+        # node, which changes no answer a pivot reads, as in the tree batch:
+        # the pivot is the final itself or another request off the kept petals
+        reads: dict[tuple, tuple[list[tuple], list[int]]] = {}
         scan = _scanner(idx, released)
         # each petal's released ids in loop order; a released final leaves itself out
         rel_loops = {key: [i for i in order if i in released] for key, order in self._petal_order.items()}
@@ -442,22 +455,19 @@ class FlowerOracle(DominationOracle):
                     for kept, at_q, walk in options:
                         on = self._scanned[kept]
                         root = node_of[qf] if qf in on else 0
-                        if at_q:
-                            # only the deepest unreleased request per branch
-                            # can be the first unreleased of a sensible order
-                            key = (kept, qf, q == qf)
-                            if key not in tops:
-                                unrel_nodes = {node_of[i] for i in on
-                                               if i not in released and (i != qf or q == qf)}
-                                tops[key] = idx.maximal_nodes(unrel_nodes, root)
-                            qnode = node_of[q]
-                            if qnode not in tops[key]:
-                                continue
-                        if (kept, root) not in leaves:
-                            leaves[kept, root] = list(_subsets(
-                                idx.maximal_nodes({node_of[i] for i in released & on}, root)))
+                        read = reads.get((kept, root))
+                        if read is None:
+                            rel_nodes, unrel_nodes = members[kept]
+                            read = reads[kept, root] = (list(_subsets(idx.tips_at(tips[rel_nodes], root))),
+                                                        idx.tips_at(tips[unrel_nodes], root))
+                        leaves, tops = read
+                        qnode = node_of[q]
+                        # only the deepest unreleased request per branch can
+                        # be the first unreleased of a sensible order
+                        if at_q and qnode not in tops:
+                            continue
                         # disjoint parts: looped petals, other arms' span, q's petal
-                        for chosen in leaves[kept, root]:
+                        for chosen in leaves:
                             ids = scan(chosen + (qnode,), qnode, qf) if at_q else scan(chosen, 0, qf)
                             out.append(self._dominator(prefix + ids + walk, q, qf))
         return out

@@ -26,14 +26,17 @@ oracle's batch afresh at each step, each head from a table of its own
 pivot's, the reference for ``GeneralOracle._batch``;
 ``tree_batch_by_finals`` emits every scan of a tree-style batch afresh
 along an uncached covering walk (``items_along``) for each guessed final
-request and cleans up with no memo, the reference for
+request, its pivots and leaves found by ``maximal_nodes_by_walk`` rerooted
+at the final's node, and cleans up with no memo, the reference for
 ``DominationOracle._tree_batch``;
 ``flower_batch_by_variants`` builds a flower oracle's batch one approach
-at a time, each set of kept petals scanning its own snipped index, the
-reference for ``FlowerOracle._batch``;
+at a time, each set of kept petals scanning its own snipped index and
+finding its maximal nodes by ``maximal_nodes_by_walk``, the reference for
+``FlowerOracle._batch``;
 ``path_cover_by_dfs``, ``span_by_counts`` and ``maximal_nodes_by_walk``
 recompute a ``TreeIndex``'s adjacency, counts and rerooted parents on
-every call, the reference for its per-index tables; ``walk_by_dfs``
+every call, the reference for its per-index tables and for maximal nodes
+read from its root-0 tips; ``walk_by_dfs``
 walks the whole tree depth first from a start node to an end node, the
 reference for ``TreeIndex.walk_items`` (its items) and for the node walk
 a tree oracle's clean-up emits along (its nodes).
@@ -74,7 +77,7 @@ from oltsp.offline import (
     ring_cover,
     segment_cover,
 )
-from oltsp.oracles import _pivots, _subsets
+from oltsp.oracles import _subsets
 from oltsp.spaces import TREE_ROOT, Flower, Line, Ring, Space, Tree
 from oltsp.tolerance import TIE
 
@@ -701,16 +704,17 @@ def tree_batch_by_finals(oracle, idx, released: frozenset) -> list[tuple]:
     across finals: for each final request qf it emits every scan against
     the released requests other than qf along the node order of an
     uncached ``path_cover``, and each dominator's clean-up is the oracle's
-    ``_cover``, with no memo."""
+    ``_cover``, with no memo.  Each final's pivots and leaves are maximal
+    nodes rerooted at its node, with no tips."""
     unrel = oracle.ids - released
     rel_nodes = {idx.node_of[i] for i in released}
     out = []
     for qf in [None] if oracle.variant == "closed" else sorted(oracle.ids):
         root = 0 if qf is None else idx.node_of[qf]
-        pivots = _pivots(idx, unrel - {qf}, root)
+        pivots = _pivots_by_walk(idx, unrel - {qf}, root)
         if unrel == {qf}:
             pivots.append((root, qf))  # the final request is the only unreleased one
-        leaves = idx.maximal_nodes(rel_nodes, root)
+        leaves = maximal_nodes_by_walk(idx, rel_nodes, root)
         wanted = released - {qf}
         pin = [] if qf is None else [qf]
         end = oracle.end if qf is None else qf
@@ -722,14 +726,23 @@ def tree_batch_by_finals(oracle, idx, released: frozenset) -> list[tuple]:
     return out
 
 
+def _pivots_by_walk(idx, ids, root: int) -> list[tuple[int, int]]:
+    """(node, smallest id) for each node hosting one of ``ids`` that is
+    maximal among them with the tree rooted at ``root``."""
+    by_node: dict[int, int] = {}
+    for i in sorted(ids):
+        by_node.setdefault(idx.node_of[i], i)
+    return [(v, by_node[v]) for v in maximal_nodes_by_walk(idx, by_node, root)]
+
+
 def flower_batch_by_variants(oracle, released: frozenset) -> list[tuple]:
     """``FlowerOracle._batch`` as one call per (final, pivot, looped petals,
     approach), each rebuilding its petal loop orders and its maximal
-    unreleased nodes, with the after-loop direction of q's own petal read
-    from the oracle's ``_arm``.  Each set of kept petals scans its own
-    index of the requests off them, built by
-    ``snipped_index_by_round_trip``, along the node order of an uncached
-    ``path_cover``."""
+    released and unreleased nodes (``maximal_nodes_by_walk``), with the
+    after-loop direction of q's own petal read from the oracle's ``_arm``.
+    Each set of kept petals scans its own index of the requests off them,
+    built by ``snipped_index_by_round_trip``, along the node order of an
+    uncached ``path_cover``."""
     comp = [p[0] for p in oracle.loc]
     off = [p[1] for p in oracle.loc]
     indexes: dict = {}
@@ -752,9 +765,9 @@ def flower_batch_by_variants(oracle, released: frozenset) -> list[tuple]:
         root_node = idx.node_of[qf] if qf is not None and qf in idx.node_of else 0
         if approach == "tree":
             unrel_nodes = {idx.node_of[i] for i in idx.node_of if i not in released and (i != qf or i == q)}
-            if idx.node_of[q] not in idx.maximal_nodes(unrel_nodes, root_node):
+            if idx.node_of[q] not in maximal_nodes_by_walk(idx, unrel_nodes, root_node):
                 return []
-        leaves = idx.maximal_nodes({idx.node_of[i] for i in released if i in idx.node_of}, root_node)
+        leaves = maximal_nodes_by_walk(idx, {idx.node_of[i] for i in released if i in idx.node_of}, root_node)
         loop_prefix = []
         for k in done:
             loop_prefix += loop_order(k, loop_pool, oracle._arm[q][0][1] if k == qc else 1)
@@ -812,7 +825,8 @@ def _parents_from(idx, root: int) -> list[int]:
 
 
 def maximal_nodes_by_walk(idx, nodes, root: int = 0) -> list[int]:
-    """``TreeIndex.maximal_nodes`` over a parent array rerooted per call."""
+    """``TreeIndex.maximal_nodes`` over a parent array rerooted per call,
+    with no tips."""
     par = _parents_from(idx, root)
     nodes = set(nodes)
     marked = set()

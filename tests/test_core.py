@@ -20,9 +20,10 @@ from oltsp.core import (
     run_adaptive,
     simulate,
 )
-from oltsp.engine import LaSwagPolicy
+from oltsp.engine import LaSwagPolicy, la_swag_policy
 from oltsp.fixtures import smoothness_lb_space
-from oltsp.offline import eval_serving_order
+from oltsp.harness import FAMILIES, SweepSpec, generate_one
+from oltsp.offline import eval_serving_order, opt_bruteforce
 from oltsp.spaces import Flower, General, Line, Ring, SpaceError, Tree
 
 from conftest import random_point, random_space
@@ -191,6 +192,30 @@ def test_follow_order_matches_eval():
         rng.shuffle(order)
         res = simulate(inst, FollowOrderPolicy(inst, order))
         assert res.completion_time == pytest.approx(eval_serving_order(inst, order), abs=TOL)
+
+
+def _scaled_instance(family, variant, seed, k) -> Instance:
+    """A pinned-n sweep instance (n = 6, perfect predictions) with every
+    length and release time multiplied by 2**k."""
+    inst = generate_one(SweepSpec(space=family, variant=variant, n=6, seed=seed, count=1), 0)
+    space, f = inst.space.scaled(2.0 ** k)
+    return Instance(space, [Request(r.id, f(r.location), r.release * 2.0 ** k) for r in inst.requests],
+                    [f(p) for p in inst.predictions], variant)
+
+
+@pytest.mark.parametrize("family, variant, seed, k", [
+    ("tree", "closed", 4, 20),
+    *((family, variant, 3, 30) for family in FAMILIES for variant in ("closed", "open")),
+])
+def test_large_scale_run_arrives(family, variant, seed, k):
+    """At large lengths the rounding in a leg's arrival time exceeds FEAS,
+    so a server that reaches its target must take the target as its
+    position, not walk the whole leg through ``move_along``, which would
+    reject the walk as longer than the leg.  Each run finishes within the
+    consistency bound (perfect predictions)."""
+    inst = _scaled_instance(family, variant, seed, k)
+    res = la_swag_policy(inst)
+    assert res.completion_time <= (1.5 + 1e-9) * opt_bruteforce(inst).length
 
 
 def test_zero_requests_completion_zero():

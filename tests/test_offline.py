@@ -3,6 +3,7 @@ import json
 import math
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -351,13 +352,34 @@ def test_star_indexes_match_round_trip_reference():
             assert on == set(snipped_index_by_round_trip(flower, preds, kept).node_of), (flower, preds, kept)
 
 
+def _tip_cases(idx, req, root) -> list[str]:
+    """The cases of ``TreeIndex.tips`` and its read that ``maximal_nodes(req,
+    root)`` meets, told from the parent array alone."""
+    req = set(req)
+    if len(req) < 2:
+        return ["single" if req else "empty"]
+    cases = ["root in set" if root in req else "root outside set"] + ["member at node 0"] * (0 in req)
+    top = min(req)
+    kids = set()  # the children of the smallest member that the others hang from
+    for v in req - {top}:
+        while v != -1 and idx.par[v] != top:
+            v = idx.par[v]
+        kids.add(v)
+    if -1 not in kids:
+        cases.append("top over one branch" if len(kids) == 1 else "top over two branches")
+    return cases
+
+
 def test_tree_index_tables_match_reference():
     """Walks, spans and maximal nodes read from the per-index tables equal
     the per-call recomputation bit for bit: every start, with closed,
-    free and every node as the end.  The whole tree's item walk toward a
-    closed or node end holds each walk's span items in the walk's order,
-    as ``TreeOracle._cover`` reads them with no span."""
+    free and every node as the end, and the maximal nodes at every root,
+    over sets that meet each case of the tips they are read from.  The
+    whole tree's item walk toward a closed or node end holds each walk's
+    span items in the walk's order, as ``TreeOracle._cover`` reads them
+    with no span."""
     rng = random.Random(43)
+    cases = Counter()
     for idx in _cross_check_indexes(rng, 40):
         nodes = list(range(idx.n))
         for s in nodes:
@@ -372,10 +394,14 @@ def test_tree_index_tables_match_reference():
                         walk = idx.walk_items(s, s if end == CLOSED else end)
                         assert [i for i in walk if idx.node_of[i] in span] == items_along(
                             idx, ref_order, idx.node_of), (idx.tree, s, req, end)
-                assert idx.maximal_nodes(req, s) == maximal_nodes_by_walk(idx, req, s)
+                for root in nodes:
+                    assert idx.maximal_nodes(req, root) == maximal_nodes_by_walk(idx, req, root), (
+                        idx.tree, req, root)
+                    cases.update(_tip_cases(idx, req, root))
                 W, edges = idx.span(req)
                 ref_W, ref_edges = span_by_counts(idx, req)
                 assert (W.hex(), edges) == (ref_W.hex(), ref_edges), (idx.tree, req)
+    assert len(cases) == 7, cases
 
 
 def _walk_indexes(rng):

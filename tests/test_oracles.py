@@ -508,11 +508,30 @@ def test_tree_batches_match_per_final_reference(family, variant):
                 assert oracle._batch(released) == ref._batch(released), (space, locs, sorted(released))
 
 
+def test_tree_pivot_beside_its_final():
+    """An unreleased final that shares its node with another unreleased
+    request leaves that request as the node's pivot: with requests 0 and 1
+    at one point and the others released, final 0 pivots on 1, final 1 on
+    0, and a released final on 0.  At every released set the batch equals
+    the per-final reference's."""
+    tree = Tree([(0, 1, 1.0), (0, 2, 1.0)])
+    for space, locs in ((Line(), [1.0, 1.0, -1.0, 2.0]), (tree, [(0, 1.0), (0, 1.0), (1, 0.5), (0, 0.5)])):
+        oracle = make_oracle(space, locs, "open")
+        ref = make_oracle(space, locs, "open")
+        ref._tree_batch = lambda idx, released, ref=ref: tree_batch_by_finals(ref, idx, released)
+        for mask in range(15):
+            released = frozenset(i for i in range(4) if mask >> i & 1)
+            assert oracle._batch(released) == ref._batch(released), (space, sorted(released))
+        # (final, pivot): the first of the unreleased 0 and 1 in each row
+        rows = oracle._batch(frozenset({2, 3}))
+        assert {(row[-1], next(i for i in row if i < 2)) for row in rows} == {(0, 1), (1, 0), (2, 0), (3, 0)}, space
+
+
 _LINE_ADVERSARY_WORK = {
     21: {"root tables": 14, "item walks": 237, "slices": 632,
-         "scorings": 1283, "reads": 3404, "scan misses": 50},
+         "scorings": 1283, "reads": 3404, "scan misses": 50, "tip passes": 14},
     41: {"root tables": 23, "item walks": 791, "slices": 2214,
-         "scorings": 6664, "reads": 21594, "scan misses": 90},
+         "scorings": 6664, "reads": 21594, "scan misses": 90, "tip passes": 24},
 }
 
 
@@ -522,10 +541,11 @@ def test_line_adversary_work_counts():
     items), item walks assembled (one per (start, end) new to an index),
     the preorder slices those walks and ``path_cover`` join, oracle-entry
     scorings (calls to ``first_unreleased``) and the perm positions they
-    read, and the scans a tree oracle filters from an item walk, one per
-    (nodes, end) new to its step's table.  Any count rising fails; a fall
-    may lower its pin."""
-    walk_items, item_preorder = TreeIndex.walk_items, TreeIndex._item_preorder
+    read, the scans a tree oracle filters from an item walk, one per
+    (nodes, end) new to its step's table, and the maximal-node passes
+    (calls to ``tips``), two per step, whatever the number of finals.  Any
+    count rising fails; a fall may lower its pin."""
+    walk_items, item_preorder, tips = TreeIndex.walk_items, TreeIndex._item_preorder, TreeIndex.tips
     pieces, first_unreleased, scanner = TreeIndex._pieces, RouteStats.first_unreleased, oracles._scanner
     for grid, pins in _LINE_ADVERSARY_WORK.items():
         counts = Counter()
@@ -542,6 +562,10 @@ def test_line_adversary_work_counts():
             out = pieces(self, s, e)
             counts["slices"] += len(out)
             return out
+
+        def counted_tips(self, nodes):
+            counts["tip passes"] += 1
+            return tips(self, nodes)
 
         def counted_first(self, released, k=0):
             out = first_unreleased(self, released, k)
@@ -562,6 +586,7 @@ def test_line_adversary_work_counts():
             mp.setattr(TreeIndex, "walk_items", counted_items)
             mp.setattr(TreeIndex, "_item_preorder", counted_preorder)
             mp.setattr(TreeIndex, "_pieces", counted_pieces)
+            mp.setattr(TreeIndex, "tips", counted_tips)
             mp.setattr(RouteStats, "first_unreleased", counted_first)
             mp.setattr(oracles, "_scanner", counted_scanner)
             run_fixture("open_lb_line_adversary", grid=grid)
@@ -678,40 +703,29 @@ def test_flower_batches_match_variants_reference(variant):
 
 
 def test_flower_finds_maximal_nodes_once(monkeypatch):
-    """Within one step, the star index is asked for the maximal released
-    nodes a scan reads at most once per (kept petals, root), and for the
-    maximal unreleased ones at most once per (kept petals, final, pivot is
-    the final)."""
+    """Within one step, the star index makes one tip pass per distinct node
+    set that some set of kept petals leaves to its scans, its released
+    nodes and its unreleased ones, and no other: every final's maximal
+    nodes are read from those passes."""
     calls: Counter = Counter()
-    real = TreeIndex.maximal_nodes
+    real = TreeIndex.tips
 
-    def maximal_nodes(idx, nodes, root=0):
-        calls[id(idx), root, frozenset(nodes)] += 1
-        return real(idx, nodes, root)
+    def tips(idx, nodes):
+        calls[id(idx), frozenset(nodes)] += 1
+        return real(idx, nodes)
 
-    monkeypatch.setattr(TreeIndex, "maximal_nodes", maximal_nodes)
+    monkeypatch.setattr(TreeIndex, "tips", tips)
     locs = [(0, 0.5), (0, 1.5), (1, 0.4), (1, 1.0), ("stem", 0.5), ("stem", 1.0), (0, 1.0)]
-    n = len(locs)
     oracle = make_oracle(Flower((2.0, 1.5), 1.0), locs, "open")
+    idx = oracle.idx
     order = [4, 0, 2, 5, 1, 3]
     for t in range(len(order)):  # released sets grow one id at a time
         released = frozenset(order[:t])
         calls.clear()
         oracle.step(float(t), released)
-        allowed: Counter = Counter()
-        idx = oracle.idx
-        for kept, on in oracle._scanned.items():
-            rel_nodes = frozenset(idx.node_of[i] for i in on if i in released)
-            roots = set()
-            for qf in [None, *range(n)]:
-                root = idx.node_of[qf] if qf in on else 0
-                roots.add(root)
-                is_final = oracle.ids - released == {qf}
-                allowed[id(idx), root, frozenset(
-                    idx.node_of[i] for i in on if i not in released and (i != qf or is_final))] += 1
-            for root in roots:
-                allowed[id(idx), root, rel_nodes] += 1
-        assert calls and calls <= allowed, t
+        member_sets = {frozenset(idx.node_of[i] for i in ids)
+                       for on in oracle._scanned.values() for ids in (on & released, on - released)}
+        assert calls == Counter({(id(idx), nodes): 1 for nodes in member_sets}), t
 
 
 def test_general_walks_each_dominator_once(monkeypatch):
