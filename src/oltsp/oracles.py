@@ -10,12 +10,17 @@ rest with an exact classical solver, and pins qf last.  Once every
 request is released the batch is a single optimal tour from the origin.
 The general oracle enumerates released subsets directly
 (single-exponential); the tree, ring and flower oracles enumerate leaves,
-crescents/loops, and petal states instead (FPT or polynomial).
+crescents/loops, and petal states instead (FPT or polynomial).  The ring
+and each flower petal are an :class:`Arc`, whose row families are
+functions of it, so a petal's rows are the ring's.
 """
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from itertools import chain
+from typing import Callable, Iterable, Iterator
 
 from .core import RouteStats
 from .offline import (
@@ -70,6 +75,11 @@ class DominationOracle:
 
     def step(self, t: float, released: Iterable[int]) -> list[tuple]:
         released = frozenset(released)
+        bad = sorted((i for i in released if not isinstance(i, int) or not 0 <= i < self.n), key=repr)
+        if bad:
+            raise ValueError(f"released ids {bad} are not request ids 0..{self.n - 1}")
+        if not math.isfinite(t):
+            raise ValueError(f"event time {t} is not finite")
         if self._last_time is not None and t < self._last_time - FEAS:
             raise OutOfOrderEvent(f"event at {t} precedes {self._last_time}")
         if not released >= self._last_released:
@@ -268,103 +278,102 @@ class TreeOracle(DominationOracle):
 
 
 # ---------------------------------------------------------------------------
-# Ring oracle
+# Ring oracle, and the arc that the ring and every flower petal are
 # ---------------------------------------------------------------------------
+
+class Arc(namedtuple("Arc", "pos arm depth cw ccw near far")):
+    """A loop, the ring or one flower petal, split at its antipode: per id
+    (dicts) its position, its arm (+1 at most half the loop along, else -1)
+    and its depth along that arm; and the ids in four scan orders (cw, ccw,
+    near and far first, ties to the smaller id), which a step restricts to
+    its released ids.  A loop's row families are functions of the restricted
+    arc and the sorted unreleased pivots, yielding (head, pivot) pairs."""
+
+    @classmethod
+    def split(cls, length: float, pos: dict[int, float]) -> Arc:
+        arm = {i: 1 if p <= length / 2 else -1 for i, p in pos.items()}
+        depth = {i: p if arm[i] == 1 else length - p for i, p in pos.items()}
+        return cls(pos, arm, depth, *(sorted(pos, key=lambda i: (key(i), i)) for key in (
+            pos.get, lambda i: -pos[i], depth.get, lambda i: -depth[i])))
+
+    def restrict(self, keep) -> Arc:
+        """The scan orders cut to the ids in ``keep``; every id keeps its place."""
+        return Arc(*self[:3], *([i for i in order if i in keep] for order in self[3:]))
+
+
+def _crescents(arc: Arc, unrel) -> Iterator[tuple[list[int], int]]:
+    """Per pivot q: the released ids clockwise up to q, counter-clockwise
+    down to q, and the full loop toward q's arm."""
+    pos = arc.pos
+    for q in unrel:
+        pq = pos[q]
+        yield [i for i in arc.cw if pos[i] <= pq + TIE], q
+        yield [i for i in arc.ccw if pos[i] >= pq - TIE], q
+        yield (arc.cw if arc.arm[q] == 1 else arc.ccw), q
+
+
+def _line_extents(arc: Arc, unrel) -> Iterator[tuple[list[int], int]]:
+    """Heads of the open orders that never cross the antipode: guess the
+    farthest visited request on each arm, sweep both arms, then q.  One
+    head per (q, extent on q's arm, extent on the other) choice."""
+    arm, depth = arc.arm, arc.depth
+    for q in unrel:
+        same = [i for i in arc.near if arm[i] == arm[q]]
+        other = [i for i in arc.near if arm[i] != arm[q]]
+        other_extents = [None] + [depth[i] for i in other]
+        for es in [depth[q]] + [depth[i] for i in same if depth[i] > depth[q] + TIE]:
+            s_part = [i for i in same if depth[i] <= es + TIE]
+            for eo in other_extents:
+                o_part = [] if eo is None else [i for i in other if depth[i] <= eo + TIE]
+                yield o_part + s_part, q
+                if o_part:
+                    yield s_part + o_part, q
+
+
+def _out_and_back(arc: Arc, unrel) -> Iterator[tuple[list[int], int]]:
+    """Heads of the open orders that turn around at q1, loop out the other
+    arm through the antipode, descend to q2, then q."""
+    arm, depth = arc.arm, arc.depth
+    for side in (1, -1):
+        # the arm where q1 and q2 live, nearest and farthest first
+        other_near = [i for i in arc.near if arm[i] == side]
+        other_far = [i for i in arc.far if arm[i] == side]
+        outbound = [i for i in arc.near if arm[i] != side]
+        for q in unrel:
+            q2_opts = other_near + ([q] if arm[q] == side else [])
+            for q1 in [None] + other_near:
+                d1 = depth[q1] if q1 is not None else 0.0
+                a_part = [i for i in other_far if depth[i] <= d1 + TIE]
+                for q2 in q2_opts:
+                    if depth[q2] > d1 + TIE:
+                        yield a_part + outbound + [i for i in other_far if depth[i] >= depth[q2] - TIE], q
+
 
 class RingOracle(DominationOracle):
     def __init__(self, space: Ring, predictions, variant):
         super().__init__(space, predictions, variant)
-        C = self.C = space.circumference
-        pos = self.pos = [space.canon(p) for p in self.predictions]
-        # the ring split at the antipode: each request's arm (+1 clockwise,
-        # -1 counter-clockwise) and its distance from the origin along it,
-        # indexed as a star of two arms, the counter-clockwise half first
-        self.arm = [1 if p <= C / 2 else -1 for p in pos]
-        self.depth = [p if a == 1 else C - p for p, a in zip(pos, self.arm)]
-        self.idx = star_index([[(d, i) for i, (d, a) in enumerate(zip(self.depth, self.arm)) if a == side]
-                               for side in (-1, 1)])
-        # request ids in four scan orders, ties to the smaller id
-        ids = range(self.n)
-        self.cw = sorted(ids, key=lambda i: (pos[i], i))
-        self.ccw = sorted(ids, key=lambda i: (-pos[i], i))
-        self.near = sorted(ids, key=lambda i: (self.depth[i], i))
-        self.far = sorted(ids, key=lambda i: (-self.depth[i], i))
+        arc = self.arc = Arc.split(space.circumference, {i: space.canon(p) for i, p in enumerate(self.predictions)})
+        # the split indexed as a star of two arms, the counter-clockwise half first
+        self.idx = star_index([[(arc.depth[i], i) for i in arc.pos if arc.arm[i] == side] for side in (-1, 1)])
 
     def _cover(self, qid, rest, end) -> list[int]:
         # in the true ring metric, not on the split index; the walk does
         # not depend on the order of its items
-        pos = self.pos
+        pos = self.arc.pos
         start = 0.0 if qid is None else pos[qid]
         end_pos = 0.0 if end == CLOSED else (FREE if end == FREE else pos[end])
-        return ring_cover(self.C, start, [(pos[i], i) for i in rest], end_pos)[1]
-
-    def _crescents(self, released: frozenset, cw: list[int], ccw: list[int]) -> list[tuple]:
-        out = []
-        for q in sorted(self.ids - released):
-            pq = self.pos[q]
-            left = [i for i in cw if self.pos[i] <= pq + TIE]
-            right = [i for i in ccw if self.pos[i] >= pq - TIE]
-            full_moon = cw if self.arm[q] == 1 else ccw
-            out += [self._dominator(prefix, q) for prefix in (left, right, full_moon)]
-        return out
-
-    def _line_extents(self, released: frozenset, near: list[int]) -> list[tuple]:
-        """Open-variant dominators for orders that never cross the antipode:
-        guess the farthest visited request on each arm, sweep both arms,
-        finish at q, then clean up freely.  One dominator per
-        (q, left extent, right extent) choice."""
-        depth = self.depth
-        out = []
-        for q in sorted(self.ids - released):
-            same = [i for i in near if self.arm[i] == self.arm[q]]
-            other = [i for i in near if self.arm[i] != self.arm[q]]
-            same_extents = [depth[q]] + [depth[i] for i in same if depth[i] > depth[q] + TIE]
-            other_extents = [None] + [depth[i] for i in other]
-            for es in same_extents:
-                s_part = [i for i in same if depth[i] <= es + TIE]
-                for eo in other_extents:
-                    o_part = [] if eo is None else [i for i in other if depth[i] <= eo + TIE]
-                    out.append(self._dominator(o_part + s_part, q))
-                    if o_part:
-                        out.append(self._dominator(s_part + o_part, q))
-        return out
-
-    def _out_and_back(self, released: frozenset, near: list[int], far: list[int]) -> list[tuple]:
-        """Open-variant dominators that turn around at q1, loop out the other
-        arc through the antipode, descend to q2, and finish at q."""
-        depth = self.depth
-        out = []
-        for side in (1, -1):
-            # "other" arc where q1/q2 live, nearest and farthest first
-            other_near = [i for i in near if self.arm[i] == side]
-            other_far = [i for i in far if self.arm[i] == side]
-            outbound = [i for i in near if self.arm[i] != side]
-            for q in sorted(self.ids - released):
-                q2_opts = other_near + ([q] if self.arm[q] == side else [])
-                for q1 in [None] + other_near:
-                    d1 = depth[q1] if q1 is not None else 0.0
-                    for q2 in q2_opts:
-                        if depth[q2] <= d1 + TIE:
-                            continue
-                        a_part = [i for i in other_far if depth[i] <= d1 + TIE]
-                        c_part = [i for i in other_far if depth[i] >= depth[q2] - TIE]
-                        out.append(self._dominator(a_part + outbound + c_part, q))
-        return out
+        return ring_cover(self.space.circumference, start, [(pos[i], i) for i in rest], end_pos)[1]
 
     def _batch(self, released: frozenset) -> list[tuple]:
-        cw, ccw, near, far = ([i for i in order if i in released]
-                              for order in (self.cw, self.ccw, self.near, self.far))
-        out = self._tree_batch(self.idx, released)
-        if self.variant == "closed":
-            return out + self._crescents(released, cw, ccw)
-        # orders that never cross the antipode need not be sensible for
-        # their own final request, so cover all extent choices directly
-        out += self._line_extents(released, near)
-        for q in sorted(self.ids - released):  # full loops either way
-            out += [self._dominator(cw, q), self._dominator(ccw, q)]
-        out += self._crescents(released, cw, ccw)
-        out += self._out_and_back(released, near, far)
-        return out
+        arc = self.arc.restrict(released)
+        unrel = sorted(self.ids - released)
+        rows = _crescents(arc, unrel)
+        if self.variant == "open":
+            # orders that never cross the antipode need not be sensible for their
+            # own final request, so cover all extent choices; then full loops
+            rows = chain(_line_extents(arc, unrel), ((head, q) for q in unrel for head in (arc.cw, arc.ccw)),
+                         rows, _out_and_back(arc, unrel))
+        return self._tree_batch(self.idx, released) + [self._dominator(head, q) for head, q in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -378,28 +387,26 @@ class FlowerOracle(DominationOracle):
     over the leaves of one star, reading only the other petals' requests,
     follows.  It ends at q (tree); or at the origin, then walks q's kept
     petal either way up to q (arc) or around it (late loop, when qf shares
-    that petal); or, when q's petal is in ``done``, at the origin."""
+    that petal); or, when q's petal is in ``done``, at the origin.  Loops
+    and walks are read from the petals' arcs: q's are its crescents."""
 
     def __init__(self, space: Flower, predictions, variant):
         super().__init__(space, predictions, variant)
         self.flower = space
         self.loc = [space.canon(p) for p in self.predictions]
+        # each petal that hosts a request, ascending, as an arc over the ids on it
+        self.arcs = {k: Arc.split(space.petals[k], {i: o for i, (c, o) in enumerate(self.loc) if c == k})
+                     for k in sorted({c for c, _ in self.loc} - {"stem"})}
         # each request's arm once its petal is snipped into two halves
         # ("stem", or (petal, +1 forward / -1 backward)) and its offset on it
-        self._arm = [_star_arm(space, c, o) for c, o in self.loc]
-        # each petal's ids in loop order by direction (+1 forward, -1
-        # backward), ties to the smaller id
-        petals = sorted({c for c, _ in self.loc} - {"stem"})
-        self._petal_order = {(k, d): sorted((i for i in self.ids if self.loc[i][0] == k),
-                                            key=lambda i: (d * self.loc[i][1], i))
-                             for k in petals for d in (1, -1)}
+        self._arm = [_star_arm(space, self.arcs, i, c, o) for i, (c, o) in enumerate(self.loc)]
         # the star of every petal snipped at its antipode: the stem arm, then
         # each petal's forward and backward half, with the requests on them
         self.idx = star_index([[(off, i) for i, (a, off) in enumerate(self._arm) if a == arm]
-                               for arm in ["stem", *((k, d) for k in petals for d in (1, -1))]])
+                               for arm in ["stem", *((k, d) for k in self.arcs for d in (1, -1))]])
         # for each set of kept petals, the requests a scan reads: those off them
         self._scanned = {frozenset(kept): frozenset(i for i in self.ids if self.loc[i][0] not in kept)
-                         for kept in _subsets(petals)}
+                         for kept in _subsets(list(self.arcs))}
         # the clean-ups' leg table, kept for the oracle's lifetime: every
         # clean-up prices and walks each leg once
         self._legs: dict = {}
@@ -427,26 +434,27 @@ class FlowerOracle(DominationOracle):
         # the pivot is the final itself or another request off the kept petals
         reads: dict[tuple, tuple[list[tuple], list[int]]] = {}
         scan = _scanner(idx, released)
-        # each petal's released ids in loop order; a released final leaves itself out
-        rel_loops = {key: [i for i in order if i in released] for key, order in self._petal_order.items()}
+        # each petal's arc cut to the released ids; a released final leaves its own
+        rel_arcs = {k: arc.restrict(released) for k, arc in self.arcs.items()}
         out = []
         for qf in [None] if self.variant == "closed" else [None] + sorted(self.ids):
-            loops = rel_loops if qf not in released else {
-                key: [i for i in ids if i != qf] for key, ids in rel_loops.items()}
+            qfc = None if qf is None else self.loc[qf][0]
+            arcs = rel_arcs if qf not in released or qfc == "stem" else {
+                **rel_arcs, qfc: self.arcs[qfc].restrict(released - {qf})}
             for q in unrel:
                 if q == qf and len(unrel) > 1:
                     continue
-                (qc, qo), (arm, _) = self.loc[q], self._arm[q]
-                # q's petal walks, each once: to q either way, or around it if qf shares it
-                walks = []
+                qc = self.loc[q][0]
+                # q's petal walks, each once: its crescents to q either way, or around
+                # it if qf shares it; looped first, toward q's half (its full moon)
+                walks, full = [], None
                 if qc != "stem":
-                    fwd, bwd = loops[qc, 1], loops[qc, -1]
-                    walks = [[i for i in fwd if self.loc[i][1] <= qo + TIE],
-                             [i for i in bwd if self.loc[i][1] >= qo - TIE],
-                             *([fwd, bwd] if qf is not None and self.loc[qf][0] == qc else [])]
+                    arc = arcs[qc]
+                    (left, _), (right, _), (full, _) = _crescents(arc, [q])
+                    walks = [left, right, *([arc.cw, arc.ccw] if qfc == qc else [])]
                     walks = [w for j, w in enumerate(walks) if w not in walks[:j]]
                 for done in dones:
-                    prefix = [i for k in done for i in loops[k, arm[1] if k == qc else 1]]
+                    prefix = [i for k in done for i in (full if k == qc else arcs[k].cw)]
                     looped = frozenset(done)
                     # (kept petals, scan ends at q, walk along q's petal)
                     options = [(looped, qc not in looped, [])]
@@ -473,15 +481,13 @@ class FlowerOracle(DominationOracle):
         return out
 
 
-def _star_arm(flower: Flower, comp, off) -> tuple:
-    """Arm and offset of a canonical flower point on the snipped star, an
-    offset within ``SNAP`` of the arm's root or end snapped onto it."""
+def _star_arm(flower: Flower, arcs: dict[int, Arc], i: int, comp, off) -> tuple:
+    """Arm and offset on the snipped star of request ``i``, at canonical point (comp, off): a
+    petal point's read from its petal's arc, an offset within ``SNAP`` of the arm's ends snapped."""
     if comp == "stem":
         arm, end = "stem", flower.stem
-    elif off <= flower.petals[comp] / 2:
-        arm, end = (comp, 1), flower.petals[comp] / 2
     else:
-        arm, end, off = (comp, -1), flower.petals[comp] / 2, flower.petals[comp] - off
+        arm, end, off = (comp, arcs[comp].arm[i]), flower.petals[comp] / 2, arcs[comp].depth[i]
     return arm, (0.0 if off <= SNAP else end if off >= end - SNAP else off)
 
 

@@ -1,5 +1,5 @@
-"""No module of the package, and no test module, imports a name it never
-uses."""
+"""No module of the package, no test module and no benchmark module
+imports a name it never uses."""
 import ast
 import pathlib
 
@@ -7,6 +7,7 @@ import oltsp
 
 PACKAGE = pathlib.Path(oltsp.__file__).parent
 TESTS = pathlib.Path(__file__).parent
+PERFBENCH = TESTS.parent / "perfbench"  # read only
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,9 +33,11 @@ def test_no_unused_module_level_import():
     # __init__.py imports names to re-export them; the acceptance tests
     # stay as they were written
     exempt = {PACKAGE / "__init__.py", TESTS / "test_acceptance.py"}
+    paths = [path for folder in (PACKAGE, TESTS, PERFBENCH) for path in sorted(folder.glob("*.py"))]
+    assert PERFBENCH / "run.py" in paths
     offenders = [
-        f"{path.name}:{entry}"
-        for path in [*sorted(PACKAGE.glob("*.py")), *sorted(TESTS.glob("*.py"))]
+        f"{path.parent.name}/{path.name}:{entry}"
+        for path in paths
         if path not in exempt
         for entry in unused_imports(path.read_text())
     ]

@@ -331,7 +331,7 @@ def test_star_indexes_match_round_trip_reference():
         pos = [rng.choice([0.0, C / 2, C / 2 + 1e-10, C - 1e-9, round(rng.uniform(0, C), 6)])
                for _ in range(rng.randint(1, 6))]
         ring = RingOracle(Ring(C), pos, "closed")
-        split = {i: p if p <= C / 2.0 else p - C for i, p in enumerate(ring.pos)}
+        split = {i: p if p <= C / 2.0 else p - C for i, p in ring.arc.pos.items()}
         assert _index_tables(ring.idx) == _index_tables(tree_index_by_round_trip(Line(), split)), (C, pos)
 
         flower = random_flower(rng, 3)

@@ -1,8 +1,11 @@
 import hashlib
 import itertools
+import math
 import random
+import re
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from oltsp import offline, oracles
@@ -237,11 +240,12 @@ def test_ring_all_released_single():
 
 def test_ring_split_is_one_rule():
     """A request a hair past the antipode lies on the counter-clockwise
-    arm of the split index, and its arm and depth say the same."""
+    arm of the split index, and its arm and depth on the ring's arc say
+    the same."""
     o = RingOracle(Ring(1.0), [0.5 + 5e-13, 0.25], "closed")
     assert o.idx.node_of == {0: 1, 1: 2}
-    assert o.idx.par[1] == 0 and o.idx.plen[1] == o.depth[0] == 1.0 - (0.5 + 5e-13)
-    assert o.arm == [-1, 1]
+    assert o.idx.par[1] == 0 and o.idx.plen[1] == o.arc.depth[0] == 1.0 - (0.5 + 5e-13)
+    assert o.arc.arm == {0: -1, 1: 1}
 
 
 @pytest.mark.parametrize("variant", ["closed", "open"])
@@ -295,6 +299,32 @@ def test_flower_single_petal_equals_ring_batches():
             of.step(t, rel)
             og.step(t, rel)
         assert set(of.entries) == set(og.entries), pos
+
+
+def test_petal_arc_is_the_ring_arc():
+    """On a one-petal flower with no stem, with every request off the
+    origin's ``SNAP`` band, the petal's arc equals the ring's: arms,
+    depths and the four scan orders, for a request a hair past the
+    antipode and for ties in position and depth too.  The open ring's
+    line-extent and out-and-back rows read from that petal arc give the
+    ring's own heads, each a dominator of the ring's batch."""
+    cases = [[0.5 + 5e-13, 0.25, 0.75], [0.5, 0.5 + 5e-13, 0.25, 0.75, 0.25]]
+    rng = random.Random(21)
+    for trial in range(30):
+        cases.append([rng.choice([0.25, 0.5, 0.75, round(rng.uniform(0.01, 0.99), 3)])
+                      for _ in range(rng.randint(1, 6))])
+    for pos in cases:
+        ring = RingOracle(Ring(1.0), pos, "open")
+        flower = make_oracle(Flower((1.0,), 0.0), [(0, p) for p in pos], "open", "flower")
+        assert flower.arcs == {0: ring.arc}, pos
+        released = frozenset(i for i in range(len(pos)) if rng.random() < 0.5)
+        unrel = sorted(ring.ids - released)
+        ring.step(0.0, released)
+        batch = set(ring.batches[-1].perms)
+        for rows in (oracles._line_extents, oracles._out_and_back):
+            heads = list(rows(flower.arcs[0].restrict(released), unrel))
+            assert heads == list(rows(ring.arc.restrict(released), unrel)), (pos, released)
+            assert {ring._dominator(head, q) for head, q in heads} <= batch, (pos, released)
 
 
 def test_flower_all_released_single():
@@ -404,6 +434,53 @@ _OPEN_FLOWER_GAP_N6 = {
 def test_open_flower_domination_gap(spec):
     inst = Instance.from_json(spec)
     _check_domination(inst, list(itertools.permutations(range(inst.n))))
+
+
+def _undominated(space, locs, rels, variant, kind):
+    """(time, order) for each order of all requests that no entry of the
+    ``kind`` oracle dominates, in length and remainder, at each release
+    time and 4 random times.  The orders are priced once, on one distance
+    matrix per instance."""
+    oracle = make_oracle(space, locs, variant, kind)
+    D = offline.distance_matrix(space, [space.origin()] + list(locs))
+    orders = [RouteStats(perm, D, variant == "closed") for perm in itertools.permutations(range(len(locs)))]
+    lengths = np.array([o.length for o in orders])
+    rng = random.Random(repr((locs, rels)))
+    missed = []
+    for t in sorted({0.0, *rels, *(rng.uniform(0, max(rels) + 1.0) for _ in range(4))}):
+        released = frozenset(i for i, r in enumerate(rels) if r <= t)
+        oracle.step(t, released)
+        entries = list(oracle.entries.values())
+        e_len = np.array([e.length for e in entries])
+        e_rem = np.array([(1 - e.alpha_released(released)) * e.length for e in entries])
+        rem = np.array([(1 - o.alpha_released(released)) * o.length for o in orders])
+        held = ((e_len <= lengths[:, None] + TOL) & (e_rem <= rem[:, None] + TOL)).any(axis=1)
+        missed += [(t, orders[k].perm) for k in np.flatnonzero(~held)]
+    return missed
+
+
+def _audit_cells():
+    for family, variant in _BATCH_DIGESTS:
+        default = default_oracle_kind(next(pin_pool(family, variant))[0])
+        for kind in dict.fromkeys([default, "general"]):
+            marks = [pytest.mark.xfail(strict=True, reason="open FlowerOracle leaves some orders undominated")
+                     ] if (family, variant, kind) == ("flower", "open", "flower") else []
+            yield pytest.param(family, variant, kind, marks=marks, id=f"{family}-{variant}-{kind}")
+
+
+@pytest.mark.parametrize("family, variant, kind", _audit_cells())
+def test_every_order_is_dominated(family, variant, kind):
+    """The reference-free domination audit: on each pinned pool (n <= 6),
+    every order of all requests is dominated by an entry of the space's
+    default oracle and of the general oracle, at each release time and 4
+    random times.  It checks no generated order set, so a gap that an
+    oracle shares with its reference generator shows here."""
+    missed = {}
+    for space, locs, rels in pin_pool(family, variant, count=40, n_max=6):
+        hits = _undominated(space, locs, rels, variant, kind)
+        if hits:
+            missed[repr((space, locs, rels))] = hits[:3]
+    assert not missed, missed
 
 
 # -- pinned batches ----------------------------------------------------------
@@ -877,6 +954,25 @@ def test_oracle_step_idempotent_and_monotone():
         o.step(0.5, {0})
     with pytest.raises(OutOfOrderEvent):
         o.step(2.0, set())
+
+
+@pytest.mark.parametrize("kind, space, locs", [
+    ("tree", Line(), [1.0, -0.5]),
+    ("ring", Ring(1.0), [0.25, 0.6]),
+    ("flower", Flower((1.0,), 0.5), [(0, 0.3), ("stem", 0.2)]),
+    ("general", Euclid2D(), [(1.0, 0.0), (0.0, 1.0)]),
+])
+def test_step_rejects_bad_ids_and_times(kind, space, locs):
+    """A released id outside 0..n-1, or not an int, and a time that is
+    not finite are refused by name before the oracle changes."""
+    o = make_oracle(space, locs, "open", kind)
+    for t, released, named in [(0.0, {2}, "[2]"), (0.0, {0, -1}, "[-1]"), (0.0, {0.0}, "[0.0]"),
+                               (math.nan, {0}, "nan"), (math.inf, {0}, "inf"), (-math.inf, set(), "-inf")]:
+        with pytest.raises(ValueError, match=re.escape(named)):
+            o.step(t, released)
+        assert (o.batches, o.entries, o._last_time, o._last_released) == ([], {}, None, frozenset())
+    o.step(0.0, {0})
+    assert len(o.batches) == 1 and o.entries
 
 
 def test_monotone_growth_of_permutation_set():
