@@ -86,7 +86,9 @@ class PathTable:
     visits every target in the bitmask ``S`` (over positions in
     ``targets``) and then stops, and ``nxt[(j << m) | S]`` is the first
     target of the lexicographically smallest such walk; entries with ``j``
-    in ``S`` are unused.
+    in ``S`` are unused.  A walk from a target outside the set is its chain
+    of next hops (:meth:`hops`); a walk from any other row prices its first
+    step and then follows that target's hops.
     """
 
     D: list[list[float]]
@@ -95,6 +97,18 @@ class PathTable:
     T: array  # 'd'
     nxt: array  # 'B'
 
+    def hops(self, j: int, remaining: int) -> list[int]:
+        """The next-hop chain from target position ``j``, which lies outside
+        ``remaining``, over the targets in ``remaining``: the positions of
+        the lexicographically smallest optimal walk, read from ``nxt``."""
+        nxt, m = self.nxt, len(self.targets)
+        order = []
+        while remaining:
+            j = nxt[(j << m) | remaining]
+            order.append(j)
+            remaining ^= 1 << j
+        return order
+
     def walk(self, start: int, remaining: int) -> tuple[float, list[int]]:
         """Cost from row ``start`` over the targets in ``remaining`` and the
         lexicographically smallest optimal visiting order, as positions in
@@ -102,31 +116,24 @@ class PathTable:
 
         Each step takes the first target whose candidate cost is within
         ``TIE`` of the best.  From a target outside ``remaining`` the table
-        holds the cost and every step; from any other row the first step is
-        priced here, over the same candidates in the same order."""
-        targets, T, nxt = self.targets, self.T, self.nxt
+        holds the cost and every step (:meth:`hops`); from any other row the
+        first step is priced here, over the same candidates in the same
+        order, and the rest are its hops."""
+        targets, T = self.targets, self.T
         m = len(targets)
         j = targets.index(start) if start in targets else -1
-        if j < 0 or remaining >> j & 1:
-            if not remaining:
-                return (0.0 if self.end == FREE else self.D[start][self.end]), []
-            row = self.D[start]
-            cands = [
-                (c, row[targets[c]] + T[(c << m) | (remaining ^ (1 << c))])
-                for c in range(m) if remaining >> c & 1
-            ]
-            cost = min(v for _, v in cands)
-            j = next(c for c, v in cands if v <= cost + TIE)
-            order = [j]
-            remaining ^= 1 << j
-        else:
-            cost = T[(j << m) | remaining]
-            order = []
-        while remaining:
-            j = nxt[(j << m) | remaining]
-            order.append(j)
-            remaining ^= 1 << j
-        return cost, order
+        if j >= 0 and not remaining >> j & 1:
+            return T[(j << m) | remaining], self.hops(j, remaining)
+        if not remaining:
+            return (0.0 if self.end == FREE else self.D[start][self.end]), []
+        row = self.D[start]
+        cands = [
+            (c, row[targets[c]] + T[(c << m) | (remaining ^ (1 << c))])
+            for c in range(m) if remaining >> c & 1
+        ]
+        cost = min(v for _, v in cands)
+        j = next(c for c, v in cands if v <= cost + TIE)
+        return cost, [j] + self.hops(j, remaining ^ (1 << j))
 
 
 def exact_path(D, targets: tuple[int, ...], end) -> PathTable:

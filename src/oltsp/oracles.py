@@ -80,6 +80,8 @@ class DominationOracle:
             raise ValueError(f"released ids {bad} are not request ids 0..{self.n - 1}")
         if not math.isfinite(t):
             raise ValueError(f"event time {t} is not finite")
+        if t < 0.0:
+            raise ValueError(f"event time {t} is negative")
         if self._last_time is not None and t < self._last_time - FEAS:
             raise OutOfOrderEvent(f"event at {t} precedes {self._last_time}")
         if not released >= self._last_released:
@@ -217,9 +219,12 @@ class GeneralOracle(DominationOracle):
         return out
 
     def _walk_dominator(self, u: int, mask: int) -> tuple:
-        head = self._back.walk(u + 1, mask)[1][::-1]
-        tail = self._tail.walk(u + 1, ((1 << self.n) - 1) ^ (1 << u) ^ mask)[1]
-        return tuple(head + [u] + tail)
+        # table positions are ids: the tables' targets are rows 1..n
+        perm = self._back.hops(u, mask)
+        perm.reverse()
+        perm.append(u)
+        perm += self._tail.hops(u, ((1 << self.n) - 1) ^ (1 << u) ^ mask)
+        return tuple(perm)
 
 
 # ---------------------------------------------------------------------------

@@ -592,6 +592,9 @@ class General:
         ca, cb = self.canon(a), self.canon(b)
         if ca == cb:
             return 0.0
+        if isinstance(ca, int) and isinstance(cb, int):
+            # the anchor loop's min(inf, 0.0 + x + 0.0), bit for bit
+            return self.matrix[ca][cb] + 0.0
         best = math.inf
         if (
             not isinstance(ca, int)

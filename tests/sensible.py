@@ -40,6 +40,9 @@ read from its root-0 tips; ``walk_by_dfs``
 walks the whole tree depth first from a start node to an end node, the
 reference for ``TreeIndex.walk_items`` (its items) and for the node walk
 a tree oracle's clean-up emits along (its nodes).
+``general_distance_by_anchors`` takes the min over every pair of
+anchors (and the shared edge) for any two points, sites too, the
+reference for ``spaces.General.distance``;
 ``trim_tree_by_contraction`` builds a whole intermediate tree and
 contracts it, the reference for ``spaces.trim_tree``;
 ``tree_index_by_round_trip`` and ``snipped_index_by_round_trip`` build a
@@ -78,7 +81,7 @@ from oltsp.offline import (
     segment_cover,
 )
 from oltsp.oracles import _subsets
-from oltsp.spaces import TREE_ROOT, Flower, Line, Ring, Space, Tree
+from oltsp.spaces import TREE_ROOT, Flower, General, Line, Ring, Space, Tree
 from oltsp.tolerance import TIE
 
 
@@ -640,6 +643,30 @@ class PathTableByLoop:
             remaining ^= 1 << j
             row = D[targets[j]]
         return cost, order
+
+
+def general_distance_by_anchors(space: General, a, b) -> float:
+    """The length of the shortest geodesic between points ``a`` and ``b``
+    of ``space``: 0 for one point, else the min over the shared edge and
+    every exit through an anchor of each, a site an anchor of itself at
+    cost 0.0."""
+    ca, cb = space.canon(a), space.canon(b)
+    if ca == cb:
+        return 0.0
+
+    def anchors(p):
+        if isinstance(p, int):
+            return [(p, 0.0)]
+        x, y, t = p
+        return [(x, t), (y, space.matrix[x][y] - t)]
+
+    best = math.inf
+    if not isinstance(ca, int) and not isinstance(cb, int) and ca[:2] == cb[:2]:
+        best = abs(ca[2] - cb[2])
+    for na, xa in anchors(ca):
+        for nb, xb in anchors(cb):
+            best = min(best, xa + space.matrix[na][nb] + xb)
+    return best
 
 
 def exact_path_by_loop(D, targets: tuple[int, ...], end) -> PathTableByLoop:

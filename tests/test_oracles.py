@@ -483,6 +483,34 @@ def test_every_order_is_dominated(family, variant, kind):
     assert not missed, missed
 
 
+def _random_open_ring(seed):
+    """A seeded random open ring instance: circumference 1 or 2 and 3-6
+    requests, as (space, predictions, release times)."""
+    rng = random.Random(f"open-ring/{seed}")
+    c = rng.choice([1.0, 2.0])
+    n = rng.randint(3, 6)
+    return Ring(c), [round(rng.uniform(0, c), 3) for _ in range(n)], [round(rng.uniform(0, 2), 3) for _ in range(n)]
+
+
+# Seeds of random open rings (of 400 tried) that leave an order undominated
+# once `_line_extents` yields nothing, and two (139, 333) that do once
+# `_out_and_back` does: the pinned pools witness neither row family.
+_OPEN_RING_SEEDS = [14, 38, 98, 139, 228, 333, 338]
+
+
+def test_open_ring_rows_dominate_every_order():
+    missed = {seed: _undominated(*_random_open_ring(seed), "open", "ring")[:3] for seed in _OPEN_RING_SEEDS}
+    assert not any(missed.values()), missed
+
+
+@pytest.mark.parametrize("rows", ["_line_extents", "_out_and_back"])
+def test_open_ring_pool_needs_each_row_family(monkeypatch, rows):
+    """The pool above is a witness: without either row family some of its
+    orders go undominated."""
+    monkeypatch.setattr(oracles, rows, lambda arc, unrel: iter(()))
+    assert any(_undominated(*_random_open_ring(seed), "open", "ring") for seed in _OPEN_RING_SEEDS)
+
+
 # -- pinned batches ----------------------------------------------------------
 
 def _batches_digest(family, variant):
@@ -807,9 +835,12 @@ def test_flower_finds_maximal_nodes_once(monkeypatch):
 
 def test_general_walks_each_dominator_once(monkeypatch):
     """A general oracle fills one Held-Karp table when closed and two when
-    open, and each step walks one back walk (the head, reversed) and one
-    tail walk for each (pivot, subset) of its batch that no earlier step
-    held, and nothing else."""
+    open, and each step reads one back chain of next hops (the head,
+    reversed) and one tail chain for each (pivot, subset) of its batch that
+    no earlier step held, and nothing else: n - 1 next hops per fresh
+    dominator in all.  The chains are counted at ``PathTable.hops``, the
+    loop that ``PathTable.walk`` shares, so a walk added beside them shows
+    here too."""
     filled = []
 
     def counted_exact_path(*args):
@@ -817,8 +848,8 @@ def test_general_walks_each_dominator_once(monkeypatch):
         return filled[-1]
 
     monkeypatch.setattr(oracles, "exact_path", counted_exact_path)
-    walked = []
-    real_walk = PathTable.walk
+    chains = []
+    real_hops = PathTable.hops
     rng = random.Random(12)
     n = 7
     full = (1 << n) - 1
@@ -828,23 +859,28 @@ def test_general_walks_each_dominator_once(monkeypatch):
         oracle = GeneralOracle(Euclid2D(), locs, variant)
         assert len(filled) == tables
         tail = "back" if oracle._tail is oracle._back else "tail"
+        hops_read = []
 
-        def walk(table, start, remaining, oracle=oracle):
-            walked.append(("back" if table is oracle._back else "tail", start, remaining))
-            return real_walk(table, start, remaining)
+        def hops(table, j, remaining, oracle=oracle):
+            chains.append(("back" if table is oracle._back else "tail", j, remaining))
+            chain = real_hops(table, j, remaining)
+            hops_read.append(len(chain))
+            return chain
 
-        monkeypatch.setattr(PathTable, "walk", walk)
+        monkeypatch.setattr(PathTable, "hops", hops)
         seen: set = set()
         order = [3, 0, 5, 1, 6, 2]
         for t in range(len(order) + 1):  # released sets grow one id at a time
             rel_mask = sum(1 << i for i in order[:t])
-            walked.clear()
+            chains.clear()
+            hops_read.clear()
             oracle.step(float(t), order[:t])
             keys = {(u, mask) for u in range(n) if not rel_mask >> u & 1
                     for mask in range(full + 1) if not mask & ~rel_mask}
             fresh = keys - seen
-            assert sorted(walked) == sorted([("back", u + 1, mask) for u, mask in fresh]
-                                            + [(tail, u + 1, full ^ (1 << u) ^ mask) for u, mask in fresh])
+            assert sorted(chains) == sorted([("back", u, mask) for u, mask in fresh]
+                                            + [(tail, u, full ^ (1 << u) ^ mask) for u, mask in fresh])
+            assert sum(hops_read) == (n - 1) * len(fresh)
             seen |= keys
         assert len(filled) == tables
 
@@ -964,10 +1000,12 @@ def test_oracle_step_idempotent_and_monotone():
 ])
 def test_step_rejects_bad_ids_and_times(kind, space, locs):
     """A released id outside 0..n-1, or not an int, and a time that is
-    not finite are refused by name before the oracle changes."""
+    not finite or is negative are refused by name before the oracle
+    changes."""
     o = make_oracle(space, locs, "open", kind)
     for t, released, named in [(0.0, {2}, "[2]"), (0.0, {0, -1}, "[-1]"), (0.0, {0.0}, "[0.0]"),
-                               (math.nan, {0}, "nan"), (math.inf, {0}, "inf"), (-math.inf, set(), "-inf")]:
+                               (math.nan, {0}, "nan"), (math.inf, {0}, "inf"), (-math.inf, set(), "-inf"),
+                               (-5.0, {0}, "-5.0"), (-1e-300, set(), "-1e-300")]:
         with pytest.raises(ValueError, match=re.escape(named)):
             o.step(t, released)
         assert (o.batches, o.entries, o._last_time, o._last_released) == ([], {}, None, frozenset())

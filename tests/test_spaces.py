@@ -25,7 +25,7 @@ from oltsp.oracles import FlowerOracle
 from oltsp.tolerance import SNAP
 
 from conftest import pin_pool, random_flower, random_general, random_point, random_space, random_tree
-from sensible import trim_tree_by_contraction
+from sensible import general_distance_by_anchors, trim_tree_by_contraction
 
 TOL = 1e-9
 
@@ -208,6 +208,29 @@ def test_validate_general():
     assert ok.validate() == []
     bad = General([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
     assert any("triangle" in v for v in bad.validate())
+
+
+_SIGNED_ZERO = General([[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+_TINY_NEGATIVE = General([[0.0, -5e-10, 1.0], [-5e-10, 0.0, 1.0], [1.0, 1.0, 0.0]])
+
+
+def test_general_distance_matches_anchors_bit_for_bit():
+    """``General.distance`` reads a matrix entry for two sites: its value
+    is, to the last bit, the anchor formula's, a -0.0 entry read as 0.0
+    and an entry in (-FEAS, 0) as itself; points on edges agree too."""
+    assert _SIGNED_ZERO.validate() == _TINY_NEGATIVE.validate() == []
+    assert _SIGNED_ZERO.distance(0, 1).hex() == (0.0).hex()
+    assert _TINY_NEGATIVE.distance(1, 0) == -5e-10
+    rng = random.Random(38)
+    spaces = [_SIGNED_ZERO, _TINY_NEGATIVE] + [random_general(rng, k) for k in range(2, 8) for _ in range(5)]
+    for sp in spaces:
+        points = list(range(sp.n))
+        for _ in range(6):
+            a, b = rng.sample(range(sp.n), 2)
+            points.append(sp.canon((a, b, rng.uniform(0.0, sp.matrix[a][b]))))
+        for p in points:
+            for q in points:
+                assert sp.distance(p, q).hex() == general_distance_by_anchors(sp, p, q).hex(), (sp, p, q)
 
 
 def test_malformed_descriptors_are_named():
