@@ -131,9 +131,14 @@ class RouteStats:
     and including the leg that reaches the first unreleased request; if
     every request is released (or the route has length zero) the
     fraction is 1.
+
+    A policy that reads the route as it is released keeps its state here:
+    ``alpha``, the released fraction it last scored (0.0 before that), and
+    ``cursor``, the position of the first unreleased request at that
+    scoring (-1 before it).
     """
 
-    __slots__ = ("perm", "length", "reach")
+    __slots__ = ("perm", "length", "reach", "alpha", "cursor")
 
     def __init__(self, perm: tuple, D, closed: bool):
         self.perm = perm
@@ -148,6 +153,8 @@ class RouteStats:
             total += D[prev][0]
         self.reach = reach  # distance travelled when arriving at each stop
         self.length = total
+        self.alpha = 0.0
+        self.cursor = -1
 
     def first_unreleased(self, released, k: int = 0) -> int:
         """Position of the first request of ``perm`` from position ``k`` on

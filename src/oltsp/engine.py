@@ -7,9 +7,8 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from itertools import islice
 
-from .core import BREAK_RULE, Instance, RunResult, Simulation, follow_route, simulate
+from .core import BREAK_RULE, Instance, RouteStats, RunResult, Simulation, follow_route, simulate
 from .offline import FREE, PathQuery, solve_classical
 from .oracles import make_oracle
 from .tolerance import FEAS, TIE
@@ -67,17 +66,11 @@ class LaSwagPolicy:
         self.start: StartDecision | None = None
         self.route: list = []
         self._home = [(None, space.origin())] if variant == "closed" else []
-        # the oracle's entries in insertion order; per entry, its released
-        # fraction and its cursor, the position of its first unreleased
-        # request (-1 before its first scoring); by request id, the entries
-        # below alpha 1/2 whose cursor is on that request; and the witness:
-        # the shortest entry at alpha >= 1/2 - TIE, the lexicographically
-        # smallest among equal lengths
-        self._entries: list = []
-        self._alpha: list[float] = []
-        self._cursor: list[int] = []
-        self._waiting: defaultdict[int, list[int]] = defaultdict(list)
-        self._released: frozenset = frozenset()
+        # by request id, the oracle entries below alpha 1/2 whose cursor is
+        # on that request (each entry keeps its own score and cursor); and
+        # the witness: the shortest entry at alpha >= 1/2 - TIE, the
+        # lexicographically smallest among equal lengths
+        self._waiting: defaultdict[int, list[RouteStats]] = defaultdict(list)
         self._sigma0 = None
 
     # -- helpers -------------------------------------------------------------
@@ -91,41 +84,38 @@ class LaSwagPolicy:
         self.route = [(unserved[j].id, None) for j in order] + self._home
         self.phase = "cleanup"
 
-    def _advance(self, js, released: frozenset) -> None:
-        """Move each entry of ``js`` on to its first unreleased request past
+    def _advance(self, entries, released: frozenset) -> None:
+        """Move each of ``entries`` on to its first unreleased request past
         its cursor, score it, update the witness and, below alpha 1/2, file
         it there (alpha only grows, and the policy reads min(alpha, 1/2))."""
-        entries, alpha, cursor, waiting = self._entries, self._alpha, self._cursor, self._waiting
-        for j in js:
-            e = entries[j]
-            k = cursor[j] = e.first_unreleased(released, cursor[j] + 1)
-            a = alpha[j] = e.alpha_at(k)
+        waiting = self._waiting
+        for e in entries:
+            k = e.cursor = e.first_unreleased(released, e.cursor + 1)
+            a = e.alpha = e.alpha_at(k)
             if a < 0.5:  # alpha_at is 1 past the last request
-                waiting[e.perm[k]].append(j)
+                waiting[e.perm[k]].append(e)
             w = self._sigma0
             if a >= _HALF and (w is None or (e.length, e.perm) < (w.length, w.perm)):
                 self._sigma0 = e
 
     def _plan(self, sim: Simulation):
-        released = frozenset(sim.released)
-        self.oracle.step(sim.now, released)  # a repeat query adds nothing
-        # a release moves on only the entries waiting on it; a new entry is
-        # scored once, as it arrives (the entries only grow, in order)
-        for i in released - self._released:
+        oracle = self.oracle
+        before = oracle.released
+        new = oracle.step(sim.now, sim.released)  # a repeat query adds nothing
+        released = oracle.released
+        # a release moves on only the entries waiting on it; a new entry,
+        # one of the last len(new) in the oracle's insertion order, is
+        # scored once, as it arrives
+        for i in released - before:
             self._advance(self._waiting.pop(i, ()), released)
-        self._released = released
-        old = len(self._entries)
-        self._entries += islice(self.oracle.entries.values(), old, None)
-        grown = len(self._entries) - old
-        self._alpha += [0.0] * grown
-        self._cursor += [-1] * grown
-        self._advance(range(old, len(self._entries)), released)
+        fresh = [e for e, _ in zip(reversed(oracle.entries.values()), new)]
+        self._advance(reversed(fresh), released)
         sigma0 = self._sigma0
         if sigma0 is None:
             return ("wait", None)
         if sigma0.length / 2.0 > sim.now + TIE:  # released set frozen, both conditions first hold then
             return ("wait", sigma0.length / 2.0)
-        sigma1 = _minimizer(zip(self._alpha, self._entries))
+        sigma1 = _minimizer((e.alpha, e) for e in oracle.entries.values())
         self.start = StartDecision(sim.now, sigma0.perm, sigma1)
         self.route = [stop for r in sigma1 for stop in ((r, self.predictions[r]), (r, None))]
         self.route += self._home

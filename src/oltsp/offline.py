@@ -86,9 +86,8 @@ class PathTable:
     visits every target in the bitmask ``S`` (over positions in
     ``targets``) and then stops, and ``nxt[(j << m) | S]`` is the first
     target of the lexicographically smallest such walk; entries with ``j``
-    in ``S`` are unused.  A walk from a target outside the set is its chain
-    of next hops (:meth:`hops`); a walk from any other row prices its first
-    step and then follows that target's hops.
+    in ``S`` are unused.  A walk prices its first step and then follows
+    that target's chain of next hops (:meth:`hops`).
     """
 
     D: list[list[float]]
@@ -115,15 +114,12 @@ class PathTable:
         ``targets``.
 
         Each step takes the first target whose candidate cost is within
-        ``TIE`` of the best.  From a target outside ``remaining`` the table
-        holds the cost and every step (:meth:`hops`); from any other row the
-        first step is priced here, over the same candidates in the same
-        order, and the rest are its hops."""
+        ``TIE`` of the best.  The first step is priced here, over the
+        candidates the fill compares, in the same order and with the same
+        sums, so from a target outside ``remaining`` it is the table's cost
+        and next hop; the rest are its hops."""
         targets, T = self.targets, self.T
         m = len(targets)
-        j = targets.index(start) if start in targets else -1
-        if j >= 0 and not remaining >> j & 1:
-            return T[(j << m) | remaining], self.hops(j, remaining)
         if not remaining:
             return (0.0 if self.end == FREE else self.D[start][self.end]), []
         row = self.D[start]

@@ -68,7 +68,7 @@ class DominationOracle:
         self.entries: dict[tuple, RouteStats] = {}
         self.batches: list[BatchRecord] = []
         self._last_time: float | None = None
-        self._last_released: frozenset = frozenset()
+        self.released: frozenset = frozenset()  # at the last step
         self._cleanup_memo: dict[tuple, list[int]] = {}
 
     # -- protocol ----------------------------------------------------------
@@ -84,12 +84,12 @@ class DominationOracle:
             raise ValueError(f"event time {t} is negative")
         if self._last_time is not None and t < self._last_time - FEAS:
             raise OutOfOrderEvent(f"event at {t} precedes {self._last_time}")
-        if not released >= self._last_released:
+        if not released >= self.released:
             raise OutOfOrderEvent("released set shrank")
-        if self._last_time is not None and released == self._last_released and self.batches:
+        if self._last_time is not None and released == self.released and self.batches:
             return []  # idempotent repeat query
         self._last_time = t
-        self._last_released = released
+        self.released = released
         if released >= self.ids:
             batch = [tuple(self._cover(None, self.ids, self.end))]
         else:

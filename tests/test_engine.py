@@ -216,8 +216,8 @@ def test_unbounded_leaf_edges():
 # -- incremental scores --------------------------------------------------------
 
 class _RescoringPolicy(LaSwagPolicy):
-    """LA-SWAG that, after each plan, checks its kept scores against every
-    oracle entry scored afresh over the released set."""
+    """LA-SWAG that, after each plan, checks the scores kept on the oracle's
+    entries against every entry scored afresh over the released set."""
 
     plans = 0
 
@@ -226,11 +226,16 @@ class _RescoringPolicy(LaSwagPolicy):
         released = frozenset(sim.released)
         entries = list(self.oracle.entries.values())
         ref = [(e.alpha_released(released), e) for e in entries]
-        assert self._entries == entries
         # an entry at alpha >= 1/2 is no longer moved, so only min(alpha, 1/2) is kept exact
-        assert [min(a, 0.5).hex() for a in self._alpha] == [min(a, 0.5).hex() for a, _ in ref]
+        assert [min(e.alpha, 0.5).hex() for e in entries] == [min(a, 0.5).hex() for a, _ in ref]
+        # every entry is scored; one below 1/2 waits on its first unreleased request
+        assert all(e.cursor >= 0 for e in entries)
+        for e in entries:
+            if e.alpha < 0.5:
+                assert e.cursor == e.first_unreleased(released)
+                assert e in self._waiting.get(e.perm[e.cursor], ())
         assert self._sigma0 is witness_by_scan(ref)
-        assert _minimizer(zip(self._alpha, self._entries)) == _minimizer(ref)
+        assert _minimizer((e.alpha, e) for e in entries) == _minimizer(ref)
         if act is None:
             assert (self.start.sigma0, self.start.sigma1) == (witness_by_scan(ref).perm, _minimizer(ref))
         _RescoringPolicy.plans += 1
@@ -243,9 +248,11 @@ class _RescoringPolicy(LaSwagPolicy):
 def test_incremental_scores_match_rescoring(family, variant):
     """At every plan on the pinned pools, with perfect and shifted
     predictions and the breaking rule on and off, the policy's scores (kept
-    per entry and moved only by the releases it waits on, until they reach
-    1/2) equal each entry's ``alpha_released`` capped at 1/2 bit for bit, in
-    entry order, and its running witness and sigma1 are the rescan's.  The
+    on each entry and moved only by the releases it waits on, until they
+    reach 1/2) equal each entry's ``alpha_released`` capped at 1/2 bit for
+    bit, in entry order, each entry below 1/2 is filed under its first
+    unreleased request, and the running witness and sigma1 are the
+    rescan's.  The
     line-adversary rows run the adaptive path instead: the open line
     adversary on a grid of ``variant`` points releases requests in reaction
     to the server."""

@@ -147,7 +147,8 @@ def test_held_karp_lex_smallest_among_optima():
 
 
 def test_path_table_reads_any_start_and_remaining_set():
-    # the general oracle reads one table from many start rows and subsets
+    # a walk from any start row, a target or not, over any set that leaves
+    # it out, is optimal and the lexicographically smallest such order
     rng = random.Random(7)
     pts = [(0.0, 0.0)] + [(rng.randint(0, 2) / 2, rng.randint(0, 2) / 2) for _ in range(6)]
     D = [[math.dist(a, b) for b in pts] for a in pts]

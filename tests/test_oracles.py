@@ -992,6 +992,25 @@ def test_oracle_step_idempotent_and_monotone():
         o.step(2.0, set())
 
 
+@pytest.mark.parametrize("family, variant", list(_BATCH_DIGESTS))
+def test_step_returns_the_perms_it_appends(family, variant):
+    """At each release time of the pinned pool, for the family's default
+    oracle and the general oracle, ``step`` returns exactly the perms it
+    appended to ``entries``, in insertion order, and a repeat of the same
+    query returns [] and adds nothing: a plan scores only what ``step``
+    returns."""
+    for space, locs, rels in pin_pool(family, variant):
+        for kind in dict.fromkeys([default_oracle_kind(space), "general"]):
+            oracle = make_oracle(space, locs, variant, kind)
+            for t in sorted({0.0, *rels}):
+                released = [i for i, r in enumerate(rels) if r <= t]
+                before = list(oracle.entries)
+                new = oracle.step(t, released)
+                assert list(oracle.entries) == before + new
+                assert oracle.step(t, released) == []
+                assert list(oracle.entries) == before + new
+
+
 @pytest.mark.parametrize("kind, space, locs", [
     ("tree", Line(), [1.0, -0.5]),
     ("ring", Ring(1.0), [0.25, 0.6]),
@@ -1008,7 +1027,7 @@ def test_step_rejects_bad_ids_and_times(kind, space, locs):
                                (-5.0, {0}, "-5.0"), (-1e-300, set(), "-1e-300")]:
         with pytest.raises(ValueError, match=re.escape(named)):
             o.step(t, released)
-        assert (o.batches, o.entries, o._last_time, o._last_released) == ([], {}, None, frozenset())
+        assert (o.batches, o.entries, o._last_time, o.released) == ([], {}, None, frozenset())
     o.step(0.0, {0})
     assert len(o.batches) == 1 and o.entries
 
