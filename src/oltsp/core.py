@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from . import spaces
-from .offline import distance_matrix, shortest_serving_path_length
+from .offline import check_order, distance_matrix, shortest_serving_path_length
 from .spaces import Space, SpaceError, _json, json_field
 from .tolerance import FEAS, TIE
 
@@ -43,6 +43,16 @@ def _check_space(space: Space) -> Space:
     return space
 
 
+def check_setting(space: Space, predictions, variant: str) -> None:
+    """Raise ValueError on a variant other than "open" or "closed", and
+    SpaceError at the first prediction outside ``space``."""
+    if variant not in ("open", "closed"):
+        raise ValueError(f"bad variant {variant!r}")
+    for i, p in enumerate(predictions):
+        if not space.contains(p):
+            raise SpaceError(f"request {i}: prediction {p!r} is outside the space")
+
+
 @dataclass
 class Instance:
     space: Space
@@ -53,8 +63,6 @@ class Instance:
     def __post_init__(self):
         _check_space(self.space)
         self._check_predictions()
-        if self.variant not in ("open", "closed"):
-            raise ValueError(f"bad variant {self.variant!r}")
         for i, r in enumerate(self.requests):
             if r.id != i:
                 raise ValueError(f"request {i}: id {r.id!r} is not its position {i}")
@@ -66,9 +74,7 @@ class Instance:
     def _check_predictions(self):
         if len(self.predictions) != len(self.requests):
             raise ValueError("one prediction per request is required")
-        for i, p in enumerate(self.predictions):
-            if not self.space.contains(p):
-                raise SpaceError(f"request {i}: prediction {p!r} is outside the space")
+        check_setting(self.space, self.predictions, self.variant)
 
     @property
     def origin(self):
@@ -133,59 +139,75 @@ class RouteStats:
     fraction is 1.
 
     A policy that reads the route as it is released keeps its state here:
-    ``alpha``, the released fraction it last scored (0.0 before that), and
-    ``cursor``, the position of the first unreleased request at that
-    scoring (-1 before it).
+    ``cursor``, the position of the first unreleased request at its last
+    :meth:`advance` (-1 before that), and ``alpha``, the released fraction
+    there (0.0 before it).  The legs are summed only as far as the cursor.
     """
 
-    __slots__ = ("perm", "length", "reach", "alpha", "cursor")
+    __slots__ = ("perm", "length", "alpha", "cursor", "_D", "_walked")
 
     def __init__(self, perm: tuple, D, closed: bool):
         self.perm = perm
-        reach = []
         total = 0.0
         prev = 0
         for i in perm:
             total += D[prev][i + 1]
-            reach.append(total)
             prev = i + 1
         if closed and perm:
             total += D[prev][0]
-        self.reach = reach  # distance travelled when arriving at each stop
         self.length = total
         self.alpha = 0.0
         self.cursor = -1
+        self._D = D
+        self._walked = 0.0  # distance travelled on arriving at the cursor's stop
 
-    def first_unreleased(self, released, k: int = 0) -> int:
-        """Position of the first request of ``perm`` from position ``k`` on
-        that is not in ``released``, or ``len(perm)`` if there is none."""
-        perm = self.perm
+    def advance(self, released) -> float:
+        """Move ``cursor`` on to the first request of ``perm`` past it that is
+        not in ``released`` (``len(perm)``: none), adding up the legs it
+        passes, and return the released fraction there, kept as ``alpha``."""
+        perm, D = self.perm, self._D
+        k = self.cursor + 1
+        walked = self._walked
+        prev = perm[k - 1] + 1 if k else 0
         for k in range(k, len(perm)):
-            if perm[k] not in released:
-                return k
-        return len(perm)
-
-    def alpha_at(self, k: int) -> float:
-        """Released fraction when position ``k`` holds the first unreleased
-        request (``len(perm)``: none)."""
-        if self.length <= FEAS or k == len(self.perm):
-            return 1.0
-        return self.reach[k] / self.length
+            i = perm[k]
+            walked += D[prev][i + 1]
+            if i not in released:
+                break
+            prev = i + 1
+        else:
+            k = len(perm)
+        self.cursor, self._walked = k, walked
+        self.alpha = 1.0 if self.length <= FEAS or k == len(perm) else walked / self.length
+        return self.alpha
 
     def alpha_released(self, released) -> float:
-        return self.alpha_at(self.first_unreleased(released))
+        """The released fraction at ``released``, its legs summed afresh from
+        position 0; the entry's own cursor and alpha stay."""
+        fresh = copy.copy(self)
+        fresh.cursor, fresh._walked = -1, 0.0
+        return fresh.advance(released)
 
 
 def route_stats(instance: Instance, perm) -> RouteStats:
     """Statistics of ``perm`` over the instance's true locations."""
+    perm = check_order(perm, instance.n)
     D = distance_matrix(instance.space, [instance.origin] + instance.locations())
-    return RouteStats(tuple(perm), D, instance.variant == "closed")
+    return RouteStats(perm, D, instance.variant == "closed")
+
+
+def check_path_length(F) -> None:
+    """A caller-held shortest serving path length must be finite and >= 0."""
+    if not (math.isfinite(F) and F >= 0):
+        raise ValueError(f"serving path length F={F!r} must be finite and >= 0")
 
 
 def prediction_error(instance: Instance, F: float | None = None) -> float:
     """Sum of true-to-predicted distances over the shortest serving path
     length F, which depends on the true locations only; a caller that
     already holds F passes it."""
+    if F is not None:
+        check_path_length(F)
     delta = sum(
         instance.space.distance(r.location, p)
         for r, p in zip(instance.requests, instance.predictions)

@@ -8,7 +8,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
 
-from .core import BREAK_RULE, Instance, RouteStats, RunResult, Simulation, follow_route, simulate
+from .core import BREAK_RULE, Instance, RouteStats, RunResult, Simulation, check_setting, follow_route, simulate
 from .offline import FREE, PathQuery, solve_classical
 from .oracles import make_oracle
 from .tolerance import FEAS, TIE
@@ -57,6 +57,7 @@ class LaSwagPolicy:
     unserved requests."""
 
     def __init__(self, space, predictions, variant, config: EngineConfig = EngineConfig()):
+        check_setting(space, predictions, variant)  # before canon, which expects points of the space
         self.n = len(predictions)
         self.predictions = [space.canon(p) for p in predictions]
         self.variant = variant
@@ -90,10 +91,9 @@ class LaSwagPolicy:
         it there (alpha only grows, and the policy reads min(alpha, 1/2))."""
         waiting = self._waiting
         for e in entries:
-            k = e.cursor = e.first_unreleased(released, e.cursor + 1)
-            a = e.alpha = e.alpha_at(k)
-            if a < 0.5:  # alpha_at is 1 past the last request
-                waiting[e.perm[k]].append(e)
+            a = e.advance(released)
+            if a < 0.5:  # alpha is 1 past the last request
+                waiting[e.perm[e.cursor]].append(e)
             w = self._sigma0
             if a >= _HALF and (w is None or (e.length, e.perm) < (w.length, w.perm)):
                 self._sigma0 = e

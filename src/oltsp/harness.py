@@ -9,7 +9,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import Instance, Request, prediction_error
+from .core import Instance, Request, check_path_length, prediction_error
 from .engine import EngineConfig, la_swag, swag
 from .offline import SizeCapExceeded, opt_bruteforce, shortest_serving_path_length
 from .oracles import ORACLES
@@ -183,6 +183,8 @@ def perturb_predictions(instance: Instance, target_eta: float, rng=None,
     """
     if not 0 <= target_eta < math.inf:
         raise ValueError(f"target error must be finite and nonnegative, got {target_eta}")
+    if F is not None:
+        check_path_length(F)
     if target_eta == 0 or instance.n == 0:
         return instance.perfect()
     rng = np.random.default_rng(0) if rng is None else rng

@@ -725,8 +725,18 @@ def solve_classical(query: PathQuery) -> OptResult:
 # Release-time-aware evaluation and the exact optimum
 # ---------------------------------------------------------------------------
 
+def check_order(order, n: int) -> tuple:
+    """``order`` as a tuple, if it is a permutation of the request ids
+    0..n-1; else ValueError naming it."""
+    order = tuple(order)
+    if len(order) != n or set(order) != set(range(n)):
+        raise ValueError(f"order {list(order)!r} is not a permutation of 0..{n - 1}")
+    return order
+
+
 def eval_serving_order(instance, order) -> float:
     """Completion time of eagerly following ``order``, waiting at requests."""
+    order = check_order(order, instance.n)
     space = instance.space
     t = 0.0
     pos = instance.origin

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Iterator
 
-from .core import RouteStats
+from .core import RouteStats, check_setting
 from .offline import (
     CLOSED,
     FREE,
@@ -57,6 +57,7 @@ class DominationOracle:
     """Base class holding the cumulative permutation set S(t)."""
 
     def __init__(self, space: Space, predictions: list, variant: str):
+        check_setting(space, predictions, variant)
         self.space = space
         self.predictions = list(predictions)
         self.variant = variant
@@ -126,7 +127,8 @@ class DominationOracle:
     def _cleanup(self, qid: int, rest: frozenset, end) -> list[int]:
         """Serving order of ``rest`` on an optimal walk from request ``qid``
         to ``end``: CLOSED (the origin), FREE, or a request id.  Memoised;
-        the tree oracle, whose index keeps the walks, skips the memo."""
+        the tree oracle, whose index keeps the walks, builds its rows
+        without it."""
         key = (qid, rest, end)
         hit = self._cleanup_memo.get(key)
         if hit is None:
@@ -166,9 +168,9 @@ class DominationOracle:
             root = 0 if qf is None else node_of[qf]
             pivots = [(v, second.get(v, qf) if smallest[v] == qf else smallest[v])
                       for v in idx.tips_at(unrel_tips, root)]
-            leaves = idx.tips_at(rel_tips, root)
+            leaves = list(_subsets(idx.tips_at(rel_tips, root)))
             out += [self._dominator(scan(chosen + (qnode,), qnode, qf), q, qf)
-                    for qnode, q in pivots for chosen in _subsets(leaves)]
+                    for qnode, q in pivots for chosen in leaves]
         return out
 
 
@@ -275,8 +277,15 @@ class TreeOracle(DominationOracle):
         # order visits in the walk's own order: no span needed
         return [i for i in self.idx.walk_items(start, 0 if end == CLOSED else node_of[end]) if i in rest]
 
-    # the index keeps every item walk a clean-up reads, so no memo
-    _cleanup = _cover
+    def _dominator(self, prefix, q, final=None) -> tuple:
+        # the clean-up is the index's item walk from q to the final (the
+        # origin when closed), less the head and the final; it keeps every
+        # walk, so no memo
+        head = prefix if q == final else prefix + [q]
+        node_of = self.idx.node_of
+        skip = {*head, final}
+        walk = self.idx.walk_items(node_of[q], 0 if final is None else node_of[final])
+        return tuple(head + [i for i in walk if i not in skip] + ([] if final is None else [final]))
 
     def _batch(self, released: frozenset) -> list[tuple]:
         return self._tree_batch(self.idx, released)

@@ -19,6 +19,9 @@ each candidate walk's legs afresh, the reference for
 ``offline.flower_cover``; ``exact_path_by_loop`` is the
 Held-Karp table in pure Python with a greedy walk that rescans every
 candidate per step, the reference for ``offline.exact_path``;
+``alpha_by_reach`` scores a route from its whole list of distances on
+arriving at each stop, the reference for ``RouteStats.advance``, which
+sums legs only up to its cursor;
 ``witness_by_scan`` reads every scored oracle entry for the shortest
 half-released one, the reference for ``LaSwagPolicy``'s running witness;
 ``general_batch_by_walks`` walks every head and tail of a general
@@ -28,7 +31,9 @@ pivot's, the reference for ``GeneralOracle._batch``;
 along an uncached covering walk (``items_along``) for each guessed final
 request, its pivots and leaves found by ``maximal_nodes_by_walk`` rerooted
 at the final's node, and cleans up with no memo, the reference for
-``DominationOracle._tree_batch``;
+``DominationOracle._tree_batch``; ``tree_row_by_rest`` filters a row's
+item walk against the set of ids outside its head and final, built per
+row, the reference for ``TreeOracle._dominator``;
 ``flower_batch_by_variants`` builds a flower oracle's batch one approach
 at a time, each set of kept petals scanning its own snipped index and
 finding its maximal nodes by ``maximal_nodes_by_walk``, the reference for
@@ -82,7 +87,7 @@ from oltsp.offline import (
 )
 from oltsp.oracles import _subsets
 from oltsp.spaces import TREE_ROOT, Flower, General, Line, Ring, Space, Tree
-from oltsp.tolerance import TIE
+from oltsp.tolerance import FEAS, TIE
 
 
 def _precedence(space, locations, root_loc=None):
@@ -690,6 +695,22 @@ def exact_path_by_loop(D, targets: tuple[int, ...], end) -> PathTableByLoop:
     return PathTableByLoop(D, targets, end, T)
 
 
+def alpha_by_reach(perm, D, closed: bool):
+    """The released fraction of ``perm`` as a function of the position k of
+    its first unreleased request (``len(perm)``: none), read from ``reach``,
+    the distance on arriving at each stop, summed leg by leg."""
+    reach = []
+    total = 0.0
+    prev = 0
+    for i in perm:
+        total += D[prev][i + 1]
+        reach.append(total)
+        prev = i + 1
+    if closed and perm:
+        total += D[prev][0]
+    return lambda k: 1.0 if total <= FEAS or k == len(perm) else reach[k] / total
+
+
 def witness_by_scan(scored):
     """The shortest entry at alpha >= 1/2 - TIE, the lexicographically
     smallest among equal lengths, or None.  ``scored`` pairs each oracle
@@ -751,6 +772,19 @@ def tree_batch_by_finals(oracle, idx, released: frozenset) -> list[tuple]:
                 head = prefix if q == qf else prefix + [q]
                 out.append(tuple(head + oracle._cover(q, oracle.ids.difference(head, pin), end) + pin))
     return out
+
+
+def tree_row_by_rest(oracle, prefix: list[int], q: int, final: int | None = None) -> tuple:
+    """A tree oracle's dominator row: ``prefix``, then ``q`` (unless it is
+    the pinned ``final``), then the item walk from q's node to the final's
+    (the origin when closed) filtered against ``ids - head - final``, then
+    the final."""
+    head = prefix if q == final else prefix + [q]
+    pin = [] if final is None else [final]
+    rest = oracle.ids - set(head) - set(pin)
+    node_of = oracle.idx.node_of
+    walk = oracle.idx.walk_items(node_of[q], 0 if final is None else node_of[final])
+    return tuple(head + [i for i in walk if i in rest] + pin)
 
 
 def _pivots_by_walk(idx, ids, root: int) -> list[tuple[int, int]]:

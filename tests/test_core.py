@@ -2,6 +2,7 @@ import json
 import math
 import pickle
 import random
+import re
 
 import pytest
 
@@ -12,6 +13,7 @@ from oltsp.core import (
     IncompleteRun,
     Instance,
     Request,
+    RouteStats,
     SimulationStalled,
     Simulation,
     follow_route,
@@ -21,12 +23,13 @@ from oltsp.core import (
     simulate,
 )
 from oltsp.engine import LaSwagPolicy, la_swag_policy
-from oltsp.fixtures import smoothness_lb_space
-from oltsp.harness import FAMILIES, SweepSpec, generate_one
+from oltsp.fixtures import LineReleaseAdversary, smoothness_lb_space
+from oltsp.harness import FAMILIES, SweepSpec, generate_one, perturb_predictions
 from oltsp.offline import eval_serving_order, opt_bruteforce
 from oltsp.spaces import Flower, General, Line, Ring, SpaceError, Tree
 
 from conftest import random_point, random_space
+from sensible import alpha_by_reach
 
 TOL = 1e-9
 
@@ -135,6 +138,49 @@ def test_alpha_monotone_and_beta_capped():
             prev = a
 
 
+def _first_unreleased(perm, released) -> int:
+    return next((k for k, i in enumerate(perm) if i not in released), len(perm))
+
+
+def test_advance_matches_reach_reference():
+    """After each cursor move, as the policy makes them (first, then each
+    time the cursor's request is released), an entry's cursor is its first
+    unreleased position k and its alpha is ``reach[k] / length`` of the
+    whole-reach scorer (``alpha_by_reach``) bit for bit, as is
+    ``alpha_released`` at every released set.  Random asymmetric matrices
+    in both variants, zero-length routes, and every entry the line
+    adversary's oracle holds at grids 21 and 41, released in the order its
+    run released them."""
+    rng = random.Random(40)
+    cases = []
+    for _ in range(150):
+        n = rng.randint(0, 8)
+        D = [[0.0 if a == b else rng.uniform(0, 10) ** rng.choice((1, 3)) for b in range(n + 1)]
+             for a in range(n + 1)]
+        perm = tuple(rng.sample(range(n), n))
+        order = rng.sample(range(n), n)
+        cases += [(perm, D, closed, order) for closed in (True, False)]
+    zero = [[0.0] * 4 for _ in range(4)]
+    cases += [((2, 0, 1), zero, closed, [1, 2, 0]) for closed in (True, False)]
+    for grid in (21, 41):
+        adversary = LineReleaseAdversary(grid)
+        policy = LaSwagPolicy(adversary.space, adversary.predictions, adversary.variant)
+        inst = run_adaptive(adversary, policy)[1]
+        order = sorted(range(inst.n), key=lambda i: (inst.requests[i].release, i))
+        cases += [(e.perm, policy.oracle.D, False, order) for e in policy.oracle.entries.values()]
+    for perm, D, closed, order in cases:
+        e, ref = RouteStats(perm, D, closed), alpha_by_reach(perm, D, closed)
+        for step in range(len(order) + 1):
+            released = frozenset(order[:step])
+            if e.cursor < 0 or (e.cursor < len(perm) and perm[e.cursor] in released):
+                a = e.advance(released)
+                k = _first_unreleased(perm, released)
+                assert e.cursor == k, (perm, released)
+                assert a.hex() == e.alpha.hex() == ref(k).hex(), (perm, released)
+            if len(perm) < 10 or step % 10 == 0:
+                assert e.alpha_released(released).hex() == ref(_first_unreleased(perm, released)).hex()
+
+
 def test_prediction_error_values():
     inst = Instance(Line(), [Request(0, 1.0, 0.0)], [1.0], "closed")
     assert prediction_error(inst) == 0.0
@@ -179,6 +225,15 @@ def test_prediction_error_scale_invariant():
         assert prediction_error(inst2) == pytest.approx(eta, rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize("F", [math.nan, -1.0, math.inf])
+def test_caller_held_serving_length_is_checked(F):
+    inst = Instance(Line(), [Request(0, 1.0, 0.0), Request(1, -1.0, 0.0)], [1.5, -1.0], "closed")
+    with pytest.raises(ValueError, match=r"serving path length F=.* must be finite and >= 0"):
+        prediction_error(inst, F)
+    with pytest.raises(ValueError, match=r"serving path length F=.* must be finite and >= 0"):
+        perturb_predictions(inst, 0.5, F=F)
+
+
 # -- simulator ---------------------------------------------------------------
 
 def test_follow_order_matches_eval():
@@ -216,6 +271,16 @@ def test_large_scale_run_arrives(family, variant, seed, k):
     inst = _scaled_instance(family, variant, seed, k)
     res = la_swag_policy(inst)
     assert res.completion_time <= (1.5 + 1e-9) * opt_bruteforce(inst).length
+
+
+@pytest.mark.parametrize("order", [[0, 0], [], [0, 5], [1], [0, 1, 2], [-1, 0]])
+def test_orders_must_be_permutations(order):
+    inst = Instance(Line(), [Request(0, 1.0, 0.0), Request(1, -1.0, 0.0)], [1.0, -1.0], "closed")
+    match = re.escape(f"order {order!r} is not a permutation of 0..1")
+    with pytest.raises(ValueError, match=match):
+        eval_serving_order(inst, order)
+    with pytest.raises(ValueError, match=match):
+        route_stats(inst, order)
 
 
 def test_zero_requests_completion_zero():

@@ -232,7 +232,7 @@ class _RescoringPolicy(LaSwagPolicy):
         assert all(e.cursor >= 0 for e in entries)
         for e in entries:
             if e.alpha < 0.5:
-                assert e.cursor == e.first_unreleased(released)
+                assert e.perm[e.cursor] not in released and released.issuperset(e.perm[:e.cursor])
                 assert e in self._waiting.get(e.perm[e.cursor], ())
         assert self._sigma0 is witness_by_scan(ref)
         assert _minimizer((e.alpha, e) for e in entries) == _minimizer(ref)
