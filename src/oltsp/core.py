@@ -467,17 +467,3 @@ def follow_route(sim: Simulation, route: list) -> tuple:
         route.pop(0)
     return ("finish",)
 
-
-class FollowOrderPolicy:
-    """Serve the requests in a fixed order: go to each one's true
-    location, wait there for its release and serve it; closed, return
-    home."""
-
-    def __init__(self, instance: Instance, order):
-        locations = [instance.space.canon(x) for x in instance.locations()]
-        self.route = [stop for rid in order for stop in ((rid, locations[rid]), (rid, None))]
-        if instance.variant == "closed":
-            self.route.append((None, instance.origin))
-
-    def decide(self, sim: Simulation):
-        return follow_route(sim, self.route)

@@ -57,12 +57,12 @@ class LaSwagPolicy:
     unserved requests."""
 
     def __init__(self, space, predictions, variant, config: EngineConfig = EngineConfig()):
-        check_setting(space, predictions, variant)  # before canon, which expects points of the space
+        check_setting(space, predictions, variant)  # before any policy state is built
         self.n = len(predictions)
-        self.predictions = [space.canon(p) for p in predictions]
         self.variant = variant
         self.breaking_rule = config.breaking_rule
-        self.oracle = make_oracle(space, self.predictions, variant, config.oracle)
+        # the oracle keeps the predictions canonical; the route stops read them there
+        self.oracle = make_oracle(space, predictions, variant, config.oracle)
         self.phase = "plan"  # then "follow", or "cleanup" once the breaking rule fires
         self.start: StartDecision | None = None
         self.route: list = []
@@ -117,7 +117,7 @@ class LaSwagPolicy:
             return ("wait", sigma0.length / 2.0)
         sigma1 = _minimizer((e.alpha, e) for e in oracle.entries.values())
         self.start = StartDecision(sim.now, sigma0.perm, sigma1)
-        self.route = [stop for r in sigma1 for stop in ((r, self.predictions[r]), (r, None))]
+        self.route = [stop for r in sigma1 for stop in ((r, oracle.predictions[r]), (r, None))]
         self.route += self._home
         self.phase = "follow"
         return None

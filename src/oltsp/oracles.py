@@ -59,7 +59,7 @@ class DominationOracle:
     def __init__(self, space: Space, predictions: list, variant: str):
         check_setting(space, predictions, variant)
         self.space = space
-        self.predictions = list(predictions)
+        self.predictions = [space.canon(p) for p in predictions]
         self.variant = variant
         self.n = len(predictions)
         self.ids = frozenset(range(self.n))
@@ -263,19 +263,14 @@ def _scanner(idx: TreeIndex, released: frozenset) -> Callable[..., list[int]]:
 class TreeOracle(DominationOracle):
     def __init__(self, space, predictions, variant):
         super().__init__(space, predictions, variant)
-        self.idx = tree_index_for(space, {i: p for i, p in enumerate(self.predictions)})
+        self.idx = tree_index_for(space, dict(enumerate(self.predictions)))
 
     def _cover(self, qid, rest, end) -> list[int]:
-        if not rest:
-            return []
-        node_of = self.idx.node_of
-        start = 0 if qid is None else node_of[qid]
-        if end == FREE:  # the open variant's one all-released tour
-            order = self.idx.path_cover(start, {node_of[i] for i in rest}, FREE)[1]
-            return [i for v in order for i in self.idx.items_at[v] if i in rest]
-        # rest's nodes lie on the walk's span, which the whole tree's walk
-        # order visits in the walk's own order: no span needed
-        return [i for i in self.idx.walk_items(start, 0 if end == CLOSED else node_of[end]) if i in rest]
+        # only the all-released tour from the origin (qid None) to CLOSED or
+        # FREE: the rows clean up in _dominator
+        idx = self.idx
+        order = idx.path_cover(0, {idx.node_of[i] for i in rest}, end)[1]
+        return [i for v in order for i in idx.items_at[v] if i in rest]
 
     def _dominator(self, prefix, q, final=None) -> tuple:
         # the clean-up is the index's item walk from q to the final (the
@@ -366,7 +361,7 @@ def _out_and_back(arc: Arc, unrel) -> Iterator[tuple[list[int], int]]:
 class RingOracle(DominationOracle):
     def __init__(self, space: Ring, predictions, variant):
         super().__init__(space, predictions, variant)
-        arc = self.arc = Arc.split(space.circumference, {i: space.canon(p) for i, p in enumerate(self.predictions)})
+        arc = self.arc = Arc.split(space.circumference, dict(enumerate(self.predictions)))
         # the split indexed as a star of two arms, the counter-clockwise half first
         self.idx = star_index([[(arc.depth[i], i) for i in arc.pos if arc.arm[i] == side] for side in (-1, 1)])
 
@@ -406,37 +401,36 @@ class FlowerOracle(DominationOracle):
 
     def __init__(self, space: Flower, predictions, variant):
         super().__init__(space, predictions, variant)
-        self.flower = space
-        self.loc = [space.canon(p) for p in self.predictions]
+        loc = self.predictions
         # each petal that hosts a request, ascending, as an arc over the ids on it
-        self.arcs = {k: Arc.split(space.petals[k], {i: o for i, (c, o) in enumerate(self.loc) if c == k})
-                     for k in sorted({c for c, _ in self.loc} - {"stem"})}
+        self.arcs = {k: Arc.split(space.petals[k], {i: o for i, (c, o) in enumerate(loc) if c == k})
+                     for k in sorted({c for c, _ in loc} - {"stem"})}
         # each request's arm once its petal is snipped into two halves
         # ("stem", or (petal, +1 forward / -1 backward)) and its offset on it
-        self._arm = [_star_arm(space, self.arcs, i, c, o) for i, (c, o) in enumerate(self.loc)]
+        self._arm = [_star_arm(space, self.arcs, i, c, o) for i, (c, o) in enumerate(loc)]
         # the star of every petal snipped at its antipode: the stem arm, then
         # each petal's forward and backward half, with the requests on them
         self.idx = star_index([[(off, i) for i, (a, off) in enumerate(self._arm) if a == arm]
                                for arm in ["stem", *((k, d) for k in self.arcs for d in (1, -1))]])
         # for each set of kept petals, the requests a scan reads: those off them
-        self._scanned = {frozenset(kept): frozenset(i for i in self.ids if self.loc[i][0] not in kept)
+        self._scanned = {frozenset(kept): frozenset(i for i in self.ids if loc[i][0] not in kept)
                          for kept in _subsets(list(self.arcs))}
         # the clean-ups' leg table, kept for the oracle's lifetime: every
         # clean-up prices and walks each leg once
         self._legs: dict = {}
 
     def _cover(self, qid, rest, end) -> list[int]:
-        loc, origin = self.loc, self.origin
+        loc, origin = self.predictions, self.origin
         start = origin if qid is None else loc[qid]
         end = origin if end == CLOSED else FREE if end == FREE else loc[end]
         # in id order: the cover's split ties go to the first one it tries
-        return flower_cover_grouped(self.flower, start, [(loc[i], i) for i in sorted(rest)], end, self._legs)[1]
+        return flower_cover_grouped(self.space, start, [(loc[i], i) for i in sorted(rest)], end, self._legs)[1]
 
     def _batch(self, released: frozenset) -> list[tuple]:
         idx, node_of = self.idx, self.idx.node_of
         unrel = sorted(self.ids - released)
         # every set of looped petals, in binary counting order
-        dones = list(_subsets(sorted({self.loc[i][0] for i in released} - {"stem"})))
+        dones = list(_subsets(sorted({self.predictions[i][0] for i in released} - {"stem"})))
         # per set of kept petals, the released and the unreleased nodes off
         # them, and one tip pass per distinct such set
         members = {kept: (frozenset(node_of[i] for i in on & released), frozenset(node_of[i] for i in on - released))
@@ -452,13 +446,13 @@ class FlowerOracle(DominationOracle):
         rel_arcs = {k: arc.restrict(released) for k, arc in self.arcs.items()}
         out = []
         for qf in [None] if self.variant == "closed" else [None] + sorted(self.ids):
-            qfc = None if qf is None else self.loc[qf][0]
+            qfc = None if qf is None else self.predictions[qf][0]
             arcs = rel_arcs if qf not in released or qfc == "stem" else {
                 **rel_arcs, qfc: self.arcs[qfc].restrict(released - {qf})}
             for q in unrel:
                 if q == qf and len(unrel) > 1:
                     continue
-                qc = self.loc[q][0]
+                qc = self.predictions[q][0]
                 # q's petal walks, each once: its crescents to q either way, or around
                 # it if qf shares it; looped first, toward q's half (its full moon)
                 walks, full = [], None

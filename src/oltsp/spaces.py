@@ -448,11 +448,8 @@ class Flower:
             return -SNAP <= off <= self.stem + SNAP
         return isinstance(comp, int) and 0 <= comp < len(self.petals) and math.isfinite(off)
 
-    def to_origin(self, p) -> float:
-        return self._to_origin(self.canon(p))
-
     def _to_origin(self, p) -> float:
-        """``to_origin`` of a canonical point."""
+        """Distance from a canonical point to the origin."""
         comp, off = p
         if comp == "stem":
             return off

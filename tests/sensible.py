@@ -13,6 +13,9 @@ above the enumeration's reach.  All three
 read ``offline.distance_matrix``, each leg from the request it leaves to
 the one it reaches, as ``eval_serving_order`` walks it: a tree's
 distance is not bitwise symmetric.
+``FollowOrderPolicy`` serves a fixed order through ``core.follow_route``,
+waiting at each true location for its release; the simulator tests run
+it along OPT's order.
 ``ring_cover_all_cuts`` builds the walk of every cut, the reference for
 ``offline.ring_cover``; ``flower_cover_by_masks`` prices
 each candidate walk's legs afresh, the reference for
@@ -30,8 +33,9 @@ pivot's, the reference for ``GeneralOracle._batch``;
 ``tree_batch_by_finals`` emits every scan of a tree-style batch afresh
 along an uncached covering walk (``items_along``) for each guessed final
 request, its pivots and leaves found by ``maximal_nodes_by_walk`` rerooted
-at the final's node, and cleans up with no memo, the reference for
-``DominationOracle._tree_batch``; ``tree_row_by_rest`` filters a row's
+at the final's node, and cleans up with no memo and no oracle table
+(along ``walk_by_dfs`` on a line or tree, by ``ring_cover`` on a ring),
+the reference for ``DominationOracle._tree_batch``; ``tree_row_by_rest`` filters a row's
 item walk against the set of ids outside its head and final, built per
 row, the reference for ``TreeOracle._dominator``;
 ``flower_batch_by_variants`` builds a flower oracle's batch one approach
@@ -69,6 +73,7 @@ from typing import Any
 
 import numpy as np
 
+from oltsp.core import Instance, Simulation, follow_route
 from oltsp.engine import _HALF
 from oltsp.offline import (
     CLOSED,
@@ -423,6 +428,21 @@ def serving_order_by_latest_times(instance, opt: float) -> list[int]:
     return order
 
 
+class FollowOrderPolicy:
+    """Serve the requests in a fixed order: go to each one's true
+    location, wait there for its release and serve it; closed, return
+    home."""
+
+    def __init__(self, instance: Instance, order):
+        locations = [instance.space.canon(x) for x in instance.locations()]
+        self.route = [stop for rid in order for stop in ((rid, locations[rid]), (rid, None))]
+        if instance.variant == "closed":
+            self.route.append((None, instance.origin))
+
+    def decide(self, sim: Simulation):
+        return follow_route(sim, self.route)
+
+
 def ring_cover_all_cuts(C: float, s: float, req: list[tuple[float, Any]], end) -> tuple[float, list]:
     """``offline.ring_cover`` by building the walk of every cut and the full
     loop, then taking the first cheapest."""
@@ -546,9 +566,9 @@ def flower_cover_by_masks(flower: Flower, s, req: list[tuple[Any, Any]], end) ->
             cost, order = comp_cover(c, off(s) if sc == c else 0.0, groups.get(c, []), b)
             extra = 0.0
             if sc is not None and sc != c:
-                extra += flower.to_origin(s)
+                extra += flower._to_origin(s)
             if fixed and ec is not None and ec != c:
-                extra += flower.to_origin(e)
+                extra += flower._to_origin(e)
             return cost + extra, order
 
     def middles(exclude):
@@ -751,9 +771,9 @@ def tree_batch_by_finals(oracle, idx, released: frozenset) -> list[tuple]:
     """``DominationOracle._tree_batch`` over ``idx`` with no table shared
     across finals: for each final request qf it emits every scan against
     the released requests other than qf along the node order of an
-    uncached ``path_cover``, and each dominator's clean-up is the oracle's
-    ``_cover``, with no memo.  Each final's pivots and leaves are maximal
-    nodes rerooted at its node, with no tips."""
+    uncached ``path_cover``, and cleans up each dominator by
+    ``_cleanup_by_walk``, with no memo.  Each final's pivots and leaves
+    are maximal nodes rerooted at its node, with no tips."""
     unrel = oracle.ids - released
     rel_nodes = {idx.node_of[i] for i in released}
     out = []
@@ -770,8 +790,21 @@ def tree_batch_by_finals(oracle, idx, released: frozenset) -> list[tuple]:
             for chosen in _subsets(leaves):
                 prefix = items_along(idx, idx.path_cover(0, chosen + (qnode,), qnode)[1], wanted)
                 head = prefix if q == qf else prefix + [q]
-                out.append(tuple(head + oracle._cover(q, oracle.ids.difference(head, pin), end) + pin))
+                out.append(tuple(head + _cleanup_by_walk(oracle, idx, q, oracle.ids.difference(head, pin), end) + pin))
     return out
+
+
+def _cleanup_by_walk(oracle, idx, q: int, rest: frozenset, end) -> list[int]:
+    """The ids of ``rest`` on an optimal walk from request ``q`` to ``end``
+    (CLOSED, the origin, or a request id): on a ring, ``ring_cover`` of the
+    canonical predictions; on a line or tree, the ids along the whole node
+    walk of ``walk_by_dfs`` from q's node to the end's."""
+    if isinstance(oracle.space, Ring):
+        pos = oracle.predictions
+        end_pos = 0.0 if end == CLOSED else pos[end]
+        return ring_cover(oracle.space.circumference, pos[q], [(pos[i], i) for i in sorted(rest)], end_pos)[1]
+    node_of = idx.node_of
+    return items_along(idx, walk_by_dfs(idx, node_of[q], 0 if end == CLOSED else node_of[end])[0], rest)
 
 
 def tree_row_by_rest(oracle, prefix: list[int], q: int, final: int | None = None) -> tuple:
@@ -804,13 +837,13 @@ def flower_batch_by_variants(oracle, released: frozenset) -> list[tuple]:
     Each set of kept petals scans its own index of the requests off them,
     built by ``snipped_index_by_round_trip``, along the node order of an
     uncached ``path_cover``."""
-    comp = [p[0] for p in oracle.loc]
-    off = [p[1] for p in oracle.loc]
+    comp = [p[0] for p in oracle.predictions]
+    off = [p[1] for p in oracle.predictions]
     indexes: dict = {}
 
     def snipped(kept):
         if kept not in indexes:
-            indexes[kept] = snipped_index_by_round_trip(oracle.flower, oracle.loc, kept)
+            indexes[kept] = snipped_index_by_round_trip(oracle.space, oracle.predictions, kept)
         return indexes[kept]
 
     def subsets(items):

@@ -9,7 +9,6 @@ import pytest
 from oltsp.cli import main as cli_main
 
 from oltsp.core import (
-    FollowOrderPolicy,
     IncompleteRun,
     Instance,
     Request,
@@ -29,7 +28,7 @@ from oltsp.offline import eval_serving_order, opt_bruteforce
 from oltsp.spaces import Flower, General, Line, Ring, SpaceError, Tree
 
 from conftest import random_point, random_space
-from sensible import alpha_by_reach
+from sensible import FollowOrderPolicy, alpha_by_reach
 
 TOL = 1e-9
 

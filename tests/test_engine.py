@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oltsp.core import FollowOrderPolicy, Instance, Request, route_stats, run_adaptive, simulate
+from oltsp.core import Instance, Request, route_stats, run_adaptive, simulate
 from oltsp.engine import EngineConfig, LaSwagPolicy, _minimizer, la_swag, la_swag_policy, swag_policy
 from oltsp.fixtures import LineReleaseAdversary
 from oltsp.offline import opt_bruteforce
@@ -12,7 +12,7 @@ from oltsp.oracles import make_oracle
 from oltsp.spaces import Line, Tree
 
 from conftest import pin_pool, random_point, random_space
-from sensible import witness_by_scan
+from sensible import FollowOrderPolicy, witness_by_scan
 
 TOL = 1e-9
 

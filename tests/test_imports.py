@@ -1,6 +1,8 @@
 """No module of the package, no test module and no benchmark module
-imports a name it never uses, and no private function of the package is
-left that only its own body (or a test) calls."""
+imports a name it never uses; no private function of the package is
+left that only its own body (or a test) calls; and no public function,
+class or method of the package is left that only tests read, unless the
+package exports it or an acceptance criterion reads it."""
 import ast
 import pathlib
 
@@ -85,4 +87,72 @@ def test_every_private_function_is_called_in_the_package():
     # a private function that only its own test calls is dead code
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     offenders = unreferenced_private_defs(sources)
+    assert not offenders, offenders
+
+
+# public names that only an acceptance test reads: the criteria are the spec
+READ_BY_ACCEPTANCE = {
+    "adversarial_predictions": "criterion 3",
+    "route_stats": "criteria 6 and 10",
+    "alpha_released": "criteria 6 and 10",
+    "maximal_nodes": "criterion 7",
+    "scaled": "criterion 10",
+}
+
+
+def unread_public_defs(sources: dict[str, str], readers: dict[str, str], allowed) -> list[str]:
+    """``file:line: name`` for each public module-level function or class,
+    or public method of a top-level class, in ``sources`` (file label to
+    source text) that is neither imported by ``__init__.py`` nor in
+    ``allowed`` and that nothing reads: no ``ast.Name`` or
+    ``ast.Attribute`` outside its own definition, over ``sources`` and
+    ``readers``, and no string constant in ``readers`` (a benchmark's
+    tracer names what it patches by string)."""
+    exempt = set(allowed) | {alias.asname or alias.name for node in ast.walk(ast.parse(sources.get("__init__.py", "")))
+                             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    defs, refs = [], {}
+    for in_package, texts in ((True, sources), (False, readers)):
+        for label, source in texts.items():
+            tree = ast.parse(source)
+            for node in tree.body if in_package else ():
+                members = [node, *node.body] if isinstance(node, ast.ClassDef) else [node]
+                owner = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+                defs += [(f"{label}:{d.lineno}: {owner if d is not node else ''}{d.name}", d) for d in members
+                         if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                         and not d.name.startswith("_") and d.name not in exempt]
+            for node in ast.walk(tree):
+                name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                        else node.value if not in_package and isinstance(node, ast.Constant) else None)
+                if isinstance(name, str):
+                    refs.setdefault(name, []).append(node)
+    offenders = []
+    for entry, d in defs:
+        own = {id(node) for node in ast.walk(d)}
+        if all(id(node) in own for node in refs.get(d.name, ())):
+            offenders.append(entry)
+    return offenders
+
+
+def test_unread_public_def_is_reported():
+    source = ("def unread():\n    return Kept()\n\n"
+              "def exported():\n    pass\n\n"
+              "def adversarial_predictions():\n    pass\n\n"
+              "class Kept:\n    def run(self):\n        return self.step()\n\n"
+              "    def step(self):\n        return Kept\n\n"
+              "    def traced(self):\n        pass\n\n"
+              "class TestsOnly:\n    def __init__(self):\n        self.me = TestsOnly\n")
+    sources = {"__init__.py": "from .m import exported\n", "m.py": source}
+    readers = {"bench.py": "from m import Kept\nKept().run()\nPATCHED = ('m', 'Kept', 'traced')\n"}
+    # nothing reads unread; only its own body reads TestsOnly, since the
+    # tests that would read it are no readers
+    assert unread_public_defs(sources, readers, READ_BY_ACCEPTANCE) == ["m.py:1: unread", "m.py:20: TestsOnly"]
+
+
+def test_every_public_function_has_a_reader():
+    # a public function, class or method that only tests read is dead
+    # code, unless the package exports it or an acceptance criterion reads it
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    readers = {path.name: path.read_text() for path in sorted(PERFBENCH.glob("*.py"))
+               if not path.name.startswith("test_")}  # a test is no reader
+    offenders = unread_public_defs(sources, readers, READ_BY_ACCEPTANCE)
     assert not offenders, offenders

@@ -37,6 +37,7 @@ from sensible import (
     flower_batch_by_variants,
     general_batch_by_walks,
     items_along,
+    path_cover_by_dfs,
     sensible_flower_perms,
     sensible_ring_perms,
     sensible_tree_open_perms,
@@ -575,11 +576,13 @@ def test_line_adversary_batches_unchanged(grid):
 @pytest.mark.parametrize("family", ["line", "tree"])
 @pytest.mark.parametrize("variant", ["closed", "open"])
 def test_tree_cleanups_match_node_walk_reference(family, variant):
-    """``TreeOracle._cover`` from the origin and from every request, over
-    random subsets of the requests, to the origin and to every request,
-    equals the items emitted along the whole node walk of an independent
-    depth-first search (``walk_by_dfs``); to no fixed end it equals the
-    items along an uncached ``path_cover``."""
+    """A tree oracle's clean-up, its index's item walk filtered to the rest
+    (what ``TreeOracle._dominator`` reads), from the origin and from every
+    request, over random subsets of the requests, to the origin and to
+    every request, equals the items emitted along the whole node walk of
+    an independent depth-first search (``walk_by_dfs``).  Its all-released
+    tour from the origin, ``_cover``, closed and to no fixed end, equals
+    the items along ``path_cover_by_dfs`` over each subset drawn there."""
     rng = random.Random(f"cleanups/{family}/{variant}")
     for space, locs, _ in pin_pool(family, variant):
         oracle = make_oracle(space, locs, variant)
@@ -589,10 +592,13 @@ def test_tree_cleanups_match_node_walk_reference(family, variant):
             for _ in range(3):
                 rest = frozenset(i for i in range(len(locs)) if rng.random() < 0.6)
                 for end in [CLOSED, *range(len(locs))]:
-                    walk = walk_by_dfs(idx, s, 0 if end == CLOSED else node_of[end])[0]
-                    assert oracle._cover(qid, rest, end) == items_along(idx, walk, rest)
-                free = idx.path_cover(s, {node_of[i] for i in rest}, FREE)[1] if rest else []
-                assert oracle._cover(qid, rest, FREE) == items_along(idx, free, rest)
+                    e = 0 if end == CLOSED else node_of[end]
+                    got = [i for i in idx.walk_items(s, e) if i in rest]
+                    assert got == items_along(idx, walk_by_dfs(idx, s, e)[0], rest)
+                if qid is None:
+                    for end in (CLOSED, FREE):
+                        tour = path_cover_by_dfs(idx, 0, {node_of[i] for i in rest}, end)[1]
+                        assert oracle._cover(None, rest, end) == items_along(idx, tour, rest)
 
 
 @pytest.mark.parametrize("family", ["line", "tree"])
@@ -744,15 +750,18 @@ def test_line_adversary_work_counts():
             assert 0 < counts[key] <= most, (grid, key, counts[key])
 
 
-@pytest.mark.parametrize("variant, rows, misses", [("closed", 1851, 524), ("open", 9685, 2432)])
-def test_flower_work_counts(variant, rows, misses):
-    """Work a flower oracle does on a fixed pool (``pin_pool`` at n <= 7,
-    stepped at every release time), counted, not timed: batch rows (calls
-    to ``_dominator``) and clean-up misses (calls to ``_cover``, each a
-    walk the memo did not hold).  Any count rising fails; a fall may lower
-    its pin."""
+@pytest.mark.parametrize("kind, variant, rows, misses", [
+    ("flower", "closed", 1851, 524), ("flower", "open", 9685, 2432),
+    ("ring", "closed", 1488, 538), ("ring", "open", 6155, 1889)])
+def test_flower_work_counts(kind, variant, rows, misses):
+    """Work a flower or ring oracle does on a fixed pool (``pin_pool`` at
+    n <= 7, stepped at every release time), counted, not timed: batch rows
+    (calls to ``_dominator``) and clean-up misses (calls to ``_cover``,
+    each a walk the memo did not hold).  Any count rising fails; a fall
+    may lower its pin."""
     counts = Counter()
-    dominator, cover = oracles.DominationOracle._dominator, oracles.FlowerOracle._cover
+    cls = oracles.ORACLES[kind][0]
+    dominator, cover = oracles.DominationOracle._dominator, cls._cover
 
     def counted_dominator(self, *args):
         counts["rows"] += 1
@@ -764,8 +773,8 @@ def test_flower_work_counts(variant, rows, misses):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracles.DominationOracle, "_dominator", counted_dominator)
-        mp.setattr(oracles.FlowerOracle, "_cover", counted_cover)
-        for space, locs, rels in pin_pool("flower", variant, count=20, n_max=7):
+        mp.setattr(cls, "_cover", counted_cover)
+        for space, locs, rels in pin_pool(kind, variant, count=20, n_max=7):
             oracle = make_oracle(space, locs, variant)
             for t in sorted({0.0, *rels}):
                 oracle.step(t, [i for i, r in enumerate(rels) if r <= t])

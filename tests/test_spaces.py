@@ -426,7 +426,7 @@ def test_snip_preserves_origin_distances():
         idx = _snipped(fl, pts)
         for i, p in enumerate(pts):
             assert i in idx.node_of
-            assert idx.tree.depth(idx.node_of[i]) == pytest.approx(fl.to_origin(p), abs=1e-9)
+            assert idx.tree.depth(idx.node_of[i]) == pytest.approx(fl._to_origin(fl.canon(p)), abs=1e-9)
 
 
 @pytest.mark.parametrize("edges,errors", [
