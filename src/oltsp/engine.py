@@ -8,7 +8,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
 
-from .core import BREAK_RULE, Instance, RouteStats, RunResult, Simulation, check_setting, follow_route, simulate
+from .core import BREAK_RULE, Instance, RouteStats, RunResult, Simulation, follow_route, simulate
 from .offline import FREE, PathQuery, solve_classical
 from .oracles import make_oracle
 from .tolerance import FEAS, TIE
@@ -57,12 +57,11 @@ class LaSwagPolicy:
     unserved requests."""
 
     def __init__(self, space, predictions, variant, config: EngineConfig = EngineConfig()):
-        check_setting(space, predictions, variant)  # before any policy state is built
+        # first: the oracle checks the setting and keeps the predictions canonical for the route stops
+        self.oracle = make_oracle(space, predictions, variant, config.oracle)
         self.n = len(predictions)
         self.variant = variant
         self.breaking_rule = config.breaking_rule
-        # the oracle keeps the predictions canonical; the route stops read them there
-        self.oracle = make_oracle(space, predictions, variant, config.oracle)
         self.phase = "plan"  # then "follow", or "cleanup" once the breaking rule fires
         self.start: StartDecision | None = None
         self.route: list = []

@@ -7,7 +7,8 @@ each pivot q, the first unreleased request of a hypothetical order, a
 scan picks a structured prefix of released requests on an optimal route
 to q; :meth:`DominationOracle._dominator` then appends q, cleans up the
 rest with an exact classical solver, and pins qf last.  Once every
-request is released the batch is a single optimal tour from the origin.
+request is released the batch is one offline solver's tour from the
+origin: ``solve_classical``'s, or the general oracle's ``held_karp``.
 The general oracle enumerates released subsets directly
 (single-exponential); the tree, ring and flower oracles enumerate leaves,
 crescents/loops, and petal states instead (FPT or polynomial).  The ring
@@ -26,11 +27,14 @@ from .core import RouteStats, check_setting
 from .offline import (
     CLOSED,
     FREE,
+    PathQuery,
     TreeIndex,
     distance_matrix,
     exact_path,
     flower_cover_grouped,
+    held_karp,
     ring_cover,
+    solve_classical,
     star_index,
     tree_index_for,
 )
@@ -92,7 +96,9 @@ class DominationOracle:
         self._last_time = t
         self.released = released
         if released >= self.ids:
-            batch = [tuple(self._cover(None, self.ids, self.end))]
+            # the origin point, not CLOSED, as a closed end: ring_cover sums CLOSED differently
+            end = self.origin if self.end == CLOSED else FREE
+            batch = [tuple(self._tour(PathQuery(self.space, self.origin, self.predictions, end)))]
         else:
             batch = list(dict.fromkeys(self._batch(released)))
         new = []
@@ -115,6 +121,10 @@ class DominationOracle:
         """Dominators for a released set that leaves some request out."""
         raise NotImplementedError
 
+    def _tour(self, query: PathQuery) -> list[int]:
+        """Serving order of the all-released batch's optimal classical tour."""
+        return solve_classical(query).order
+
     def _dominator(self, prefix: list[int], q: int, final: int | None = None) -> tuple:
         """``prefix``, then ``q`` (unless q is the pinned ``final``), then the
         clean-up of every other request from q to ``final``, pinned last, or
@@ -135,9 +145,8 @@ class DominationOracle:
             hit = self._cleanup_memo[key] = self._cover(qid, rest, end)
         return hit
 
-    def _cover(self, qid: int | None, rest: frozenset, end) -> list[int]:
-        """The uncached computation behind :meth:`_cleanup`; a ``qid`` of
-        None starts at the origin."""
+    def _cover(self, qid: int, rest: frozenset, end) -> list[int]:
+        """The uncached computation behind :meth:`_cleanup`."""
         raise NotImplementedError
 
     def _tree_batch(self, idx: TreeIndex, released: frozenset) -> list[tuple]:
@@ -200,9 +209,9 @@ class GeneralOracle(DominationOracle):
         self._tail = self._back if self.end == CLOSED else exact_path(self.D, rows, FREE)
         self._dominators: list[dict[int, tuple]] = [{} for _ in range(self.n)]
 
-    def _cover(self, qid, rest, end) -> list[int]:
-        # the tail table's walks end at this variant's end
-        return self._tail.walk(0 if qid is None else qid + 1, sum(1 << i for i in rest))[1]
+    def _tour(self, query) -> list[int]:
+        # Held-Karp on every space, so a structured one keeps its tie-breaks
+        return held_karp(query).order
 
     def _batch(self, released: frozenset) -> list[tuple]:
         # every subset of the released ids, as id bitmasks in binary
@@ -264,13 +273,6 @@ class TreeOracle(DominationOracle):
     def __init__(self, space, predictions, variant):
         super().__init__(space, predictions, variant)
         self.idx = tree_index_for(space, dict(enumerate(self.predictions)))
-
-    def _cover(self, qid, rest, end) -> list[int]:
-        # only the all-released tour from the origin (qid None) to CLOSED or
-        # FREE: the rows clean up in _dominator
-        idx = self.idx
-        order = idx.path_cover(0, {idx.node_of[i] for i in rest}, end)[1]
-        return [i for v in order for i in idx.items_at[v] if i in rest]
 
     def _dominator(self, prefix, q, final=None) -> tuple:
         # the clean-up is the index's item walk from q to the final (the
@@ -369,9 +371,8 @@ class RingOracle(DominationOracle):
         # in the true ring metric, not on the split index; the walk does
         # not depend on the order of its items
         pos = self.arc.pos
-        start = 0.0 if qid is None else pos[qid]
         end_pos = 0.0 if end == CLOSED else (FREE if end == FREE else pos[end])
-        return ring_cover(self.space.circumference, start, [(pos[i], i) for i in rest], end_pos)[1]
+        return ring_cover(self.space.circumference, pos[qid], [(pos[i], i) for i in rest], end_pos)[1]
 
     def _batch(self, released: frozenset) -> list[tuple]:
         arc = self.arc.restrict(released)
@@ -420,11 +421,10 @@ class FlowerOracle(DominationOracle):
         self._legs: dict = {}
 
     def _cover(self, qid, rest, end) -> list[int]:
-        loc, origin = self.predictions, self.origin
-        start = origin if qid is None else loc[qid]
-        end = origin if end == CLOSED else FREE if end == FREE else loc[end]
+        loc = self.predictions
+        end = self.origin if end == CLOSED else FREE if end == FREE else loc[end]
         # in id order: the cover's split ties go to the first one it tries
-        return flower_cover_grouped(self.space, start, [(loc[i], i) for i in sorted(rest)], end, self._legs)[1]
+        return flower_cover_grouped(self.space, loc[qid], [(loc[i], i) for i in sorted(rest)], end, self._legs)[1]
 
     def _batch(self, released: frozenset) -> list[tuple]:
         idx, node_of = self.idx, self.idx.node_of

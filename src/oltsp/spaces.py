@@ -432,8 +432,8 @@ class Flower:
 
     def canon(self, p):
         comp, off = p
-        if comp == "stem":
-            return ("stem", 0.0) if off <= SNAP else p
+        if comp == "stem":  # within SNAP of either end, the end
+            return ("stem", 0.0) if off <= SNAP else ("stem", self.stem) if abs(off - self.stem) <= SNAP else p
         ln = self.petals[comp]
         off = off % ln
         if off <= SNAP or off >= ln - SNAP:

@@ -78,7 +78,7 @@ def test_generation_unchanged():
                         digest.update(json.dumps(out.to_json()).encode())
                     except ValueError as exc:
                         digest.update(repr(exc).encode())
-    assert digest.hexdigest() == "19b1a556986e50f1523656db96e7db8e10538cffb2ca4123fd767e24b5015bec"
+    assert digest.hexdigest() == "dc6940d682dda12ea5fd4133be90b6b97e9156a6f3608bab4cf8166a1db64104"
 
 
 @pytest.mark.parametrize("family", list(harness.FAMILIES))

@@ -104,10 +104,12 @@ def unread_public_defs(sources: dict[str, str], readers: dict[str, str], allowed
     """``file:line: name`` for each public module-level function or class,
     or public method of a top-level class, in ``sources`` (file label to
     source text) that is neither imported by ``__init__.py`` nor in
-    ``allowed`` and that nothing reads: no ``ast.Name`` or
-    ``ast.Attribute`` outside its own definition, over ``sources`` and
-    ``readers``, and no string constant in ``readers`` (a benchmark's
-    tracer names what it patches by string)."""
+    ``allowed`` and that nothing reads outside its own definition, over
+    ``sources`` and ``readers``: no ``ast.Attribute`` and no string
+    constant in ``readers`` (a benchmark's tracer names what it patches by
+    string), and for a module-level def no bare ``ast.Name`` either.  A
+    bare name never reads a method: a local variable of the same name
+    would hide it."""
     exempt = set(allowed) | {alias.asname or alias.name for node in ast.walk(ast.parse(sources.get("__init__.py", "")))
                              if isinstance(node, ast.ImportFrom) for alias in node.names}
     defs, refs = [], {}
@@ -117,7 +119,8 @@ def unread_public_defs(sources: dict[str, str], readers: dict[str, str], allowed
             for node in tree.body if in_package else ():
                 members = [node, *node.body] if isinstance(node, ast.ClassDef) else [node]
                 owner = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
-                defs += [(f"{label}:{d.lineno}: {owner if d is not node else ''}{d.name}", d) for d in members
+                defs += [(f"{label}:{d.lineno}: {owner if d is not node else ''}{d.name}", d, d is not node)
+                         for d in members
                          if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                          and not d.name.startswith("_") and d.name not in exempt]
             for node in ast.walk(tree):
@@ -126,9 +129,9 @@ def unread_public_defs(sources: dict[str, str], readers: dict[str, str], allowed
                 if isinstance(name, str):
                     refs.setdefault(name, []).append(node)
     offenders = []
-    for entry, d in defs:
+    for entry, d, method in defs:
         own = {id(node) for node in ast.walk(d)}
-        if all(id(node) in own for node in refs.get(d.name, ())):
+        if all(id(node) in own or method and isinstance(node, ast.Name) for node in refs.get(d.name, ())):
             offenders.append(entry)
     return offenders
 
@@ -140,12 +143,16 @@ def test_unread_public_def_is_reported():
               "class Kept:\n    def run(self):\n        return self.step()\n\n"
               "    def step(self):\n        return Kept\n\n"
               "    def traced(self):\n        pass\n\n"
+              "    def shadowed(self):\n        pass\n\n"
               "class TestsOnly:\n    def __init__(self):\n        self.me = TestsOnly\n")
     sources = {"__init__.py": "from .m import exported\n", "m.py": source}
-    readers = {"bench.py": "from m import Kept\nKept().run()\nPATCHED = ('m', 'Kept', 'traced')\n"}
+    readers = {"bench.py": "from m import Kept\nKept().run()\nPATCHED = ('m', 'Kept', 'traced')\n"
+                           "shadowed = Kept.run\nprint(shadowed)\n"}
     # nothing reads unread; only its own body reads TestsOnly, since the
-    # tests that would read it are no readers
-    assert unread_public_defs(sources, readers, READ_BY_ACCEPTANCE) == ["m.py:1: unread", "m.py:20: TestsOnly"]
+    # tests that would read it are no readers; a local variable is no
+    # reader of the method it shares a name with
+    assert unread_public_defs(sources, readers, READ_BY_ACCEPTANCE) == [
+        "m.py:1: unread", "m.py:20: Kept.shadowed", "m.py:23: TestsOnly"]
 
 
 def test_every_public_function_has_a_reader():

@@ -377,8 +377,8 @@ def test_tree_index_tables_match_reference():
     free and every node as the end, and the maximal nodes at every root,
     over sets that meet each case of the tips they are read from.  The
     whole tree's item walk toward a closed or node end holds each walk's
-    span items in the walk's order, as ``TreeOracle._cover`` reads them
-    with no span."""
+    span items in the walk's order, as ``TreeOracle._dominator`` and the
+    oracles' scans read them with no span."""
     rng = random.Random(43)
     cases = Counter()
     for idx in _cross_check_indexes(rng, 40):

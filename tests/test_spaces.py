@@ -545,7 +545,6 @@ def test_test_pools_draw_every_family():
         next(pin_pool("no such family", "closed"))
 
 
-@pytest.mark.xfail(strict=True, reason="Flower.canon snaps to the origin but not to the stem's tip")
 def test_flower_stem_tip_has_one_representation():
     """Offsets within SNAP of the stem's tip are one point, the tip, as
     within SNAP of the origin they are the origin."""
