@@ -12,7 +12,7 @@ import sys
 
 from . import fixtures as fx
 from .core import Instance
-from .engine import EngineConfig, la_swag, swag
+from .engine import ALGORITHMS, EngineConfig, run_algorithm
 from .harness import SweepSpec, generate, sweep, write_report
 from .offline import SizeCapExceeded, opt_bruteforce
 from .oracles import ORACLES
@@ -54,7 +54,7 @@ def _cmd_run(args) -> int:
         inst = Instance(inst.space, inst.requests, inst.predictions, args.variant)
     config = EngineConfig(oracle=args.oracle, breaking_rule=args.breaking_rule == "on")
     try:
-        result, policy = (swag if args.algo == "swag" else la_swag)(inst, config)
+        result, policy = run_algorithm(args.algo, inst, config)
     except ValueError as exc:  # imperfect predictions for swag, an oracle the space does not take
         return _input_error(exc)
     if args.dump_batches:
@@ -154,7 +154,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("run", help="run one instance")
     p.add_argument("instance")
-    p.add_argument("--algo", choices=["la-swag", "swag"], default="la-swag")
+    p.add_argument("--algo", choices=ALGORITHMS, default="la-swag")
     p.add_argument("--oracle", choices=["auto", *ORACLES], default="auto")
     p.add_argument("--variant", choices=["open", "closed"], default=None)
     p.add_argument("--breaking-rule", choices=["on", "off"], default="on",

@@ -158,3 +158,13 @@ def swag(instance: Instance, config: EngineConfig = EngineConfig()) -> tuple[Run
 
 def swag_policy(instance: Instance, config: EngineConfig = EngineConfig()) -> RunResult:
     return swag(instance, config)[0]
+
+
+
+ALGORITHMS = ("la-swag", "swag")  # the names ``oltsp run --algo`` and a sweep's "algo" field take
+
+
+def run_algorithm(name: str, instance: Instance, config: EngineConfig = EngineConfig()):
+    """``la_swag`` or ``swag`` by its name in ``ALGORITHMS``, read at the call, not kept in a
+    table, so that a wrapper swapped in under its name (a tracer's) sees every run."""
+    return (swag if name == "swag" else la_swag)(instance, config)

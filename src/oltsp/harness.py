@@ -10,7 +10,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import Instance, Request, check_path_length, prediction_error
-from .engine import EngineConfig, la_swag, swag
+from .engine import ALGORITHMS, EngineConfig, run_algorithm
 from .offline import SizeCapExceeded, opt_bruteforce, shortest_serving_path_length
 from .oracles import ORACLES
 from .spaces import Euclid2D, Flower, General, Line, Ring, Tree
@@ -76,7 +76,7 @@ _SPEC_MINIMUM = {"count": 0, "n": 0, "seed": 0, "leaves": 1, "petals": 1}
 _SPEC_CHOICES = {
     "space": tuple(FAMILIES),
     "variant": ("closed", "open"),
-    "algo": ("la-swag", "swag"),
+    "algo": ALGORITHMS,
     "oracle": ("auto", *ORACLES),
 }
 
@@ -270,7 +270,7 @@ class SweepRow:
 def run_one(instance: Instance, spec: SweepSpec, instance_id: str, eta: float, opt: float) -> SweepRow:
     config = EngineConfig(oracle=spec.oracle, breaking_rule=spec.breaking_rule)
     t0 = time.perf_counter()
-    result, policy = (swag if spec.algo == "swag" else la_swag)(instance, config)
+    result, policy = run_algorithm(spec.algo, instance, config)
     batches = ";".join(str(b.batch_size) for b in policy.oracle.batches)
     wall = time.perf_counter() - t0
     ratio = result.completion_time / opt if opt > TIE else 1.0

@@ -25,7 +25,6 @@ from typing import Callable, Iterable, Iterator
 
 from .core import RouteStats, check_setting
 from .offline import (
-    CLOSED,
     FREE,
     PathQuery,
     TreeIndex,
@@ -67,12 +66,11 @@ class DominationOracle:
         self.variant = variant
         self.n = len(predictions)
         self.ids = frozenset(range(self.n))
-        self.end = CLOSED if variant == "closed" else FREE  # where a tour ends
         self.origin = space.origin()
+        self.end = self.origin if variant == "closed" else FREE  # where a tour ends
         self.D = distance_matrix(space, [self.origin] + self.predictions)
         self.entries: dict[tuple, RouteStats] = {}
         self.batches: list[BatchRecord] = []
-        self._last_time: float | None = None
         self.released: frozenset = frozenset()  # at the last step
         self._cleanup_memo: dict[tuple, list[int]] = {}
 
@@ -80,25 +78,22 @@ class DominationOracle:
 
     def step(self, t: float, released: Iterable[int]) -> list[tuple]:
         released = frozenset(released)
-        bad = sorted((i for i in released if not isinstance(i, int) or not 0 <= i < self.n), key=repr)
+        bad = sorted((i for i in released if type(i) is not int or not 0 <= i < self.n), key=repr)  # no bools
         if bad:
             raise ValueError(f"released ids {bad} are not request ids 0..{self.n - 1}")
         if not math.isfinite(t):
             raise ValueError(f"event time {t} is not finite")
         if t < 0.0:
             raise ValueError(f"event time {t} is negative")
-        if self._last_time is not None and t < self._last_time - FEAS:
-            raise OutOfOrderEvent(f"event at {t} precedes {self._last_time}")
+        if self.batches and t < self.batches[-1].time - FEAS:
+            raise OutOfOrderEvent(f"event at {t} precedes {self.batches[-1].time}")
         if not released >= self.released:
             raise OutOfOrderEvent("released set shrank")
-        if self._last_time is not None and released == self.released and self.batches:
+        if self.batches and released == self.released:
             return []  # idempotent repeat query
-        self._last_time = t
         self.released = released
         if released >= self.ids:
-            # the origin point, not CLOSED, as a closed end: ring_cover sums CLOSED differently
-            end = self.origin if self.end == CLOSED else FREE
-            batch = [tuple(self._tour(PathQuery(self.space, self.origin, self.predictions, end)))]
+            batch = [tuple(self._tour(PathQuery(self.space, self.origin, self.predictions, self.end)))]
         else:
             batch = list(dict.fromkeys(self._batch(released)))
         new = []
@@ -126,27 +121,25 @@ class DominationOracle:
         return solve_classical(query).order
 
     def _dominator(self, prefix: list[int], q: int, final: int | None = None) -> tuple:
-        """``prefix``, then ``q`` (unless q is the pinned ``final``), then the
-        clean-up of every other request from q to ``final``, pinned last, or
-        with no final to this variant's end."""
+        """Every structured oracle's row: ``prefix``, then ``q`` (unless q is
+        the pinned ``final``), then their :meth:`_cleanup`, then ``final``."""
         head = prefix if q == final else prefix + [q]
-        pin = [] if final is None else [final]
-        end = self.end if final is None else final
-        return tuple(head + self._cleanup(q, self.ids.difference(head, pin), end) + pin)
+        return tuple(head + self._cleanup(q, head, final) + ([] if final is None else [final]))
 
-    def _cleanup(self, qid: int, rest: frozenset, end) -> list[int]:
-        """Serving order of ``rest`` on an optimal walk from request ``qid``
-        to ``end``: CLOSED (the origin), FREE, or a request id.  Memoised;
-        the tree oracle, whose index keeps the walks, builds its rows
-        without it."""
-        key = (qid, rest, end)
+    def _cleanup(self, q: int, head: list[int], final: int | None) -> list[int]:
+        """Serving order of the requests outside ``head`` and ``final`` on an optimal walk
+        from request ``q`` to ``final``, or with none to the tour's ``end``.  Memoised per
+        (q, head set, final): with the final fixed the head set fixes the rest, and is smaller."""
+        key = (q, frozenset(head), final)
         hit = self._cleanup_memo.get(key)
         if hit is None:
-            hit = self._cleanup_memo[key] = self._cover(qid, rest, end)
+            rest = self.ids.difference(head, [] if final is None else [final])
+            end = self.end if final is None else self.predictions[final]
+            hit = self._cleanup_memo[key] = self._cover(q, rest, end)
         return hit
 
     def _cover(self, qid: int, rest: frozenset, end) -> list[int]:
-        """The uncached computation behind :meth:`_cleanup`."""
+        """:meth:`_cleanup`'s walk, unmemoised: ``rest`` from request ``qid`` to ``end``, a point or FREE."""
         raise NotImplementedError
 
     def _tree_batch(self, idx: TreeIndex, released: frozenset) -> list[tuple]:
@@ -206,7 +199,7 @@ class GeneralOracle(DominationOracle):
         super().__init__(space, predictions, variant)
         rows = tuple(range(1, self.n + 1))
         self._back = exact_path(self.D, rows, 0)
-        self._tail = self._back if self.end == CLOSED else exact_path(self.D, rows, FREE)
+        self._tail = self._back if variant == "closed" else exact_path(self.D, rows, FREE)
         self._dominators: list[dict[int, tuple]] = [{} for _ in range(self.n)]
 
     def _tour(self, query) -> list[int]:
@@ -274,15 +267,12 @@ class TreeOracle(DominationOracle):
         super().__init__(space, predictions, variant)
         self.idx = tree_index_for(space, dict(enumerate(self.predictions)))
 
-    def _dominator(self, prefix, q, final=None) -> tuple:
-        # the clean-up is the index's item walk from q to the final (the
-        # origin when closed), less the head and the final; it keeps every
-        # walk, so no memo
-        head = prefix if q == final else prefix + [q]
+    def _cleanup(self, q, head, final) -> list[int]:
+        # the index's item walk from q to the final (the origin when
+        # closed), less the head and the final; it keeps every walk, so no memo
         node_of = self.idx.node_of
         skip = {*head, final}
-        walk = self.idx.walk_items(node_of[q], 0 if final is None else node_of[final])
-        return tuple(head + [i for i in walk if i not in skip] + ([] if final is None else [final]))
+        return [i for i in self.idx.walk_items(node_of[q], 0 if final is None else node_of[final]) if i not in skip]
 
     def _batch(self, released: frozenset) -> list[tuple]:
         return self._tree_batch(self.idx, released)
@@ -371,8 +361,7 @@ class RingOracle(DominationOracle):
         # in the true ring metric, not on the split index; the walk does
         # not depend on the order of its items
         pos = self.arc.pos
-        end_pos = 0.0 if end == CLOSED else (FREE if end == FREE else pos[end])
-        return ring_cover(self.space.circumference, pos[qid], [(pos[i], i) for i in rest], end_pos)[1]
+        return ring_cover(self.space.circumference, pos[qid], [(pos[i], i) for i in rest], end)[1]
 
     def _batch(self, released: frozenset) -> list[tuple]:
         arc = self.arc.restrict(released)
@@ -422,7 +411,6 @@ class FlowerOracle(DominationOracle):
 
     def _cover(self, qid, rest, end) -> list[int]:
         loc = self.predictions
-        end = self.origin if end == CLOSED else FREE if end == FREE else loc[end]
         # in id order: the cover's split ties go to the first one it tries
         return flower_cover_grouped(self.space, loc[qid], [(loc[i], i) for i in sorted(rest)], end, self._legs)[1]
 
@@ -490,13 +478,13 @@ class FlowerOracle(DominationOracle):
 
 
 def _star_arm(flower: Flower, arcs: dict[int, Arc], i: int, comp, off) -> tuple:
-    """Arm and offset on the snipped star of request ``i``, at canonical point (comp, off): a
-    petal point's read from its petal's arc, an offset within ``SNAP`` of the arm's ends snapped."""
+    """Arm and offset on the snipped star of request ``i``, at canonical point (comp, off): a petal
+    depth read from its arc, snapped to the antipode within ``SNAP``.  A stem offset within ``SNAP``
+    of the origin, only the tip of a stem that short, is the origin, as ``distance`` reads it."""
     if comp == "stem":
-        arm, end = "stem", flower.stem
-    else:
-        arm, end, off = (comp, arcs[comp].arm[i]), flower.petals[comp] / 2, arcs[comp].depth[i]
-    return arm, (0.0 if off <= SNAP else end if off >= end - SNAP else off)
+        return "stem", (0.0 if off <= SNAP else off)
+    arc, half = arcs[comp], flower.petals[comp] / 2
+    return (comp, arc.arm[i]), (half if arc.depth[i] >= half - SNAP else arc.depth[i])
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ at the final's node, and cleans up with no memo and no oracle table
 (along ``walk_by_dfs`` on a line or tree, by ``ring_cover`` on a ring),
 the reference for ``DominationOracle._tree_batch``; ``tree_row_by_rest`` filters a row's
 item walk against the set of ids outside its head and final, built per
-row, the reference for ``TreeOracle._dominator``;
+row, the reference for a tree oracle's row (``TreeOracle._cleanup``);
 ``flower_batch_by_variants`` builds a flower oracle's batch one approach
 at a time, each set of kept petals scanning its own snipped index and
 finding its maximal nodes by ``maximal_nodes_by_walk``, the reference for
@@ -785,26 +785,25 @@ def tree_batch_by_finals(oracle, idx, released: frozenset) -> list[tuple]:
         leaves = maximal_nodes_by_walk(idx, rel_nodes, root)
         wanted = released - {qf}
         pin = [] if qf is None else [qf]
-        end = oracle.end if qf is None else qf
         for qnode, q in pivots:
             for chosen in _subsets(leaves):
                 prefix = items_along(idx, idx.path_cover(0, chosen + (qnode,), qnode)[1], wanted)
                 head = prefix if q == qf else prefix + [q]
-                out.append(tuple(head + _cleanup_by_walk(oracle, idx, q, oracle.ids.difference(head, pin), end) + pin))
+                out.append(tuple(head + _cleanup_by_walk(oracle, idx, q, oracle.ids.difference(head, pin), qf) + pin))
     return out
 
 
-def _cleanup_by_walk(oracle, idx, q: int, rest: frozenset, end) -> list[int]:
-    """The ids of ``rest`` on an optimal walk from request ``q`` to ``end``
-    (CLOSED, the origin, or a request id): on a ring, ``ring_cover`` of the
-    canonical predictions; on a line or tree, the ids along the whole node
-    walk of ``walk_by_dfs`` from q's node to the end's."""
+def _cleanup_by_walk(oracle, idx, q: int, rest: frozenset, final: int | None) -> list[int]:
+    """The ids of ``rest`` on an optimal walk from request ``q`` to request
+    ``final``, or with ``None`` to the origin: on a ring, ``ring_cover`` of
+    the canonical predictions; on a line or tree, the ids along the whole
+    node walk of ``walk_by_dfs`` from q's node to the final's."""
     if isinstance(oracle.space, Ring):
         pos = oracle.predictions
-        end_pos = 0.0 if end == CLOSED else pos[end]
+        end_pos = 0.0 if final is None else pos[final]
         return ring_cover(oracle.space.circumference, pos[q], [(pos[i], i) for i in sorted(rest)], end_pos)[1]
     node_of = idx.node_of
-    return items_along(idx, walk_by_dfs(idx, node_of[q], 0 if end == CLOSED else node_of[end])[0], rest)
+    return items_along(idx, walk_by_dfs(idx, node_of[q], 0 if final is None else node_of[final])[0], rest)
 
 
 def tree_row_by_rest(oracle, prefix: list[int], q: int, final: int | None = None) -> tuple:

@@ -46,7 +46,7 @@ from sensible import (
     walk_by_dfs,
 )
 from oltsp.spaces import Euclid2D, Flower, General, Line, Ring, SpaceError, Tree
-from oltsp.tolerance import TIE
+from oltsp.tolerance import SNAP, TIE
 
 from conftest import (
     pin_pool,
@@ -329,6 +329,18 @@ def test_petal_arc_is_the_ring_arc():
             assert {ring._dominator(head, q) for head, q in heads} <= batch, (pos, released)
 
 
+def test_flower_tip_of_a_stem_within_snap_is_the_root():
+    """On a stem no longer than ``SNAP``, a request at the canonical tip is
+    at the origin to ``distance``, and the snipped star puts it at the
+    root, beside a request at the origin, in both variants."""
+    sp = Flower((1.0, 2.0), 0.1 * SNAP)
+    locs = [("stem", 1.05 * SNAP), (0, 0.3), ("stem", 0.0)]
+    for variant in ("closed", "open"):
+        o = make_oracle(sp, locs, variant)
+        assert o.predictions[0] == ("stem", 0.1 * SNAP) and o.D[1][3] == 0.0
+        assert o._arm[0] == ("stem", 0.0) and o.idx.node_of[0] == o.idx.node_of[2]
+
+
 def test_flower_all_released_single():
     o = make_oracle(Flower((1.0,), 0.5), [(0, 0.3), ("stem", 0.2)], "closed", "flower")
     o.step(0.0, {0, 1})
@@ -594,7 +606,7 @@ def test_line_adversary_batches_unchanged(grid):
 @pytest.mark.parametrize("variant", ["closed", "open"])
 def test_tree_cleanups_match_node_walk_reference(family, variant):
     """A tree oracle's clean-up, its index's item walk filtered to the rest
-    (what ``TreeOracle._dominator`` reads), from the origin and from every
+    (what ``TreeOracle._cleanup`` reads), from the origin and from every
     request, over random subsets of the requests, to the origin and to
     every request, equals the items emitted along the whole node walk of
     an independent depth-first search (``walk_by_dfs``)."""
@@ -985,13 +997,13 @@ def test_oracle_covers_match_public_covers(kind, variant):
                 for mask in range(1 << n):
                     rest = frozenset(i for i in range(n) if mask >> i & 1 and i != qid)
                     items = [(locs[i], i) for i in sorted(rest)]
-                    for end in [CLOSED, FREE] + list(range(n)):
-                        end_pt = origin if end == CLOSED else (FREE if end == FREE else locs[end])
+                    # the canonical end points: on a flower a raw point may name the origin another way
+                    for end_pt in [origin, FREE] + oracle.predictions:
                         if kind == "ring":
                             want = ring_cover(sp.circumference, locs[qid], items, end_pt)[1]
                         else:
                             want = flower_cover(sp, locs[qid], items, end_pt)[1]
-                        assert oracle._cover(qid, rest, end) == want, (sp, locs, qid, rest, end)
+                        assert oracle._cover(qid, rest, end_pt) == want, (sp, locs, qid, rest, end_pt)
 
 
 def test_flower_oracle_prices_each_leg_once(monkeypatch):
@@ -1082,16 +1094,16 @@ def test_step_returns_the_perms_it_appends(family, variant):
     ("general", Euclid2D(), [(1.0, 0.0), (0.0, 1.0)]),
 ])
 def test_step_rejects_bad_ids_and_times(kind, space, locs):
-    """A released id outside 0..n-1, or not an int, and a time that is
-    not finite or is negative are refused by name before the oracle
-    changes."""
+    """A released id outside 0..n-1, or not an int (a bool is not one),
+    and a time that is not finite or is negative are refused by name
+    before the oracle changes."""
     o = make_oracle(space, locs, "open", kind)
     for t, released, named in [(0.0, {2}, "[2]"), (0.0, {0, -1}, "[-1]"), (0.0, {0.0}, "[0.0]"),
-                               (math.nan, {0}, "nan"), (math.inf, {0}, "inf"), (-math.inf, set(), "-inf"),
-                               (-5.0, {0}, "-5.0"), (-1e-300, set(), "-1e-300")]:
+                               (0.0, {True}, "[True]"), (math.nan, {0}, "nan"), (math.inf, {0}, "inf"),
+                               (-math.inf, set(), "-inf"), (-5.0, {0}, "-5.0"), (-1e-300, set(), "-1e-300")]:
         with pytest.raises(ValueError, match=re.escape(named)):
             o.step(t, released)
-        assert (o.batches, o.entries, o._last_time, o.released) == ([], {}, None, frozenset())
+        assert (o.batches, o.entries, o.released) == ([], {}, frozenset())
     o.step(0.0, {0})
     assert len(o.batches) == 1 and o.entries
 
