@@ -25,9 +25,10 @@ CLOSED = "closed"
 _ORIGIN = ("stem", 0.0)  # a flower's origin, canonical
 
 # The one cap of the subset DP, Held-Karp's and OPT's alike.  At the cap a
-# table keeps m 2^m doubles (8.4 MB; Held-Karp adds as many next-hop bytes);
-# filling one peaks at 24 MB at most above the shared index tables, 6.6 MB
-# of that the middle layer's candidates (C(16, 8) 8 (16 - 8) doubles).
+# table keeps m 2^m doubles (8.4 MB; a Held-Karp fill with next hops adds as
+# many bytes); filling one peaks at 22 MB above the shared index tables (24
+# MB with next hops), 6.6 MB of that the middle layer's candidates (C(16, 8)
+# 8 (16 - 8) doubles).
 HELD_KARP_CAP = 16
 
 
@@ -84,17 +85,18 @@ class PathTable:
 
     ``T[(j << m) | S]`` is the cheapest cost from row ``targets[j]`` that
     visits every target in the bitmask ``S`` (over positions in
-    ``targets``) and then stops, and ``nxt[(j << m) | S]`` is the first
-    target of the lexicographically smallest such walk; entries with ``j``
-    in ``S`` are unused.  A walk prices its first step and then follows
-    that target's chain of next hops (:meth:`hops`).
+    ``targets``) and then stops; entries with ``j`` in ``S`` are unused.
+    A table filled with next hops also keeps ``nxt[(j << m) | S]``, the
+    first target of the lexicographically smallest such walk, for callers
+    that read many chains (:meth:`hops`); one walk (:meth:`walk`) prices
+    each of its steps from ``T`` and needs none.
     """
 
     D: list[list[float]]
     targets: tuple[int, ...]
     end: Any  # a matrix row, or FREE
     T: array  # 'd'
-    nxt: array  # 'B'
+    nxt: array | None  # 'B', or None when filled without next hops
 
     def hops(self, j: int, remaining: int) -> list[int]:
         """The next-hop chain from target position ``j``, which lies outside
@@ -113,29 +115,32 @@ class PathTable:
         lexicographically smallest optimal visiting order, as positions in
         ``targets``.
 
-        Each step takes the first target whose candidate cost is within
-        ``TIE`` of the best.  The first step is priced here, over the
-        candidates the fill compares, in the same order and with the same
-        sums, so from a target outside ``remaining`` it is the table's cost
-        and next hop; the rest are its hops."""
-        targets, T = self.targets, self.T
+        Each step takes the first target, in ascending order, whose
+        candidate cost is within ``TIE`` of the best: the candidates the
+        fill compares, with the same sums.  The first step, from any row,
+        takes its best as their minimum, and each later one, from target j
+        over the set S, as ``T[(j << m) | S]``, so the order is the one the
+        next hops spell."""
+        D, targets, T = self.D, self.targets, self.T
         m = len(targets)
         if not remaining:
-            return (0.0 if self.end == FREE else self.D[start][self.end]), []
-        row = self.D[start]
-        cands = [
-            (c, row[targets[c]] + T[(c << m) | (remaining ^ (1 << c))])
-            for c in range(m) if remaining >> c & 1
-        ]
-        cost = min(v for _, v in cands)
-        j = next(c for c, v in cands if v <= cost + TIE)
-        return cost, [j] + self.hops(j, remaining ^ (1 << j))
+            return (0.0 if self.end == FREE else D[start][self.end]), []
+        row = D[start]
+        cost = min(row[targets[c]] + T[(c << m) | (remaining ^ (1 << c))] for c in range(m) if remaining >> c & 1)
+        bound, order = cost + TIE, []
+        while remaining:
+            j = next(c for c in range(m) if remaining >> c & 1
+                     and row[targets[c]] + T[(c << m) | (remaining ^ (1 << c))] <= bound)
+            order.append(j)
+            remaining ^= 1 << j
+            row, bound = D[targets[j]], T[(j << m) | remaining] + TIE
+        return cost, order
 
 
-def exact_path(D, targets: tuple[int, ...], end) -> PathTable:
-    """Fill the cost-to-go and next-hop tables of walks over ``targets``
-    ending at ``end`` (a matrix row, or FREE), one popcount layer of the
-    remaining-target mask per numpy step.
+def exact_path(D, targets: tuple[int, ...], end, hops: bool = False) -> PathTable:
+    """Fill the cost-to-go table of walks over ``targets`` ending at ``end``
+    (a matrix row, or FREE), one popcount layer of the remaining-target mask
+    per numpy step, and with ``hops`` its next-hop table too.
 
     Each layer lays its candidates out as [member, row outside the set,
     set], gathered by ``take`` on the flat ``A`` and ``T`` through the
@@ -153,30 +158,34 @@ def exact_path(D, targets: tuple[int, ...], end) -> PathTable:
     ``min`` whose choice among equal values cannot show while ``D`` holds
     no -0.0, which no space's distance returns.  The next hop is the first
     member whose sum is within ``TIE`` of that minimum, assigned from the
-    last member down so that the first one wins.
+    last member down so that the first one wins.  That pass took 53% of a
+    fill at m = 9 and 34% at m = 16 (2-vCPU x86-64 host), and only a caller
+    that reads many chains needs it: one walk prices its steps from ``T``.
     """
     m = len(targets)
     if m > HELD_KARP_CAP:
         raise SizeCapExceeded(f"{m} targets exceeds bitmask cap {HELD_KARP_CAP}", m, HELD_KARP_CAP)
     T = array("d", [0.0]) * (m << m)
-    nxt = array("B", [0]) * (m << m)
+    nxt = array("B", [0]) * (m << m) if hops else None
     if end != FREE:
         for j, t in enumerate(targets):
             T[j << m] = D[t][end]
     if m > 1:  # the layer of the full set fills only unused entries
         A = np.array([[D[a][b] for b in targets] for a in targets])  # A[j, c]: j to c
-        Tf, Nf = np.frombuffer(T), np.frombuffer(nxt, np.uint8)
+        Tf = np.frombuffer(T)
+        Nf = np.frombuffer(nxt, np.uint8) if hops else None
         for take_a, take_t, put, hop in _held_karp_tables(m):
             cand = A.take(take_a)
             cand += Tf.take(take_t)[:, None, :]
             best = np.minimum.reduce(cand)
             Tf[put] = best
-            within = cand <= best + TIE
-            first = np.empty(put.shape, np.uint8)
-            first[...] = hop[-1]
-            for c in range(len(hop) - 2, -1, -1):
-                np.copyto(first, hop[c], where=within[c])
-            Nf[put] = first
+            if hops:
+                within = cand <= best + TIE
+                first = np.empty(put.shape, np.uint8)
+                first[...] = hop[-1]
+                for c in range(len(hop) - 2, -1, -1):
+                    np.copyto(first, hop[c], where=within[c])
+                Nf[put] = first
     return PathTable(D, targets, end, T, nxt)
 
 

@@ -8,8 +8,8 @@ scan picks a structured prefix of released requests on an optimal route
 to q; :meth:`DominationOracle._dominator` then appends q, cleans up the
 rest with an exact classical solver, and pins qf last.  Once every
 request is released the batch is one offline solver's tour from the
-origin: ``solve_classical``'s, or the general oracle's ``held_karp``.
-The general oracle enumerates released subsets directly
+origin: ``solve_classical``'s, or a walk on the general oracle's own
+Held-Karp table.  The general oracle enumerates released subsets directly
 (single-exponential); the tree, ring and flower oracles enumerate leaves,
 crescents/loops, and petal states instead (FPT or polynomial).  The ring
 and each flower petal are an :class:`Arc`, whose row families are
@@ -31,7 +31,6 @@ from .offline import (
     distance_matrix,
     exact_path,
     flower_cover_grouped,
-    held_karp,
     ring_cover,
     solve_classical,
     star_index,
@@ -198,13 +197,14 @@ class GeneralOracle(DominationOracle):
     def __init__(self, space, predictions, variant):
         super().__init__(space, predictions, variant)
         rows = tuple(range(1, self.n + 1))
-        self._back = exact_path(self.D, rows, 0)
-        self._tail = self._back if variant == "closed" else exact_path(self.D, rows, FREE)
+        self._back = exact_path(self.D, rows, 0, hops=True)
+        self._tail = self._back if variant == "closed" else exact_path(self.D, rows, FREE, hops=True)
         self._dominators: list[dict[int, tuple]] = [{} for _ in range(self.n)]
 
     def _tour(self, query) -> list[int]:
-        # Held-Karp on every space, so a structured one keeps its tie-breaks
-        return held_karp(query).order
+        # Held-Karp on every space, so a structured one keeps its tie-breaks:
+        # the tail table holds the tour, a walk from the origin over every id
+        return self._tail.walk(0, (1 << self.n) - 1)[1]
 
     def _batch(self, released: frozenset) -> list[tuple]:
         # every subset of the released ids, as id bitmasks in binary
@@ -386,8 +386,11 @@ class FlowerOracle(DominationOracle):
     over the leaves of one star, reading only the other petals' requests,
     follows.  It ends at q (tree); or at the origin, then walks q's kept
     petal either way up to q (arc) or around it (late loop, when qf shares
-    that petal); or, when q's petal is in ``done``, at the origin.  Loops
-    and walks are read from the petals' arcs: q's are its crescents."""
+    that petal); or, when q's petal is in ``done``, at the origin.  With q
+    on the stem and the final on a petal, the scan may also end at the
+    origin and walk the final's kept petal out and back (its line extents
+    with q at the base).  Loops and walks are read from the petals' arcs:
+    q's are its crescents."""
 
     def __init__(self, space: Flower, predictions, variant):
         super().__init__(space, predictions, variant)
@@ -441,21 +444,27 @@ class FlowerOracle(DominationOracle):
                 if q == qf and len(unrel) > 1:
                     continue
                 qc = self.predictions[q][0]
-                # q's petal walks, each once: its crescents to q either way, or around
-                # it if qf shares it; looped first, toward q's half (its full moon)
-                walks, full = [], None
+                # the walks along petal ``along``, each once: q's crescents to q either
+                # way, or around it if qf shares it; looped first, toward q's half (its
+                # full moon).  With q on the stem, the final's petal with q at its base,
+                # at depth 0: its line extents, out and back to q
+                walks, full, along = [], None, qc
                 if qc != "stem":
                     arc = arcs[qc]
                     (left, _), (right, _), (full, _) = _crescents(arc, [q])
                     walks = [left, right, *([arc.cw, arc.ccw] if qfc == qc else [])]
-                    walks = [w for j, w in enumerate(walks) if w not in walks[:j]]
+                elif qfc not in (None, "stem"):
+                    along, arc = qfc, arcs[qfc]
+                    arc = arc._replace(arm={**arc.arm, q: 1}, depth={**arc.depth, q: 0.0})
+                    walks = [head for head, _ in _line_extents(arc, [q])]
+                walks = [w for j, w in enumerate(walks) if w not in walks[:j]]
                 for done in dones:
                     prefix = [i for k in done for i in (full if k == qc else arcs[k].cw)]
                     looped = frozenset(done)
-                    # (kept petals, scan ends at q, walk along q's petal)
+                    # (kept petals, scan ends at q, walk along petal ``along``)
                     options = [(looped, qc not in looped, [])]
-                    if qc not in looped:
-                        options += [(looped | {qc}, False, walk) for walk in walks]
+                    if along not in looped:
+                        options += [(looped | {along}, False, walk) for walk in walks]
                     for kept, at_q, walk in options:
                         on = self._scanned[kept]
                         root = node_of[qf] if qf in on else 0

@@ -833,9 +833,11 @@ def flower_batch_by_variants(oracle, released: frozenset) -> list[tuple]:
     approach), each rebuilding its petal loop orders and its maximal
     released and unreleased nodes (``maximal_nodes_by_walk``), with the
     after-loop direction of q's own petal read from the oracle's ``_arm``.
-    Each set of kept petals scans its own index of the requests off them,
-    built by ``snipped_index_by_round_trip``, along the node order of an
-    uncached ``path_cover``."""
+    A pivot on the stem, with the final on a petal, also walks that petal
+    from the origin by each of its extent heads.  Each set of kept petals
+    scans its own index of the requests off them, built by
+    ``snipped_index_by_round_trip``, along the node order of an uncached
+    ``path_cover``."""
     comp = [p[0] for p in oracle.predictions]
     off = [p[1] for p in oracle.predictions]
     indexes: dict = {}
@@ -851,9 +853,29 @@ def flower_batch_by_variants(oracle, released: frozenset) -> list[tuple]:
     def loop_order(petal, pool, direction):
         return sorted((i for i in pool if comp[i] == petal), key=lambda i: (direction * off[i], i))
 
+    def extent_heads(petal, pool):
+        # q at the base of ``petal``: the heads that sweep one half of it out
+        # to an extent and back, then the other half to an extent, or only the
+        # forward half, nearest first; each head once, the empty one too
+        length = oracle.space.petals[petal]
+        fwd = sorted((off[i], i) for i in pool if comp[i] == petal and off[i] <= length / 2)
+        bwd = sorted((length - off[i], i) for i in pool if comp[i] == petal and off[i] > length / 2)
+        heads = []
+        for ef in [0.0] + [d for d, _ in fwd if d > TIE]:
+            f_part = [i for d, i in fwd if d <= ef + TIE]
+            for eb in [None] + [d for d, _ in bwd]:
+                b_part = [] if eb is None else [i for d, i in bwd if d <= eb + TIE]
+                for head in [b_part + f_part] + ([f_part + b_part] if b_part else []):
+                    if head not in heads:
+                        heads.append(head)
+        return heads
+
     def variants(loop_pool, q, qf, approach, kept, direction):
+        """``direction`` is the way along q's petal of an arc or a late loop,
+        and the head along the final's petal of an extent."""
         qc = comp[q]
-        done = sorted(k for k in kept if k != qc or approach == "after_loop")
+        walked = comp[qf] if approach == "extent" else qc
+        done = sorted(k for k in kept if k != walked or approach == "after_loop")
         idx = snipped(kept)
         root_node = idx.node_of[qf] if qf is not None and qf in idx.node_of else 0
         if approach == "tree":
@@ -871,6 +893,8 @@ def flower_batch_by_variants(oracle, released: frozenset) -> list[tuple]:
                           or (direction == -1 and off[i] >= off[q] - TIE)]
         elif approach == "late_loop":
             petal_part = loop_order(qc, loop_pool, direction)
+        elif approach == "extent":
+            petal_part = direction
         out = []
         for chosen in subsets(leaves):
             tree_part = []
@@ -897,6 +921,9 @@ def flower_batch_by_variants(oracle, released: frozenset) -> list[tuple]:
                 done = frozenset(done)
                 if qc == "stem":
                     options = [("tree", done, None)]
+                    if qf is not None and comp[qf] not in ("stem", *done):
+                        options += [("extent", done | {comp[qf]}, head)
+                                    for head in extent_heads(comp[qf], loop_pool)]
                 elif qc in done:
                     options = [("after_loop", done, None)]
                 else:

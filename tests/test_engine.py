@@ -299,7 +299,7 @@ _TRAJECTORY_DIGESTS = {
     ("ring", "closed"): "7696ad32b0c4d567b9d7f4c5eb6961405e0de2ea3e04a4b719168572d302c197",
     ("ring", "open"): "65f725bddc765a94432ea008fca4ba6681ecc8b10d64204d93f7793037a0b4ef",
     ("flower", "closed"): "10c85a1506db36ed7480c8083e68e9cf956217a47012ecade7f76dca51bc8fa8",
-    ("flower", "open"): "913c9e2e4c293be257a1f5b4827fb85d0b349133dc39af6de2486bf8cbd2454b",
+    ("flower", "open"): "2539154e84b06266f6c19bc3502e939e85d62ed19a0f3f2e0f692e011cbb588e",
     ("general", "closed"): "0d6b16082c97719a4e76a822b369df8d2dd69ebf5657511b426560ee1da0460b",
     ("general", "open"): "57356eb05c3dc7ba51bb398d2d2dc93ab6dc7201f8c380e4f9a364d503ab7958",
     ("euclid2d", "closed"): "d14c25ef182bb297986f62f5aa37bb5ad682ee1f49f83721dbd45b963996d9f5",

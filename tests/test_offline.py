@@ -3,6 +3,7 @@ import json
 import math
 import random
 import tracemalloc
+from array import array
 from collections import Counter
 
 import numpy as np
@@ -182,18 +183,33 @@ def test_held_karp_cap():
 
 
 def _assert_walks_match(D, targets, end, pairs):
-    table, ref = exact_path(D, targets, end), exact_path_by_loop(D, targets, end)
+    """Tables filled with and without next hops hold the loop's costs, and
+    their walks give its cost and order; from a target outside the set, the
+    next-hop chain is the loop's walk from that target."""
+    m, ref = len(targets), exact_path_by_loop(D, targets, end)
+    lean, full = exact_path(D, targets, end), exact_path(D, targets, end, hops=True)
+    assert lean.nxt is None and len(full.nxt) == m << m
+    outside = [(j, S) for S in range(1 << m) for j in range(m) if not S >> j & 1]
+    want_T = array("d", [ref.T[S * m + j] for j, S in outside]).tobytes()
+    for table in (lean, full):
+        assert array("d", [table.T[(j << m) | S] for j, S in outside]).tobytes() == want_T, end
     for start, S in pairs:
-        cost, order = table.walk(start, S)
         want_cost, want_order = ref.walk(start, S)
-        assert type(cost) is float, (start, S)
-        assert (float.hex(cost), order) == (float.hex(want_cost), want_order), (end, start, S)
+        for table in (lean, full):
+            cost, order = table.walk(start, S)
+            assert type(cost) is float, (start, S)
+            assert (float.hex(cost), order) == (float.hex(want_cost), want_order), (end, start, S)
+        j = targets.index(start) if start in targets else None
+        if j is not None and not S >> j & 1:
+            assert full.hops(j, S) == want_order, (end, start, S)
 
 
 def test_exact_path_matches_loop_bit_for_bit():
-    """The numpy table and its next-hop walk give the pure-Python loop's cost
-    to the last bit and its order, from every row (a target outside or
-    inside the set, or not a target) and, at m <= 8, every remaining set;
+    """The numpy tables, filled with and without next hops, hold the
+    pure-Python loop's costs to the last bit, and their walks give its cost
+    and order, from every row (a target outside or inside the set, or not a
+    target) and, at m <= 8, every remaining set, as do the next-hop chains
+    from a target outside the set;
     on random points and on a half-integer grid whose equal-looking sums
     differ in the last bits, so the ``TIE`` rule decides steps; and on
     tree matrices that are not bitwise symmetric.  The index tables are
